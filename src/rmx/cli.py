@@ -33,6 +33,12 @@ CONVENTIONS = {
 
 _DEFAULT_SEED = 12345
 
+# identity -> tolerance used when --tol is not given; Dunkl at kappa = 0
+# takes no derivatives and has its own, tighter entry
+_DEFAULT_TOL = {"aybe": 1e-8, "dual": 1e-8, "unitarity": 1e-10, "cybe": 1e-9,
+                "qybe": 1e-8, "limit": 1e-7, "casimir": 1e-8,
+                "degeneration": 1e-6, "dunkl": 1e-5, "dunkl-kappa0": 1e-9}
+
 
 def _parse_complex(s: str) -> complex:
     parts = str(s).split(",")
@@ -155,21 +161,26 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.samples < 1:
+        raise SystemExit2(f"--samples must be at least 1, got {args.samples}")
     seed = _seed(args)
     sol = _solution_from_args(args)
     tol = args.tol
+    if tol is None:
+        kappa0 = args.identity == "dunkl" and args.kappa == 0
+        tol = _DEFAULT_TOL.get("dunkl-kappa0" if kappa0 else args.identity)
     try:
         if args.identity == "aybe":
-            rep = verify.aybe(sol, samples=args.samples, tol=tol or 1e-8, seed=seed)
+            rep = verify.aybe(sol, samples=args.samples, tol=tol, seed=seed)
         elif args.identity == "dual":
-            rep = verify.aybe_dual(sol, samples=args.samples, tol=tol or 1e-8, seed=seed)
+            rep = verify.aybe_dual(sol, samples=args.samples, tol=tol, seed=seed)
         elif args.identity == "unitarity":
-            rep = verify.unitarity(sol, samples=args.samples, tol=tol or 1e-10, seed=seed)
+            rep = verify.unitarity(sol, samples=args.samples, tol=tol, seed=seed)
         elif args.identity == "cybe":
-            rep = verify.cybe(sol, samples=args.samples, tol=tol or 1e-9, seed=seed)
+            rep = verify.cybe(sol, samples=args.samples, tol=tol, seed=seed)
         elif args.identity == "qybe":
             rep = verify.qybe(sol, v0=args.v0 or 0.7, samples=args.samples,
-                              tol=tol or 1e-8, seed=seed)
+                              tol=tol, seed=seed)
         elif args.identity == "limit":
             try:
                 ref = catalog.classical_of(sol.name, tau=args.tau or catalog.DEFAULT_TAU)
@@ -179,7 +190,7 @@ def cmd_verify(args) -> int:
                 raise SystemExit2(f"{sol.name} has no recorded classical partner "
                                   "and its pr(x)pr limit converged; nothing to compare")
             grid = [0.3 + 0.1 * k for k in range(10)]
-            rep = verify.classical_limit(sol, ref, grid, tol=tol or 1e-7,
+            rep = verify.classical_limit(sol, ref, grid, tol=tol,
                                          y_base=0.15)
         elif args.identity == "laurent":
             y_pt = (0.2, 0.9) if sol.arity == "vdiff_y12" else 0.47
@@ -197,18 +208,17 @@ def cmd_verify(args) -> int:
             _emit(payload, args)
             return 0
         elif args.identity == "casimir":
-            a, defect = verify.casimir_residue(sol, tol=tol or 1e-8)
+            a, defect = verify.casimir_residue(sol, tol=tol)
             payload = {"identity": "casimir-residue", "solution": sol.name,
                        "alpha": [a.real, a.imag], "defect": defect,
-                       "tol": tol or 1e-8, "passed": defect < (tol or 1e-8)}
+                       "tol": tol, "passed": defect < tol}
             _emit(payload, args)
             return 0 if payload["passed"] else 1
         elif args.identity == "degeneration":
             rep = verify.degeneration_trg_to_rat(
-                catalog.get("cherednik"), catalog.get("yang"), tol=tol or 1e-6)
+                catalog.get("cherednik"), catalog.get("yang"), tol=tol)
         elif args.identity == "dunkl":
-            rep = verify.dunkl_commutator(sol, m=3, kappa=args.kappa,
-                                          tol=tol or (1e-9 if args.kappa == 0 else 1e-5),
+            rep = verify.dunkl_commutator(sol, m=3, kappa=args.kappa, tol=tol,
                                           seed=seed)
         else:
             raise SystemExit2(f"unknown identity {args.identity!r}")

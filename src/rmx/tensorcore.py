@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,9 +132,9 @@ class Tensor3:
         return Tensor3(self.n, -self.coeffs)
 
     def matmul(self, other: "Tensor3") -> "Tensor3":
-        """Product in Mat_n^(x3): legwise matrix multiplication."""
-        c = np.einsum("iajbkc,adbecf->idjekf", self.coeffs, other.coeffs)
-        return Tensor3(self.n, c)
+        """Product in Mat_n^(x3): legwise matrix multiplication, as one
+        n^3 x n^3 matrix product in the Kronecker layout."""
+        return Tensor3.from_kron(self.kron() @ other.kron(), self.n)
 
     def norm(self) -> float:
         return float(np.max(np.abs(self.coeffs)))
@@ -206,23 +207,50 @@ def unit_matrix(n: int, i: int, j: int) -> np.ndarray:
     return m
 
 
+# leg tag -> the two 0-based legs of Mat_n^(x3) it names
+_LEG_TAGS = {12: (0, 1), 13: (0, 2), 23: (1, 2)}
+
+
+def _legs(tag: int) -> tuple:
+    if tag not in _LEG_TAGS:
+        raise ValueError(f"invalid leg tag {tag!r}; expected one of 12, 13, 23")
+    return _LEG_TAGS[tag]
+
+
+def embed(t: Tensor2, legs: tuple, m: int) -> np.ndarray:
+    """n^m x n^m Kronecker matrix of t placed on the 0-based legs (a, b) of
+    Mat_n^(x m): factor 1 on leg a, factor 2 on leg b, identity elsewhere."""
+    rows, cols = string.ascii_letters[:m], string.ascii_letters[m:2 * m]
+    a, b = legs
+    rest = [k for k in range(m) if k not in legs]
+    subs = [rows[a] + cols[a] + rows[b] + cols[b]] + [rows[k] + cols[k] for k in rest]
+    eye = np.eye(t.n, dtype=complex)
+    c = np.einsum(",".join(subs) + "->" + rows + cols, t.coeffs, *[eye] * len(rest))
+    return c.reshape(t.n**m, t.n**m)
+
+
 def embed_leg(t: Tensor2, legs: int) -> Tensor3:
     """Embed a two-leg tensor into Mat_n^(x3) on the given pair of legs.
 
     legs is one of 12, 13, 23; the first tensor factor goes to the first
     named leg, the second factor to the second, identity on the rest.
     """
-    n = t.n
-    eye = np.eye(n, dtype=complex)
-    if legs == 12:
-        c = np.einsum("ijkl,mn->ijklmn", t.coeffs, eye)
-    elif legs == 13:
-        c = np.einsum("ijkl,mn->ijmnkl", t.coeffs, eye)
-    elif legs == 23:
-        c = np.einsum("ijkl,mn->mnijkl", t.coeffs, eye)
-    else:
-        raise ValueError(f"invalid leg tag {legs!r}; expected one of 12, 13, 23")
-    return Tensor3(n, c)
+    return Tensor3.from_kron(embed(t, _legs(legs), 3), t.n)
+
+
+def leg_product(a: Tensor2, legs_a: int, b: Tensor2, legs_b: int) -> Tensor3:
+    """embed_leg(a, legs_a).matmul(embed_leg(b, legs_b)) for two leg tags
+    sharing exactly one leg, in O(n^7) and without the identity-padded n^6
+    operands: only the shared leg is contracted (a's column index with b's
+    row index, subscript z); every other leg keeps the one factor on it."""
+    la, lb = _legs(legs_a), _legs(legs_b)
+    shared = set(la) & set(lb)
+    if len(shared) != 1:
+        raise ValueError(f"leg tags {legs_a} and {legs_b} must share exactly one leg")
+    rows, cols, s = "ace", "bdf", shared.pop()
+    sub_a = "".join(rows[k] + ("z" if k == s else cols[k]) for k in la)
+    sub_b = "".join(("z" if k == s else rows[k]) + cols[k] for k in lb)
+    return Tensor3(a.n, np.einsum(f"{sub_a},{sub_b}->abcdef", a.coeffs, b.coeffs))
 
 
 def swap(t: Tensor2) -> Tensor2:

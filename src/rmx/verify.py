@@ -16,7 +16,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .catalog import RSolution
-from .tensorcore import Tensor2, Tensor3, casimir, embed_leg, project_sl, swap
+from .tensorcore import (Tensor2, Tensor3, casimir, embed, embed_leg, leg_product,
+                         project_sl, swap)
 
 
 @dataclass
@@ -86,10 +87,6 @@ def as_four_param(sol: RSolution) -> Callable[[complex, complex, complex, comple
                      "not an associative r-matrix")
 
 
-def _leg(t: Tensor2, legs: int) -> Tensor3:
-    return embed_leg(t, legs)
-
-
 def aybe(sol: RSolution, samples: int = 50, tol: float = 1e-8,
          seed: int = 0) -> ResidualReport:
     """Associative Yang-Baxter residual, in the form matching the arity:
@@ -107,9 +104,8 @@ def aybe(sol: RSolution, samples: int = 50, tol: float = 1e-8,
                 break
         else:
             raise PoleSampleError("sampling kept hitting poles")
-        lhs = _leg(ts[0], 12).matmul(_leg(ts[1], 23))
-        rhs = _leg(ts[2], 13).matmul(_leg(ts[3], 12)) \
-            + _leg(ts[4], 23).matmul(_leg(ts[5], 13))
+        lhs = leg_product(ts[0], 12, ts[1], 23)
+        rhs = leg_product(ts[2], 13, ts[3], 12) + leg_product(ts[4], 23, ts[5], 13)
         res = (lhs - rhs).norm()
         if res > worst:
             worst, worst_at = res, (v1, v2, v3, y1, y2, y3)
@@ -134,9 +130,8 @@ def aybe_dual(sol: RSolution, samples: int = 50, tol: float = 1e-8,
                 break
         else:
             raise PoleSampleError("sampling kept hitting poles")
-        lhs = _leg(ts[0], 23).matmul(_leg(ts[1], 12))
-        rhs = _leg(ts[2], 12).matmul(_leg(ts[3], 13)) \
-            + _leg(ts[4], 13).matmul(_leg(ts[5], 23))
+        lhs = leg_product(ts[0], 23, ts[1], 12)
+        rhs = leg_product(ts[2], 12, ts[3], 13) + leg_product(ts[4], 13, ts[5], 23)
         res = (lhs - rhs).norm()
         if res > worst:
             worst, worst_at = res, (v1, v2, v3, y1, y2, y3)
@@ -189,7 +184,7 @@ def cybe(sol: RSolution, samples: int = 50, tol: float = 1e-9,
                 break
         else:
             raise PoleSampleError("sampling kept hitting poles")
-        r12, r13, r23 = _leg(ta, 12), _leg(tb, 13), _leg(tc, 23)
+        r12, r13, r23 = embed_leg(ta, 12), embed_leg(tb, 13), embed_leg(tc, 23)
         res = (_comm(r12, r23) + _comm(r12, r13) + _comm(r13, r23)).norm()
         if res > worst:
             worst, worst_at = res, (y1, y2, y3)
@@ -217,7 +212,7 @@ def qybe(sol: RSolution, v0: complex, samples: int = 50, tol: float = 1e-8,
                 break
         else:
             raise PoleSampleError("sampling kept hitting poles")
-        r12, r13, r23 = _leg(ta, 12), _leg(tb, 13), _leg(tc, 23)
+        r12, r13, r23 = embed_leg(ta, 12), embed_leg(tb, 13), embed_leg(tc, 23)
         lhs = r12.matmul(r13).matmul(r23)
         rhs = r23.matmul(r13).matmul(r12)
         res = (lhs - rhs).norm()
@@ -396,34 +391,6 @@ def dunkl_commutator(sol: RSolution, m: int = 3, kappa: complex = 1.0,
         xs[i], xs[j] = xs[j], xs[i]
         return xs
 
-    # leg pairs for the m-fold tensor algebra: embed a 2-leg tensor at (i, j)
-    def embed_at(t: Tensor2, i: int, j: int) -> np.ndarray:
-        full = np.zeros((n**m, n**m), dtype=complex)
-        # decompose t into sum of simple e_{ab} (x) e_{cd}
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    for d in range(n):
-                        coef2 = t.coeffs[a, b, c, d]
-                        if coef2 == 0:
-                            continue
-                        factors = []
-                        for leg in range(m):
-                            if leg == i:
-                                u = np.zeros((n, n), dtype=complex)
-                                u[a, b] = 1
-                            elif leg == j:
-                                u = np.zeros((n, n), dtype=complex)
-                                u[c, d] = 1
-                            else:
-                                u = np.eye(n, dtype=complex)
-                            factors.append(u)
-                        acc = factors[0]
-                        for u in factors[1:]:
-                            acc = np.kron(acc, u)
-                        full += coef2 * acc
-        return full
-
     def ddx(f, xs, i, step):
         xp = list(xs); xp[i] = xs[i] + step
         xm = list(xs); xm[i] = xs[i] - step
@@ -438,7 +405,7 @@ def dunkl_commutator(sol: RSolution, m: int = 3, kappa: complex = 1.0,
             for j in range(m):
                 if j == i:
                     continue
-                rij = embed_at(rfun(xs[i] - xs[j], y_points[i], y_points[j]), i, j)
+                rij = embed(rfun(xs[i] - xs[j], y_points[i], y_points[j]), (i, j), m)
                 out = out + rij @ f(swap_args(xs, i, j))
             return out
         return tf

@@ -74,6 +74,23 @@ def test_verify_failure_exit_code(capsys):
     assert json.loads(out)["passed"] is False
 
 
+@pytest.mark.parametrize("samples", ["0", "-4"])
+def test_verify_nonpositive_samples_usage_error(capsys, samples):
+    code, out = run(capsys, "verify", "--identity", "aybe", "--solution",
+                    "rat21", "--samples", samples)
+    assert code == 2
+    assert out == ""
+
+
+def test_verify_tol_zero_is_honoured(capsys):
+    code, out = run(capsys, "verify", "--identity", "aybe", "--solution",
+                    "trg21", "--samples", "5", "--tol", "0")
+    d = json.loads(out)
+    assert d["tol"] == 0.0
+    assert d["max_residual"] > 0.0
+    assert code == 1 and d["passed"] is False
+
+
 def test_verify_divergence_exit_code(capsys):
     code, out = run(capsys, "verify", "--identity", "limit", "--solution",
                     "trg20_semistable")
@@ -205,9 +222,16 @@ def test_g2_g3_curve_dispatch(capsys):
 
 
 def test_console_script_entry_point():
+    import os
     import subprocess
     import sys
+    from pathlib import Path
+
+    import rmx
+    # the child interpreter finds rmx where this one did, PYTHONPATH set or not
+    path = [str(Path(rmx.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
     r = subprocess.run([sys.executable, "-m", "rmx.cli", "eval", "--solution",
-                        "yang", "--y", "1.0"], capture_output=True, text=True)
+                        "yang", "--y", "1.0"], capture_output=True, text=True, env=env)
     assert r.returncode == 0
     assert json.loads(r.stdout)["solution"] == "yang"

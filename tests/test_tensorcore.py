@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmx.tensorcore import (
-    E12, E21, H, ID2, LinMap, Tensor2, Tensor3, casimir, embed_leg,
-    linmap_to_tensor, project_sl, project_traceless, swap, tensor_to_linmap,
-    unit_matrix,
+    E12, E21, H, ID2, LinMap, Tensor2, Tensor3, casimir, embed, embed_leg,
+    leg_product, linmap_to_tensor, project_sl, project_traceless, swap,
+    tensor_to_linmap, unit_matrix,
 )
 
 from oracles import kron_embed
@@ -68,6 +68,67 @@ def test_leg_products_match_dense_kron_oracle(n, legs):
     prod = embed_leg(t1, legs).matmul(embed_leg(t2, 23))
     want = kron_embed(t1.coeffs, legs, n) @ kron_embed(t2.coeffs, 23, n)
     assert np.max(np.abs(prod.kron() - want)) < 1e-12
+
+
+# --- leg_product and Tensor3.matmul -----------------------------------------
+
+LEG_PAIRS = [(12, 13), (12, 23), (13, 12), (13, 23), (23, 12), (23, 13)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("legs_a,legs_b", LEG_PAIRS)
+def test_shared_leg_product_matches_dense_kron_oracle(n, legs_a, legs_b):
+    rng = np.random.default_rng(1000 * n + legs_a + legs_b)
+    a, b = rand_tensor2(rng, n), rand_tensor2(rng, n)
+    got = leg_product(a, legs_a, b, legs_b).kron()
+    want = kron_embed(a.coeffs, legs_a, n) @ kron_embed(b.coeffs, legs_b, n)
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("legs_a,legs_b", [(12, 12), (23, 23), (12, 21), (31, 23)])
+def test_leg_product_rejects_tags_not_sharing_one_leg(legs_a, legs_b):
+    t = Tensor2.simple(H, E21)
+    with pytest.raises(ValueError):
+        leg_product(t, legs_a, t, legs_b)
+
+
+def einsum_matmul(x: Tensor3, y: Tensor3) -> np.ndarray:
+    """Legwise product of two three-leg tensors as a plain n^9 einsum."""
+    return np.einsum("iajbkc,adbecf->idjekf", x.coeffs, y.coeffs)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_tensor3_matmul_matches_einsum_oracle(n):
+    rng = np.random.default_rng(n)
+    x, y = (Tensor3(n, rng.standard_normal((n,) * 6) + 1j * rng.standard_normal((n,) * 6))
+            for _ in range(2))
+    assert np.max(np.abs(x.matmul(y).coeffs - einsum_matmul(x, y))) < 1e-12
+
+
+# --- embed (m legs) -------------------------------------------------------------
+
+def embed_loop(t: Tensor2, i: int, j: int, m: int) -> np.ndarray:
+    """Reference m-leg embedding: a sum of Kronecker chains, one per matrix unit."""
+    n = t.n
+    full = np.zeros((n**m, n**m), dtype=complex)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                for d in range(n):
+                    factors = [np.eye(n, dtype=complex) for _ in range(m)]
+                    factors[i] = unit_matrix(n, a, b)
+                    factors[j] = unit_matrix(n, c, d)
+                    acc = factors[0]
+                    for u in factors[1:]:
+                        acc = np.kron(acc, u)
+                    full += t.coeffs[a, b, c, d] * acc
+    return full
+
+
+@pytest.mark.parametrize("i,j", [(0, 1), (0, 2), (1, 2), (1, 0), (2, 0), (2, 1)])
+def test_embed_matches_kron_loop(i, j):
+    t = rand_tensor2(np.random.default_rng(10 * i + j), 2)
+    assert np.max(np.abs(embed(t, (i, j), 3) - embed_loop(t, i, j, 3))) <= 1e-15
 
 
 # --- swap --------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rmx import catalog, verify
+from rmx import catalog, rmatrix, verify
 from rmx.catalog import RSolution
 from rmx.tensorcore import E21, H, ID2, Tensor2, casimir
 
@@ -231,3 +231,26 @@ def test_reports_are_reproducible():
     b = verify.aybe(catalog.get("trg21"), samples=5, seed=42)
     assert a.max_residual == b.max_residual
     assert a.argmax_sample == b.argmax_sample
+
+
+# max_residual and the first coordinate v1 of argmax_sample for 4 samples,
+# as computed by the identity-padded n^9 einsum products
+PINNED_RESIDUALS = {
+    ("nodal", 5, 2, "aybe", 0): (3.1607396448114513e-13, -0.16555025306337143 + 0.2754985613524907j),
+    ("nodal", 5, 2, "aybe", 7): (3.26255039830718e-13, -0.5630387996316589 - 0.034680483300054445j),
+    ("nodal", 5, 2, "aybe_dual", 0): (1.973996971899478e-13, -0.16555025306337143 + 0.2754985613524907j),
+    ("nodal", 5, 2, "aybe_dual", 7): (2.6252059584503803e-13, -0.28027414690114755 + 0.005506633687292992j),
+    ("cusp", 5, 3, "aybe", 0): (1.7258767121938798e-12, -0.3007782369697672 + 0.9314340729630426j),
+    ("cusp", 5, 3, "aybe", 7): (5.542489538320524e-13, -0.33575966484332387 - 0.3240641037140451j),
+    ("cusp", 5, 3, "aybe_dual", 0): (9.012297888552509e-13, -0.5499549551722069 - 0.3702236915925935j),
+    ("cusp", 5, 3, "aybe_dual", 7): (1.366295323605161e-13, 0.7809036110345662 + 0.025843973035727958j),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_RESIDUALS))
+def test_engine_aybe_residuals_are_pinned(key):
+    kind, n, d, check, seed = key
+    residual, v1 = PINNED_RESIDUALS[key]
+    rep = getattr(verify, check)(rmatrix.engine_solution(kind, n, d), samples=4, seed=seed)
+    assert abs(rep.max_residual - residual) <= 1e-14
+    assert abs(rep.argmax_sample[0] - v1) <= 1e-15
