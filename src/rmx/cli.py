@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import bundles, catalog, curves, rmatrix, verify
-from .tensorcore import Tensor2
+from .tensorcore import Tensor2, project_sl
 
 CONVENTIONS = {
     "tensor_layout": "coeffs[i1,j1,i2,j2] is the coefficient of "
@@ -179,8 +179,8 @@ def cmd_verify(args) -> int:
         elif args.identity == "cybe":
             rep = verify.cybe(sol, samples=args.samples, tol=tol, seed=seed)
         elif args.identity == "qybe":
-            rep = verify.qybe(sol, v0=args.v0 or 0.7, samples=args.samples,
-                              tol=tol, seed=seed)
+            v0 = 0.7 if args.v0 is None else args.v0
+            rep = verify.qybe(sol, v0=v0, samples=args.samples, tol=tol, seed=seed)
         elif args.identity == "limit":
             try:
                 ref = catalog.classical_of(sol.name, tau=args.tau or catalog.DEFAULT_TAU)
@@ -277,27 +277,20 @@ def cmd_sweep(args) -> int:
     if args.kind == "degeneration":
         grid = _parse_grid(args.grid, [1e2, 1e3, 1e4, 1e5])
         trg, rat = catalog.get("cherednik"), catalog.get("yang")
-        ys = (0.3, 0.7, 1.1)
         lines = ["t,max_error"]
         for t in grid:
-            err = max(((1.0 / t) * trg.evaluator(y / t) - rat.evaluator(y)).norm()
-                      for y in ys)
-            lines.append(f"{t!r},{err!r}")
+            lines.append(f"{t!r},{verify.degeneration_error(trg, rat, t)!r}")
         _emit("\n".join(lines) + "\n", args)
         return 0
     if args.kind == "limit":
         sol = _solution_from_args(args)
         grid = _parse_grid(args.grid, [1e-1, 1e-2, 1e-3, 1e-4])
-        from .tensorcore import project_sl
-        y1, y2 = 0.15, 0.85
-        if sol.arity == "vdiff_ydiff":
-            f = lambda v: project_sl(sol.evaluator(v, y2 - y1))
-        elif sol.arity == "vdiff_y12":
-            f = lambda v: project_sl(sol.evaluator(v, y1, y2))
-        else:
-            raise SystemExit2("limit sweep needs a v-difference solution")
+        try:
+            r3 = verify.as_three_param(sol)
+        except ValueError as e:
+            raise SystemExit2(str(e))
         lines = ["v,pr_norm,delta_to_next"]
-        vals = [f(v) for v in grid]
+        vals = [project_sl(r3(v, 0.15, 0.85)) for v in grid]
         for i, v in enumerate(grid):
             delta = (vals[i] - vals[i + 1]).norm() if i + 1 < len(grid) else ""
             lines.append(f"{v!r},{vals[i].norm()!r},{delta!r}" if delta != ""

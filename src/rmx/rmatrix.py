@@ -19,7 +19,6 @@ theta-type matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, pi
 
 import numpy as np
@@ -42,20 +41,6 @@ class DegenerateSystemError(EngineError):
     def __init__(self, msg, cond=None):
         super().__init__(msg)
         self.cond = cond
-
-
-@dataclass(frozen=True)
-class EngineConfig:
-    """Engine configuration record.  The residue functional's differential
-    form is baked per curve type: dz/z on the nodal curve (prefactor 1/y1),
-    dz on the cuspidal curve, dz on the torus (theta-normalized)."""
-
-    kind: str                     # "nodal" | "cuspidal" | "elliptic" | "nodal-semistable"
-    n: int
-    d: int
-    tau: complex = 1.1j           # elliptic only
-    tol: float = 1e-14
-    cond_cap: float = DEFAULT_COND_CAP
 
 
 # --- polynomial Hom spaces on P^1 -------------------------------------------
@@ -357,30 +342,29 @@ def apply_gauge(sol: RSolution, phi) -> RSolution:
 
 def engine_solution(kind: str, n: int = 2, d: int = 1, tau: complex = 1.1j,
                     cond_cap: float = DEFAULT_COND_CAP) -> RSolution:
-    """Wrap an engine as a four-parameter RSolution for the verifier."""
-    cfg = EngineConfig(kind, n, d, tau=tau, cond_cap=cond_cap)
-    return engine_from_config(cfg)
+    """Wrap an engine as a four-parameter RSolution for the verifier.
 
-
-def engine_from_config(cfg: EngineConfig) -> RSolution:
-    kind, n, d = cfg.kind, cfg.n, cfg.d
+    kind is "nodal", "cusp"/"cuspidal", "elliptic" (tau only, (n, d) = (2, 1))
+    or "nodal-semistable".  The residue functional's differential form is
+    baked per curve type: dz/z on the nodal curve (prefactor 1/y1), dz on the
+    cuspidal curve, dz on the torus (theta-normalized)."""
     if kind == "elliptic":
         if (n, d) != (2, 1):
             raise EngineError("elliptic engine implemented for (n, d) = (2, 1)")
         ev = lambda v1, v2, y1, y2: engine_elliptic_21(
-            cfg.tau, v1, v2, y1, y2, tol=cfg.tol, cond_cap=cfg.cond_cap)
+            tau, v1, v2, y1, y2, tol=1e-14, cond_cap=cond_cap)
         name = f"engine-elliptic({n},{d})"
     elif kind == "nodal":
         ev = lambda v1, v2, y1, y2: engine_nodal(n, d, v1, v2, y1, y2,
-                                                 cond_cap=cfg.cond_cap)
+                                                 cond_cap=cond_cap)
         name = f"engine-nodal({n},{d})"
     elif kind in ("cusp", "cuspidal"):
         ev = lambda v1, v2, y1, y2: engine_cusp(n, d, v1, v2, y1, y2,
-                                                cond_cap=cfg.cond_cap)
+                                                cond_cap=cond_cap)
         name = f"engine-cuspidal({n},{d})"
     elif kind == "nodal-semistable":
         ev = lambda v1, v2, y1, y2: engine_semistable_nodal_20(
-            v1, v2, y1, y2, cond_cap=cfg.cond_cap)
+            v1, v2, y1, y2, cond_cap=cond_cap)
         name = "engine-nodal-semistable(2,0)"
     else:
         raise ValueError(f"unknown engine kind {kind!r}")

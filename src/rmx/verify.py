@@ -87,81 +87,97 @@ def as_four_param(sol: RSolution) -> Callable[[complex, complex, complex, comple
                      "not an associative r-matrix")
 
 
+def as_three_param(sol: RSolution) -> Callable[[complex, complex, complex], Tensor2]:
+    """The r(v; y1, y2) view of a v-difference solution."""
+    if sol.arity == "vdiff_y12":
+        return sol.evaluator
+    if sol.arity == "vdiff_ydiff":
+        return lambda v, y1, y2: sol.evaluator(v, y2 - y1)
+    raise ValueError(f"solution {sol.name!r} has arity {sol.arity!r}; "
+                     "needs a v-difference solution r(v; y1, y2)")
+
+
+def _sampled_residual(identity: str, sol: RSolution, k: int, terms: Callable,
+                      residual: Callable, samples: int, tol: float,
+                      seed: int) -> ResidualReport:
+    """Max over `samples` seeded draws of k points of |residual(*terms(*pts))|.
+
+    A draw whose terms are not all below NORM_CAP is rejected; a sample gets
+    at most 50 draws."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    rng = np.random.default_rng(seed)
+    worst, worst_at = -1.0, ()
+    for _ in range(samples):
+        for _retry in range(50):
+            pts = _sample(rng, k)
+            ts = terms(*pts)
+            if _admissible(*ts):
+                break
+        else:
+            raise PoleSampleError("sampling kept hitting poles")
+        res = residual(*ts).norm()
+        if res > worst:
+            worst, worst_at = res, tuple(pts)
+    return ResidualReport(identity, sol.name, samples, worst, worst_at, tol, seed,
+                          worst < tol)
+
+
 def aybe(sol: RSolution, samples: int = 50, tol: float = 1e-8,
          seed: int = 0) -> ResidualReport:
     """Associative Yang-Baxter residual, in the form matching the arity:
     the full four-parameter equation, its v-difference form, or the full
     difference form."""
-    rng = np.random.default_rng(seed)
     r4 = as_four_param(sol)
-    worst, worst_at = -1.0, ()
-    for _ in range(samples):
-        for _retry in range(50):
-            v1, v2, v3, y1, y2, y3 = _sample(rng, 6)
-            ts = [r4(v1, v2, y1, y2), r4(v1, v3, y2, y3), r4(v1, v3, y1, y3),
-                  r4(v3, v2, y1, y2), r4(v2, v3, y2, y3), r4(v1, v2, y1, y3)]
-            if _admissible(*ts):
-                break
-        else:
-            raise PoleSampleError("sampling kept hitting poles")
-        lhs = leg_product(ts[0], 12, ts[1], 23)
-        rhs = leg_product(ts[2], 13, ts[3], 12) + leg_product(ts[4], 23, ts[5], 13)
-        res = (lhs - rhs).norm()
-        if res > worst:
-            worst, worst_at = res, (v1, v2, v3, y1, y2, y3)
     form = {"v12_y12": "AYBE", "vdiff_y12": "AYBE-vdiff",
             "vdiff_ydiff": "AYBE-diff"}[sol.arity]
-    return ResidualReport(form, sol.name, samples, worst, worst_at, tol, seed,
-                          worst < tol)
+    return _sampled_residual(
+        form, sol, 6,
+        lambda v1, v2, v3, y1, y2, y3: (
+            r4(v1, v2, y1, y2), r4(v1, v3, y2, y3), r4(v1, v3, y1, y3),
+            r4(v3, v2, y1, y2), r4(v2, v3, y2, y3), r4(v1, v2, y1, y3)),
+        lambda a, b, c, d, e, f: leg_product(a, 12, b, 23)
+        - (leg_product(c, 13, d, 12) + leg_product(e, 23, f, 13)),
+        samples, tol, seed)
 
 
 def aybe_dual(sol: RSolution, samples: int = 50, tol: float = 1e-8,
               seed: int = 0) -> ResidualReport:
     """Residual of the dual associative equation (holds for unitary solutions)."""
-    rng = np.random.default_rng(seed)
     r4 = as_four_param(sol)
-    worst, worst_at = -1.0, ()
-    for _ in range(samples):
-        for _retry in range(50):
-            v1, v2, v3, y1, y2, y3 = _sample(rng, 6)
-            ts = [r4(v2, v3, y2, y3), r4(v1, v3, y1, y2), r4(v1, v2, y1, y2),
-                  r4(v2, v3, y1, y3), r4(v1, v3, y1, y3), r4(v2, v1, y2, y3)]
-            if _admissible(*ts):
-                break
-        else:
-            raise PoleSampleError("sampling kept hitting poles")
-        lhs = leg_product(ts[0], 23, ts[1], 12)
-        rhs = leg_product(ts[2], 12, ts[3], 13) + leg_product(ts[4], 13, ts[5], 23)
-        res = (lhs - rhs).norm()
-        if res > worst:
-            worst, worst_at = res, (v1, v2, v3, y1, y2, y3)
-    return ResidualReport("AYBE-dual", sol.name, samples, worst, worst_at, tol,
-                          seed, worst < tol)
+    return _sampled_residual(
+        "AYBE-dual", sol, 6,
+        lambda v1, v2, v3, y1, y2, y3: (
+            r4(v2, v3, y2, y3), r4(v1, v3, y1, y2), r4(v1, v2, y1, y2),
+            r4(v2, v3, y1, y3), r4(v1, v3, y1, y3), r4(v2, v1, y2, y3)),
+        lambda a, b, c, d, e, f: leg_product(a, 23, b, 12)
+        - (leg_product(c, 12, d, 13) + leg_product(e, 13, f, 23)),
+        samples, tol, seed)
 
 
 def unitarity(sol: RSolution, samples: int = 50, tol: float = 1e-10,
               seed: int = 0) -> ResidualReport:
     """Residual of r(v1,v2;y1,y2) + swap(r(v2,v1;y2,y1))."""
-    rng = np.random.default_rng(seed)
     r4 = as_four_param(sol)
-    worst, worst_at = -1.0, ()
-    for _ in range(samples):
-        for _retry in range(50):
-            v1, v2, y1, y2 = _sample(rng, 4)
-            ta, tb = r4(v1, v2, y1, y2), r4(v2, v1, y2, y1)
-            if _admissible(ta, tb):
-                break
-        else:
-            raise PoleSampleError("sampling kept hitting poles")
-        res = (ta + swap(tb)).norm()
-        if res > worst:
-            worst, worst_at = res, (v1, v2, y1, y2)
-    return ResidualReport("unitarity", sol.name, samples, worst, worst_at, tol,
-                          seed, worst < tol)
+    return _sampled_residual(
+        "unitarity", sol, 4,
+        lambda v1, v2, y1, y2: (r4(v1, v2, y1, y2), r4(v2, v1, y2, y1)),
+        lambda ta, tb: ta + swap(tb),
+        samples, tol, seed)
 
 
 def _comm(a: Tensor3, b: Tensor3) -> Tensor3:
     return a.matmul(b) - b.matmul(a)
+
+
+def _cybe_lhs(ta: Tensor2, tb: Tensor2, tc: Tensor2) -> Tensor3:
+    r12, r13, r23 = embed_leg(ta, 12), embed_leg(tb, 13), embed_leg(tc, 23)
+    return _comm(r12, r23) + _comm(r12, r13) + _comm(r13, r23)
+
+
+def _qybe_difference(ta: Tensor2, tb: Tensor2, tc: Tensor2) -> Tensor3:
+    r12, r13, r23 = embed_leg(ta, 12), embed_leg(tb, 13), embed_leg(tc, 23)
+    return r12.matmul(r13).matmul(r23) - r23.matmul(r13).matmul(r12)
 
 
 def cybe(sol: RSolution, samples: int = 50, tol: float = 1e-9,
@@ -174,52 +190,23 @@ def cybe(sol: RSolution, samples: int = 50, tol: float = 1e-9,
         r2 = lambda ya, yb: sol.evaluator(yb - ya)
     else:
         r2 = sol.evaluator
-    rng = np.random.default_rng(seed)
-    worst, worst_at = -1.0, ()
-    for _ in range(samples):
-        for _retry in range(50):
-            y1, y2, y3 = _sample(rng, 3)
-            ta, tb, tc = r2(y1, y2), r2(y1, y3), r2(y2, y3)
-            if _admissible(ta, tb, tc):
-                break
-        else:
-            raise PoleSampleError("sampling kept hitting poles")
-        r12, r13, r23 = embed_leg(ta, 12), embed_leg(tb, 13), embed_leg(tc, 23)
-        res = (_comm(r12, r23) + _comm(r12, r13) + _comm(r13, r23)).norm()
-        if res > worst:
-            worst, worst_at = res, (y1, y2, y3)
-    return ResidualReport("CYBE", sol.name, samples, worst, worst_at, tol,
-                          seed, worst < tol)
+    return _sampled_residual(
+        "CYBE", sol, 3, lambda y1, y2, y3: (r2(y1, y2), r2(y1, y3), r2(y2, y3)),
+        _cybe_lhs, samples, tol, seed)
 
 
 def qybe(sol: RSolution, v0: complex, samples: int = 50, tol: float = 1e-8,
          seed: int = 0) -> ResidualReport:
     """Quantum Yang-Baxter residual at fixed spectral value v0:
     R12 R13 R23 = R23 R13 R12 with R^{ij} = r(v0; y_i, y_j)."""
-    if sol.arity == "vdiff_ydiff":
-        r2 = lambda ya, yb: sol.evaluator(v0, yb - ya)
-    elif sol.arity == "vdiff_y12":
-        r2 = lambda ya, yb: sol.evaluator(v0, ya, yb)
-    else:
-        raise ValueError(f"qybe needs a v-difference solution, got {sol.arity!r}")
-    rng = np.random.default_rng(seed)
-    worst, worst_at = -1.0, ()
-    for _ in range(samples):
-        for _retry in range(50):
-            y1, y2, y3 = _sample(rng, 3)
-            ta, tb, tc = r2(y1, y2), r2(y1, y3), r2(y2, y3)
-            if _admissible(ta, tb, tc):
-                break
-        else:
-            raise PoleSampleError("sampling kept hitting poles")
-        r12, r13, r23 = embed_leg(ta, 12), embed_leg(tb, 13), embed_leg(tc, 23)
-        lhs = r12.matmul(r13).matmul(r23)
-        rhs = r23.matmul(r13).matmul(r12)
-        res = (lhs - rhs).norm()
-        if res > worst:
-            worst, worst_at = res, (y1, y2, y3)
-    return ResidualReport("QYBE", sol.name, samples, worst, worst_at, tol,
-                          seed, worst < tol)
+    r3 = as_three_param(sol)
+    if v0 == 0:
+        raise ValueError("qybe needs v0 != 0: v = 0 is a pole of every "
+                         "v-difference solution")
+    return _sampled_residual(
+        "QYBE", sol, 3,
+        lambda y1, y2, y3: (r3(v0, y1, y2), r3(v0, y1, y3), r3(v0, y2, y3)),
+        _qybe_difference, samples, tol, seed)
 
 
 class DivergenceError(RuntimeError):
@@ -232,12 +219,7 @@ def classical_limit_values(sol: RSolution, y_pairs: Sequence[tuple],
 
     Divergence (as for the semistable solution) raises DivergenceError.
     """
-    if sol.arity == "vdiff_ydiff":
-        ev = lambda v, ya, yb: sol.evaluator(v, yb - ya)
-    elif sol.arity == "vdiff_y12":
-        ev = sol.evaluator
-    else:
-        raise ValueError("classical_limit needs a v-difference solution")
+    ev = as_three_param(sol)
     out = []
     for (y1, y2) in y_pairs:
         vals = []
@@ -327,16 +309,22 @@ def casimir_residue(sol: RSolution, tol: float = 1e-8, radius: float = 0.05,
     return alpha, defect
 
 
+DEGENERATION_YS = (0.3, 0.7, 1.1)
+
+
+def degeneration_error(trg: RSolution, rat: RSolution, t: float,
+                       y_grid: Sequence[float] = DEGENERATION_YS) -> float:
+    """max over y in y_grid of |(1/t) trg(y/t) - rat(y)|."""
+    return max(((1.0 / t) * trg.evaluator(y / t) - rat.evaluator(y)).norm()
+               for y in y_grid)
+
+
 def degeneration_trg_to_rat(trg: RSolution, rat: RSolution,
                             t_seq: Sequence[float] = (1e3, 1e4, 1e5),
-                            y_grid: Sequence[float] = (0.3, 0.7, 1.1),
+                            y_grid: Sequence[float] = DEGENERATION_YS,
                             tol: float = 1e-6) -> ResidualReport:
     """Check (1/t) trg(y/t) -> rat(y) along the t sequence."""
-    errs = []
-    for t in t_seq:
-        worst = max(((1.0 / t) * trg.evaluator(y / t) - rat.evaluator(y)).norm()
-                    for y in y_grid)
-        errs.append(worst)
+    errs = [degeneration_error(trg, rat, t, y_grid) for t in t_seq]
     final = errs[-1]
     monotone = all(errs[i + 1] < errs[i] for i in range(len(errs) - 1))
     rep = ResidualReport("degeneration", f"{trg.name}->{rat.name}",
@@ -347,15 +335,6 @@ def degeneration_trg_to_rat(trg: RSolution, rat: RSolution,
 
 
 # --- Dunkl operators ---------------------------------------------------------
-
-def _aybe2_eval(sol: RSolution) -> Callable:
-    """r(v; y_i, y_j) view used for the Dunkl construction."""
-    if sol.arity == "vdiff_y12":
-        return sol.evaluator
-    if sol.arity == "vdiff_ydiff":
-        return lambda v, ya, yb: sol.evaluator(v, yb - ya)
-    raise ValueError("Dunkl operators need a unitary v-difference solution")
-
 
 def dunkl_commutator(sol: RSolution, m: int = 3, kappa: complex = 1.0,
                      y_points: Sequence[complex] = None,
@@ -371,7 +350,7 @@ def dunkl_commutator(sol: RSolution, m: int = 3, kappa: complex = 1.0,
     """
     rng = np.random.default_rng(seed)
     n = sol.n
-    rfun = _aybe2_eval(sol)
+    rfun = as_three_param(sol)
     if y_points is None:
         y_points = [0.9 * np.exp(2j * np.pi * k / m) + 0.1 for k in range(m)]
     y_points = [complex(y) for y in y_points]

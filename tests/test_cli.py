@@ -110,6 +110,32 @@ def test_verify_qybe(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("v0", ["0", "0,0"])
+@pytest.mark.parametrize("name", ["trg21", "rat21"])
+def test_verify_qybe_v0_zero_usage_error(capsys, name, v0):
+    # v = 0 is the pole of every v-difference solution; 0 must not be
+    # replaced by the default 0.7
+    code = main(["verify", "--identity", "qybe", "--solution", name, "--v0", v0,
+                 "--samples", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "v0" in captured.err
+
+
+def test_verify_pole_sampling_exit_code(capsys, monkeypatch):
+    # every tensor of this stub is above NORM_CAP, so no draw is admissible
+    huge = catalog.RSolution("huge", "vdiff_ydiff", 2,
+                             lambda v, y: 1e3 * Tensor2.simple(np.eye(2), np.eye(2)))
+    monkeypatch.setattr(catalog, "get", lambda name, tau=None: huge)
+    code = main(["verify", "--identity", "aybe", "--solution", "huge",
+                 "--samples", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: sampling kept hitting poles\n"
+
+
 def test_verify_casimir(capsys):
     code, out = run(capsys, "verify", "--identity", "casimir", "--solution",
                     "cherednik")

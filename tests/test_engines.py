@@ -92,6 +92,26 @@ def test_engine_aybe_and_unitarity(kind, kw):
     assert verify.unitarity(sol, samples=samples, tol=1e-10, seed=31).passed
 
 
+@pytest.mark.parametrize("kind,kw,name,params", [
+    ("nodal", {"n": 3, "d": 2}, "engine-nodal(3,2)", {"kind": "nodal", "n": 3, "d": 2}),
+    ("cusp", {"n": 3, "d": 1}, "engine-cuspidal(3,1)", {"kind": "cusp", "n": 3, "d": 1}),
+    ("cuspidal", {}, "engine-cuspidal(2,1)", {"kind": "cuspidal", "n": 2, "d": 1}),
+    ("nodal-semistable", {}, "engine-nodal-semistable(2,0)",
+     {"kind": "nodal-semistable", "n": 2, "d": 1}),
+    ("elliptic", {"tau": 1.1j}, "engine-elliptic(2,1)", {"kind": "elliptic", "n": 2, "d": 1}),
+])
+def test_engine_solution_names(kind, kw, name, params):
+    sol = engine_solution(kind, **kw)
+    assert (sol.name, sol.arity, sol.params) == (name, "v12_y12", params)
+
+
+def test_engine_solution_bad_kind():
+    with pytest.raises(ValueError):
+        engine_solution("smooth")
+    with pytest.raises(EngineError):
+        engine_solution("elliptic", 3, 1)
+
+
 def test_elliptic_v_shift_invariance():
     rng = np.random.default_rng(32)
     for _ in range(5):

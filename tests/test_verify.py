@@ -184,9 +184,7 @@ def test_degeneration_cherednik_to_yang():
 
 
 def test_degeneration_t_equals_one_is_far():
-    trg, rat = catalog.get("cherednik"), catalog.get("yang")
-    err = max(((1.0) * trg.evaluator(y) - rat.evaluator(y)).norm()
-              for y in (0.3, 0.7, 1.1))
+    err = verify.degeneration_error(catalog.get("cherednik"), catalog.get("yang"), 1.0)
     assert err > 0.1  # no convergence claimed at t = 1
 
 
@@ -233,8 +231,10 @@ def test_reports_are_reproducible():
     assert a.argmax_sample == b.argmax_sample
 
 
-# max_residual and the first coordinate v1 of argmax_sample for 4 samples,
-# as computed by the identity-padded n^9 einsum products
+# max_residual and the first coordinate of argmax_sample for 4 samples.  The
+# engine entries were computed by the identity-padded n^9 einsum products,
+# the catalog entries by the per-identity sampling loops that preceded the
+# shared residual driver; qybe runs at v0 = 0.45.
 PINNED_RESIDUALS = {
     ("nodal", 5, 2, "aybe", 0): (3.1607396448114513e-13, -0.16555025306337143 + 0.2754985613524907j),
     ("nodal", 5, 2, "aybe", 7): (3.26255039830718e-13, -0.5630387996316589 - 0.034680483300054445j),
@@ -244,13 +244,97 @@ PINNED_RESIDUALS = {
     ("cusp", 5, 3, "aybe", 7): (5.542489538320524e-13, -0.33575966484332387 - 0.3240641037140451j),
     ("cusp", 5, 3, "aybe_dual", 0): (9.012297888552509e-13, -0.5499549551722069 - 0.3702236915925935j),
     ("cusp", 5, 3, "aybe_dual", 7): (1.366295323605161e-13, 0.7809036110345662 + 0.025843973035727958j),
+    ("ell21", "unitarity", 0): (2.3364326363345895e-14, -0.3046081537309824 - 0.710536736320037j),
+    ("ell21", "unitarity", 7): (1.637720085286689e-14, -0.2422208503205726 + 0.7428374117793712j),
+    ("trg21", "unitarity", 0): (0.0, 0.30639733867339203 - 0.7297000932207376j),
+    ("trg21", "unitarity", 7): (0.0, -0.2422208503205726 + 0.7428374117793712j),
+    ("rat21", "unitarity", 0): (2.2887833992611187e-16, 0.444889244658473 - 0.5559975326000511j),
+    ("rat21", "unitarity", 7): (6.280369834735101e-16, -0.2422208503205726 + 0.7428374117793712j),
+    ("trg20_semistable", "unitarity", 0): (0.0, 0.30639733867339203 - 0.7297000932207376j),
+    ("trg20_semistable", "unitarity", 7): (0.0, -0.2422208503205726 + 0.7428374117793712j),
+    ("ell21_classical", "cybe", 0): (8.926082647349967e-15, 0.4407666876984843 + 0.8739346126149661j),
+    ("ell21_classical", "cybe", 7): (9.880556101808692e-16, 0.12122239229660803 + 0.7718701265595033j),
+    ("cherednik", "cybe", 0): (2.220446049250313e-15, 0.35851943553774046 + 0.3553048442403331j),
+    ("cherednik", "cybe", 7): (3.580361673049448e-15, -0.2493283214255425 + 0.050923204487072216j),
+    ("stolin", "cybe", 0): (1.1102230246251565e-15, 0.7871539320744513 + 0.0820380546589231j),
+    ("stolin", "cybe", 7): (4.965068306494546e-16, -0.2493283214255425 + 0.050923204487072216j),
+    ("yang", "cybe", 0): (1.1102230246251565e-15, 0.7871539320744513 + 0.0820380546589231j),
+    ("yang", "cybe", 7): (2.482534153247273e-16, -0.44052460035975366 - 0.1539161210840757j),
+    ("ell21", "qybe", 0): (1.7288250917028502e-13, 0.4407666876984843 + 0.8739346126149661j),
+    ("ell21", "qybe", 7): (3.257326998510068e-14, -0.2493283214255425 + 0.050923204487072216j),
+    ("trg21", "qybe", 0): (7.105427357601002e-15, 0.7028083233941284 - 0.30375269065039434j),
+    ("trg21", "qybe", 7): (1.517719948885615e-14, -0.2493283214255425 + 0.050923204487072216j),
+    ("rat21", "qybe", 0): (1.7763568394002505e-15, 0.7028083233941284 - 0.30375269065039434j),
+    ("rat21", "qybe", 7): (3.614624287906422e-15, -0.2493283214255425 + 0.050923204487072216j),
 }
 
 
-@pytest.mark.parametrize("key", sorted(PINNED_RESIDUALS))
+def _assert_pinned(key, sol, check, seed):
+    residual, first = PINNED_RESIDUALS[key]
+    if check == "qybe":
+        rep = verify.qybe(sol, 0.45, samples=4, seed=seed)
+    else:
+        rep = getattr(verify, check)(sol, samples=4, seed=seed)
+    assert abs(rep.max_residual - residual) <= 1e-14
+    assert abs(rep.argmax_sample[0] - first) <= 1e-15
+
+
+@pytest.mark.parametrize("key", sorted(k for k in PINNED_RESIDUALS if len(k) == 5))
 def test_engine_aybe_residuals_are_pinned(key):
     kind, n, d, check, seed = key
-    residual, v1 = PINNED_RESIDUALS[key]
-    rep = getattr(verify, check)(rmatrix.engine_solution(kind, n, d), samples=4, seed=seed)
-    assert abs(rep.max_residual - residual) <= 1e-14
-    assert abs(rep.argmax_sample[0] - v1) <= 1e-15
+    _assert_pinned(key, rmatrix.engine_solution(kind, n, d), check, seed)
+
+
+@pytest.mark.parametrize("name,check,seed",
+                         sorted(k for k in PINNED_RESIDUALS if len(k) == 3))
+def test_catalog_residuals_are_pinned(name, check, seed):
+    _assert_pinned((name, check, seed), catalog.get(name), check, seed)
+
+
+@pytest.mark.parametrize("check,name", [
+    ("aybe", "trg21"), ("aybe_dual", "trg21"), ("unitarity", "trg21"),
+    ("cybe", "yang"), ("qybe", "trg21"),
+])
+@pytest.mark.parametrize("samples", [0, -3])
+def test_sampled_checks_reject_nonpositive_samples(check, name, samples):
+    # no draws would report max_residual = -1.0, a vacuous pass
+    args = (0.45,) if check == "qybe" else ()
+    with pytest.raises(ValueError, match="samples"):
+        getattr(verify, check)(catalog.get(name), *args, samples=samples)
+
+
+@pytest.mark.parametrize("v0", [0, 0j])
+@pytest.mark.parametrize("name", ["trg21", "rat21"])
+def test_qybe_rejects_v0_at_the_pole(name, v0):
+    with pytest.raises(ValueError, match="v0"):
+        verify.qybe(catalog.get(name), v0, samples=3)
+
+
+@pytest.mark.parametrize("check,per_draw", [
+    ("aybe", 6), ("aybe_dual", 6), ("unitarity", 2), ("qybe", 3),
+])
+def test_sampling_gives_up_after_50_draws(check, per_draw):
+    calls = []
+
+    def huge(v, y):
+        # far above NORM_CAP: every draw is a near-pole draw
+        calls.append((v, y))
+        return 1e3 * Tensor2.simple(ID2, ID2)
+
+    sol = RSolution("huge", "vdiff_ydiff", 2, huge)
+    args = (0.45,) if check == "qybe" else ()
+    with pytest.raises(verify.PoleSampleError, match="kept hitting poles"):
+        getattr(verify, check)(sol, *args, samples=5, seed=0)
+    assert len(calls) == 50 * per_draw
+
+
+def test_as_three_param_views():
+    rat, trg = catalog.get("rat21"), catalog.get("trg21")
+    assert verify.as_three_param(rat) is rat.evaluator
+    got = verify.as_three_param(trg)(0.3, 0.2, 0.9)
+    assert (got - trg.evaluator(0.3, 0.9 - 0.2)).norm() == 0.0
+    for name in ("yang", "stolin"):
+        with pytest.raises(ValueError, match="v-difference"):
+            verify.as_three_param(catalog.get(name))
+    with pytest.raises(ValueError, match="v-difference"):
+        verify.as_three_param(rmatrix.engine_solution("nodal", 2, 1))
