@@ -197,12 +197,25 @@ def det_triple(triple) -> complex:
     raise TypeError(f"expected a bundle triple, got {type(triple).__name__}")
 
 
-def _nullity(rows: list, ncols: int) -> int:
-    a = np.array(rows, dtype=complex).reshape(-1, ncols)
-    sv = np.linalg.svd(a, compute_uv=False)
-    if sv.size == 0:
-        return ncols
-    return int(np.sum(sv <= SVD_RTOL * sv[0])) + max(0, ncols - len(sv))
+def svd_rank(sv: np.ndarray) -> int:
+    """Numerical rank from descending singular values: the number above
+    SVD_RTOL times the largest."""
+    return int(np.sum(sv > SVD_RTOL * sv[0])) if sv.size else 0
+
+
+def _solution_dim(eq, shapes: list) -> int:
+    """Dimension of the solution space of the linear equations eq = 0.
+
+    The unknowns are matrix blocks of the given (rows, cols) shapes.  eq
+    takes the blocks, each with a leading batch axis, and returns a tuple of
+    equation blocks with the same batch axis; it is evaluated once on the
+    batch of all unit unknowns."""
+    sizes = [r * c for r, c in shapes]
+    total = sum(sizes)
+    flat = np.split(np.eye(total), np.cumsum(sizes)[:-1], axis=1)
+    blocks = [f.reshape(total, r, c) for f, (r, c) in zip(flat, shapes)]
+    a = np.concatenate([e.reshape(total, -1) for e in eq(*blocks)], axis=1).T
+    return total - svd_rank(np.linalg.svd(a, compute_uv=False))
 
 
 def endo_dimension(triple) -> int:
@@ -224,31 +237,19 @@ def endo_dimension(triple) -> int:
 
 def _endo_dim_nodal(t: NodalTriple) -> int:
     n1, n2, n = t.n1, t.n2, t.n
-    # unknowns: A (n1^2), B (n2^2), C0, Cinf (n2*n1 each), f (n^2)
-    sizes = [n1 * n1, n2 * n2, n2 * n1, n2 * n1, n * n]
-    offs = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-    total = offs[-1]
 
-    def s_matrix(vec, which):
-        s = np.zeros((n, n), dtype=complex)
-        s[:n1, :n1] = vec[offs[0]:offs[1]].reshape(n1, n1)
-        s[n1:, n1:] = vec[offs[1]:offs[2]].reshape(n2, n2)
-        c = vec[offs[2]:offs[3]] if which == 0 else vec[offs[3]:offs[4]]
-        s[n1:, :n1] = c.reshape(n2, n1)
+    def s_matrix(a, b, c):
+        s = np.zeros((len(a), n, n), dtype=complex)
+        s[:, :n1, :n1] = a
+        s[:, n1:, n1:] = b
+        s[:, n1:, :n1] = c
         return s
 
-    rows = []
-    for k in range(total):
-        v = np.zeros(total)
-        v[k] = 1.0
-        f = v[offs[4]:offs[5]].reshape(n, n)
-        eq0 = s_matrix(v, 0) @ t.m0 - t.m0 @ f
-        eqi = s_matrix(v, 1) @ t.mInf - t.mInf @ f
-        rows.append(np.concatenate([eq0.ravel(), eqi.ravel()]))
-    a = np.array(rows).T  # (2n^2) x total
-    sv = np.linalg.svd(a, compute_uv=False)
-    rank = int(np.sum(sv > SVD_RTOL * sv[0]))
-    return int(total) - rank
+    def eq(a, b, c0, cinf, f):
+        return (s_matrix(a, b, c0) @ t.m0 - t.m0 @ f,
+                s_matrix(a, b, cinf) @ t.mInf - t.mInf @ f)
+
+    return _solution_dim(eq, [(n1, n1), (n2, n2), (n2, n1), (n2, n1), (n, n)])
 
 
 def _endo_dim_cusp(t: CuspTriple) -> int:
@@ -256,33 +257,18 @@ def _endo_dim_cusp(t: CuspTriple) -> int:
     m11 = t.mEps[:n1, :n1]
     m12 = t.mEps[:n1, n1:]
     m22 = t.mEps[n1:, n1:]
-    sizes = [n1 * n1, n2 * n1, n2 * n2]  # S11, S21, S22
-    offs = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-    total = offs[-1]
-    rows = []
-    for k in range(total):
-        v = np.zeros(total)
-        v[k] = 1.0
-        s11 = v[offs[0]:offs[1]].reshape(n1, n1)
-        s21 = v[offs[1]:offs[2]].reshape(n2, n1)
-        s22 = v[offs[2]:offs[3]].reshape(n2, n2)
-        eq1 = s11 @ m11 - m11 @ s11 - m12 @ s21
-        eq2 = s11 @ m12 - m12 @ s22
-        eq3 = s21 @ m12 + s22 @ m22 - m22 @ s22
-        rows.append(np.concatenate([eq1.ravel(), eq2.ravel(), eq3.ravel()]))
-    a = np.array(rows).T
-    sv = np.linalg.svd(a, compute_uv=False)
-    rank = int(np.sum(sv > SVD_RTOL * sv[0]))
-    return int(total) - rank
+
+    def eq(s11, s21, s22):
+        return (s11 @ m11 - m11 @ s11 - m12 @ s21,
+                s11 @ m12 - m12 @ s22,
+                s21 @ m12 + s22 @ m22 - m22 @ s22)
+
+    return _solution_dim(eq, [(n1, n1), (n2, n1), (n2, n2)])
 
 
 def offdiag_block_rank(t: NodalTriple) -> int:
     """Rank of the n1 x n2 upper-right block of m(0) (full for simple objects)."""
-    block = t.m0[:t.n1, t.n1:]
-    if block.size == 0:
-        return 0
-    sv = np.linalg.svd(block, compute_uv=False)
-    return int(np.sum(sv > SVD_RTOL * sv[0]))
+    return svd_rank(np.linalg.svd(t.m0[:t.n1, t.n1:], compute_uv=False))
 
 
 # --- elliptic automorphy factors --------------------------------------------

@@ -28,7 +28,7 @@ from .catalog import RSolution
 from .tensorcore import LinMap, Tensor2, linmap_to_tensor
 from .thetafn import ThetaParams, theta_j
 
-DEFAULT_COND_CAP = 1e6
+COND_CAP = 1e6  # residue systems with a larger condition number are refused
 
 
 class EngineError(RuntimeError):
@@ -46,18 +46,15 @@ class DegenerateSystemError(EngineError):
 # --- polynomial Hom spaces on P^1 -------------------------------------------
 
 class HomSpace:
-    """Matrices of homogeneous polynomials F with block degrees deg[i][j],
-    restricted by a gluing constraint; entries are q = sum_k c_k z0^(d-k) z1^k.
+    """Matrices of homogeneous polynomials F cut out by a gluing constraint;
+    entries are q = sum_k c_k z0^(d-k) z1^k.
 
     basis has shape (dim, n, n, max_deg+1): basis[b, i, j, k] is the
     coefficient c_k of basis element b at entry (i, j).
     """
 
-    def __init__(self, degrees: np.ndarray, basis: np.ndarray):
-        self.degrees = degrees
+    def __init__(self, basis: np.ndarray):
         self.basis = basis
-        self.dim = basis.shape[0]
-        self.n = degrees.shape[0]
 
     def at_affine(self, y: complex) -> np.ndarray:
         """Evaluate every basis element at (z0, z1) = (1, y): shape (dim, n, n)."""
@@ -81,81 +78,66 @@ def _entry_degrees(n1: int, n2: int, semistable: bool) -> np.ndarray:
     return deg
 
 
-def _coeff_layout(deg: np.ndarray):
-    """Flat layout of polynomial coefficients: list of (i, j, k) slots."""
-    slots = []
-    n = deg.shape[0]
-    for i in range(n):
-        for j in range(n):
-            for k in range(deg[i, j] + 1):
-                slots.append((i, j, k))
-    return slots
-
-
-def _nullspace(a: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
-    """Rows span the right nullspace of a (SVD threshold relative to s[0])."""
+def _nullspace(a: np.ndarray) -> np.ndarray:
+    """Rows span the right nullspace of a (numerical rank by bundles.svd_rank)."""
     _, s, vh = np.linalg.svd(a)
-    rank = int(np.sum(s > rtol * s[0])) if s.size else 0
-    return vh[rank:].conj()
+    return vh[bundles.svd_rank(s):].conj()
 
 
-def _hom_space_glued(deg: np.ndarray, m0_src: np.ndarray, m0_dst: np.ndarray,
-                     cuspidal: bool, meps_src=None, meps_dst=None) -> HomSpace:
+def _hom_space_glued(deg: np.ndarray, m_src: np.ndarray, m_dst: np.ndarray,
+                     cuspidal: bool) -> HomSpace:
     """Hom space cut out by the gluing constraint.
 
-    Nodal: F(0) m0_src = m0_dst F(inf) with F(0)/F(inf) the (z1 - z0)-
-    normalized evaluations.  Cuspidal: F1 + F0 meps_src = meps_dst F0 over
-    C[eps]/eps^2, with F0 + eps F1 the z1-normalized evaluation.
+    Nodal: F(0) m_src = m_dst F(inf) with F(0)/F(inf) the (z1 - z0)-
+    normalized evaluations.  Cuspidal: F1 + F0 m_src = m_dst F0 over
+    C[eps]/eps^2, with F0 + eps F1 the z1-normalized evaluation and m_src,
+    m_dst the eps-parts of the gluing matrices.
+
+    The unknowns are the coefficients c[i, j, k], k <= deg[i, j], in
+    row-major order; the constraint is evaluated once on all of them.
     """
     n = deg.shape[0]
-    slots = _coeff_layout(deg)
-    nc = len(slots)
     kmax = int(deg.max()) + 1
+    slots = np.nonzero(np.arange(kmax) <= deg[..., None])
+    nc = len(slots[0])
 
-    rows = []
-    for idx in range(nc):
-        vec = np.zeros(nc)
-        vec[idx] = 1.0
-        coeff = np.zeros((n, n, kmax), dtype=complex)
-        i, j, k = slots[idx]
-        coeff[i, j, k] = 1.0
-        if not cuspidal:
-            f0 = np.array([[(-1.0)**deg[i, j] * coeff[i, j, 0]
-                            for j in range(n)] for i in range(n)])
-            finf = np.array([[coeff[i, j, deg[i, j]]
-                              for j in range(n)] for i in range(n)])
-            eq = f0 @ m0_src - m0_dst @ finf
-        else:
-            f0 = np.array([[coeff[i, j, deg[i, j]]
-                            for j in range(n)] for i in range(n)])
-            f1 = np.array([[coeff[i, j, deg[i, j] - 1] if deg[i, j] >= 1 else 0.0
-                            for j in range(n)] for i in range(n)])
-            eq = f1 + f0 @ meps_src - meps_dst @ f0
-        rows.append(eq.ravel())
-    constraint = np.array(rows).T  # (n^2) x nc
+    def coeffs(vecs: np.ndarray) -> np.ndarray:
+        """Coefficient arrays (b, n, n, kmax) of a batch of unknown vectors."""
+        c = np.zeros((len(vecs), n, n, kmax), dtype=complex)
+        c[:, slots[0], slots[1], slots[2]] = vecs
+        return c
 
-    ns = _nullspace(constraint)
+    unit = coeffs(np.eye(nc))
+
+    def at(k: np.ndarray) -> np.ndarray:
+        """Coefficient k[i, j] of every entry: shape (nc, n, n)."""
+        return np.take_along_axis(unit, k[None, :, :, None], axis=-1)[..., 0]
+
+    top = at(deg)
+    if cuspidal:
+        below = np.where(deg >= 1, at(deg - 1), 0)
+        eq = below + top @ m_src - m_dst @ top
+    else:
+        eq = (-1) ** deg * unit[..., 0] @ m_src - m_dst @ top
+    ns = _nullspace(eq.reshape(nc, n * n).T)
     if ns.shape[0] != n * n:
         raise DegenerateSystemError(
             f"gluing constraint has nullity {ns.shape[0]}, expected {n*n} "
             "(parameters on an exceptional locus)")
-    basis = np.zeros((ns.shape[0], n, n, kmax), dtype=complex)
-    for b in range(ns.shape[0]):
-        for idx, (i, j, k) in enumerate(slots):
-            basis[b, i, j, k] = ns[b, idx]
-    return HomSpace(deg, basis)
+    return HomSpace(coeffs(ns))
 
 
-def _compose_ev_res(dim: int, n: int, res_vals: np.ndarray, ev_vals: np.ndarray,
-                    cond_cap: float) -> Tensor2:
-    """LinMap ev o res^{-1} from per-basis residue/evaluation matrices."""
+def _compose_ev_res(res_vals: np.ndarray, ev_vals: np.ndarray) -> Tensor2:
+    """LinMap ev o res^{-1} from per-basis residue/evaluation matrices,
+    each of shape (dim, n, n)."""
+    dim, n = res_vals.shape[0], res_vals.shape[-1]
     r_mat = res_vals.reshape(dim, n * n).T      # maps coeff vector -> Mat_n
     e_mat = ev_vals.reshape(dim, n * n).T
     cond = np.linalg.cond(r_mat)
-    if not np.isfinite(cond) or cond > cond_cap:
+    if not np.isfinite(cond) or cond > COND_CAP:
         raise DegenerateSystemError(
             f"residue system condition number {cond:.3g} exceeds cap "
-            f"{cond_cap:.3g}", cond=cond)
+            f"{COND_CAP:.3g}", cond=cond)
     # action on the standard basis e_{ab}: solve res(F) = e_{ab}, apply ev
     sol = np.linalg.solve(r_mat, np.eye(n * n, dtype=complex))
     lin = (e_mat @ sol)                          # (n^2)x(n^2): basis-to-basis
@@ -164,8 +146,7 @@ def _compose_ev_res(dim: int, n: int, res_vals: np.ndarray, ev_vals: np.ndarray,
 
 
 def engine_nodal(n: int, d: int, lam1: complex, lam2: complex,
-                 y1: complex, y2: complex,
-                 cond_cap: float = DEFAULT_COND_CAP) -> Tensor2:
+                 y1: complex, y2: complex) -> Tensor2:
     """Geometric r-matrix of the family of stable bundles of rank n, degree d
     (0 < d < n coprime) on the nodal cubic, at moduli points lam1, lam2 in C*
     and curve points y1 != y2 in C*.
@@ -186,12 +167,11 @@ def engine_nodal(n: int, d: int, lam1: complex, lam2: complex,
     space = _hom_space_glued(deg, m_src, m_dst, cuspidal=False)
     res_vals = space.at_affine(y1) / y1
     ev_vals = space.at_affine(y2) / (y2 - y1)
-    return _compose_ev_res(space.dim, space.n, res_vals, ev_vals, cond_cap)
+    return _compose_ev_res(res_vals, ev_vals)
 
 
 def engine_semistable_nodal_20(lam1: complex, lam2: complex,
-                               y1: complex, y2: complex,
-                               cond_cap: float = DEFAULT_COND_CAP) -> Tensor2:
+                               y1: complex, y2: complex) -> Tensor2:
     """r-matrix of the rank-2 degree-0 semistable family m(0) = lam J_2(1)
     on the nodal cubic; all polynomial blocks have degree one.  Pole of
     order three in the moduli direction at lam1 = lam2."""
@@ -208,12 +188,11 @@ def engine_semistable_nodal_20(lam1: complex, lam2: complex,
     space = _hom_space_glued(deg, m_src, m_dst, cuspidal=False)
     res_vals = space.at_affine(y1) / y1
     ev_vals = space.at_affine(y2) / (y2 - y1)
-    return _compose_ev_res(space.dim, space.n, res_vals, ev_vals, cond_cap)
+    return _compose_ev_res(res_vals, ev_vals)
 
 
 def engine_cusp(n: int, d: int, lam1: complex, lam2: complex,
-                y1: complex, y2: complex,
-                cond_cap: float = DEFAULT_COND_CAP) -> Tensor2:
+                y1: complex, y2: complex) -> Tensor2:
     """Geometric r-matrix of the family of stable bundles of rank n, degree d
     on the cuspidal cubic; moduli points lam1, lam2 in C, curve points
     y1 != y2 in C.  Depends on lam2 - lam1 only.
@@ -232,25 +211,23 @@ def engine_cusp(n: int, d: int, lam1: complex, lam2: complex,
     z_pat = bundles.canonical_cusp_matrix(n1, n2, 0.0)
     np.fill_diagonal(z_pat, 0.0)
     eye = np.eye(n, dtype=complex)
-    meps_src = z_pat + complex(lam1) * eye
-    meps_dst = z_pat + (complex(lam2) - complex(y1)) * eye
-    space = _hom_space_glued(deg, None, None, cuspidal=True,
-                             meps_src=meps_src, meps_dst=meps_dst)
+    m_src = z_pat + complex(lam1) * eye
+    m_dst = z_pat + (complex(lam2) - complex(y1)) * eye
+    space = _hom_space_glued(deg, m_src, m_dst, cuspidal=True)
     res_vals = space.at_affine(y1)
     ev_vals = space.at_affine(y2) / (y2 - y1)
-    return _compose_ev_res(space.dim, space.n, res_vals, ev_vals, cond_cap)
+    return _compose_ev_res(res_vals, ev_vals)
 
 
 # --- elliptic engine ---------------------------------------------------------
 
 def engine_elliptic_21(tau: complex, x1: complex, x2: complex,
-                       y1: complex, y2: complex, tol: float = 1e-14,
-                       cond_cap: float = DEFAULT_COND_CAP) -> Tensor2:
+                       y1: complex, y2: complex) -> Tensor2:
     """Geometric r-matrix of the rank-2 degree-1 family on the torus
     C/(Z + tau Z), from the four-dimensional theta basis of the compatible
     homomorphisms, with the diagonal post-gauge diag(e(y/2), e(-tau/4)) that
     makes the output a function of (x2 - x1, y2 - y1) alone."""
-    p = ThetaParams(tau, tol)
+    p = ThetaParams(tau)
     tau = complex(tau)
     x = complex(x2) - complex(x1)
     y1, y2 = complex(y1), complex(y2)
@@ -267,7 +244,7 @@ def engine_elliptic_21(tau: complex, x1: complex, x2: complex,
     def psi(z):  # automorphy factor of O(y1)
         return -e(z + tau - y1)
 
-    p4 = ThetaParams(4 * tau, tol)
+    p4 = ThetaParams(4 * tau)
 
     def u(k, z):
         return theta_j(3 if k == 1 else 2, 2 * (z - y1 + (x + tau) / 2), p4)
@@ -293,7 +270,7 @@ def engine_elliptic_21(tau: complex, x1: complex, x2: complex,
     res_vals = np.stack([basis_mat(b, y1) for b in range(4)]) / theta3p
     ev_vals = np.stack([basis_mat(b, y2) for b in range(4)]) / ev_den
 
-    raw = _compose_ev_res(4, 2, res_vals, ev_vals, cond_cap)
+    raw = _compose_ev_res(res_vals, ev_vals)
 
     g1 = np.diag([e(y1 / 2), e(-tau / 4)])
     g2 = np.diag([e(y2 / 2), e(-tau / 4)])
@@ -340,8 +317,8 @@ def apply_gauge(sol: RSolution, phi) -> RSolution:
 
 # --- engine outputs as solutions --------------------------------------------
 
-def engine_solution(kind: str, n: int = 2, d: int = 1, tau: complex = 1.1j,
-                    cond_cap: float = DEFAULT_COND_CAP) -> RSolution:
+def engine_solution(kind: str, n: int = 2, d: int = 1,
+                    tau: complex = 1.1j) -> RSolution:
     """Wrap an engine as a four-parameter RSolution for the verifier.
 
     kind is "nodal", "cusp"/"cuspidal", "elliptic" (tau only, (n, d) = (2, 1))
@@ -351,20 +328,17 @@ def engine_solution(kind: str, n: int = 2, d: int = 1, tau: complex = 1.1j,
     if kind == "elliptic":
         if (n, d) != (2, 1):
             raise EngineError("elliptic engine implemented for (n, d) = (2, 1)")
-        ev = lambda v1, v2, y1, y2: engine_elliptic_21(
-            tau, v1, v2, y1, y2, tol=1e-14, cond_cap=cond_cap)
+        ev = lambda v1, v2, y1, y2: engine_elliptic_21(tau, v1, v2, y1, y2)
         name = f"engine-elliptic({n},{d})"
     elif kind == "nodal":
-        ev = lambda v1, v2, y1, y2: engine_nodal(n, d, v1, v2, y1, y2,
-                                                 cond_cap=cond_cap)
+        ev = lambda v1, v2, y1, y2: engine_nodal(n, d, v1, v2, y1, y2)
         name = f"engine-nodal({n},{d})"
     elif kind in ("cusp", "cuspidal"):
-        ev = lambda v1, v2, y1, y2: engine_cusp(n, d, v1, v2, y1, y2,
-                                                cond_cap=cond_cap)
+        ev = lambda v1, v2, y1, y2: engine_cusp(n, d, v1, v2, y1, y2)
         name = f"engine-cuspidal({n},{d})"
     elif kind == "nodal-semistable":
-        ev = lambda v1, v2, y1, y2: engine_semistable_nodal_20(
-            v1, v2, y1, y2, cond_cap=cond_cap)
+        n, d = 2, 0
+        ev = lambda v1, v2, y1, y2: engine_semistable_nodal_20(v1, v2, y1, y2)
         name = "engine-nodal-semistable(2,0)"
     else:
         raise ValueError(f"unknown engine kind {kind!r}")

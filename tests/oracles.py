@@ -4,7 +4,11 @@
 These deliberately avoid the library code paths they are used to check.
 """
 
+from fractions import Fraction
+
 import numpy as np
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
 
 
 def wp_lattice(z, tau, cutoff=40):
@@ -70,3 +74,107 @@ def theta4_cosine_series(z, tau, nterms=60):
     return 1.0 + 2.0 * sum((-1) ** n * q ** (n * n)
                            * np.cos(2 * np.pi * n * complex(z))
                            for n in range(1, nterms))
+
+
+def hom_space_basis_per_slot(deg, m_src, m_dst, cuspidal):
+    """Basis of the glued Hom space, one constraint column per coefficient
+    slot: the loop form of rmatrix._hom_space_glued, kept as its reference.
+
+    Returns the basis array (dim, n, n, max_deg+1) with the nullspace taken
+    by SVD at the relative threshold 1e-10."""
+    n = deg.shape[0]
+    slots = [(i, j, k) for i in range(n) for j in range(n)
+             for k in range(deg[i, j] + 1)]
+    nc = len(slots)
+    kmax = int(deg.max()) + 1
+
+    rows = []
+    for idx in range(nc):
+        coeff = np.zeros((n, n, kmax), dtype=complex)
+        i, j, k = slots[idx]
+        coeff[i, j, k] = 1.0
+        if not cuspidal:
+            f0 = np.array([[(-1.0)**deg[i, j] * coeff[i, j, 0]
+                            for j in range(n)] for i in range(n)])
+            finf = np.array([[coeff[i, j, deg[i, j]]
+                              for j in range(n)] for i in range(n)])
+            eq = f0 @ m_src - m_dst @ finf
+        else:
+            f0 = np.array([[coeff[i, j, deg[i, j]]
+                            for j in range(n)] for i in range(n)])
+            f1 = np.array([[coeff[i, j, deg[i, j] - 1] if deg[i, j] >= 1 else 0.0
+                            for j in range(n)] for i in range(n)])
+            eq = f1 + f0 @ m_src - m_dst @ f0
+        rows.append(eq.ravel())
+    constraint = np.array(rows).T
+
+    _, s, vh = np.linalg.svd(constraint)
+    rank = int(np.sum(s > 1e-10 * s[0]))
+    ns = vh[rank:].conj()
+    basis = np.zeros((ns.shape[0], n, n, kmax), dtype=complex)
+    for b in range(ns.shape[0]):
+        for idx, (i, j, k) in enumerate(slots):
+            basis[b, i, j, k] = ns[b, idx]
+    return basis
+
+
+def exact_engine_coeffs(kind, n, d, pattern, lam1, lam2, y1, y2):
+    """Exact tensor coefficients [j, i, k, l] of the nodal or cuspidal
+    engine at rational (lam1, lam2, y1, y2), by the residue/evaluation
+    recipe over Q.
+
+    pattern is the 0/1 gluing pattern: the nonzero pattern of the canonical
+    nodal m(0), or the off-diagonal part of the canonical cuspidal mEps.
+    Blocks of F go from O^{n-d} + O(1)^d to O(1)^{n-d} + O(2)^d.  Nodal:
+    F(0) lam1 P = y1 lam2 P F(inf), res F = F(y1)/y1.  Cuspidal:
+    F1 + F0 (P + lam1) = (P + lam2 - y1) F0, res F = F(y1).  Both have
+    ev F = F(y2)/(y2 - y1).  Returns a complex array and the dimension of
+    the Hom space."""
+    lam1, lam2, y1, y2 = map(Fraction, (lam1, lam2, y1, y2))
+    n1 = n - d
+    deg = [[(1 if i < n1 else 2) - (0 if j < n1 else 1) for j in range(n)]
+           for i in range(n)]
+    slots = [(i, j, k) for i in range(n) for j in range(n)
+             for k in range(deg[i][j] + 1)]
+    col = {s: c for c, s in enumerate(slots)}
+    p = [[Fraction(int(pattern[i][j])) for j in range(n)] for i in range(n)]
+    if kind == "nodal":
+        src = [[lam1 * x for x in row] for row in p]
+        dst = [[y1 * lam2 * x for x in row] for row in p]
+    else:
+        src = [[p[i][j] + (lam1 if i == j else 0) for j in range(n)] for i in range(n)]
+        dst = [[p[i][j] + (lam2 - y1 if i == j else 0) for j in range(n)] for i in range(n)]
+
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            row = [Fraction(0)] * len(slots)
+            for m in range(n):
+                if kind == "nodal":
+                    # F(0)[i,m] src[m,j] - dst[i,m] F(inf)[m,j]
+                    row[col[i, m, 0]] += (-1) ** deg[i][m] * src[m][j]
+                    row[col[m, j, deg[m][j]]] -= dst[i][m]
+                else:
+                    # F1[i,j] + F0[i,m] src[m,j] - dst[i,m] F0[m,j]
+                    row[col[i, m, deg[i][m]]] += src[m][j]
+                    row[col[m, j, deg[m][j]]] -= dst[i][m]
+            if kind != "nodal" and deg[i][j] >= 1:
+                row[col[i, j, deg[i][j] - 1]] += 1
+            rows.append([QQ(x.numerator, x.denominator) for x in row])
+    null = DomainMatrix(rows, (n * n, len(slots)), QQ).nullspace().to_list()
+
+    def values(y, scale):
+        """Matrix (n^2, dim): column b is F_b(y) * scale, flattened."""
+        out = [[Fraction(0)] * len(null) for _ in range(n * n)]
+        for b, vec in enumerate(null):
+            for (i, j, k), c in zip(slots, vec):
+                out[i * n + j][b] += Fraction(int(c.numerator), int(c.denominator)) * y**k * scale
+        return DomainMatrix([[QQ(x.numerator, x.denominator) for x in r] for r in out],
+                            (n * n, len(null)), QQ)
+
+    res = values(y1, 1 / y1 if kind == "nodal" else Fraction(1))
+    ev = values(y2, 1 / (y2 - y1))
+    lin = (ev * res.inv()).to_list()          # lin[(k,l)][(i,j)]
+    coeffs = np.array([[float(Fraction(int(x.numerator), int(x.denominator)))
+                        for x in r] for r in lin])
+    return coeffs.T.reshape(n, n, n, n).transpose(1, 0, 2, 3).astype(complex), len(null)
