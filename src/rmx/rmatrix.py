@@ -25,7 +25,7 @@ import numpy as np
 
 from . import bundles
 from .catalog import RSolution
-from .tensorcore import LinMap, Tensor2, linmap_to_tensor
+from .tensorcore import Tensor2
 from .thetafn import ThetaParams, theta_j
 
 COND_CAP = 1e6  # residue systems with a larger condition number are refused
@@ -45,22 +45,12 @@ class DegenerateSystemError(EngineError):
 
 # --- polynomial Hom spaces on P^1 -------------------------------------------
 
-class HomSpace:
-    """Matrices of homogeneous polynomials F cut out by a gluing constraint;
-    entries are q = sum_k c_k z0^(d-k) z1^k.
-
-    basis has shape (dim, n, n, max_deg+1): basis[b, i, j, k] is the
-    coefficient c_k of basis element b at entry (i, j).
-    """
-
-    def __init__(self, basis: np.ndarray):
-        self.basis = basis
-
-    def at_affine(self, y: complex) -> np.ndarray:
-        """Evaluate every basis element at (z0, z1) = (1, y): shape (dim, n, n)."""
-        kmax = self.basis.shape[-1]
-        powers = np.array([complex(y)**k for k in range(kmax)])
-        return np.einsum("bijk,k->bij", self.basis, powers)
+def _at_affine(basis: np.ndarray, y: complex) -> np.ndarray:
+    """Evaluate every Hom-space basis element at (z0, z1) = (1, y): shape
+    (dim, n, n).  basis[b, i, j, k] is the coefficient c_k of entry (i, j)
+    of element b, q = sum_k c_k z0^(d-k) z1^k."""
+    powers = np.array([complex(y)**k for k in range(basis.shape[-1])])
+    return np.einsum("bijk,k->bij", basis, powers)
 
 
 def _entry_degrees(n1: int, n2: int, semistable: bool) -> np.ndarray:
@@ -85,8 +75,9 @@ def _nullspace(a: np.ndarray) -> np.ndarray:
 
 
 def _hom_space_glued(deg: np.ndarray, m_src: np.ndarray, m_dst: np.ndarray,
-                     cuspidal: bool) -> HomSpace:
-    """Hom space cut out by the gluing constraint.
+                     cuspidal: bool) -> np.ndarray:
+    """Basis (dim, n, n, max_deg+1) of the Hom space of matrices of
+    homogeneous polynomials cut out by the gluing constraint.
 
     Nodal: F(0) m_src = m_dst F(inf) with F(0)/F(inf) the (z1 - z0)-
     normalized evaluations.  Cuspidal: F1 + F0 m_src = m_dst F0 over
@@ -124,11 +115,11 @@ def _hom_space_glued(deg: np.ndarray, m_src: np.ndarray, m_dst: np.ndarray,
         raise DegenerateSystemError(
             f"gluing constraint has nullity {ns.shape[0]}, expected {n*n} "
             "(parameters on an exceptional locus)")
-    return HomSpace(coeffs(ns))
+    return coeffs(ns)
 
 
 def _compose_ev_res(res_vals: np.ndarray, ev_vals: np.ndarray) -> Tensor2:
-    """LinMap ev o res^{-1} from per-basis residue/evaluation matrices,
+    """Tensor of ev o res^{-1} from per-basis residue/evaluation matrices,
     each of shape (dim, n, n)."""
     dim, n = res_vals.shape[0], res_vals.shape[-1]
     r_mat = res_vals.reshape(dim, n * n).T      # maps coeff vector -> Mat_n
@@ -142,7 +133,8 @@ def _compose_ev_res(res_vals: np.ndarray, ev_vals: np.ndarray) -> Tensor2:
     sol = np.linalg.solve(r_mat, np.eye(n * n, dtype=complex))
     lin = (e_mat @ sol)                          # (n^2)x(n^2): basis-to-basis
     action = lin.T.reshape(n, n, n, n)           # [a,b,k,l]
-    return linmap_to_tensor(LinMap(n, action))
+    # trace pairing: e_{ab} -> alpha e_{kl} is alpha e_{ba} (x) e_{kl}
+    return Tensor2(n, action.transpose(1, 0, 2, 3))
 
 
 def engine_nodal(n: int, d: int, lam1: complex, lam2: complex,
@@ -164,9 +156,9 @@ def engine_nodal(n: int, d: int, lam1: complex, lam2: complex,
     deg = _entry_degrees(n1, n2, semistable=False)
     m_src = bundles.jacobian_form_nodal(n1, n2, lam1).m0
     m_dst = complex(y1) * bundles.jacobian_form_nodal(n1, n2, lam2).m0
-    space = _hom_space_glued(deg, m_src, m_dst, cuspidal=False)
-    res_vals = space.at_affine(y1) / y1
-    ev_vals = space.at_affine(y2) / (y2 - y1)
+    basis = _hom_space_glued(deg, m_src, m_dst, cuspidal=False)
+    res_vals = _at_affine(basis, y1) / y1
+    ev_vals = _at_affine(basis, y2) / (y2 - y1)
     return _compose_ev_res(res_vals, ev_vals)
 
 
@@ -185,9 +177,9 @@ def engine_semistable_nodal_20(lam1: complex, lam2: complex,
     deg = _entry_degrees(2, 0, semistable=True)
     m_src = complex(lam1) * j2
     m_dst = complex(y1) * complex(lam2) * j2
-    space = _hom_space_glued(deg, m_src, m_dst, cuspidal=False)
-    res_vals = space.at_affine(y1) / y1
-    ev_vals = space.at_affine(y2) / (y2 - y1)
+    basis = _hom_space_glued(deg, m_src, m_dst, cuspidal=False)
+    res_vals = _at_affine(basis, y1) / y1
+    ev_vals = _at_affine(basis, y2) / (y2 - y1)
     return _compose_ev_res(res_vals, ev_vals)
 
 
@@ -213,9 +205,9 @@ def engine_cusp(n: int, d: int, lam1: complex, lam2: complex,
     eye = np.eye(n, dtype=complex)
     m_src = z_pat + complex(lam1) * eye
     m_dst = z_pat + (complex(lam2) - complex(y1)) * eye
-    space = _hom_space_glued(deg, m_src, m_dst, cuspidal=True)
-    res_vals = space.at_affine(y1)
-    ev_vals = space.at_affine(y2) / (y2 - y1)
+    basis = _hom_space_glued(deg, m_src, m_dst, cuspidal=True)
+    res_vals = _at_affine(basis, y1)
+    ev_vals = _at_affine(basis, y2) / (y2 - y1)
     return _compose_ev_res(res_vals, ev_vals)
 
 
@@ -277,13 +269,16 @@ def engine_elliptic_21(tau: complex, x1: complex, x2: complex,
     return conjugate_legs(raw, g1, g2)
 
 
-def conjugate_legs(t: Tensor2, a1: np.ndarray, a2: np.ndarray) -> Tensor2:
-    """(a1 (x) a2) t (a1^{-1} (x) a2^{-1})."""
-    b1 = np.linalg.inv(a1)
-    b2 = np.linalg.inv(a2)
+def _sandwich(t: Tensor2, a1, a2, b1, b2) -> Tensor2:
+    """(a1 (x) a2) t (b1 (x) b2)."""
     c = np.einsum("ia,abkl,bj->ijkl", a1, t.coeffs, b1)
     c = np.einsum("ka,ijab,bl->ijkl", a2, c, b2)
     return Tensor2(t.n, c)
+
+
+def conjugate_legs(t: Tensor2, a1: np.ndarray, a2: np.ndarray) -> Tensor2:
+    """(a1 (x) a2) t (a1^{-1} (x) a2^{-1})."""
+    return _sandwich(t, a1, a2, np.linalg.inv(a1), np.linalg.inv(a2))
 
 
 # --- gauge transformations ---------------------------------------------------
@@ -307,9 +302,7 @@ def apply_gauge(sol: RSolution, phi) -> RSolution:
             i1, i2 = np.linalg.inv(c1), np.linalg.inv(c2)
         except np.linalg.LinAlgError:
             raise EngineError("gauge matrix singular at a sample point") from None
-        c = np.einsum("ia,abkl,bj->ijkl", a1, t.coeffs, i1)
-        c = np.einsum("ka,ijab,bl->ijkl", a2, c, i2)
-        return Tensor2(t.n, c)
+        return _sandwich(t, a1, a2, i1, i2)
 
     return RSolution(f"gauge({sol.name})", "v12_y12", sol.n, ev,
                      poles=sol.poles, params=dict(sol.params))

@@ -15,14 +15,21 @@ def _as_matrix(a, n: int) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
-class Tensor2:
-    """Element of Mat_n (x) Mat_n over C.
+# legs -> axis order of coeffs in the Kronecker layout (every row index, then
+# every column index), and its inverse
+_TO_KRON = {2: (0, 2, 1, 3), 3: (0, 2, 4, 1, 3, 5)}
+_FROM_KRON = {2: (0, 2, 1, 3), 3: (0, 3, 1, 4, 2, 5)}
 
-    coeffs[i1, j1, i2, j2] is the coefficient of e_{i1 j1} (x) e_{i2 j2}
-    (0-based indices).  Serialization flattens to the Kronecker layout
-    (i1*n + i2, j1*n + j2), row-major, so that simple tensors A (x) B
-    flatten to np.kron(A, B).
+
+@dataclass(frozen=True)
+class Tensor:
+    """Element of Mat_n^(x m) over C for m = 2 or 3 legs.
+
+    coeffs[i1, j1, ..., im, jm] is the coefficient of
+    e_{i1 j1} (x) ... (x) e_{im jm} (0-based indices), so coeffs has shape
+    (n,) * 2m.  Serialization flattens to the Kronecker layout: row
+    (i1, ..., im), column (j1, ..., jm), row-major, so that simple tensors
+    A (x) B flatten to np.kron(A, B).
     """
 
     n: int
@@ -30,16 +37,21 @@ class Tensor2:
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=complex)
-        if c.shape != (self.n,) * 4:
-            raise ValueError(f"coeffs must have shape {(self.n,)*4}, got {c.shape}")
+        if c.shape != (self.n,) * 4 and c.shape != (self.n,) * 6:
+            raise ValueError(f"coeffs must have shape {(self.n,)*4} or {(self.n,)*6}, "
+                             f"got {c.shape}")
         object.__setattr__(self, "coeffs", c)
 
+    @property
+    def legs(self) -> int:
+        return self.coeffs.ndim // 2
+
     @classmethod
-    def zero(cls, n: int) -> "Tensor2":
+    def zero(cls, n: int) -> "Tensor":
         return cls(n, np.zeros((n,) * 4, dtype=complex))
 
     @classmethod
-    def simple(cls, a, b) -> "Tensor2":
+    def simple(cls, a, b) -> "Tensor":
         """Simple tensor a (x) b from two n x n matrices."""
         a = np.asarray(a, dtype=complex)
         n = a.shape[0]
@@ -47,29 +59,38 @@ class Tensor2:
         return cls(n, np.einsum("ij,kl->ijkl", _as_matrix(a, n), b))
 
     @classmethod
-    def from_kron(cls, k: np.ndarray, n: int) -> "Tensor2":
+    def from_kron(cls, k: np.ndarray, n: int) -> "Tensor":
+        """Inverse of kron; the leg count is read off the n^m x n^m shape."""
         k = np.asarray(k, dtype=complex)
-        if k.shape != (n * n, n * n):
-            raise ValueError(f"expected {(n*n, n*n)} Kronecker matrix, got {k.shape}")
-        return cls(n, k.reshape(n, n, n, n).transpose(0, 2, 1, 3))
+        for m in (2, 3):
+            if k.shape == (n**m, n**m):
+                return cls(n, k.reshape((n,) * 2 * m).transpose(_FROM_KRON[m]))
+        raise ValueError(f"expected a {n*n}x{n*n} or {n**3}x{n**3} Kronecker "
+                         f"matrix, got {k.shape}")
 
     def kron(self) -> np.ndarray:
-        """Flattened n^2 x n^2 matrix in the Kronecker layout."""
-        return self.coeffs.transpose(0, 2, 1, 3).reshape(self.n**2, self.n**2)
+        """Flattened n^m x n^m matrix in the Kronecker layout."""
+        m = self.legs
+        return self.coeffs.transpose(_TO_KRON[m]).reshape(self.n**m, self.n**m)
 
-    def __add__(self, other: "Tensor2") -> "Tensor2":
-        return Tensor2(self.n, self.coeffs + other.coeffs)
+    def __add__(self, other: "Tensor") -> "Tensor":
+        return Tensor(self.n, self.coeffs + other.coeffs)
 
-    def __sub__(self, other: "Tensor2") -> "Tensor2":
-        return Tensor2(self.n, self.coeffs - other.coeffs)
+    def __sub__(self, other: "Tensor") -> "Tensor":
+        return Tensor(self.n, self.coeffs - other.coeffs)
 
-    def __mul__(self, scalar) -> "Tensor2":
-        return Tensor2(self.n, self.coeffs * complex(scalar))
+    def __mul__(self, scalar) -> "Tensor":
+        return Tensor(self.n, self.coeffs * complex(scalar))
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "Tensor2":
-        return Tensor2(self.n, -self.coeffs)
+    def __neg__(self) -> "Tensor":
+        return Tensor(self.n, -self.coeffs)
+
+    def matmul(self, other: "Tensor") -> "Tensor":
+        """Product in Mat_n^(x m): legwise matrix multiplication, as one
+        n^m x n^m matrix product in the Kronecker layout."""
+        return Tensor.from_kron(self.kron() @ other.kron(), self.n)
 
     def norm(self) -> float:
         return float(np.max(np.abs(self.coeffs)))
@@ -83,111 +104,19 @@ class Tensor2:
         }
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "Tensor2":
+    def from_json_dict(cls, d: dict) -> "Tensor":
         n = int(d["n"])
         if d.get("layout", "kron-rowmajor") != "kron-rowmajor":
             raise ValueError(f"unknown layout {d.get('layout')!r}")
         flat = np.array([complex(re, im) for re, im in d["data"]])
-        return cls.from_kron(flat.reshape(n * n, n * n), n)
+        side = next((n**m for m in (2, 3) if len(flat) == n**(2 * m)), None)
+        if side is None:
+            raise ValueError(f"expected {n**4} or {n**6} entries, got {len(flat)}")
+        return cls.from_kron(flat.reshape(side, side), n)
 
 
-@dataclass(frozen=True)
-class Tensor3:
-    """Element of Mat_n (x) Mat_n (x) Mat_n; coeffs[i1,j1,i2,j2,i3,j3]."""
-
-    n: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
-        if c.shape != (self.n,) * 6:
-            raise ValueError(f"coeffs must have shape {(self.n,)*6}, got {c.shape}")
-        object.__setattr__(self, "coeffs", c)
-
-    @classmethod
-    def zero(cls, n: int) -> "Tensor3":
-        return cls(n, np.zeros((n,) * 6, dtype=complex))
-
-    def kron(self) -> np.ndarray:
-        n = self.n
-        return self.coeffs.transpose(0, 2, 4, 1, 3, 5).reshape(n**3, n**3)
-
-    @classmethod
-    def from_kron(cls, k: np.ndarray, n: int) -> "Tensor3":
-        k = np.asarray(k, dtype=complex)
-        return cls(n, k.reshape(n, n, n, n, n, n).transpose(0, 3, 1, 4, 2, 5))
-
-    def __add__(self, other: "Tensor3") -> "Tensor3":
-        return Tensor3(self.n, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "Tensor3") -> "Tensor3":
-        return Tensor3(self.n, self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar) -> "Tensor3":
-        return Tensor3(self.n, self.coeffs * complex(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Tensor3":
-        return Tensor3(self.n, -self.coeffs)
-
-    def matmul(self, other: "Tensor3") -> "Tensor3":
-        """Product in Mat_n^(x3): legwise matrix multiplication, as one
-        n^3 x n^3 matrix product in the Kronecker layout."""
-        return Tensor3.from_kron(self.kron() @ other.kron(), self.n)
-
-    def norm(self) -> float:
-        return float(np.max(np.abs(self.coeffs)))
-
-    def to_json_dict(self) -> dict:
-        flat = self.kron().ravel()
-        return {
-            "n": self.n,
-            "layout": "kron-rowmajor",
-            "data": [[float(z.real), float(z.imag)] for z in flat],
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "Tensor3":
-        n = int(d["n"])
-        if d.get("layout", "kron-rowmajor") != "kron-rowmajor":
-            raise ValueError(f"unknown layout {d.get('layout')!r}")
-        flat = np.array([complex(re, im) for re, im in d["data"]])
-        return cls.from_kron(flat.reshape(n**3, n**3), n)
-
-
-@dataclass(frozen=True)
-class LinMap:
-    """Linear map Mat_n -> Mat_n; action[i,j,k,l] = coeff of e_{kl} in L(e_{ij})."""
-
-    n: int
-    action: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.action, dtype=complex)
-        if a.shape != (self.n,) * 4:
-            raise ValueError(f"action must have shape {(self.n,)*4}, got {a.shape}")
-        object.__setattr__(self, "action", a)
-
-    @classmethod
-    def zero(cls, n: int) -> "LinMap":
-        return cls(n, np.zeros((n,) * 4, dtype=complex))
-
-    @classmethod
-    def identity(cls, n: int) -> "LinMap":
-        a = np.zeros((n,) * 4, dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                a[i, j, i, j] = 1.0
-        return cls(n, a)
-
-    def apply(self, m) -> np.ndarray:
-        m = _as_matrix(m, self.n)
-        return np.einsum("ij,ijkl->kl", m, self.action)
-
-    def compose(self, other: "LinMap") -> "LinMap":
-        """self after other: (self.compose(other)).apply(m) = self(other(m))."""
-        return LinMap(self.n, np.einsum("ijab,abkl->ijkl", other.action, self.action))
+# two-leg (r-matrices) and three-leg (Yang-Baxter terms) names of the one class
+Tensor2 = Tensor3 = Tensor
 
 
 # --- fixed 2x2 basis symbols ------------------------------------------------
@@ -289,16 +218,3 @@ def casimir(n: int) -> Tensor2:
     eye = np.eye(n, dtype=complex)
     c -= np.einsum("ij,kl->ijkl", eye, eye) / n
     return Tensor2(n, c)
-
-
-def linmap_to_tensor(lm: LinMap) -> Tensor2:
-    """Tensor corresponding to a linear map under X (x) Y -> tr(X . ) Y.
-
-    The map e_{ij} -> alpha e_{kl} corresponds to alpha e_{ji} (x) e_{kl}.
-    """
-    return Tensor2(lm.n, lm.action.transpose(1, 0, 2, 3))
-
-
-def tensor_to_linmap(t: Tensor2) -> LinMap:
-    """Inverse of linmap_to_tensor."""
-    return LinMap(t.n, t.coeffs.transpose(1, 0, 2, 3))

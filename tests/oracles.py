@@ -6,24 +6,27 @@ These deliberately avoid the library code paths they are used to check.
 
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
 
-def wp_lattice(z, tau, cutoff=40):
-    """Weierstrass p-function by direct lattice summation over the square
-    window |m'|, |m''| <= cutoff with the convergence-forcing subtraction
-    1/(z-w)^2 - 1/w^2.  The window is symmetric, so the odd tail terms
-    cancel and the truncation error is O(|z|^2 / cutoff^2)."""
+def wp_lattice(zs, tau, cutoff=40):
+    """Weierstrass p-function at each z in zs by direct lattice summation
+    over the square window |m'|, |m''| <= cutoff with the convergence-forcing
+    subtraction 1/(z-w)^2 - 1/w^2, largest |w| first.  The window is
+    symmetric, so the odd tail terms cancel and the truncation error is
+    O(|z|^2 / cutoff^2).  The window and its summation order are built once
+    for all points."""
     m = np.arange(-cutoff, cutoff + 1)
     mp, mpp = np.meshgrid(m, m, indexing="ij")
     w = mp + mpp * complex(tau)
     w = w[(mp != 0) | (mpp != 0)]
-    z = complex(z)
-    terms = 1.0 / (z - w) ** 2 - 1.0 / w**2
-    terms = terms[np.argsort(-np.abs(w))]
-    return 1.0 / z**2 + complex(np.sum(terms))
+    w = w[np.argsort(-np.abs(w))]
+    inv_w2 = 1.0 / w**2
+    return [1.0 / z**2 + complex(np.sum(1.0 / (z - w) ** 2 - inv_w2))
+            for z in map(complex, zs)]
 
 
 def kron_embed(t2_coeffs, legs, n):
@@ -74,6 +77,30 @@ def theta4_cosine_series(z, tau, nterms=60):
     return 1.0 + 2.0 * sum((-1) ** n * q ** (n * n)
                            * np.cos(2 * np.pi * n * complex(z))
                            for n in range(1, nterms))
+
+
+def theta_mpmath(j, z, tau, deriv=0, dps=30):
+    """theta_j(z|tau) and its z-derivatives from mpmath.jtheta at dps digits.
+
+    mpmath's series run in cos(2nz) (nome q = exp(pi i tau)), the library's
+    in cos(2 pi n z), so theta_j(z|tau) = jtheta(j, pi z, q) and the d-th
+    derivative picks up pi^d."""
+    with mpmath.workdps(dps):
+        q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau))
+        val = mpmath.pi**deriv * mpmath.jtheta(j, mpmath.pi * mpmath.mpc(z), q,
+                                               derivative=deriv)
+        return complex(val)
+
+
+def theta_term_scale(j, z, tau, deriv=0, nterms=60):
+    """Sum of the moduli of the series terms of theta_j^(deriv)(z|tau):
+    sum_n |exp(pi i (n+a)^2 tau + 2 pi i (n+a) z)| |2 pi (n+a)|^deriv, with
+    a = 1/2 for j = 1, 2 and 0 for j = 3, 4.  Rounding in a summed series is
+    proportional to this, not to |theta|, which cancels near the zeros."""
+    a = 0.5 if j in (1, 2) else 0.0
+    n = np.arange(-nterms, nterms + 1) + a
+    mods = np.exp(-np.pi * n * n * complex(tau).imag - 2 * np.pi * n * complex(z).imag)
+    return float(np.sum(mods * np.abs(2 * np.pi * n) ** deriv))
 
 
 def hom_space_basis_per_slot(deg, m_src, m_dst, cuspidal):

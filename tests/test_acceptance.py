@@ -237,13 +237,12 @@ def test_criterion_11_theta_layer():
     tau = 1.1j
     pe = ThetaParams(tau)
     cutoff = 1000
-    e_half = [oracles.wp_lattice(w, tau, cutoff)
-              for w in (0.5, tau / 2, (1 + tau) / 2)]
+    zs = [complex(rng.uniform(0.1, 0.25), rng.uniform(-0.15, 0.15)) for _ in range(4)]
+    wps = oracles.wp_lattice([0.5, tau / 2, (1 + tau) / 2, *zs], tau, cutoff)
+    e_half = wps[:3]
     s2 = arg_scale(pe) ** 2
     worst_wp = 0.0
-    for _ in range(4):
-        z = complex(rng.uniform(0.1, 0.25), rng.uniform(-0.15, 0.15))
-        wp = oracles.wp_lattice(z, tau, cutoff)
+    for z, wp in zip(zs, wps[3:]):
         quots = [(cn(z, pe) / sn(z, pe)) ** 2, (1 / sn(z, pe)) ** 2,
                  (dn(z, pe) / sn(z, pe)) ** 2]
         for ek, q in zip(e_half, quots):

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from rmx import catalog
+from rmx import catalog, rmatrix
 from rmx.cli import main
 from rmx.tensorcore import Tensor2
 
@@ -225,9 +225,32 @@ def test_rmx_seed_env(capsys, monkeypatch):
 def test_conventions_block(capsys):
     code, out = run(capsys, "eval", "--solution", "yang", "--y", "1.5",
                     "--conventions")
-    d = json.loads(out)
-    assert "kron" in d["conventions"]["serialization"].lower() \
-        or "Kronecker" in d["conventions"]["serialization"]
+    assert code == 0
+    assert json.loads(out)["conventions"] == {
+        "tensor_layout": "coeffs[i1,j1,i2,j2] is the coefficient of "
+                         "e_{i1 j1} (x) e_{i2 j2}, indices 0-based",
+        "serialization": "flat data is the n^2 x n^2 Kronecker matrix "
+                         "(row (i1*n+i2), column (j1*n+j2)), row-major; "
+                         "complex numbers as [re, im]",
+        "leg_embedding": "r^{ab} places factor 1 on leg a, factor 2 on leg b, "
+                         "identity elsewhere in Mat_n^(x3)",
+        "linmap_to_tensor": "e_{ij} -> alpha e_{kl} corresponds to "
+                            "alpha e_{ji} (x) e_{kl}",
+    }
+
+
+@pytest.mark.parametrize("argv,evaluate", [
+    (["--solution", "trg21", "--v", "0.3,0.1", "--y", "0.4"],
+     lambda: catalog.get("trg21").evaluator(0.3 + 0.1j, 0.4 + 0j)),
+    (["--curve", "nodal", "--rank", "3", "--deg", "1", "--v1", "1", "--v2", "2,-0.5",
+      "--y1", "0.5", "--y2", "0.9,0.2"],
+     lambda: rmatrix.engine_nodal(3, 1, 1 + 0j, 2 - 0.5j, 0.5 + 0j, 0.9 + 0.2j)),
+])
+def test_eval_json_tensor_is_the_in_process_value(capsys, argv, evaluate):
+    code, out = run(capsys, "eval", *argv)
+    assert code == 0
+    got = Tensor2.from_json_dict(json.loads(out)["tensor"])
+    assert np.array_equal(got.coeffs, evaluate().coeffs)
 
 
 def test_g2_g3_curve_dispatch(capsys):

@@ -240,9 +240,9 @@ def test_hom_space_matches_per_slot_reference(monkeypatch):
     real = rmatrix._hom_space_glued
 
     def spy(deg, m_src, m_dst, cuspidal):
-        space = real(deg, m_src, m_dst, cuspidal)
-        calls.append((deg, m_src, m_dst, cuspidal, space.basis))
-        return space
+        basis = real(deg, m_src, m_dst, cuspidal)
+        calls.append((deg, m_src, m_dst, cuspidal, basis))
+        return basis
 
     monkeypatch.setattr(rmatrix, "_hom_space_glued", spy)
     for n, d in COPRIME_UP_TO_9:

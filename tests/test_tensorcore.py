@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rmx import rmatrix
 from rmx.tensorcore import (
-    E12, E21, H, ID2, LinMap, Tensor2, Tensor3, casimir, embed, embed_leg,
-    leg_product, linmap_to_tensor, project_sl, project_traceless, swap,
-    tensor_to_linmap, unit_matrix,
+    E12, E21, H, ID2, Tensor, Tensor2, Tensor3, casimir, embed, embed_leg,
+    leg_product, project_sl, project_traceless, swap, unit_matrix,
 )
 
 from oracles import kron_embed
@@ -200,41 +200,19 @@ def test_casimir_ad_invariance(n):
     assert np.max(np.abs(om @ ad - ad @ om)) < 1e-13
 
 
-# --- linmap <-> tensor -------------------------------------------------------
-
-def test_linmap_to_tensor_rule():
-    lm = LinMap.zero(2)
-    lm.action[0, 0, 1, 1] = 1.0  # e11 -> e22
-    t = linmap_to_tensor(lm)
-    assert (t - Tensor2.simple(unit_matrix(2, 0, 0), unit_matrix(2, 1, 1))).norm() == 0
-
-
-def test_identity_linmap_tensor():
-    t = linmap_to_tensor(LinMap.identity(2))
-    want = Tensor2.zero(2)
-    for i in range(2):
-        for j in range(2):
-            want = want + Tensor2.simple(unit_matrix(2, j, i), unit_matrix(2, i, j))
-    assert (t - want).norm() == 0
-
+# --- trace pairing -----------------------------------------------------------
 
 def test_trace_pairing_convention():
-    # X (x) Y acts as M -> tr(X M) Y; round through tensor_to_linmap
+    # unit residues and ev(e_ab) = tr(X e_ab) Y: ev o res^-1 is M -> tr(X M) Y,
+    # which the trace pairing turns into X (x) Y
     rng = np.random.default_rng(9)
     x, y, m = rand_matrix(rng), rand_matrix(rng), rand_matrix(rng)
-    lm = tensor_to_linmap(Tensor2.simple(x, y))
-    assert np.allclose(lm.apply(m), np.trace(x @ m) * y)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 2**31 - 1))
-def test_linmap_tensor_roundtrip_exact(seed):
-    rng = np.random.default_rng(seed)
-    lm = LinMap(2, rng.standard_normal((2,) * 4) + 1j * rng.standard_normal((2,) * 4))
-    back = tensor_to_linmap(linmap_to_tensor(lm))
-    assert np.array_equal(back.action, lm.action)
-    t = rand_tensor2(rng)
-    assert np.array_equal(linmap_to_tensor(tensor_to_linmap(t)).coeffs, t.coeffs)
+    units = np.array([unit_matrix(2, a, b) for a in range(2) for b in range(2)])
+    ev = np.array([np.trace(x @ u) * y for u in units])
+    t = rmatrix._compose_ev_res(units, ev)
+    assert np.max(np.abs(t.coeffs - Tensor2.simple(x, y).coeffs)) < 1e-14
+    # X (x) Y acts as M -> tr(X M) Y: contract leg 1 with M through the trace
+    assert np.allclose(np.einsum("ij,jikl->kl", m, t.coeffs), np.trace(x @ m) * y)
 
 
 # --- serialization -----------------------------------------------------------
@@ -253,6 +231,56 @@ def test_json_roundtrip():
     d = t.to_json_dict()
     assert d["layout"] == "kron-rowmajor"
     assert len(d["data"]) == 16
+
+
+def rand_tensor(rng, n, legs):
+    shape = (n,) * (2 * legs)
+    return Tensor(n, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def test_one_class_under_both_names():
+    assert Tensor2 is Tensor and Tensor3 is Tensor
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("legs", [2, 3])
+def test_kron_and_json_roundtrips_are_exact(n, legs):
+    t = rand_tensor(np.random.default_rng(10 * n + legs), n, legs)
+    assert t.legs == legs
+    k = t.kron()
+    assert k.shape == (n**legs, n**legs)
+    assert np.array_equal(Tensor.from_kron(k, n).coeffs, t.coeffs)
+    d = t.to_json_dict()
+    assert len(d["data"]) == n ** (2 * legs)
+    back = Tensor.from_json_dict(d)
+    assert back.legs == legs and np.array_equal(back.coeffs, t.coeffs)
+
+
+@pytest.mark.parametrize("shape", [(2,) * 3, (2,) * 5, (2,) * 8, (2, 2, 2, 3),
+                                   (3, 3, 3, 3), (2,) * 4 + (3, 3)])
+def test_coeffs_of_odd_or_mixed_dimensions_are_rejected(shape):
+    with pytest.raises(ValueError):
+        Tensor(2, np.zeros(shape))
+
+
+@pytest.mark.parametrize("shape", [(4, 8), (8, 4), (2, 2), (16, 16), (64,), (4, 4, 1)])
+def test_from_kron_rejects_non_kronecker_shapes(shape):
+    with pytest.raises(ValueError):
+        Tensor.from_kron(np.zeros(shape), 2)
+
+
+@pytest.mark.parametrize("length", [0, 4, 15, 17, 32, 65])
+def test_from_json_rejects_lengths_other_than_n4_or_n6(length):
+    d = {"n": 2, "layout": "kron-rowmajor", "data": [[1.0, 0.0]] * length}
+    with pytest.raises(ValueError):
+        Tensor.from_json_dict(d)
+
+
+def test_from_json_rejects_unknown_layout():
+    d = rand_tensor2(np.random.default_rng(15)).to_json_dict()
+    d["layout"] = "kron-colmajor"
+    with pytest.raises(ValueError):
+        Tensor.from_json_dict(d)
 
 
 def test_tensor3_kron_roundtrip():
