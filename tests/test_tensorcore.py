@@ -202,6 +202,30 @@ def test_casimir_ad_invariance(n):
 
 # --- trace pairing -----------------------------------------------------------
 
+def _unit_basis(n):
+    return np.array([unit_matrix(n, a, b) for a in range(n) for b in range(n)])
+
+
+def test_linmap_to_tensor_rule():
+    # the linear map e11 -> e22 (all other units -> 0) is e11 (x) e22
+    units = _unit_basis(2)
+    ev = np.zeros_like(units)
+    ev[0] = unit_matrix(2, 1, 1)
+    t = rmatrix._compose_ev_res(units, ev)
+    assert (t - Tensor2.simple(unit_matrix(2, 0, 0), unit_matrix(2, 1, 1))).norm() == 0
+
+
+def test_identity_linmap_tensor():
+    # the identity map of Mat_2 is sum_ij e_ji (x) e_ij
+    units = _unit_basis(2)
+    t = rmatrix._compose_ev_res(units, units)
+    want = Tensor2.zero(2)
+    for i in range(2):
+        for j in range(2):
+            want = want + Tensor2.simple(unit_matrix(2, j, i), unit_matrix(2, i, j))
+    assert (t - want).norm() == 0
+
+
 def test_trace_pairing_convention():
     # unit residues and ev(e_ab) = tr(X e_ab) Y: ev o res^-1 is M -> tr(X M) Y,
     # which the trace pairing turns into X (x) Y
