@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import bundles, catalog, curves, rmatrix, verify
-from .tensorcore import Tensor2, project_sl
+from .tensorcore import LAYOUT, Tensor, Tensor2, project_sl
 
 CONVENTIONS = {
     "tensor_layout": "coeffs[i1,j1,i2,j2] is the coefficient of "
@@ -56,11 +56,38 @@ def _seed(args) -> int:
     return int(env) if env else _DEFAULT_SEED
 
 
+# With indent=2, the "tensor" entry of a payload opens with this text, and its
+# data array sits at nesting depth 2: each [re, im] pair one level deeper,
+# each number two.  A raw newline never occurs inside a JSON string, so
+# the text can only match the top-level key.
+_TENSOR_DATA = '\n  "tensor": {\n    "data": '
+_PAIR_SEP = "\n      ],\n      [\n        "
+_NUM_SEP = ",\n        "
+
+
+def _data_text(t: Tensor) -> str:
+    """json.dumps of t.to_json_dict()["data"] at nesting depth 2 of an
+    indent=2 dump: float.__repr__ is the encoder's float format."""
+    flat = t.kron().ravel()
+    pairs = map(_NUM_SEP.join, zip(map(float.__repr__, flat.real.tolist()),
+                                   map(float.__repr__, flat.imag.tolist())))
+    return "[\n      [\n        " + _PAIR_SEP.join(pairs) + "\n      ]\n    ]"
+
+
 def _emit(payload, args):
-    if getattr(args, "out", "json") == "json":
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    else:
+    """Write payload: CSV text as it is, anything else as
+    json.dumps(payload, sort_keys=True, indent=2) + newline, where a Tensor
+    under the top-level key "tensor" stands for its to_json_dict()."""
+    if getattr(args, "out", "json") != "json":
         text = payload  # pre-formatted CSV
+    elif isinstance(payload.get("tensor"), Tensor):
+        t = payload["tensor"]
+        head = {"data": None, "layout": LAYOUT, "n": t.n}
+        text = json.dumps({**payload, "tensor": head}, sort_keys=True, indent=2)
+        at = text.index(_TENSOR_DATA) + len(_TENSOR_DATA)
+        text = text[:at] + _data_text(t) + text[at + len("null"):] + "\n"
+    else:
+        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if getattr(args, "output", None):
         tmp = args.output + ".tmp"
         with open(tmp, "w") as fh:
@@ -135,11 +162,18 @@ def cmd_eval(args) -> int:
     if not np.all(np.isfinite(t.coeffs)):
         print("error: evaluation hit a pole (non-finite tensor)", file=sys.stderr)
         return 2
+    if args.out == "csv":
+        k = t.kron()
+        side, flat = len(k), k.ravel()
+        rows = (f"{i // side},{i % side},{re!r},{im!r}" for i, (re, im)
+                in enumerate(zip(flat.real.tolist(), flat.imag.tolist())))
+        _emit("\n".join(["row,col,re,im", *rows]) + "\n", args)
+        return 0
     payload = {
         "solution": sol.name,
         "arity": sol.arity,
         "parameters": [[complex(p).real, complex(p).imag] for p in params],
-        "tensor": t.to_json_dict(),
+        "tensor": t,
     }
     if args.conventions:
         payload["conventions"] = CONVENTIONS
@@ -147,16 +181,7 @@ def cmd_eval(args) -> int:
         payload["solution_params"] = {
             k: ([complex(v).real, complex(v).imag] if isinstance(v, (complex, float))
                 else v) for k, v in sol.params.items()}
-    if args.out == "csv":
-        n = t.n
-        lines = ["row,col,re,im"]
-        k = t.kron()
-        for i in range(n * n):
-            for j in range(n * n):
-                lines.append(f"{i},{j},{k[i,j].real!r},{k[i,j].imag!r}")
-        _emit("\n".join(lines) + "\n", args)
-    else:
-        _emit(payload, args)
+    _emit(payload, args)
     return 0
 
 
@@ -247,15 +272,16 @@ def cmd_canon(args) -> int:
             mat = t.mEps
     except ValueError as e:
         raise SystemExit2(str(e))
+    det, endo = bundles.det_triple(t), bundles.endo_dimension(t)
     payload = {
         "type": args.type,
         "n1": args.n1,
         "n2": args.n2,
         "lambda": [lam.real, lam.imag],
         "matrix": [[[z.real, z.imag] for z in row] for row in mat],
-        "det_coordinate": [bundles.det_triple(t).real, bundles.det_triple(t).imag],
-        "endo_dimension": bundles.endo_dimension(t),
-        "simple": bundles.endo_dimension(t) == 1,
+        "det_coordinate": [det.real, det.imag],
+        "endo_dimension": endo,
+        "simple": endo == 1,
     }
     _emit(payload, args)
     return 0

@@ -20,6 +20,9 @@ def _as_matrix(a, n: int) -> np.ndarray:
 _TO_KRON = {2: (0, 2, 1, 3), 3: (0, 2, 4, 1, 3, 5)}
 _FROM_KRON = {2: (0, 2, 1, 3), 3: (0, 3, 1, 4, 2, 5)}
 
+# "layout" of the JSON form: the data is kron() flattened row-major
+LAYOUT = "kron-rowmajor"
+
 
 @dataclass(frozen=True)
 class Tensor:
@@ -99,14 +102,14 @@ class Tensor:
         flat = self.kron().ravel()
         return {
             "n": self.n,
-            "layout": "kron-rowmajor",
-            "data": [[float(z.real), float(z.imag)] for z in flat],
+            "layout": LAYOUT,
+            "data": [[re, im] for re, im in zip(flat.real.tolist(), flat.imag.tolist())],
         }
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Tensor":
         n = int(d["n"])
-        if d.get("layout", "kron-rowmajor") != "kron-rowmajor":
+        if d.get("layout", LAYOUT) != LAYOUT:
             raise ValueError(f"unknown layout {d.get('layout')!r}")
         flat = np.array([complex(re, im) for re, im in d["data"]])
         side = next((n**m for m in (2, 3) if len(flat) == n**(2 * m)), None)

@@ -284,3 +284,86 @@ def test_console_script_entry_point():
                         "yang", "--y", "1.0"], capture_output=True, text=True, env=env)
     assert r.returncode == 0
     assert json.loads(r.stdout)["solution"] == "yang"
+
+
+# --- the JSON writer is json.dumps, byte for byte ----------------------------
+
+_ENGINE_POINT = ["--v1=1,0.2", "--v2=1.6,-0.1", "--y1=0.3", "--y2=0.8,0.1"]
+
+
+def assert_same_text(got: str, want: str):
+    """got == want, reporting the first difference (pytest's own diff of
+    megabyte strings takes minutes)."""
+    if got != want:
+        i = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b),
+                 min(len(got), len(want)))
+        pytest.fail(f"texts differ at {i}: {got[i - 30:i + 30]!r} != {want[i - 30:i + 30]!r}")
+
+
+@pytest.mark.parametrize("conventions", [False, True])
+@pytest.mark.parametrize("argv,evaluate", [
+    (["--curve", "nodal", "--rank", "2", "--deg", "1", *_ENGINE_POINT],
+     lambda: rmatrix.engine_nodal(2, 1, 1 + 0.2j, 1.6 - 0.1j, 0.3, 0.8 + 0.1j)),
+    (["--curve", "cuspidal", "--rank", "3", "--deg", "2", *_ENGINE_POINT],
+     lambda: rmatrix.engine_cusp(3, 2, 1 + 0.2j, 1.6 - 0.1j, 0.3, 0.8 + 0.1j)),
+    (["--curve", "nodal", "--rank", "5", "--deg", "2", *_ENGINE_POINT],
+     lambda: rmatrix.engine_nodal(5, 2, 1 + 0.2j, 1.6 - 0.1j, 0.3, 0.8 + 0.1j)),
+    (["--curve", "cuspidal", "--rank", "8", "--deg", "3", *_ENGINE_POINT],
+     lambda: rmatrix.engine_cusp(8, 3, 1 + 0.2j, 1.6 - 0.1j, 0.3, 0.8 + 0.1j)),
+    (["--curve", "nodal", "--rank", "12", "--deg", "5", *_ENGINE_POINT],
+     lambda: rmatrix.engine_nodal(12, 5, 1 + 0.2j, 1.6 - 0.1j, 0.3, 0.8 + 0.1j)),
+    # a catalog solution with solution_params (tau) and one without
+    (["--solution", "ell21", "--tau", "0,1.1", "--v", "0.21,0.03", "--y", "0.4"],
+     lambda: catalog.get("ell21", tau=1.1j).evaluator(0.21 + 0.03j, 0.4)),
+    (["--solution", "yang", "--y", "2.0"],
+     lambda: catalog.get("yang").evaluator(2.0)),
+])
+def test_eval_stdout_is_json_dumps_of_payload(capsys, argv, evaluate, conventions):
+    code, out = run(capsys, "eval", *argv, *(["--conventions"] if conventions else []))
+    assert code == 0
+    payload = {**json.loads(out), "tensor": evaluate().to_json_dict()}
+    assert ("conventions" in payload) == conventions
+    assert ("solution_params" in payload) == (argv[0] != "--solution" or "--tau" in argv)
+    assert_same_text(out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+def test_eval_writer_float_formats_and_splice(capsys, monkeypatch):
+    # a name that spells the splice point must come out as an escaped string
+    name = '\n  "tensor": {\n    "data": null'
+    vals = [-0.0, 5e-324, 1e16, 1e-7, 0.1 + 0.2, -1e-7, -5e-324, 1.0]
+    coeffs = np.array([complex(a, b) for a in vals[:4] for b in vals[4:]])
+    t = Tensor2(2, coeffs.reshape(2, 2, 2, 2))
+    stub = catalog.RSolution(name, "cl_ydiff", 2, lambda y: t)
+    monkeypatch.setattr(catalog, "get", lambda name, tau=None: stub)
+    code, out = run(capsys, "eval", "--solution", "stub", "--y", "0.5")
+    assert code == 0
+    payload = {"solution": name, "arity": "cl_ydiff", "parameters": [[0.5, 0.0]],
+               "tensor": t.to_json_dict()}
+    assert_same_text(out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    assert "\n        -0.0,\n" in out
+
+
+def test_eval_output_file_equals_stdout(capsys, tmp_path):
+    argv = ["eval", "--curve", "nodal", "--rank", "5", "--deg", "2", *_ENGINE_POINT]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    f = tmp_path / "r.json"
+    code, printed = run(capsys, *argv, "--output", str(f))
+    assert code == 0 and printed == ""
+    assert_same_text(f.read_bytes().decode(), out)
+
+
+def test_eval_csv_values_equal_json_data(capsys):
+    argv = ["eval", "--curve", "nodal", "--rank", "3", "--deg", "1", *_ENGINE_POINT]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    data = json.loads(out)["tensor"]["data"]
+    code, csv = run(capsys, *argv, "--out", "csv")
+    assert code == 0
+    header, *rows = csv.splitlines()
+    assert header == "row,col,re,im"
+    assert len(rows) == len(data) == 81
+    for k, row in enumerate(rows):
+        i, j, re, im = row.split(",")
+        assert (int(i), int(j)) == divmod(k, 9)
+        assert [float(re), float(im)] == data[k]
