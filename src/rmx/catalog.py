@@ -3,7 +3,7 @@
 """Closed-form evaluators for the named r-matrix solutions.
 
 Each entry is an RSolution: an evaluatable family (spectral parameters) ->
-Tensor2 with a declared arity:
+Tensor2 with a declared arity; its evaluator takes ARITY_PARAMS[arity]:
 
     "vdiff_ydiff"   r(v; y)        associative, difference in both slots
     "vdiff_y12"     r(v; y1, y2)   associative, difference in v only
@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .tensorcore import E12, E21, GAMMA, H, ID2, SIGMA, Tensor2
+from .tensorcore import E11, E12, E21, E22, GAMMA, H, ID2, SIGMA, Tensor2
 from .thetafn import ThetaParams, theta_j, theta1_prime_at_0, sn, cn, dn
 
 
@@ -51,13 +51,46 @@ class RSolution:
     def __call__(self, *args) -> Tensor2:
         return self.evaluator(*args)
 
-    @property
-    def is_classical(self) -> bool:
-        return self.arity.startswith("cl_")
 
-    def nargs(self) -> int:
-        return {"vdiff_ydiff": 2, "vdiff_y12": 3, "v12_y12": 4,
-                "cl_ydiff": 1, "cl_y12": 2}[self.arity]
+# arity -> the evaluator's spectral parameters, in order
+ARITY_PARAMS = {
+    "vdiff_ydiff": ("v", "y"),
+    "vdiff_y12": ("v", "y1", "y2"),
+    "v12_y12": ("v1", "v2", "y1", "y2"),
+    "cl_ydiff": ("y",),
+    "cl_y12": ("y1", "y2"),
+}
+
+
+def as_four_param(sol: RSolution) -> Callable[[complex, complex, complex, complex], Tensor2]:
+    """Uniform 4-parameter view r(v1, v2; y1, y2) of a solution."""
+    if sol.arity == "v12_y12":
+        return sol.evaluator
+    if sol.arity == "vdiff_y12":
+        return lambda v1, v2, y1, y2: sol.evaluator(v2 - v1, y1, y2)
+    if sol.arity == "vdiff_ydiff":
+        return lambda v1, v2, y1, y2: sol.evaluator(v2 - v1, y2 - y1)
+    raise ValueError(f"solution {sol.name!r} has classical arity {sol.arity!r}; "
+                     "not an associative r-matrix")
+
+
+def as_three_param(sol: RSolution) -> Callable[[complex, complex, complex], Tensor2]:
+    """The r(v; y1, y2) view of a v-difference solution."""
+    if sol.arity == "vdiff_y12":
+        return sol.evaluator
+    if sol.arity == "vdiff_ydiff":
+        return lambda v, y1, y2: sol.evaluator(v, y2 - y1)
+    raise ValueError(f"solution {sol.name!r} has arity {sol.arity!r}; "
+                     "needs a v-difference solution r(v; y1, y2)")
+
+
+def as_two_point(sol: RSolution) -> Callable[[complex, complex], Tensor2]:
+    """The r(y1, y2) view of a classical solution."""
+    if sol.arity == "cl_y12":
+        return sol.evaluator
+    if sol.arity == "cl_ydiff":
+        return lambda y1, y2: sol.evaluator(y2 - y1)
+    raise ValueError(f"{sol.name!r} is not a classical solution")
 
 
 # --- associative solutions ---------------------------------------------------
@@ -75,13 +108,8 @@ def _ell21(v, y, p: ThetaParams) -> Tensor2:
 def elliptic_closed_form(x, y, p: ThetaParams) -> Tensor2:
     """Elliptic solution in the half-argument normalization produced by the
     rank-2 degree-1 construction: prefactor 1/2 and theta ratios at (y+x/2, x/2).
-    Identical to 2 * _ell21(x/2, y)."""
-    pref = 0.5 * theta1_prime_at_0(p) / theta_j(1, y, p)
-    out = pref * (theta_j(1, y + x / 2, p) / theta_j(1, x / 2, p)) * _t(ID2, ID2)
-    out = out + pref * (theta_j(2, y + x / 2, p) / theta_j(2, x / 2, p)) * _t(H, H)
-    out = out + pref * (theta_j(3, y + x / 2, p) / theta_j(3, x / 2, p)) * _t(SIGMA, SIGMA)
-    out = out + pref * (theta_j(4, y + x / 2, p) / theta_j(4, x / 2, p)) * _t(GAMMA, GAMMA)
-    return out
+    That is 2 * _ell21(x/2, y)."""
+    return 2 * _ell21(x / 2, y, p)
 
 
 def _ell21_classical(y, p: ThetaParams) -> Tensor2:
@@ -93,10 +121,8 @@ def _ell21_classical(y, p: ThetaParams) -> Tensor2:
 
 def _trg21(v, y) -> Tensor2:
     sv, sy = _csin(v), _csin(y)
-    e11 = np.array([[1, 0], [0, 0]], dtype=complex)
-    e22 = np.array([[0, 0], [0, 1]], dtype=complex)
-    out = (_csin(y + v) / (sy * sv)) * (_t(e11, e11) + _t(e22, e22))
-    out = out + (1.0 / sv) * (_t(e11, e22) + _t(e22, e11))
+    out = (_csin(y + v) / (sy * sv)) * (_t(E11, E11) + _t(E22, E22))
+    out = out + (1.0 / sv) * (_t(E11, E22) + _t(E22, E11))
     out = out + (1.0 / sy) * (_t(E12, E21) + _t(E21, E12))
     out = out + _csin(y + v) * _t(E21, E21)
     return out
@@ -105,12 +131,10 @@ def _trg21(v, y) -> Tensor2:
 def nodal21_multiplicative(lam, y1, y2) -> Tensor2:
     """Rank-2 degree-1 nodal solution before the sqrt-y gauge, lam = lam2/lam1."""
     lam, y1, y2 = complex(lam), complex(y1), complex(y2)
-    e11 = np.array([[1, 0], [0, 0]], dtype=complex)
-    e22 = np.array([[0, 0], [0, 1]], dtype=complex)
     dy = y2 - y1
     a = (y2 - lam**2 * y1) / (dy * (1 - lam**2))
-    out = a * (_t(e11, e11) + _t(e22, e22))
-    out = out + (lam / (1 - lam**2)) * (_t(e11, e22) + _t(e22, e11))
+    out = a * (_t(E11, E11) + _t(E22, E22))
+    out = out + (lam / (1 - lam**2)) * (_t(E11, E22) + _t(E22, E11))
     out = out + (y1 / dy) * _t(E21, E12) + (y2 / dy) * _t(E12, E21)
     out = out + ((y2 - lam**2 * y1) / lam) * _t(E21, E21)
     return out
@@ -119,10 +143,8 @@ def nodal21_multiplicative(lam, y1, y2) -> Tensor2:
 def semistable20_multiplicative(lam, y) -> Tensor2:
     """Rank-2 degree-0 semistable nodal solution, lam = lam2/lam1, y = y2/y1."""
     lam, y = complex(lam), complex(y)
-    e11 = np.array([[1, 0], [0, 0]], dtype=complex)
-    e22 = np.array([[0, 0], [0, 1]], dtype=complex)
     a = (y - lam) / ((y - 1) * (1 - lam))
-    out = a * (_t(e11, e11) + _t(e22, e22) + _t(E21, E12) + _t(E12, E21))
+    out = a * (_t(E11, E11) + _t(E22, E22) + _t(E21, E12) + _t(E12, E21))
     out = out + (lam / (1 - lam) ** 2) * (_t(E12, H) - _t(H, E12))
     out = out - (lam * (1 + lam) / (1 - lam) ** 3) * _t(E12, E12)
     return out
@@ -137,11 +159,9 @@ def _cherednik(y) -> Tensor2:
 
 def _rat21(v, y1, y2) -> Tensor2:
     lam, y1, y2 = complex(v), complex(y1), complex(y2)
-    e11 = np.array([[1, 0], [0, 0]], dtype=complex)
-    e22 = np.array([[0, 0], [0, 1]], dtype=complex)
     dy = y2 - y1
     out = (1 / (2 * lam)) * _t(ID2, ID2)
-    out = out + (1 / dy) * (_t(e11, e11) + _t(e22, e22) + _t(E12, E21) + _t(E21, E12))
+    out = out + (1 / dy) * (_t(E11, E11) + _t(E22, E22) + _t(E12, E21) + _t(E21, E12))
     out = out + ((lam - y1) / 2) * _t(E21, H)
     out = out + ((lam + y2) / 2) * _t(H, E21)
     out = out - (lam * (lam - y1) * (lam + y2) / 2) * _t(E21, E21)
@@ -167,18 +187,14 @@ def _yang(y) -> Tensor2:
 
 def _rat21_degenerate(v, y) -> Tensor2:
     v, y = complex(v), complex(y)
-    e11 = np.array([[1, 0], [0, 0]], dtype=complex)
-    e22 = np.array([[0, 0], [0, 1]], dtype=complex)
     return (1 / (2 * v)) * _t(ID2, ID2) \
-        + (1 / y) * (_t(e11, e11) + _t(e22, e22) + _t(E12, E21) + _t(E21, E12))
+        + (1 / y) * (_t(E11, E11) + _t(E22, E22) + _t(E12, E21) + _t(E21, E12))
 
 
 def _trg20(v, y) -> Tensor2:
     sv, sy = _csin(v), _csin(y)
-    e11 = np.array([[1, 0], [0, 0]], dtype=complex)
-    e22 = np.array([[0, 0], [0, 1]], dtype=complex)
     out = (_csin(y + v) / (2 * sy * sv)) * (
-        _t(e11, e11) + _t(e22, e22) + _t(E21, E12) + _t(E12, E21))
+        _t(E11, E11) + _t(E22, E22) + _t(E21, E12) + _t(E12, E21))
     out = out + (1 / (2 * sv**2)) * (_t(E12, H) - _t(H, E12))
     out = out - (_ccos(v) / sv**3) * _t(E12, E12)
     return out

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -33,20 +34,19 @@ CONVENTIONS = {
 
 _DEFAULT_SEED = 12345
 
-# identity -> tolerance used when --tol is not given; Dunkl at kappa = 0
-# takes no derivatives and has its own, tighter entry
-_DEFAULT_TOL = {"aybe": 1e-8, "dual": 1e-8, "unitarity": 1e-10, "cybe": 1e-9,
-                "qybe": 1e-8, "limit": 1e-7, "casimir": 1e-8,
-                "degeneration": 1e-6, "dunkl": 1e-5, "dunkl-kappa0": 1e-9}
+
+def _parse_real(s: str) -> float:
+    x = float(s)
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {s!r}")
+    return x
 
 
 def _parse_complex(s: str) -> complex:
     parts = str(s).split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
-    raise argparse.ArgumentTypeError(f"expected RE or RE,IM, got {s!r}")
+    if len(parts) not in (1, 2):
+        raise argparse.ArgumentTypeError(f"expected RE or RE,IM, got {s!r}")
+    return complex(*map(_parse_real, parts))
 
 
 def _seed(args) -> int:
@@ -137,20 +137,11 @@ def _solution_from_args(args) -> catalog.RSolution:
 
 def cmd_eval(args) -> int:
     sol = _solution_from_args(args)
-    need = sol.nargs()
-    if sol.arity in ("cl_ydiff",):
-        params = [args.y]
-    elif sol.arity == "cl_y12":
-        params = [args.y1, args.y2]
-    elif sol.arity == "vdiff_ydiff":
-        params = [args.v, args.y]
-    elif sol.arity == "vdiff_y12":
-        params = [args.v, args.y1, args.y2]
-    else:
-        params = [args.v1, args.v2, args.y1, args.y2]
+    names = catalog.ARITY_PARAMS[sol.arity]
+    params = [getattr(args, name) for name in names]
     if any(p is None for p in params):
-        raise SystemExit2(f"solution {sol.name!r} (arity {sol.arity}) needs "
-                          f"{need} spectral parameters")
+        raise SystemExit2(f"solution {sol.name!r} (arity {sol.arity}) needs {len(names)} "
+                          f"spectral parameters: --{' --'.join(names)}")
     try:
         t = sol.evaluator(*[complex(p) for p in params])
     except (ZeroDivisionError, rmatrix.DegenerateSystemError) as e:
@@ -190,10 +181,7 @@ def cmd_verify(args) -> int:
         raise SystemExit2(f"--samples must be at least 1, got {args.samples}")
     seed = _seed(args)
     sol = _solution_from_args(args)
-    tol = args.tol
-    if tol is None:
-        kappa0 = args.identity == "dunkl" and args.kappa == 0
-        tol = _DEFAULT_TOL.get("dunkl-kappa0" if kappa0 else args.identity)
+    tol = verify.default_tol(args.identity, args.kappa) if args.tol is None else args.tol
     try:
         if args.identity == "aybe":
             rep = verify.aybe(sol, samples=args.samples, tol=tol, seed=seed)
@@ -218,8 +206,8 @@ def cmd_verify(args) -> int:
             rep = verify.classical_limit(sol, ref, grid, tol=tol,
                                          y_base=0.15)
         elif args.identity == "laurent":
-            y_pt = (0.2, 0.9) if sol.arity == "vdiff_y12" else 0.47
-            co = verify.laurent_v(sol, y_pt)
+            y1, y2 = (0.2, 0.9) if sol.arity == "vdiff_y12" else (0.0, 0.47)
+            co = verify.laurent_v(sol, y1, y2)
             omega_id = Tensor2.simple(np.eye(sol.n), np.eye(sol.n))
             a = complex(np.vdot(omega_id.coeffs, co[-1].coeffs)
                         / np.vdot(omega_id.coeffs, omega_id.coeffs))
@@ -233,7 +221,7 @@ def cmd_verify(args) -> int:
             _emit(payload, args)
             return 0
         elif args.identity == "casimir":
-            a, defect = verify.casimir_residue(sol, tol=tol)
+            a, defect = verify.casimir_residue(sol)
             payload = {"identity": "casimir-residue", "solution": sol.name,
                        "alpha": [a.real, a.imag], "defect": defect,
                        "tol": tol, "passed": defect < tol}
@@ -291,8 +279,8 @@ def _parse_grid(spec_str, default):
     if spec_str is None:
         return default
     try:
-        vals = [float(t) for t in spec_str.split(",") if t.strip()]
-    except ValueError:
+        vals = [_parse_real(t) for t in spec_str.split(",") if t.strip()]
+    except (ValueError, argparse.ArgumentTypeError):
         raise SystemExit2(f"bad grid {spec_str!r}")
     if not vals:
         raise SystemExit2("empty grid")
@@ -312,7 +300,7 @@ def cmd_sweep(args) -> int:
         sol = _solution_from_args(args)
         grid = _parse_grid(args.grid, [1e-1, 1e-2, 1e-3, 1e-4])
         try:
-            r3 = verify.as_three_param(sol)
+            r3 = catalog.as_three_param(sol)
         except ValueError as e:
             raise SystemExit2(str(e))
         lines = ["v,pr_norm,delta_to_next"]
@@ -364,12 +352,12 @@ def build_parser() -> argparse.ArgumentParser:
                              "limit", "laurent", "casimir", "degeneration",
                              "dunkl"])
     vf.add_argument("--samples", type=int, default=50)
-    vf.add_argument("--tol", type=float, default=None)
+    vf.add_argument("--tol", type=_parse_real, default=None)
     vf.add_argument("--seed", type=int, default=None,
                     help="sampling seed (default: RMX_SEED env or 12345)")
     vf.add_argument("--v0", type=_parse_complex, default=None,
                     help="fixed spectral value for qybe")
-    vf.add_argument("--kappa", type=float, default=1.0,
+    vf.add_argument("--kappa", type=_parse_real, default=1.0,
                     help="Dunkl level for --identity dunkl")
     vf.set_defaults(func=cmd_verify)
 

@@ -24,7 +24,7 @@ from math import gcd, pi
 import numpy as np
 
 from . import bundles
-from .catalog import RSolution
+from .catalog import RSolution, as_four_param
 from .tensorcore import Tensor2
 from .thetafn import ThetaParams, theta_j
 
@@ -53,19 +53,11 @@ def _at_affine(basis: np.ndarray, y: complex) -> np.ndarray:
     return np.einsum("bijk,k->bij", basis, powers)
 
 
-def _entry_degrees(n1: int, n2: int, semistable: bool) -> np.ndarray:
-    n = n1 + n2
-    deg = np.empty((n, n), dtype=int)
-    if semistable:
-        deg[:] = 1
-        return deg
-    # source O^{n1} + O(1)^{n2}, target O(1)^{n1} + O(2)^{n2}
-    for i in range(n):
-        for j in range(n):
-            ti = 1 if i < n1 else 2
-            sj = 0 if j < n1 else 1
-            deg[i, j] = ti - sj
-    return deg
+def _entry_degrees(n1: int, n2: int) -> np.ndarray:
+    """Degree of each Hom entry: source O^{n1} + O(1)^{n2}, target
+    O(1)^{n1} + O(2)^{n2}."""
+    twisted = np.arange(n1 + n2) >= n1
+    return 1 + twisted[:, None] - twisted[None, :]
 
 
 def _nullspace(a: np.ndarray) -> np.ndarray:
@@ -137,6 +129,16 @@ def _compose_ev_res(res_vals: np.ndarray, ev_vals: np.ndarray) -> Tensor2:
     return Tensor2(n, action.transpose(1, 0, 2, 3))
 
 
+def _glued_engine(deg: np.ndarray, m_src: np.ndarray, m_dst: np.ndarray,
+                  cuspidal: bool, y1: complex, y2: complex) -> Tensor2:
+    """ev o res^{-1} on the glued Hom space: the residue at y1 is taken
+    against dz on the cuspidal curve and dz/z on the nodal one, the
+    evaluation at y2 against 1/(y2 - y1)."""
+    basis = _hom_space_glued(deg, m_src, m_dst, cuspidal)
+    res_vals = _at_affine(basis, y1) if cuspidal else _at_affine(basis, y1) / y1
+    return _compose_ev_res(res_vals, _at_affine(basis, y2) / (y2 - y1))
+
+
 def engine_nodal(n: int, d: int, lam1: complex, lam2: complex,
                  y1: complex, y2: complex) -> Tensor2:
     """Geometric r-matrix of the family of stable bundles of rank n, degree d
@@ -153,13 +155,12 @@ def engine_nodal(n: int, d: int, lam1: complex, lam2: complex,
     if y1 == y2 or lam1 == lam2:
         raise EngineError("coincident spectral points")
     n1, n2 = n - d, d
-    deg = _entry_degrees(n1, n2, semistable=False)
     m_src = bundles.jacobian_form_nodal(n1, n2, lam1).m0
     m_dst = complex(y1) * bundles.jacobian_form_nodal(n1, n2, lam2).m0
-    basis = _hom_space_glued(deg, m_src, m_dst, cuspidal=False)
-    res_vals = _at_affine(basis, y1) / y1
-    ev_vals = _at_affine(basis, y2) / (y2 - y1)
-    return _compose_ev_res(res_vals, ev_vals)
+    return _glued_engine(_entry_degrees(n1, n2), m_src, m_dst, False, y1, y2)
+
+
+_J2 = bundles.atiyah_nodal(2).m0  # J_2(1), gluing matrix of the Atiyah bundle
 
 
 def engine_semistable_nodal_20(lam1: complex, lam2: complex,
@@ -173,14 +174,9 @@ def engine_semistable_nodal_20(lam1: complex, lam2: complex,
         raise EngineError("coincident curve points")
     if lam1 == lam2:
         raise EngineError("residue system degenerate at lam1 = lam2")
-    j2 = np.array([[1, 1], [0, 1]], dtype=complex)
-    deg = _entry_degrees(2, 0, semistable=True)
-    m_src = complex(lam1) * j2
-    m_dst = complex(y1) * complex(lam2) * j2
-    basis = _hom_space_glued(deg, m_src, m_dst, cuspidal=False)
-    res_vals = _at_affine(basis, y1) / y1
-    ev_vals = _at_affine(basis, y2) / (y2 - y1)
-    return _compose_ev_res(res_vals, ev_vals)
+    m_src = complex(lam1) * _J2
+    m_dst = complex(y1) * complex(lam2) * _J2
+    return _glued_engine(_entry_degrees(2, 0), m_src, m_dst, False, y1, y2)
 
 
 def engine_cusp(n: int, d: int, lam1: complex, lam2: complex,
@@ -199,16 +195,12 @@ def engine_cusp(n: int, d: int, lam1: complex, lam2: complex,
     if lam1 == lam2:
         raise EngineError("coincident moduli points")
     n1, n2 = n - d, d
-    deg = _entry_degrees(n1, n2, semistable=False)
     z_pat = bundles.canonical_cusp_matrix(n1, n2, 0.0)
     np.fill_diagonal(z_pat, 0.0)
     eye = np.eye(n, dtype=complex)
     m_src = z_pat + complex(lam1) * eye
     m_dst = z_pat + (complex(lam2) - complex(y1)) * eye
-    basis = _hom_space_glued(deg, m_src, m_dst, cuspidal=True)
-    res_vals = _at_affine(basis, y1)
-    ev_vals = _at_affine(basis, y2) / (y2 - y1)
-    return _compose_ev_res(res_vals, ev_vals)
+    return _glued_engine(_entry_degrees(n1, n2), m_src, m_dst, True, y1, y2)
 
 
 # --- elliptic engine ---------------------------------------------------------
@@ -291,7 +283,6 @@ def apply_gauge(sol: RSolution, phi) -> RSolution:
 
     The result is a four-parameter solution.
     """
-    from .verify import as_four_param
     r4 = as_four_param(sol)
 
     def ev(v1, v2, y1, y2):

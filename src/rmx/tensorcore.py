@@ -126,6 +126,8 @@ Tensor2 = Tensor3 = Tensor
 
 ID2 = np.eye(2, dtype=complex)
 H = np.array([[1, 0], [0, -1]], dtype=complex)
+E11 = np.array([[1, 0], [0, 0]], dtype=complex)
+E22 = np.array([[0, 0], [0, 1]], dtype=complex)
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
 E21 = np.array([[0, 0], [1, 0]], dtype=complex)
 SIGMA = np.array([[0, -1j], [1j, 0]], dtype=complex)

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .catalog import RSolution
+from .catalog import RSolution, as_four_param, as_three_param, as_two_point
 from .tensorcore import (Tensor2, Tensor3, casimir, embed, embed_leg, leg_product,
                          project_sl, swap)
 
@@ -75,26 +75,17 @@ def _admissible(*tensors) -> bool:
     return all(t.norm() < NORM_CAP for t in tensors)
 
 
-def as_four_param(sol: RSolution) -> Callable[[complex, complex, complex, complex], Tensor2]:
-    """Uniform 4-parameter view r(v1, v2; y1, y2) of a solution."""
-    if sol.arity == "v12_y12":
-        return sol.evaluator
-    if sol.arity == "vdiff_y12":
-        return lambda v1, v2, y1, y2: sol.evaluator(v2 - v1, y1, y2)
-    if sol.arity == "vdiff_ydiff":
-        return lambda v1, v2, y1, y2: sol.evaluator(v2 - v1, y2 - y1)
-    raise ValueError(f"solution {sol.name!r} has classical arity {sol.arity!r}; "
-                     "not an associative r-matrix")
+# check (rmx verify --identity name) -> its tolerance when none is given
+DEFAULT_TOL = {"aybe": 1e-8, "dual": 1e-8, "unitarity": 1e-10, "cybe": 1e-9,
+               "qybe": 1e-8, "limit": 1e-7, "casimir": 1e-8,
+               "degeneration": 1e-6, "dunkl": 1e-5, "dunkl-kappa0": 1e-9}
 
 
-def as_three_param(sol: RSolution) -> Callable[[complex, complex, complex], Tensor2]:
-    """The r(v; y1, y2) view of a v-difference solution."""
-    if sol.arity == "vdiff_y12":
-        return sol.evaluator
-    if sol.arity == "vdiff_ydiff":
-        return lambda v, y1, y2: sol.evaluator(v, y2 - y1)
-    raise ValueError(f"solution {sol.name!r} has arity {sol.arity!r}; "
-                     "needs a v-difference solution r(v; y1, y2)")
+def default_tol(identity: str, kappa: complex = 1.0):
+    """Tolerance of a check when none is given (None for one without).  Dunkl
+    at kappa = 0 takes no derivatives and has its own, tighter entry."""
+    return DEFAULT_TOL.get("dunkl-kappa0" if identity == "dunkl" and kappa == 0
+                           else identity)
 
 
 def _sampled_residual(identity: str, sol: RSolution, k: int, terms: Callable,
@@ -123,7 +114,7 @@ def _sampled_residual(identity: str, sol: RSolution, k: int, terms: Callable,
                           worst < tol)
 
 
-def aybe(sol: RSolution, samples: int = 50, tol: float = 1e-8,
+def aybe(sol: RSolution, samples: int = 50, tol: float = DEFAULT_TOL["aybe"],
          seed: int = 0) -> ResidualReport:
     """Associative Yang-Baxter residual, in the form matching the arity:
     the full four-parameter equation, its v-difference form, or the full
@@ -141,7 +132,7 @@ def aybe(sol: RSolution, samples: int = 50, tol: float = 1e-8,
         samples, tol, seed)
 
 
-def aybe_dual(sol: RSolution, samples: int = 50, tol: float = 1e-8,
+def aybe_dual(sol: RSolution, samples: int = 50, tol: float = DEFAULT_TOL["dual"],
               seed: int = 0) -> ResidualReport:
     """Residual of the dual associative equation (holds for unitary solutions)."""
     r4 = as_four_param(sol)
@@ -155,7 +146,7 @@ def aybe_dual(sol: RSolution, samples: int = 50, tol: float = 1e-8,
         samples, tol, seed)
 
 
-def unitarity(sol: RSolution, samples: int = 50, tol: float = 1e-10,
+def unitarity(sol: RSolution, samples: int = 50, tol: float = DEFAULT_TOL["unitarity"],
               seed: int = 0) -> ResidualReport:
     """Residual of r(v1,v2;y1,y2) + swap(r(v2,v1;y2,y1))."""
     r4 = as_four_param(sol)
@@ -180,22 +171,17 @@ def _qybe_difference(ta: Tensor2, tb: Tensor2, tc: Tensor2) -> Tensor3:
     return r12.matmul(r13).matmul(r23) - r23.matmul(r13).matmul(r12)
 
 
-def cybe(sol: RSolution, samples: int = 50, tol: float = 1e-9,
+def cybe(sol: RSolution, samples: int = 50, tol: float = DEFAULT_TOL["cybe"],
          seed: int = 0) -> ResidualReport:
     """Classical Yang-Baxter residual
     [r12, r23] + [r12, r13] + [r13, r23] = 0 at random spectral points."""
-    if not sol.is_classical:
-        raise ValueError(f"{sol.name!r} is not a classical solution")
-    if sol.arity == "cl_ydiff":
-        r2 = lambda ya, yb: sol.evaluator(yb - ya)
-    else:
-        r2 = sol.evaluator
+    r2 = as_two_point(sol)
     return _sampled_residual(
         "CYBE", sol, 3, lambda y1, y2, y3: (r2(y1, y2), r2(y1, y3), r2(y2, y3)),
         _cybe_lhs, samples, tol, seed)
 
 
-def qybe(sol: RSolution, v0: complex, samples: int = 50, tol: float = 1e-8,
+def qybe(sol: RSolution, v0: complex, samples: int = 50, tol: float = DEFAULT_TOL["qybe"],
          seed: int = 0) -> ResidualReport:
     """Quantum Yang-Baxter residual at fixed spectral value v0:
     R12 R13 R23 = R23 R13 R12 with R^{ij} = r(v0; y_i, y_j)."""
@@ -242,7 +228,7 @@ def classical_limit_values(sol: RSolution, y_pairs: Sequence[tuple],
 
 
 def classical_limit(sol: RSolution, reference: RSolution,
-                    y_grid: Sequence[complex], tol: float = 1e-7,
+                    y_grid: Sequence[complex], tol: float = DEFAULT_TOL["limit"],
                     v0: complex = 0.08, y_base: complex = 0.0) -> ResidualReport:
     """Compare the extrapolated classical limit against a catalog entry on a
     y-grid (points y interpreted as (y_base, y_base + y) pairs)."""
@@ -261,21 +247,14 @@ def classical_limit(sol: RSolution, reference: RSolution,
                           len(list(y_grid)), worst, worst_at, tol, 0, worst < tol)
 
 
-def laurent_v(sol: RSolution, y_point, radius: float = 0.05,
+def laurent_v(sol: RSolution, y1: complex, y2: complex, radius: float = 0.05,
               n_samples: int = 64, orders: Sequence[int] = (-3, -2, -1, 0)) -> dict:
-    """Laurent coefficients of r(v; ...) around v = 0 by circle sampling and
-    discrete Fourier inversion.  y_point is y for difference solutions or a
-    (y1, y2) pair for three-parameter ones."""
-    if sol.arity == "vdiff_ydiff":
-        f = lambda v: sol.evaluator(v, complex(y_point))
-    elif sol.arity == "vdiff_y12":
-        y1, y2 = y_point
-        f = lambda v: sol.evaluator(v, y1, y2)
-    else:
-        raise ValueError("laurent_v needs a v-difference solution")
+    """Laurent coefficients of r(v; y1, y2) around v = 0 by circle sampling
+    and discrete Fourier inversion."""
+    r3 = as_three_param(sol)
     thetas = 2 * np.pi * np.arange(n_samples) / n_samples
     vs = radius * np.exp(1j * thetas)
-    vals = np.stack([f(v).coeffs for v in vs])
+    vals = np.stack([r3(v, y1, y2).coeffs for v in vs])
     coeffs = {}
     for m in orders:
         phase = np.exp(-1j * m * thetas) / n_samples
@@ -284,23 +263,18 @@ def laurent_v(sol: RSolution, y_point, radius: float = 0.05,
     return coeffs
 
 
-def casimir_residue(sol: RSolution, tol: float = 1e-8, radius: float = 0.05,
-                    n_samples: int = 64, y_base: complex = 0.0) -> tuple:
+def casimir_residue(sol: RSolution, radius: float = 0.05, n_samples: int = 64,
+                    y_base: complex = 0.0) -> tuple:
     """Residue of a classical solution at coinciding spectral points.
 
     Returns (alpha, defect): residue = alpha * casimir(n) with defect the
     distance to the Casimir line.
     """
-    if not sol.is_classical:
-        raise ValueError("casimir_residue expects a classical solution")
-    if sol.arity == "cl_ydiff":
-        f = lambda y: sol.evaluator(y)
-    else:
-        f = lambda y: sol.evaluator(y_base, y_base + y)
+    r2 = as_two_point(sol)
     thetas = 2 * np.pi * np.arange(n_samples) / n_samples
     ys = radius * np.exp(1j * thetas)
     # res = (1/2pi i) contour integral = mean of f(y) * y over the circle
-    vals = np.stack([f(y).coeffs * y for y in ys])
+    vals = np.stack([r2(y_base, y_base + y).coeffs * y for y in ys])
     res = Tensor2(sol.n, vals.mean(axis=0))
     omega = casimir(sol.n)
     alpha = complex(np.vdot(omega.coeffs, res.coeffs)
@@ -322,7 +296,7 @@ def degeneration_error(trg: RSolution, rat: RSolution, t: float,
 def degeneration_trg_to_rat(trg: RSolution, rat: RSolution,
                             t_seq: Sequence[float] = (1e3, 1e4, 1e5),
                             y_grid: Sequence[float] = DEGENERATION_YS,
-                            tol: float = 1e-6) -> ResidualReport:
+                            tol: float = DEFAULT_TOL["degeneration"]) -> ResidualReport:
     """Check (1/t) trg(y/t) -> rat(y) along the t sequence."""
     errs = [degeneration_error(trg, rat, t, y_grid) for t in t_seq]
     final = errs[-1]
@@ -339,7 +313,7 @@ def degeneration_trg_to_rat(trg: RSolution, rat: RSolution,
 def dunkl_commutator(sol: RSolution, m: int = 3, kappa: complex = 1.0,
                      y_points: Sequence[complex] = None,
                      testfn: Callable = None, h: float = 1e-4,
-                     samples: int = 3, tol: float = 1e-5,
+                     samples: int = 3, tol: float = None,
                      seed: int = 0) -> ResidualReport:
     """Max |([theta_i, theta_j] f)(x)| over i<j and sample points, where
     theta_i = kappa d_i + sum_{j != i} rtilde^{ij} K^{ij} acts on
@@ -348,6 +322,8 @@ def dunkl_commutator(sol: RSolution, m: int = 3, kappa: complex = 1.0,
     Derivatives use central differences of step h (second-order accurate);
     the kappa = 0 case involves no differentiation and is exact.
     """
+    if tol is None:
+        tol = default_tol("dunkl", kappa)
     rng = np.random.default_rng(seed)
     n = sol.n
     rfun = as_three_param(sol)

@@ -137,7 +137,7 @@ def test_criterion_06_cybe_and_casimir_residues():
         rep = verify.cybe(sol, samples=50, tol=1e-9, seed=45)
         assert rep.passed, (name, rep.max_residual)
         worst_cybe = max(worst_cybe, rep.max_residual)
-        _, defect = verify.casimir_residue(sol, tol=1e-8)
+        _, defect = verify.casimir_residue(sol)
         worst_defect = max(worst_defect, defect)
     report(6, worst_cybe < 1e-9 and worst_defect < 1e-8,
            "cybe for 5 classical solutions; residues proportional to Casimir",
@@ -154,10 +154,10 @@ def test_criterion_07_degeneration():
 
 
 def test_criterion_08_laurent_structure():
-    co = verify.laurent_v(catalog.get("ell21"), 0.37)
+    co = verify.laurent_v(catalog.get("ell21"), 0.0, 0.37)
     quarter = 0.25 * Tensor2.simple(ID2, ID2)
     e1 = (co[-1] - quarter).norm()
-    co20 = verify.laurent_v(catalog.get("trg20_semistable"), 0.8)
+    co20 = verify.laurent_v(catalog.get("trg20_semistable"), 0.0, 0.8)
     ok = e1 < 1e-7 and co20[-2].norm() > 1e-3
     report(8, ok, "ell21 residue = (1/4) 1(x)1; semistable has order -2 term",
            f"ell21 defect {e1:.2e}, |r_-2| {co20[-2].norm():.3f}")

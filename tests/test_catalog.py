@@ -1,5 +1,7 @@
 # tests/test_catalog.py
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -141,9 +143,47 @@ def test_stolin_gauge_is_an_automorphism():
 
 
 def test_arity_metadata():
-    assert catalog.get("ell21").nargs() == 2
-    assert catalog.get("rat21").nargs() == 3
-    assert catalog.get("stolin").nargs() == 2
-    assert catalog.get("yang").nargs() == 1
-    assert catalog.get("yang").is_classical
-    assert not catalog.get("rat21").is_classical
+    def params(name):
+        return catalog.ARITY_PARAMS[catalog.get(name).arity]
+    assert params("ell21") == ("v", "y")
+    assert params("rat21") == ("v", "y1", "y2")
+    assert params("stolin") == ("y1", "y2")
+    assert params("yang") == ("y",)
+    catalog.as_two_point(catalog.get("yang"))
+    with pytest.raises(ValueError, match="not a classical solution"):
+        catalog.as_two_point(catalog.get("rat21"))
+
+
+# --- arity ------------------------------------------------------------------
+
+def _engine_kinds():
+    from rmx import rmatrix
+    return [rmatrix.engine_solution(kind) for kind in
+            ("nodal", "cusp", "elliptic", "nodal-semistable")]
+
+
+@pytest.mark.parametrize("sol", [catalog.get(name) for name in catalog.NAMES]
+                         + _engine_kinds(), ids=lambda s: s.name)
+def test_evaluator_takes_the_arity_params(sol):
+    names = catalog.ARITY_PARAMS[sol.arity]
+    assert len(inspect.signature(sol.evaluator).parameters) == len(names)
+    point = [0.31 + 0.07j, 0.83 - 0.11j, 0.52 + 0.23j, 1.13 + 0.05j][:len(names)]
+    assert np.all(np.isfinite(sol(*point).coeffs))
+
+
+@pytest.mark.parametrize("name", ["yang", "cherednik", "stolin_difference_s",
+                                  "ell21_classical", "stolin"])
+def test_as_two_point_is_the_evaluator(name):
+    sol = catalog.get(name)
+    r2 = catalog.as_two_point(sol)
+    y1, y2 = 0.2 + 0.1j, 0.9 - 0.3j
+    direct = sol.evaluator(y2 - y1) if sol.arity == "cl_ydiff" else sol.evaluator(y1, y2)
+    assert np.array_equal(r2(y1, y2).coeffs, direct.coeffs)
+    if sol.arity == "cl_y12":
+        assert r2 is sol.evaluator
+
+
+def test_views_are_shared_with_verify():
+    from rmx import verify
+    assert verify.as_four_param is catalog.as_four_param
+    assert verify.as_three_param is catalog.as_three_param

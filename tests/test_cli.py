@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from rmx import catalog, rmatrix
+from rmx import catalog, rmatrix, verify
 from rmx.cli import main
 from rmx.tensorcore import Tensor2
 
@@ -367,3 +367,79 @@ def test_eval_csv_values_equal_json_data(capsys):
         i, j, re, im = row.split(",")
         assert (int(i), int(j)) == divmod(k, 9)
         assert [float(re), float(im)] == data[k]
+
+
+# --- arity, default tolerances, non-finite input ---------------------------------
+
+@pytest.mark.parametrize("argv,arity", [
+    (["--solution", "yang"], "cl_ydiff"),
+    (["--solution", "stolin", "--y1", "0.2"], "cl_y12"),
+    (["--solution", "ell21", "--y", "0.4"], "vdiff_ydiff"),
+    (["--solution", "rat21", "--v", "0.5"], "vdiff_y12"),
+    (["--curve", "nodal", "--v1", "1", "--v2", "2", "--y1", "0.5"], "v12_y12"),
+])
+def test_eval_missing_parameter_names_the_count(capsys, argv, arity):
+    code = main(["eval", *argv])
+    captured = capsys.readouterr()
+    names = catalog.ARITY_PARAMS[arity]
+    assert code == 2 and captured.out == ""
+    assert f"(arity {arity}) needs {len(names)} spectral parameters" in captured.err
+    assert all(f"--{name}" in captured.err for name in names)
+
+
+# identity, solution, extra CLI flags, the tol of the library call without one
+_TOL_CASES = [
+    ("aybe", "rat21", [], lambda s: verify.aybe(s, samples=1).tol),
+    ("dual", "rat21", [], lambda s: verify.aybe_dual(s, samples=1).tol),
+    ("unitarity", "rat21", [], lambda s: verify.unitarity(s, samples=1).tol),
+    ("cybe", "yang", [], lambda s: verify.cybe(s, samples=1).tol),
+    ("qybe", "trg21", [], lambda s: verify.qybe(s, 0.7, samples=1).tol),
+    ("limit", "trg21", [],
+     lambda s: verify.classical_limit(s, catalog.get("cherednik"), [0.3]).tol),
+    ("casimir", "yang", [], lambda s: verify.DEFAULT_TOL["casimir"]),
+    ("degeneration", "yang", [], lambda s: verify.degeneration_trg_to_rat(
+        catalog.get("cherednik"), catalog.get("yang")).tol),
+    ("dunkl", "rat21", [], lambda s: verify.dunkl_commutator(s, samples=1).tol),
+    ("dunkl", "rat21", ["--kappa", "0"],
+     lambda s: verify.dunkl_commutator(s, kappa=0.0, samples=1).tol),
+]
+
+
+@pytest.mark.parametrize("identity,name,extra,library_tol", _TOL_CASES)
+def test_verify_default_tol_is_the_library_default(capsys, identity, name, extra,
+                                                    library_tol):
+    code, out = run(capsys, "verify", "--identity", identity, "--solution", name,
+                    "--samples", "2", *extra)
+    assert code in (0, 1)
+    assert json.loads(out)["tol"] == library_tol(catalog.get(name))
+
+
+def test_dunkl_kappa_zero_default_tol():
+    rep = verify.dunkl_commutator(catalog.get("rat21"), kappa=0.0, samples=1)
+    assert rep.tol == 1e-9 and rep.passed
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--curve", "nodal", "--rank", "2", "--deg", "1", "--v1", "nan",
+     "--v2", "0.9", "--y1", "0.3", "--y2", "0.8"],
+    ["eval", "--solution", "yang", "--y", "inf"],
+    ["eval", "--solution", "ell21", "--v", "0.3,-inf", "--y", "0.4"],
+    ["eval", "--solution", "ell21", "--tau", "0,nan", "--v", "0.3", "--y", "0.4"],
+    ["verify", "--identity", "qybe", "--solution", "trg21", "--v0", "nan"],
+    ["verify", "--identity", "aybe", "--solution", "rat21", "--tol", "nan"],
+    ["verify", "--identity", "dunkl", "--solution", "rat21", "--kappa", "inf"],
+])
+def test_non_finite_number_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == "" and "expected a finite number" in captured.err
+
+
+@pytest.mark.parametrize("grid", ["1e3,inf", "nan", "1e3,-inf,1e4"])
+def test_sweep_non_finite_grid_usage_error(capsys, grid):
+    code = main(["sweep", "--kind", "degeneration", "--grid", grid])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: bad grid {grid!r}\n"

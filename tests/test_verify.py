@@ -130,7 +130,7 @@ def test_classical_limit_is_gauge_invariant():
 # --- Laurent / residue extraction ----------------------------------------------
 
 def test_laurent_ell21_quarter_identity():
-    co = verify.laurent_v(catalog.get("ell21"), 0.37)
+    co = verify.laurent_v(catalog.get("ell21"), 0.0, 0.37)
     want = 0.25 * Tensor2.simple(ID2, ID2)
     assert (co[-1] - want).norm() < 1e-7
     assert co[-2].norm() < 1e-9
@@ -138,19 +138,19 @@ def test_laurent_ell21_quarter_identity():
 
 
 def test_laurent_rat21_half_identity():
-    co = verify.laurent_v(catalog.get("rat21"), (0.2, 0.9))
+    co = verify.laurent_v(catalog.get("rat21"), 0.2, 0.9)
     assert (co[-1] - 0.5 * Tensor2.simple(ID2, ID2)).norm() < 1e-9
 
 
 def test_laurent_semistable_higher_order_pole():
-    co = verify.laurent_v(catalog.get("trg20_semistable"), 0.8)
+    co = verify.laurent_v(catalog.get("trg20_semistable"), 0.0, 0.8)
     assert co[-2].norm() > 0.1
     assert co[-3].norm() > 0.1
 
 
 def test_laurent_radius_stability():
-    a = verify.laurent_v(catalog.get("ell21"), 0.37, radius=0.05)[-1]
-    b = verify.laurent_v(catalog.get("ell21"), 0.37, radius=0.025)[-1]
+    a = verify.laurent_v(catalog.get("ell21"), 0.0, 0.37, radius=0.05)[-1]
+    b = verify.laurent_v(catalog.get("ell21"), 0.0, 0.37, radius=0.025)[-1]
     assert (a - b).norm() < 1e-7
 
 
