@@ -3,14 +3,17 @@
 """Residual evaluators for the Yang-Baxter identities and limit extractors.
 
 Every check samples random admissible parameter points from a seeded
-generator, evaluates left minus right side of the identity in Mat_n^(x3)
-(or Mat_n^(x2)) and reports the max absolute residual.
+generator (or walks a fixed grid), evaluates left minus right side of the
+identity in Mat_n^(x3) (or Mat_n^(x2)) and reports the max absolute residual
+through `_report`.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
@@ -43,25 +46,12 @@ class PoleSampleError(RuntimeError):
     """Sampling repeatedly hit (near-)poles of the solution."""
 
 
-def _rand_points(rng: np.random.Generator, k: int) -> np.ndarray:
-    """k generic complex numbers, O(1), kept away from the origin."""
-    pts = rng.uniform(0.25, 1.1, k) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, k))
-    return pts
-
-
-def _distinct(pts: Sequence[complex], min_sep: float = 5e-2) -> bool:
-    pts = list(pts)
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if abs(pts[i] - pts[j]) < min_sep:
-                return False
-    return True
-
-
-def _sample(rng, k, max_tries=200) -> np.ndarray:
-    for _ in range(max_tries):
-        pts = _rand_points(rng, k)
-        if _distinct(pts):
+def _sample(rng: np.random.Generator, k: int) -> np.ndarray:
+    """k generic complex numbers in the ring 0.25 <= |z| <= 1.1, pairwise at
+    least 0.05 apart (at most 200 tries)."""
+    for _ in range(200):
+        pts = rng.uniform(0.25, 1.1, k) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, k))
+        if all(abs(a - b) >= 5e-2 for a, b in combinations(pts, 2)):
             return pts
     raise PoleSampleError("could not draw distinct sample points")
 
@@ -88,6 +78,18 @@ def default_tol(identity: str, kappa: complex = 1.0):
                            else identity)
 
 
+def _report(identity: str, solution: str, pairs: list, tol: float,
+            seed: int) -> ResidualReport:
+    """The report of a check from its (residual, point) pairs: one sample per pair,
+    the first largest residual and its point.  A NaN ranks above every number,
+    so the report fails; no pairs is a ValueError, not a vacuous pass."""
+    if not pairs:
+        raise ValueError(f"{identity}: no samples to report")
+    worst, worst_at = max(pairs, key=lambda p: (math.isnan(p[0]), p[0]))
+    return ResidualReport(identity, solution, len(pairs), worst, worst_at, tol, seed,
+                          worst < tol)
+
+
 def _sampled_residual(identity: str, sol: RSolution, k: int, terms: Callable,
                       residual: Callable, samples: int, tol: float,
                       seed: int) -> ResidualReport:
@@ -95,10 +97,8 @@ def _sampled_residual(identity: str, sol: RSolution, k: int, terms: Callable,
 
     A draw whose terms are not all below NORM_CAP is rejected; a sample gets
     at most 50 draws."""
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
     rng = np.random.default_rng(seed)
-    worst, worst_at = -1.0, ()
+    pairs = []
     for _ in range(samples):
         for _retry in range(50):
             pts = _sample(rng, k)
@@ -107,11 +107,8 @@ def _sampled_residual(identity: str, sol: RSolution, k: int, terms: Callable,
                 break
         else:
             raise PoleSampleError("sampling kept hitting poles")
-        res = residual(*ts).norm()
-        if res > worst:
-            worst, worst_at = res, tuple(pts)
-    return ResidualReport(identity, sol.name, samples, worst, worst_at, tol, seed,
-                          worst < tol)
+        pairs.append((residual(*ts).norm(), tuple(pts)))
+    return _report(identity, sol.name, pairs, tol, seed)
 
 
 def aybe(sol: RSolution, samples: int = 50, tol: float = DEFAULT_TOL["aybe"],
@@ -232,19 +229,15 @@ def classical_limit(sol: RSolution, reference: RSolution,
                     v0: complex = 0.08, y_base: complex = 0.0) -> ResidualReport:
     """Compare the extrapolated classical limit against a catalog entry on a
     y-grid (points y interpreted as (y_base, y_base + y) pairs)."""
-    pairs = [(y_base, y_base + y) for y in y_grid]
-    vals = classical_limit_values(sol, pairs, v0=v0)
+    y_grid = list(y_grid)
+    y_pairs = [(y_base, y_base + y) for y in y_grid]
+    vals = classical_limit_values(sol, y_pairs, v0=v0)
     if reference.arity == "cl_ydiff":
         ref = [reference.evaluator(y) for y in y_grid]
     else:
-        ref = [reference.evaluator(a, b) for (a, b) in pairs]
-    worst, worst_at = -1.0, ()
-    for y, got, want in zip(y_grid, vals, ref):
-        res = (got - want).norm()
-        if res > worst:
-            worst, worst_at = res, (y,)
-    return ResidualReport("classical-limit", f"{sol.name}->{reference.name}",
-                          len(list(y_grid)), worst, worst_at, tol, 0, worst < tol)
+        ref = [reference.evaluator(a, b) for (a, b) in y_pairs]
+    res = [((got - want).norm(), (y,)) for y, got, want in zip(y_grid, vals, ref)]
+    return _report("classical-limit", f"{sol.name}->{reference.name}", res, tol, 0)
 
 
 def laurent_v(sol: RSolution, y1: complex, y2: complex, radius: float = 0.05,
@@ -263,6 +256,26 @@ def laurent_v(sol: RSolution, y1: complex, y2: complex, radius: float = 0.05,
     return coeffs
 
 
+def _line_fit(t: Tensor2, line: Tensor2) -> tuple:
+    """(alpha, defect): alpha * line is the least-squares nearest multiple of
+    line to t, and defect = |t - alpha * line|."""
+    alpha = complex(np.vdot(line.coeffs, t.coeffs) / np.vdot(line.coeffs, line.coeffs))
+    return alpha, (t - alpha * line).norm()
+
+
+def laurent_payload(sol: RSolution) -> dict:
+    """rmx verify --identity laurent: the norms of the Laurent coefficients of
+    r(v; y1, y2) at v = 0, and r_{-1} fitted to a multiple of 1 (x) 1, at
+    (y1, y2) = (0.2, 0.9) for r(v; y1, y2) and (0.0, 0.47) otherwise."""
+    y1, y2 = (0.2, 0.9) if sol.arity == "vdiff_y12" else (0.0, 0.47)
+    co = laurent_v(sol, y1, y2)
+    a, defect = _line_fit(co[-1], Tensor2.simple(np.eye(sol.n), np.eye(sol.n)))
+    return {"identity": "laurent", "solution": sol.name,
+            "order_norms": {str(m): c.norm() for m, c in co.items()},
+            "r_minus1_identity_component": [a.real, a.imag],
+            "r_minus1_offidentity_defect": defect}
+
+
 def casimir_residue(sol: RSolution, radius: float = 0.05, n_samples: int = 64,
                     y_base: complex = 0.0) -> tuple:
     """Residue of a classical solution at coinciding spectral points.
@@ -275,12 +288,7 @@ def casimir_residue(sol: RSolution, radius: float = 0.05, n_samples: int = 64,
     ys = radius * np.exp(1j * thetas)
     # res = (1/2pi i) contour integral = mean of f(y) * y over the circle
     vals = np.stack([r2(y_base, y_base + y).coeffs * y for y in ys])
-    res = Tensor2(sol.n, vals.mean(axis=0))
-    omega = casimir(sol.n)
-    alpha = complex(np.vdot(omega.coeffs, res.coeffs)
-                    / np.vdot(omega.coeffs, omega.coeffs))
-    defect = (res - alpha * omega).norm()
-    return alpha, defect
+    return _line_fit(Tensor2(sol.n, vals.mean(axis=0)), casimir(sol.n))
 
 
 DEGENERATION_YS = (0.3, 0.7, 1.1)
@@ -365,7 +373,7 @@ def dunkl_commutator(sol: RSolution, m: int = 3, kappa: complex = 1.0,
             return out
         return tf
 
-    worst, worst_at = -1.0, ()
+    pairs = []  # one per sample and i < j
     for _ in range(samples):
         # well-separated arguments keep the r-matrix derivatives moderate
         base = rng.uniform(0.0, 2 * np.pi)
@@ -375,9 +383,5 @@ def dunkl_commutator(sol: RSolution, m: int = 3, kappa: complex = 1.0,
             for j in range(i + 1, m):
                 ti_tj = theta(i, theta(j, testfn))
                 tj_ti = theta(j, theta(i, testfn))
-                res = float(np.max(np.abs(ti_tj(xs) - tj_ti(xs))))
-                if res > worst:
-                    worst, worst_at = res, tuple(xs)
-    return ResidualReport("dunkl-commutator", sol.name,
-                          samples * m * (m - 1) // 2, worst, worst_at, tol,
-                          seed, worst < tol)
+                pairs.append((float(np.max(np.abs(ti_tj(xs) - tj_ti(xs)))), tuple(xs)))
+    return _report("dunkl-commutator", sol.name, pairs, tol, seed)

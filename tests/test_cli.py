@@ -152,6 +152,28 @@ def test_verify_laurent(capsys):
     assert abs(d["r_minus1_identity_component"][0] - 0.25) < 1e-7
 
 
+@pytest.mark.parametrize("name", ["rat21", "ell21"])
+def test_verify_laurent_stdout_is_the_library_payload(capsys, name):
+    # rat21 is read as r(v; y1, y2), ell21 in difference form
+    code, out = run(capsys, "verify", "--identity", "laurent", "--solution", name)
+    assert code == 0
+    want = verify.laurent_payload(catalog.get(name))
+    assert out == json.dumps(want, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("identity,check,name", [
+    ("aybe", verify.aybe, "trg21"), ("dual", verify.aybe_dual, "rat21"),
+    ("unitarity", verify.unitarity, "ell21"), ("cybe", verify.cybe, "stolin"),
+])
+def test_verify_sampled_identity_stdout_is_the_library_report(capsys, identity,
+                                                              check, name):
+    code, out = run(capsys, "verify", "--identity", identity, "--solution", name,
+                    "--samples", "3", "--seed", "8")
+    rep = check(catalog.get(name), samples=3, seed=8)
+    assert code == (0 if rep.passed else 1)
+    assert out == json.dumps(rep.to_json_dict(), sort_keys=True, indent=2) + "\n"
+
+
 def test_canon_nodal_3_2(capsys):
     code, out = run(capsys, "canon", "--type", "nodal", "--n1", "3", "--n2",
                     "2", "--lambda", "2")

@@ -107,6 +107,34 @@ def test_classical_limit_rat21():
     assert rep.passed, rep
 
 
+@pytest.mark.parametrize("name,ref,y_base", [("trg21", "cherednik", 0.0),
+                                              ("rat21", "stolin", 0.15)])
+def test_classical_limit_reads_a_generator_grid_once(name, ref, y_base):
+    sol, reference = catalog.get(name), catalog.get(ref)
+    grid = [0.3 + 0.1 * k for k in range(10)]
+    want = verify.classical_limit(sol, reference, grid, y_base=y_base)
+    got = verify.classical_limit(sol, reference, iter(grid), y_base=y_base)
+    assert got.samples == 10
+    assert (got.max_residual, got.argmax_sample) == (want.max_residual,
+                                                      want.argmax_sample)
+    assert got.passed
+
+
+def test_classical_limit_empty_grid_is_an_error():
+    # no grid points would report max_residual = -1.0, a vacuous pass
+    with pytest.raises(ValueError, match="samples"):
+        verify.classical_limit(catalog.get("rat21"), catalog.get("stolin"), [])
+
+
+def test_classical_limit_nan_residual_fails():
+    nan = RSolution("nan", "cl_y12", 2,
+                    lambda y1, y2: Tensor2(2, np.full((2,) * 4, np.nan + 0j)))
+    rep = verify.classical_limit(catalog.get("rat21"), nan, [0.3, 0.4],
+                                 y_base=0.15)
+    assert np.isnan(rep.max_residual) and not rep.passed
+    assert rep.samples == 2 and rep.argmax_sample == (0.3,)
+
+
 def test_classical_limit_divergence_for_semistable():
     with pytest.raises(verify.DivergenceError):
         verify.classical_limit_values(catalog.get("trg20_semistable"),
@@ -214,7 +242,30 @@ def test_dunkl_constant_testfn_kappa_zero():
     assert rep.passed, rep
 
 
+def test_dunkl_nan_residual_fails():
+    rep = verify.dunkl_commutator(catalog.get("rat21"), m=3, kappa=0.0,
+                                  testfn=lambda xs: np.full((8, 8), np.nan),
+                                  samples=2, seed=13)
+    assert np.isnan(rep.max_residual) and not rep.passed
+    assert rep.samples == 6
+
+
 # --- report plumbing -------------------------------------------------------------
+
+def test_report_takes_the_first_largest_residual():
+    rep = verify._report("x", "s", [(1.0, (1,)), (2.0, (2,)), (2.0, (3,)),
+                                    (0.5, (4,))], 3.0, 5)
+    assert (rep.samples, rep.max_residual, rep.argmax_sample) == (4, 2.0, (2,))
+    assert rep.passed and rep.seed == 5
+
+
+def test_report_ranks_nan_above_every_number():
+    nan = float("nan")
+    rep = verify._report("x", "s", [(1.0, (1,)), (nan, (2,)), (np.inf, (3,)),
+                                    (nan, (4,))], 3.0, 0)
+    assert np.isnan(rep.max_residual) and rep.argmax_sample == (2,)
+    assert rep.samples == 4 and not rep.passed
+
 
 def test_report_serialization():
     rep = verify.aybe(catalog.get("rat21"), samples=3, seed=14)
@@ -293,7 +344,7 @@ def test_catalog_residuals_are_pinned(name, check, seed):
 
 @pytest.mark.parametrize("check,name", [
     ("aybe", "trg21"), ("aybe_dual", "trg21"), ("unitarity", "trg21"),
-    ("cybe", "yang"), ("qybe", "trg21"),
+    ("cybe", "yang"), ("qybe", "trg21"), ("dunkl_commutator", "rat21"),
 ])
 @pytest.mark.parametrize("samples", [0, -3])
 def test_sampled_checks_reject_nonpositive_samples(check, name, samples):
