@@ -100,15 +100,14 @@ def canonical_nodal_matrix(n1: int, n2: int, lam: complex) -> np.ndarray:
         y = m[:m1, m1:]
         z = m[m1:, :m1]
         w = m[m1:, m1:]
+        new = np.zeros((t1 + t2, t1 + t2), dtype=complex)
         if t1 == m1 + m2:      # (m1, m2) -> (m1 + m2, m2)
-            new = np.zeros((t1 + t2, t1 + t2), dtype=complex)
             new[:m1, :m1] = x
             new[:m1, m1:m1 + m2] = y
             new[m1:m1 + m2, m1 + m2:] = np.eye(m2)
             new[m1 + m2:, :m1] = z
             new[m1 + m2:, m1:m1 + m2] = w
         else:                  # (m1, m2) -> (m1, m1 + m2)
-            new = np.zeros((t1 + t2, t1 + t2), dtype=complex)
             new[:m1, m1:2 * m1] = np.eye(m1)
             new[m1:, :m1] = np.vstack([x, z])
             new[m1:, 2 * m1:] = np.vstack([y, w])
@@ -298,10 +297,8 @@ class AutomorphyFactor:
         n, d, tau = self.n, self.d, self.tau
         qxn = np.exp(-2j * pi * self.x / n)
         phi_n = np.exp(-1j * pi * n * tau - 2j * pi * z)
-        m = np.diag(np.ones(n - 1, dtype=complex), 1)
+        m = np.diag(np.ones(n - 1, dtype=complex), 1)  # 1 x 1 zero at n = 1
         m[n - 1, 0] = phi_n**d
-        if n == 1:
-            m = np.array([[phi_n**d]], dtype=complex)
         return qxn * m
 
 

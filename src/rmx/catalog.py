@@ -256,41 +256,41 @@ _CLASSICAL_PARTNER = {
     "rat21_degenerate": "yang",
 }
 
+# (trg, rat) of the one recorded degeneration (1/t) trg(y/t) -> rat(y)
+_DEGENERATION = ("cherednik", "yang")
+
 NAMES = (
     "ell21", "trg21", "rat21", "trg20_semistable", "ell21_classical",
     "cherednik", "stolin", "stolin_difference_s", "yang", "rat21_degenerate",
 )
 
+# name -> (arity, evaluator, poles) of the rank-2 entries that take no tau
+_FIXED = {
+    "trg21": ("vdiff_ydiff", _trg21, "v, y = 0 mod pi"),
+    "cherednik": ("cl_ydiff", _cherednik, "y = 0 mod pi"),
+    "rat21": ("vdiff_y12", _rat21, "v = 0, y1 = y2"),
+    "stolin": ("cl_y12", _stolin, "y1 = y2"),
+    "stolin_difference_s": ("cl_ydiff", _stolin_difference, "y = 0"),
+    "yang": ("cl_ydiff", _yang, "y = 0"),
+    "rat21_degenerate": ("vdiff_ydiff", _rat21_degenerate, "v = 0, y = 0"),
+    "trg20_semistable": ("vdiff_ydiff", _trg20, "v, y = 0 mod pi; pole of order 3 in v"),
+}
 
-def get(name: str, tau: complex = DEFAULT_TAU, tol: float = 1e-14) -> RSolution:
+
+def get(name: str, tau: complex = DEFAULT_TAU) -> RSolution:
     """Look up a named solution.  tau only matters for the elliptic entries."""
     if name == "ell21":
-        p = ThetaParams(tau, tol)
+        p = ThetaParams(tau)
         return RSolution(name, "vdiff_ydiff", 2, lambda v, y: _ell21(v, y, p),
                          poles="v = 0, y = 0 (mod lattice)", params={"tau": tau})
     if name == "ell21_classical":
-        p = ThetaParams(tau, tol)
+        p = ThetaParams(tau)
         return RSolution(name, "cl_ydiff", 2, lambda y: _ell21_classical(y, p),
                          poles="y = 0 (mod lattice)", params={"tau": tau})
-    if name == "trg21":
-        return RSolution(name, "vdiff_ydiff", 2, _trg21, poles="v, y = 0 mod pi")
-    if name == "cherednik":
-        return RSolution(name, "cl_ydiff", 2, _cherednik, poles="y = 0 mod pi")
-    if name == "rat21":
-        return RSolution(name, "vdiff_y12", 2, _rat21, poles="v = 0, y1 = y2")
-    if name == "stolin":
-        return RSolution(name, "cl_y12", 2, _stolin, poles="y1 = y2")
-    if name == "stolin_difference_s":
-        return RSolution(name, "cl_ydiff", 2, _stolin_difference, poles="y = 0")
-    if name == "yang":
-        return RSolution(name, "cl_ydiff", 2, _yang, poles="y = 0")
-    if name == "rat21_degenerate":
-        return RSolution(name, "vdiff_ydiff", 2, _rat21_degenerate,
-                         poles="v = 0, y = 0")
-    if name == "trg20_semistable":
-        return RSolution(name, "vdiff_ydiff", 2, _trg20,
-                         poles="v, y = 0 mod pi; pole of order 3 in v")
-    raise KeyError(f"unknown solution name {name!r}; known: {', '.join(NAMES)}")
+    if name not in _FIXED:
+        raise KeyError(f"unknown solution name {name!r}; known: {', '.join(NAMES)}")
+    arity, evaluator, poles = _FIXED[name]
+    return RSolution(name, arity, 2, evaluator, poles=poles)
 
 
 def classical_of(name: str, tau: complex = DEFAULT_TAU) -> RSolution:
@@ -303,3 +303,11 @@ def classical_of(name: str, tau: complex = DEFAULT_TAU) -> RSolution:
     except KeyError:
         raise ValueError(f"no classical partner recorded for {name!r}") from None
     return get(partner, tau=tau)
+
+
+def degeneration_of(name: str) -> tuple:
+    """(trg, rat) of the recorded degeneration, named by either end."""
+    if name not in _DEGENERATION:
+        raise ValueError(f"no degeneration recorded for {name!r}; "
+                         "the catalog records cherednik -> yang")
+    return tuple(map(get, _DEGENERATION))

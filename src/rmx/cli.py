@@ -217,11 +217,9 @@ def cmd_verify(args) -> int:
             _emit(payload, args)
             return 0 if payload["passed"] else 1
         elif args.identity == "degeneration":
-            rep = verify.degeneration_trg_to_rat(
-                catalog.get("cherednik"), catalog.get("yang"), tol=tol)
+            rep = verify.degeneration_trg_to_rat(*catalog.degeneration_of(sol.name), tol=tol)
         else:  # dunkl: argparse's choices admit no other name
-            rep = verify.dunkl_commutator(sol, m=3, kappa=args.kappa, tol=tol,
-                                          seed=seed)
+            rep = verify.dunkl_commutator(sol, kappa=args.kappa, tol=tol, seed=seed)
     except verify.DivergenceError as e:
         payload = {"identity": args.identity, "solution": sol.name,
                    "divergence": True, "detail": str(e), "passed": False}
@@ -277,7 +275,13 @@ def _parse_grid(spec_str, default):
 def cmd_sweep(args) -> int:
     if args.kind == "degeneration":
         grid = _parse_grid(args.grid, [1e2, 1e3, 1e4, 1e5])
-        trg, rat = catalog.get("cherednik"), catalog.get("yang")
+        # with no solution named, the sweep runs the one recorded degeneration
+        named = any(a is not None for a in (args.solution, args.curve, args.g2, args.g3))
+        try:
+            trg, rat = catalog.degeneration_of(
+                _solution_from_args(args).name if named else "cherednik")
+        except ValueError as e:
+            raise SystemExit2(str(e))
         lines = ["t,max_error"]
         for t in grid:
             lines.append(f"{t!r},{verify.degeneration_error(trg, rat, t)!r}")
@@ -293,9 +297,8 @@ def cmd_sweep(args) -> int:
         lines = ["v,pr_norm,delta_to_next"]
         vals = [project_sl(r3(v, 0.15, 0.85)) for v in grid]
         for i, v in enumerate(grid):
-            delta = (vals[i] - vals[i + 1]).norm() if i + 1 < len(grid) else ""
-            lines.append(f"{v!r},{vals[i].norm()!r},{delta!r}" if delta != ""
-                         else f"{v!r},{vals[i].norm()!r},")
+            delta = repr((vals[i] - vals[i + 1]).norm()) if i + 1 < len(grid) else ""
+            lines.append(f"{v!r},{vals[i].norm()!r},{delta}")
         _emit("\n".join(lines) + "\n", args)
         return 0
     raise SystemExit2(f"unknown sweep kind {args.kind!r}")

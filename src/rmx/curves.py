@@ -52,8 +52,8 @@ class CurveSpec:
                 raise ValueError("elliptic tau must satisfy Im(tau) > 0")
 
     @classmethod
-    def from_g2g3(cls, g2: complex, g3: complex, zero_tol: float = 1e-12) -> "CurveSpec":
-        return cls(classify(g2, g3, zero_tol), g2=complex(g2), g3=complex(g3))
+    def from_g2g3(cls, g2: complex, g3: complex) -> "CurveSpec":
+        return cls(classify(g2, g3), g2=complex(g2), g3=complex(g3))
 
     @classmethod
     def elliptic(cls, tau: complex) -> "CurveSpec":

@@ -216,10 +216,6 @@ def casimir(n: int) -> Tensor2:
     """
     if n < 2:
         raise ValueError("casimir requires n >= 2")
-    c = np.zeros((n,) * 4, dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            c[i, j, j, i] += 1.0
     eye = np.eye(n, dtype=complex)
-    c -= np.einsum("ij,kl->ijkl", eye, eye) / n
-    return Tensor2(n, c)
+    perm = np.einsum("il,jk->ijkl", eye, eye)  # the permutation tensor P
+    return Tensor2(n, perm - np.einsum("ij,kl->ijkl", eye, eye) / n)

@@ -25,7 +25,6 @@ at the argument u = pi*theta_3(0)^2 * z (see ARG_SCALE below).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import ceil, log, pi, sqrt
 
 import numpy as np
@@ -48,7 +47,7 @@ class ThetaParams:
             raise ValueError("tol must be positive")
 
 
-def _window(a: Fraction, z: complex, tau: complex, tol: float) -> int:
+def _window(a: float, z: complex, tau: complex, tol: float) -> int:
     """Symmetric summation bound N: terms with |n+a| >= N are below tol.
 
     The term modulus is exp(-pi Im(tau) (n+a)^2 + 2 pi |Im(z+b)| |n+a|); solve
@@ -57,22 +56,21 @@ def _window(a: Fraction, z: complex, tau: complex, tol: float) -> int:
     im_t = complex(tau).imag
     im_z = abs(complex(z).imag)
     t0 = (im_z + sqrt(im_z * im_z + im_t * log(1.0 / tol) / pi)) / im_t
-    return int(ceil(t0 + abs(float(a)))) + 5
+    return int(ceil(t0 + abs(a))) + 5
 
 
 def theta_char(a, b, z: complex, p: ThetaParams, deriv: int = 0) -> complex:
     """Mumford theta with characteristics theta[a,b](z|tau).
 
-    a and b are rational characteristics; they are handled exactly
-    (Fraction), so half-integer and 1/l characteristics do not drift.
+    a and b are real characteristics, read as floats (Fraction(1, 3) and
+    1/3 give the same value).
     deriv > 0 returns the term-wise d^deriv/dz^deriv of the series.
     """
-    a = Fraction(a)
-    b = Fraction(b)
+    a, b = float(a), float(b)
     tau = complex(p.tau)
-    zb = complex(z) + float(b)
+    zb = complex(z) + b
     n_max = _window(a, zb, tau, p.tol)
-    n = np.arange(-n_max, n_max + 1, dtype=float) + float(a)
+    n = np.arange(-n_max, n_max + 1, dtype=float) + a
     terms = np.exp(PI_I * n * n * tau + TWO_PI_I * n * zb)
     if deriv:
         terms = terms * (TWO_PI_I * n) ** deriv
@@ -82,10 +80,10 @@ def theta_char(a, b, z: complex, p: ThetaParams, deriv: int = 0) -> complex:
 
 
 _JACOBI_CHARS = {
-    1: (Fraction(1, 2), Fraction(1, 2), -1),
-    2: (Fraction(1, 2), Fraction(0), 1),
-    3: (Fraction(0), Fraction(0), 1),
-    4: (Fraction(0), Fraction(1, 2), 1),
+    1: (0.5, 0.5, -1),
+    2: (0.5, 0.0, 1),
+    3: (0.0, 0.0, 1),
+    4: (0.0, 0.5, 1),
 }
 
 
@@ -124,25 +122,26 @@ def arg_scale(p: ThetaParams) -> complex:
 _POLE_EPS = 1e-13
 
 
-def sn(z: complex, p: ThetaParams) -> complex:
-    den = theta_j(2, 0, p) * theta_j(4, z, p)
+def _theta_quotient(name: str, j0: int, j: int, k0: int, z: complex,
+                    p: ThetaParams) -> complex:
+    """theta_j0(0) theta_j(z) / (theta_k0(0) theta_4(z)), the Jacobi function
+    `name`; a numerically zero denominator is its pole."""
+    den = theta_j(k0, 0, p) * theta_j(4, z, p)
     if abs(den) < _POLE_EPS:
-        raise ZeroDivisionError(f"sn pole at z={z}")
-    return theta_j(3, 0, p) * theta_j(1, z, p) / den
+        raise ZeroDivisionError(f"{name} pole at z={z}")
+    return theta_j(j0, 0, p) * theta_j(j, z, p) / den
+
+
+def sn(z: complex, p: ThetaParams) -> complex:
+    return _theta_quotient("sn", 3, 1, 2, z, p)
 
 
 def cn(z: complex, p: ThetaParams) -> complex:
-    den = theta_j(2, 0, p) * theta_j(4, z, p)
-    if abs(den) < _POLE_EPS:
-        raise ZeroDivisionError(f"cn pole at z={z}")
-    return theta_j(4, 0, p) * theta_j(2, z, p) / den
+    return _theta_quotient("cn", 4, 2, 2, z, p)
 
 
 def dn(z: complex, p: ThetaParams) -> complex:
-    den = theta_j(3, 0, p) * theta_j(4, z, p)
-    if abs(den) < _POLE_EPS:
-        raise ZeroDivisionError(f"dn pole at z={z}")
-    return theta_j(4, 0, p) * theta_j(3, z, p) / den
+    return _theta_quotient("dn", 4, 3, 3, z, p)
 
 
 # --- shift transformation table --------------------------------------------

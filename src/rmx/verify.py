@@ -70,6 +70,23 @@ DEFAULT_TOL = {"aybe": 1e-8, "dual": 1e-8, "unitarity": 1e-10, "cybe": 1e-9,
                "qybe": 1e-8, "limit": 1e-7, "casimir": 1e-8,
                "degeneration": 1e-6, "dunkl": 1e-5, "dunkl-kappa0": 1e-9}
 
+# The fixed points of the deterministic checks.  Laurent and Casimir sample
+# CIRCLE_POINTS equally spaced points of |z| = CIRCLE_RADIUS (the angles and
+# the unit circle are shared); Laurent inverts orders LAURENT_ORDERS.  The
+# classical limit extrapolates from v = LIMIT_V0 / 2^k, k < LIMIT_LEVELS.  The
+# degeneration walks t along DEGENERATION_TS at each y in DEGENERATION_YS.
+# Dunkl acts on DUNKL_LEGS legs, leg k at y = DUNKL_YS[k], and differentiates
+# by central differences of step DUNKL_STEP.
+CIRCLE_RADIUS, CIRCLE_POINTS = 0.05, 64
+_ANGLES = 2 * np.pi * np.arange(CIRCLE_POINTS) / CIRCLE_POINTS
+_UNIT_CIRCLE = np.exp(1j * _ANGLES)
+LAURENT_ORDERS = (-3, -2, -1, 0)
+LIMIT_V0, LIMIT_LEVELS = 0.08, 5
+DEGENERATION_TS, DEGENERATION_YS = (1e3, 1e4, 1e5), (0.3, 0.7, 1.1)
+DUNKL_LEGS, DUNKL_STEP = 3, 1e-4
+DUNKL_YS = [complex(0.9 * np.exp(2j * np.pi * k / DUNKL_LEGS) + 0.1)
+            for k in range(DUNKL_LEGS)]
+
 
 def default_tol(identity: str, kappa: complex = 1.0):
     """Tolerance of a check when none is given (None for one without).  Dunkl
@@ -196,8 +213,7 @@ class DivergenceError(RuntimeError):
     """pr(x)pr values blow up as v -> 0; no classical limit."""
 
 
-def classical_limit_values(sol: RSolution, y_pairs: Sequence[tuple],
-                           v0: complex = 0.08, levels: int = 5) -> list:
+def classical_limit_values(sol: RSolution, y_pairs: Sequence[tuple]) -> list:
     """Richardson-extrapolated lim_{v->0} (pr(x)pr) r(v; y1, y2) on a grid.
 
     Divergence (as for the semistable solution) raises DivergenceError.
@@ -206,8 +222,8 @@ def classical_limit_values(sol: RSolution, y_pairs: Sequence[tuple],
     out = []
     for (y1, y2) in y_pairs:
         vals = []
-        for k in range(levels):
-            t = project_sl(ev(v0 / 2**k, y1, y2))
+        for k in range(LIMIT_LEVELS):
+            t = project_sl(ev(LIMIT_V0 / 2**k, y1, y2))
             vals.append(t.coeffs)
         norms = [np.max(np.abs(v)) for v in vals]
         if norms[-1] > 4.0 * norms[0] and norms[-1] > 1e3:
@@ -216,7 +232,7 @@ def classical_limit_values(sol: RSolution, y_pairs: Sequence[tuple],
                 "no classical limit")
         # Richardson on halving steps: eliminate v, v^2, ... terms
         table = [np.array(v) for v in vals]
-        for order in range(1, levels):
+        for order in range(1, LIMIT_LEVELS):
             f = 2.0**order
             table = [(f * table[i + 1] - table[i]) / (f - 1.0)
                      for i in range(len(table) - 1)]
@@ -226,12 +242,12 @@ def classical_limit_values(sol: RSolution, y_pairs: Sequence[tuple],
 
 def classical_limit(sol: RSolution, reference: RSolution,
                     y_grid: Sequence[complex], tol: float = DEFAULT_TOL["limit"],
-                    v0: complex = 0.08, y_base: complex = 0.0) -> ResidualReport:
+                    y_base: complex = 0.0) -> ResidualReport:
     """Compare the extrapolated classical limit against a catalog entry on a
     y-grid (points y interpreted as (y_base, y_base + y) pairs)."""
     y_grid = list(y_grid)
     y_pairs = [(y_base, y_base + y) for y in y_grid]
-    vals = classical_limit_values(sol, y_pairs, v0=v0)
+    vals = classical_limit_values(sol, y_pairs)
     if reference.arity == "cl_ydiff":
         ref = [reference.evaluator(y) for y in y_grid]
     else:
@@ -240,17 +256,15 @@ def classical_limit(sol: RSolution, reference: RSolution,
     return _report("classical-limit", f"{sol.name}->{reference.name}", res, tol, 0)
 
 
-def laurent_v(sol: RSolution, y1: complex, y2: complex, radius: float = 0.05,
-              n_samples: int = 64, orders: Sequence[int] = (-3, -2, -1, 0)) -> dict:
-    """Laurent coefficients of r(v; y1, y2) around v = 0 by circle sampling
-    and discrete Fourier inversion."""
+def laurent_v(sol: RSolution, y1: complex, y2: complex,
+              radius: float = CIRCLE_RADIUS) -> dict:
+    """Laurent coefficients of orders LAURENT_ORDERS of r(v; y1, y2) around
+    v = 0 by circle sampling and discrete Fourier inversion."""
     r3 = as_three_param(sol)
-    thetas = 2 * np.pi * np.arange(n_samples) / n_samples
-    vs = radius * np.exp(1j * thetas)
-    vals = np.stack([r3(v, y1, y2).coeffs for v in vs])
+    vals = np.stack([r3(v, y1, y2).coeffs for v in radius * _UNIT_CIRCLE])
     coeffs = {}
-    for m in orders:
-        phase = np.exp(-1j * m * thetas) / n_samples
+    for m in LAURENT_ORDERS:
+        phase = np.exp(-1j * m * _ANGLES) / CIRCLE_POINTS
         c = np.tensordot(phase, vals, axes=(0, 0)) / radius**m
         coeffs[m] = Tensor2(sol.n, c)
     return coeffs
@@ -276,68 +290,52 @@ def laurent_payload(sol: RSolution) -> dict:
             "r_minus1_offidentity_defect": defect}
 
 
-def casimir_residue(sol: RSolution, radius: float = 0.05, n_samples: int = 64,
-                    y_base: complex = 0.0) -> tuple:
-    """Residue of a classical solution at coinciding spectral points.
+def casimir_residue(sol: RSolution) -> tuple:
+    """Residue of a classical solution r(y1, y2) at y2 = y1 = 0.
 
     Returns (alpha, defect): residue = alpha * casimir(n) with defect the
     distance to the Casimir line.
     """
     r2 = as_two_point(sol)
-    thetas = 2 * np.pi * np.arange(n_samples) / n_samples
-    ys = radius * np.exp(1j * thetas)
     # res = (1/2pi i) contour integral = mean of f(y) * y over the circle
-    vals = np.stack([r2(y_base, y_base + y).coeffs * y for y in ys])
+    vals = np.stack([r2(0.0, y).coeffs * y for y in CIRCLE_RADIUS * _UNIT_CIRCLE])
     return _line_fit(Tensor2(sol.n, vals.mean(axis=0)), casimir(sol.n))
 
 
-DEGENERATION_YS = (0.3, 0.7, 1.1)
-
-
-def degeneration_error(trg: RSolution, rat: RSolution, t: float,
-                       y_grid: Sequence[float] = DEGENERATION_YS) -> float:
-    """max over y in y_grid of |(1/t) trg(y/t) - rat(y)|."""
+def degeneration_error(trg: RSolution, rat: RSolution, t: float) -> float:
+    """max over y in DEGENERATION_YS of |(1/t) trg(y/t) - rat(y)|."""
     return max(((1.0 / t) * trg.evaluator(y / t) - rat.evaluator(y)).norm()
-               for y in y_grid)
+               for y in DEGENERATION_YS)
 
 
 def degeneration_trg_to_rat(trg: RSolution, rat: RSolution,
-                            t_seq: Sequence[float] = (1e3, 1e4, 1e5),
-                            y_grid: Sequence[float] = DEGENERATION_YS,
                             tol: float = DEFAULT_TOL["degeneration"]) -> ResidualReport:
-    """Check (1/t) trg(y/t) -> rat(y) along the t sequence."""
-    errs = [degeneration_error(trg, rat, t, y_grid) for t in t_seq]
-    final = errs[-1]
+    """Check (1/t) trg(y/t) -> rat(y) along DEGENERATION_TS."""
+    errs = [degeneration_error(trg, rat, t) for t in DEGENERATION_TS]
     monotone = all(errs[i + 1] < errs[i] for i in range(len(errs) - 1))
-    rep = ResidualReport("degeneration", f"{trg.name}->{rat.name}",
-                         len(t_seq) * len(list(y_grid)), final, (t_seq[-1],),
-                         tol, 0, final < tol and monotone)
-    rep.extra["errors_along_t"] = errs
-    return rep
+    return ResidualReport("degeneration", f"{trg.name}->{rat.name}",
+                          len(DEGENERATION_TS) * len(DEGENERATION_YS), errs[-1],
+                          (DEGENERATION_TS[-1],), tol, 0, errs[-1] < tol and monotone,
+                          {"errors_along_t": errs})
 
 
 # --- Dunkl operators ---------------------------------------------------------
 
-def dunkl_commutator(sol: RSolution, m: int = 3, kappa: complex = 1.0,
-                     y_points: Sequence[complex] = None,
-                     testfn: Callable = None, h: float = 1e-4,
+def dunkl_commutator(sol: RSolution, kappa: complex = 1.0, testfn: Callable = None,
                      samples: int = 3, tol: float = None,
                      seed: int = 0) -> ResidualReport:
     """Max |([theta_i, theta_j] f)(x)| over i<j and sample points, where
     theta_i = kappa d_i + sum_{j != i} rtilde^{ij} K^{ij} acts on
     Mat_n^(x m)-valued functions of (x_1..x_m) with fixed distinct y's.
 
-    Derivatives use central differences of step h (second-order accurate);
-    the kappa = 0 case involves no differentiation and is exact.
+    Derivatives use central differences (second-order accurate); the
+    kappa = 0 case involves no differentiation and is exact.
     """
     if tol is None:
         tol = default_tol("dunkl", kappa)
     rng = np.random.default_rng(seed)
-    n = sol.n
+    n, m, h = sol.n, DUNKL_LEGS, DUNKL_STEP
     rfun = as_three_param(sol)
-    if y_points is None:
-        y_points = [0.9 * np.exp(2j * np.pi * k / m) + 0.1 for k in range(m)]
-    y_points = [complex(y) for y in y_points]
     if testfn is None:
         # generic matrix-valued polynomial test function
         coef = rng.standard_normal((3, n**m, n**m)) \
@@ -365,10 +363,8 @@ def dunkl_commutator(sol: RSolution, m: int = 3, kappa: complex = 1.0,
             if kappa != 0:
                 # central differences with one Richardson refinement
                 out = out + kappa * (4 * ddx(f, xs, i, h / 2) - ddx(f, xs, i, h)) / 3
-            for j in range(m):
-                if j == i:
-                    continue
-                rij = embed(rfun(xs[i] - xs[j], y_points[i], y_points[j]), (i, j), m)
+            for j in (k for k in range(m) if k != i):
+                rij = embed(rfun(xs[i] - xs[j], DUNKL_YS[i], DUNKL_YS[j]), (i, j), m)
                 out = out + rij @ f(swap_args(xs, i, j))
             return out
         return tf

@@ -258,9 +258,9 @@ def test_criterion_12_dunkl_commutativity():
     worst0 = worst1 = -1.0
     for name in ("rat21", "trg21"):
         sol = catalog.get(name)
-        r0 = verify.dunkl_commutator(sol, m=3, kappa=0.0, samples=2,
+        r0 = verify.dunkl_commutator(sol, kappa=0.0, samples=2,
                                      tol=1e-9, seed=46)
-        r1 = verify.dunkl_commutator(sol, m=3, kappa=1.0, samples=2,
+        r1 = verify.dunkl_commutator(sol, kappa=1.0, samples=2,
                                      tol=1e-5, seed=47)
         assert r0.passed and r1.passed, (name, r0.max_residual, r1.max_residual)
         worst0 = max(worst0, r0.max_residual)

@@ -111,6 +111,14 @@ def test_classical_partners():
         catalog.classical_of("trg20_semistable")
 
 
+def test_degeneration_pair():
+    for name in ("cherednik", "yang"):
+        assert [s.name for s in catalog.degeneration_of(name)] == ["cherednik", "yang"]
+    for name in ("trg21", "rat21", "rat21_degenerate"):
+        with pytest.raises(ValueError, match="no degeneration recorded"):
+            catalog.degeneration_of(name)
+
+
 def test_stolin_gauge_relation():
     # (phi(y1) (x) phi(y2)) stolin(y1, y2) = s(y2 - y1)
     st = catalog.get("stolin")

@@ -213,6 +213,36 @@ def test_sweep_degeneration_decreasing(capsys):
     assert errs[-1] < 1e-6
 
 
+@pytest.mark.parametrize("name", ["cherednik", "yang"])
+def test_verify_degeneration_stdout_is_the_cherednik_to_yang_report(capsys, name):
+    code, out = run(capsys, "verify", "--identity", "degeneration", "--solution", name)
+    rep = verify.degeneration_trg_to_rat(catalog.get("cherednik"), catalog.get("yang"))
+    assert code == 0 and rep.solution == "cherednik->yang" and rep.samples == 9
+    assert out == json.dumps(rep.to_json_dict(), sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--identity", "degeneration", "--solution", "rat21"],
+    ["verify", "--identity", "degeneration", "--solution", "trg21"],
+    ["verify", "--identity", "degeneration", "--curve", "nodal"],
+    ["sweep", "--kind", "degeneration", "--solution", "trg21"],
+    ["sweep", "--kind", "degeneration", "--curve", "cuspidal"],
+])
+def test_degeneration_refuses_a_solution_it_does_not_test(capsys, argv):
+    # the one recorded degeneration is cherednik -> yang; any other name is
+    # a usage error, not a silent cherednik -> yang report
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "no degeneration recorded" in err
+
+
+def test_sweep_degeneration_names_either_end_of_the_pair(capsys):
+    _, want = run(capsys, "sweep", "--kind", "degeneration")
+    for name in ("cherednik", "yang"):
+        assert run(capsys, "sweep", "--kind", "degeneration", "--solution", name) == (0, want)
+
+
 def test_sweep_limit_stabilizes(capsys):
     code, out = run(capsys, "sweep", "--kind", "limit", "--solution", "rat21",
                     "--grid", "1e-1,1e-2,1e-3,1e-4")

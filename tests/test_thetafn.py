@@ -49,6 +49,16 @@ def test_theta_char_matches_classical_series(params):
         assert abs(theta_j(4, z, params) - oracles.theta4_cosine_series(z, tau)) < 1e-11
 
 
+@pytest.mark.parametrize("a,b", [(Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 3), 0),
+                                 (Fraction(-2, 5), Fraction(1, 7))])
+def test_fraction_and_float_characteristics_agree(params, a, b):
+    # characteristics are read as floats: a Fraction gives its float's value
+    for z in (0.0, 0.31 - 0.12j, 1.4 + 0.3j):
+        for deriv in (0, 1):
+            assert theta_char(a, b, z, params, deriv) == \
+                theta_char(float(a), float(b), z, params, deriv)
+
+
 def test_period_one(params):
     rng = np.random.default_rng(2)
     for z in rand_z(rng, 10):

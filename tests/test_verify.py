@@ -220,14 +220,14 @@ def test_degeneration_t_equals_one_is_far():
 
 @pytest.mark.parametrize("name", ["rat21", "trg21"])
 def test_dunkl_kappa_zero_exact(name):
-    rep = verify.dunkl_commutator(catalog.get(name), m=3, kappa=0.0,
+    rep = verify.dunkl_commutator(catalog.get(name), kappa=0.0,
                                   samples=2, tol=1e-9, seed=11)
     assert rep.passed, rep
 
 
 @pytest.mark.parametrize("name", ["rat21", "trg21"])
 def test_dunkl_kappa_one_finite_difference(name):
-    rep = verify.dunkl_commutator(catalog.get(name), m=3, kappa=1.0,
+    rep = verify.dunkl_commutator(catalog.get(name), kappa=1.0,
                                   samples=2, tol=1e-5, seed=12)
     assert rep.passed, rep
 
@@ -236,14 +236,14 @@ def test_dunkl_constant_testfn_kappa_zero():
     # constant function: only the algebraic Yang-Baxter relations act
     n = 2
     const = np.kron(np.kron(H, ID2), E21) + 0.3 * np.eye(8)
-    rep = verify.dunkl_commutator(catalog.get("rat21"), m=3, kappa=0.0,
+    rep = verify.dunkl_commutator(catalog.get("rat21"), kappa=0.0,
                                   testfn=lambda xs: const, samples=2,
                                   tol=1e-9, seed=13)
     assert rep.passed, rep
 
 
 def test_dunkl_nan_residual_fails():
-    rep = verify.dunkl_commutator(catalog.get("rat21"), m=3, kappa=0.0,
+    rep = verify.dunkl_commutator(catalog.get("rat21"), kappa=0.0,
                                   testfn=lambda xs: np.full((8, 8), np.nan),
                                   samples=2, seed=13)
     assert np.isnan(rep.max_residual) and not rep.passed
