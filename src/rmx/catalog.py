@@ -24,11 +24,37 @@ from typing import Callable
 import numpy as np
 
 from .tensorcore import E11, E12, E21, E22, GAMMA, H, ID2, SIGMA, Tensor2
-from .thetafn import ThetaParams, theta_j, theta1_prime_at_0, sn, cn, dn
+from .thetafn import ThetaParams, jacobi_quotient, theta_j, theta1_prime_at_0
 
 
-def _t(a, b) -> Tensor2:
-    return Tensor2.simple(a, b)
+def _basis(t: Tensor2) -> np.ndarray:
+    """The coefficient array of a constant tensor, made read-only."""
+    t.coeffs.flags.writeable = False
+    return t.coeffs
+
+
+# Constant (2,2,2,2) coefficient arrays of the closed forms, built once with
+# the same tensor sums as the formulas spell them.  Each closed form is
+# scalar x array arithmetic on these, term by term in the formula's order,
+# and wraps the result in one Tensor2.
+_S = Tensor2.simple
+_ID_ID = _basis(_S(ID2, ID2))
+_H_H, _SIGMA_SIGMA = _basis(_S(H, H)), _basis(_S(SIGMA, SIGMA))
+_GAMMA_GAMMA = _basis(_S(GAMMA, GAMMA))
+_E12_E12, _E21_E21 = _basis(_S(E12, E12)), _basis(_S(E21, E21))
+_E12_E21, _E21_E12 = _basis(_S(E12, E21)), _basis(_S(E21, E12))
+_H_E21, _E21_H = _basis(_S(H, E21)), _basis(_S(E21, H))
+_DIAG = _basis(_S(E11, E11) + _S(E22, E22))
+_CROSS = _basis(_S(E11, E22) + _S(E22, E11))
+_OFF = _basis(_S(E12, E21) + _S(E21, E12))
+_DIAG_OFF = _basis(_S(E11, E11) + _S(E22, E22) + _S(E12, E21) + _S(E21, E12))
+_CASIMIR = _basis(0.5 * _S(H, H) + _S(E12, E21) + _S(E21, E12))
+_E21H_HE21 = _basis(_S(E21, H) + _S(H, E21))
+_E12H_HE12 = _basis(_S(E12, H) - _S(H, E12))
+# e_i (x) e_j for the ordered sl2 basis (h, e12, e21), stacked (3, 3, 2, 2, 2, 2)
+_SL2 = (H, E12, E21)
+_SL2_BASIS = np.array([[_S(a, b).coeffs for b in _SL2] for a in _SL2])
+_SL2_BASIS.flags.writeable = False
 
 
 def _csin(z):
@@ -95,13 +121,15 @@ def as_two_point(sol: RSolution) -> Callable[[complex, complex], Tensor2]:
 
 # --- associative solutions ---------------------------------------------------
 
-def _ell21(v, y, p: ThetaParams) -> Tensor2:
-    """Elliptic rank-2 degree-1 solution, normalized so res_v = (1/4) 1(x)1."""
-    pref = 0.25 * theta1_prime_at_0(p) / theta_j(1, y, p)
-    out = pref * (theta_j(1, y + v, p) / theta_j(1, v, p)) * _t(ID2, ID2)
-    out = out + pref * (theta_j(2, y + v, p) / theta_j(2, v, p)) * _t(H, H)
-    out = out + pref * (theta_j(3, y + v, p) / theta_j(3, v, p)) * _t(SIGMA, SIGMA)
-    out = out + pref * (theta_j(4, y + v, p) / theta_j(4, v, p)) * _t(GAMMA, GAMMA)
+def _ell21(v, y, p: ThetaParams, t1p: complex) -> np.ndarray:
+    """Coefficients of the elliptic rank-2 degree-1 solution, normalized so
+    res_v = (1/4) 1(x)1; t1p = theta_1'(0)."""
+    t1 = theta_j(1, [y + v, v, y], p).tolist()
+    pref = 0.25 * t1p / t1[2]
+    out = _ID_ID * (pref * (t1[0] / t1[1]))
+    for j, basis in ((2, _H_H), (3, _SIGMA_SIGMA), (4, _GAMMA_GAMMA)):
+        num, den = theta_j(j, [y + v, v], p).tolist()
+        out = out + basis * (pref * (num / den))
     return out
 
 
@@ -109,23 +137,26 @@ def elliptic_closed_form(x, y, p: ThetaParams) -> Tensor2:
     """Elliptic solution in the half-argument normalization produced by the
     rank-2 degree-1 construction: prefactor 1/2 and theta ratios at (y+x/2, x/2).
     That is 2 * _ell21(x/2, y)."""
-    return 2 * _ell21(x / 2, y, p)
+    return Tensor2(2, _ell21(x / 2, y, p, theta1_prime_at_0(p)) * 2)
 
 
-def _ell21_classical(y, p: ThetaParams) -> Tensor2:
-    s = sn(y, p)
-    return 0.5 * ((cn(y, p) / s) * _t(H, H)
-                  + (1.0 / s) * _t(GAMMA, GAMMA)
-                  + (dn(y, p) / s) * _t(SIGMA, SIGMA))
+def _ell21_classical(y, p: ThetaParams, at0: dict) -> Tensor2:
+    """at0[k] = theta_k(0) for k = 2, 3, 4."""
+    aty = {k: theta_j(k, y, p) for k in (1, 2, 3, 4)}
+    s = jacobi_quotient("sn", y, at0, aty)
+    c = jacobi_quotient("cn", y, at0, aty)
+    out = _H_H * (c / s) + _GAMMA_GAMMA * (1.0 / s)
+    out = out + _SIGMA_SIGMA * (jacobi_quotient("dn", y, at0, aty) / s)
+    return Tensor2(2, out * 0.5)
 
 
 def _trg21(v, y) -> Tensor2:
     sv, sy = _csin(v), _csin(y)
-    out = (_csin(y + v) / (sy * sv)) * (_t(E11, E11) + _t(E22, E22))
-    out = out + (1.0 / sv) * (_t(E11, E22) + _t(E22, E11))
-    out = out + (1.0 / sy) * (_t(E12, E21) + _t(E21, E12))
-    out = out + _csin(y + v) * _t(E21, E21)
-    return out
+    out = _DIAG * (_csin(y + v) / (sy * sv))
+    out = out + _CROSS * (1.0 / sv)
+    out = out + _OFF * (1.0 / sy)
+    out = out + _E21_E21 * _csin(y + v)
+    return Tensor2(2, out)
 
 
 def nodal21_multiplicative(lam, y1, y2) -> Tensor2:
@@ -133,71 +164,65 @@ def nodal21_multiplicative(lam, y1, y2) -> Tensor2:
     lam, y1, y2 = complex(lam), complex(y1), complex(y2)
     dy = y2 - y1
     a = (y2 - lam**2 * y1) / (dy * (1 - lam**2))
-    out = a * (_t(E11, E11) + _t(E22, E22))
-    out = out + (lam / (1 - lam**2)) * (_t(E11, E22) + _t(E22, E11))
-    out = out + (y1 / dy) * _t(E21, E12) + (y2 / dy) * _t(E12, E21)
-    out = out + ((y2 - lam**2 * y1) / lam) * _t(E21, E21)
-    return out
+    out = _DIAG * a
+    out = out + _CROSS * (lam / (1 - lam**2))
+    out = out + _E21_E12 * (y1 / dy) + _E12_E21 * (y2 / dy)
+    out = out + _E21_E21 * ((y2 - lam**2 * y1) / lam)
+    return Tensor2(2, out)
 
 
 def semistable20_multiplicative(lam, y) -> Tensor2:
     """Rank-2 degree-0 semistable nodal solution, lam = lam2/lam1, y = y2/y1."""
     lam, y = complex(lam), complex(y)
     a = (y - lam) / ((y - 1) * (1 - lam))
-    out = a * (_t(E11, E11) + _t(E22, E22) + _t(E21, E12) + _t(E12, E21))
-    out = out + (lam / (1 - lam) ** 2) * (_t(E12, H) - _t(H, E12))
-    out = out - (lam * (1 + lam) / (1 - lam) ** 3) * _t(E12, E12)
-    return out
+    out = _DIAG_OFF * a
+    out = out + _E12H_HE12 * (lam / (1 - lam) ** 2)
+    out = out - _E12_E12 * (lam * (1 + lam) / (1 - lam) ** 3)
+    return Tensor2(2, out)
 
 
 def _cherednik(y) -> Tensor2:
     sy = _csin(y)
-    return (0.5 * _ccos(y) / sy) * _t(H, H) \
-        + (1.0 / sy) * (_t(E12, E21) + _t(E21, E12)) \
-        + sy * _t(E21, E21)
+    return Tensor2(2, _H_H * (0.5 * _ccos(y) / sy) + _OFF * (1.0 / sy) + _E21_E21 * sy)
 
 
 def _rat21(v, y1, y2) -> Tensor2:
     lam, y1, y2 = complex(v), complex(y1), complex(y2)
     dy = y2 - y1
-    out = (1 / (2 * lam)) * _t(ID2, ID2)
-    out = out + (1 / dy) * (_t(E11, E11) + _t(E22, E22) + _t(E12, E21) + _t(E21, E12))
-    out = out + ((lam - y1) / 2) * _t(E21, H)
-    out = out + ((lam + y2) / 2) * _t(H, E21)
-    out = out - (lam * (lam - y1) * (lam + y2) / 2) * _t(E21, E21)
-    return out
+    out = _ID_ID * (1 / (2 * lam))
+    out = out + _DIAG_OFF * (1 / dy)
+    out = out + _E21_H * ((lam - y1) / 2)
+    out = out + _H_E21 * ((lam + y2) / 2)
+    out = out - _E21_E21 * (lam * (lam - y1) * (lam + y2) / 2)
+    return Tensor2(2, out)
 
 
 def _stolin(y1, y2) -> Tensor2:
     y1, y2 = complex(y1), complex(y2)
     dy = y2 - y1
-    return (1 / dy) * (0.5 * _t(H, H) + _t(E12, E21) + _t(E21, E12)) \
-        + (y2 / 2) * _t(H, E21) - (y1 / 2) * _t(E21, H)
+    return Tensor2(2, _CASIMIR * (1 / dy) + _H_E21 * (y2 / 2) - _E21_H * (y1 / 2))
 
 
 def _stolin_difference(y) -> Tensor2:
     y = complex(y)
-    return (1 / y) * (0.5 * _t(H, H) + _t(E12, E21) + _t(E21, E12)) \
-        + y * (_t(E21, H) + _t(H, E21)) - y**3 * _t(E21, E21)
+    return Tensor2(2, _CASIMIR * (1 / y) + _E21H_HE21 * y - _E21_E21 * y**3)
 
 
 def _yang(y) -> Tensor2:
-    return (1 / complex(y)) * (0.5 * _t(H, H) + _t(E12, E21) + _t(E21, E12))
+    return Tensor2(2, _CASIMIR * (1 / complex(y)))
 
 
 def _rat21_degenerate(v, y) -> Tensor2:
     v, y = complex(v), complex(y)
-    return (1 / (2 * v)) * _t(ID2, ID2) \
-        + (1 / y) * (_t(E11, E11) + _t(E22, E22) + _t(E12, E21) + _t(E21, E12))
+    return Tensor2(2, _ID_ID * (1 / (2 * v)) + _DIAG_OFF * (1 / y))
 
 
 def _trg20(v, y) -> Tensor2:
     sv, sy = _csin(v), _csin(y)
-    out = (_csin(y + v) / (2 * sy * sv)) * (
-        _t(E11, E11) + _t(E22, E22) + _t(E21, E12) + _t(E12, E21))
-    out = out + (1 / (2 * sv**2)) * (_t(E12, H) - _t(H, E12))
-    out = out - (_ccos(v) / sv**3) * _t(E12, E12)
-    return out
+    out = _DIAG_OFF * (_csin(y + v) / (2 * sy * sv))
+    out = out + _E12H_HE12 * (1 / (2 * sv**2))
+    out = out - _E12_E12 * (_ccos(v) / sv**3)
+    return Tensor2(2, out)
 
 
 # --- gauge used to bring Stolin's solution to difference form ---------------
@@ -224,25 +249,21 @@ def stolin_gauge(y) -> np.ndarray:
 def apply_sl2_automorphism(mat3: np.ndarray, t: Tensor2, leg: int) -> Tensor2:
     """Apply an sl2 automorphism (3x3 matrix in the ordered basis h, e12,
     e21) to one tensor leg.  The tensor must lie in sl2 (x) sl2."""
-    basis = [H, E12, E21]
     # coordinates: for traceless M = a*h + b*e12 + c*e21 we have
     # a = M[0,0], b = M[0,1], c = M[1,0]
-    slots = [(0, 0), (0, 1), (1, 0)]
-    coords = np.empty((3, 3), dtype=complex)
-    for i, (ia, ib) in enumerate(slots):
-        for j, (ja, jb) in enumerate(slots):
-            coords[i, j] = t.coeffs[ia, ib, ja, jb]
+    rows, cols = np.array([0, 0, 1]), np.array([0, 1, 0])
+    coords = t.coeffs[rows[:, None], cols[:, None], rows, cols]
     if leg == 1:
         coords = mat3 @ coords
     elif leg == 2:
         coords = coords @ mat3.T
     else:
         raise ValueError("leg must be 1 or 2")
-    out = Tensor2.zero(2)
-    for i, bi in enumerate(basis):
-        for j, bj in enumerate(basis):
-            out = out + coords[i, j] * _t(bi, bj)
-    return out
+    out = np.zeros((2, 2, 2, 2), dtype=complex)
+    for i in range(3):
+        for j in range(3):
+            out = out + _SL2_BASIS[i, j] * coords[i, j]
+    return Tensor2(2, out)
 
 
 # --- registry ---------------------------------------------------------------
@@ -281,11 +302,13 @@ def get(name: str, tau: complex = DEFAULT_TAU) -> RSolution:
     """Look up a named solution.  tau only matters for the elliptic entries."""
     if name == "ell21":
         p = ThetaParams(tau)
-        return RSolution(name, "vdiff_ydiff", 2, lambda v, y: _ell21(v, y, p),
+        t1p = theta1_prime_at_0(p)
+        return RSolution(name, "vdiff_ydiff", 2, lambda v, y: Tensor2(2, _ell21(v, y, p, t1p)),
                          poles="v = 0, y = 0 (mod lattice)", params={"tau": tau})
     if name == "ell21_classical":
         p = ThetaParams(tau)
-        return RSolution(name, "cl_ydiff", 2, lambda y: _ell21_classical(y, p),
+        at0 = {k: theta_j(k, 0, p) for k in (2, 3, 4)}
+        return RSolution(name, "cl_ydiff", 2, lambda y: _ell21_classical(y, p, at0),
                          poles="y = 0 (mod lattice)", params={"tau": tau})
     if name not in _FIXED:
         raise KeyError(f"unknown solution name {name!r}; known: {', '.join(NAMES)}")

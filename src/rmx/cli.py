@@ -10,6 +10,7 @@ Exit codes: 0 pass, 1 identity failure, 2 usage/parameter error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -103,6 +104,16 @@ class SystemExit2(SystemExit):
         super().__init__(2)
 
 
+def _tau(args) -> complex:
+    """--tau, or the catalog's default when it is not given; a tau off the
+    upper half plane is a usage error."""
+    if args.tau is None:
+        return catalog.DEFAULT_TAU
+    if args.tau.imag <= 0:
+        raise SystemExit2(f"tau must have positive imaginary part, got {args.tau}")
+    return args.tau
+
+
 def _engine_from_args(args) -> catalog.RSolution:
     kind = args.curve
     if kind is None and args.g2 is not None and args.g3 is not None:
@@ -114,7 +125,7 @@ def _engine_from_args(args) -> catalog.RSolution:
     if kind == "elliptic":
         if args.tau is None:
             raise SystemExit2("--tau is required for the elliptic engine")
-        return rmatrix.engine_solution("elliptic", 2, 1, tau=args.tau)
+        return rmatrix.engine_solution("elliptic", 2, 1, tau=_tau(args))
     if kind == "nodal":
         if (args.rank, args.deg) == (2, 0):
             return rmatrix.engine_solution("nodal-semistable")
@@ -127,7 +138,7 @@ def _engine_from_args(args) -> catalog.RSolution:
 def _solution_from_args(args) -> catalog.RSolution:
     if args.solution:
         try:
-            return catalog.get(args.solution, tau=args.tau or catalog.DEFAULT_TAU)
+            return catalog.get(args.solution, tau=_tau(args))
         except KeyError as e:
             raise SystemExit2(e.args[0])
     if args.curve or (args.g2 is not None and args.g3 is not None):
@@ -197,7 +208,7 @@ def cmd_verify(args) -> int:
             rep = verify.qybe(sol, v0=v0, samples=args.samples, tol=tol, seed=seed)
         elif args.identity == "limit":
             try:
-                ref = catalog.classical_of(sol.name, tau=args.tau or catalog.DEFAULT_TAU)
+                ref = catalog.classical_of(sol.name, tau=_tau(args))
             except ValueError:
                 # no recorded partner: still probe the limit to report divergence
                 verify.classical_limit_values(sol, [(0.15, 0.8)])
@@ -319,7 +330,10 @@ def _add_common_solution_args(sp):
     sp.add_argument("--output", help="write to file instead of stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The rmx argument parser, built once per process: parse_args leaves it
+    unchanged, and in-process callers of main need not rebuild it."""
     ap = argparse.ArgumentParser(
         prog="rmx",
         description="Geometric associative r-matrices on Weierstrass cubics: "

@@ -59,24 +59,32 @@ def _window(a: float, z: complex, tau: complex, tol: float) -> int:
     return int(ceil(t0 + abs(a))) + 5
 
 
-def theta_char(a, b, z: complex, p: ThetaParams, deriv: int = 0) -> complex:
+def theta_char(a, b, z, p: ThetaParams, deriv: int = 0):
     """Mumford theta with characteristics theta[a,b](z|tau).
 
     a and b are real characteristics, read as floats (Fraction(1, 3) and
     1/3 give the same value).
     deriv > 0 returns the term-wise d^deriv/dz^deriv of the series.
+    z is a number (the value is a complex) or an array (an array of the same
+    shape).  Each element is summed over its own window, smallest term
+    first, so an array element equals the value at that z bit for bit.
     """
     a, b = float(a), float(b)
     tau = complex(p.tau)
-    zb = complex(z) + b
-    n_max = _window(a, zb, tau, p.tol)
-    n = np.arange(-n_max, n_max + 1, dtype=float) + a
-    terms = np.exp(PI_I * n * n * tau + TWO_PI_I * n * zb)
-    if deriv:
-        terms = terms * (TWO_PI_I * n) ** deriv
-    # sum smallest-first for a touch of accuracy
-    order = np.argsort(np.abs(terms))
-    return complex(np.sum(terms[order]))
+    zb = np.asarray(z, dtype=complex) + b
+    flat = zb.reshape(-1)
+    windows = [_window(a, w, tau, p.tol) for w in flat.tolist()]
+    out = np.empty(flat.shape, dtype=complex)
+    for n_max in set(windows):
+        rows = [i for i, w in enumerate(windows) if w == n_max]
+        n = np.arange(-n_max, n_max + 1, dtype=float) + a
+        terms = np.exp(PI_I * n * n * tau + TWO_PI_I * n * flat[rows, None])
+        if deriv:
+            terms = terms * (TWO_PI_I * n) ** deriv
+        # sum each row smallest-first for a touch of accuracy
+        order = np.argsort(np.abs(terms), axis=1)
+        out[rows] = terms[np.arange(len(rows))[:, None], order].sum(axis=1)
+    return complex(out[0]) if zb.ndim == 0 else out.reshape(zb.shape)
 
 
 _JACOBI_CHARS = {
@@ -87,8 +95,9 @@ _JACOBI_CHARS = {
 }
 
 
-def theta_j(j: int, z: complex, p: ThetaParams, deriv: int = 0) -> complex:
-    """Classical Jacobi theta_j(z|tau), j in 1..4 (optionally differentiated)."""
+def theta_j(j: int, z, p: ThetaParams, deriv: int = 0):
+    """Classical Jacobi theta_j(z|tau), j in 1..4 (optionally differentiated),
+    at a number or an array z as theta_char."""
     try:
         a, b, sign = _JACOBI_CHARS[j]
     except KeyError:
@@ -122,26 +131,36 @@ def arg_scale(p: ThetaParams) -> complex:
 _POLE_EPS = 1e-13
 
 
-def _theta_quotient(name: str, j0: int, j: int, k0: int, z: complex,
-                    p: ThetaParams) -> complex:
-    """theta_j0(0) theta_j(z) / (theta_k0(0) theta_4(z)), the Jacobi function
-    `name`; a numerically zero denominator is its pole."""
-    den = theta_j(k0, 0, p) * theta_j(4, z, p)
+# Jacobi function -> (j0, j, k0) of theta_j0(0) theta_j(z) / (theta_k0(0) theta_4(z))
+_QUOTIENTS = {"sn": (3, 1, 2), "cn": (4, 2, 2), "dn": (4, 3, 3)}
+
+
+def jacobi_quotient(name: str, z: complex, at0: dict, atz: dict) -> complex:
+    """The Jacobi function `name` at z from theta_k(0) = at0[k] and
+    theta_k(z) = atz[k]; a numerically zero denominator is its pole."""
+    j0, j, k0 = _QUOTIENTS[name]
+    den = at0[k0] * atz[4]
     if abs(den) < _POLE_EPS:
         raise ZeroDivisionError(f"{name} pole at z={z}")
-    return theta_j(j0, 0, p) * theta_j(j, z, p) / den
+    return at0[j0] * atz[j] / den
+
+
+def _jacobi(name: str, z: complex, p: ThetaParams) -> complex:
+    j0, j, k0 = _QUOTIENTS[name]
+    return jacobi_quotient(name, z, {k: theta_j(k, 0, p) for k in (k0, j0)},
+                           {k: theta_j(k, z, p) for k in (4, j)})
 
 
 def sn(z: complex, p: ThetaParams) -> complex:
-    return _theta_quotient("sn", 3, 1, 2, z, p)
+    return _jacobi("sn", z, p)
 
 
 def cn(z: complex, p: ThetaParams) -> complex:
-    return _theta_quotient("cn", 4, 2, 2, z, p)
+    return _jacobi("cn", z, p)
 
 
 def dn(z: complex, p: ThetaParams) -> complex:
-    return _theta_quotient("dn", 4, 3, 3, z, p)
+    return _jacobi("dn", z, p)
 
 
 # --- shift transformation table --------------------------------------------

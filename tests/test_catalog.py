@@ -1,5 +1,6 @@
 # tests/test_catalog.py
 
+import hashlib
 import inspect
 
 import numpy as np
@@ -195,3 +196,79 @@ def test_views_are_shared_with_verify():
     from rmx import verify
     assert verify.as_four_param is catalog.as_four_param
     assert verify.as_three_param is catalog.as_three_param
+
+
+# --- bits of the closed forms -----------------------------------------------
+
+def _points():
+    rng = np.random.default_rng(20)
+    z = rng.uniform(0.2, 1.2, (20, 4)) + 1j * rng.uniform(-0.3, 0.3, (20, 4))
+    z[:5] = z[:5].real  # real points: the signs of zero parts show in the bytes
+    return [tuple(complex(x) for x in row) for row in z]
+
+
+def _evaluations(name):
+    if name == "elliptic_closed_form":
+        p = ThetaParams(catalog.DEFAULT_TAU)
+        return [catalog.elliptic_closed_form(x, y, p) for x, y, *_ in _points()]
+    if name == "apply_sl2_automorphism":
+        st = catalog.get("stolin")
+        return [apply_sl2_automorphism(stolin_gauge(y2), apply_sl2_automorphism(
+            stolin_gauge(y1), st(y1, y2), leg=1), leg=2) for y1, y2, *_ in _points()]
+    if name == "nodal21_multiplicative":
+        return [catalog.nodal21_multiplicative(*pt[:3]) for pt in _points()]
+    if name == "semistable20_multiplicative":
+        return [catalog.semistable20_multiplicative(*pt[:2]) for pt in _points()]
+    sol = catalog.get(name)
+    k = len(catalog.ARITY_PARAMS[sol.arity])
+    return [sol(*pt[:k]) for pt in _points()]
+
+
+# sha256 (first 32 hex digits) of the coefficient bytes of each evaluator at
+# the 20 points, recorded with numpy 2.4.6 on x86-64 while the closed forms
+# were still sums of Tensor2.simple terms; building them from constant
+# arrays must keep every bit, signed zeros included
+_DIGESTS = {
+    "ell21": "e73af2fa098a4306fdfb6cf84cf2287e",
+    "trg21": "7f19c90a9cdda364aa2f1fea8e17afdb",
+    "rat21": "42d354a8896e5d928551545c747e670e",
+    "trg20_semistable": "dc0bc6a429fa3b745dbf355ffca87bb8",
+    "ell21_classical": "18f1438c56413ed1237315765628f67c",
+    "cherednik": "f55c81834227aa9d513098a3a953131c",
+    "stolin": "f79f42bc2de918910efe59f8e793331d",
+    "stolin_difference_s": "1da13e31f93cd683f42138be3a973c08",
+    "yang": "29a882eaa2995b870d771fc8570f8d3b",
+    "rat21_degenerate": "2a23d9fb696f5a5d9a729e10623a99c8",
+    "elliptic_closed_form": "c44c84d7a639f26c37ca7eeac1cbaaca",
+    "apply_sl2_automorphism": "b6076096c9b17b6ef2a7cd07ef65f194",
+    "nodal21_multiplicative": "3e9f77a67b97548af5bd74135ec981a2",
+    "semistable20_multiplicative": "def4bde8d3232ae66f865850b8d5bd92",
+}
+
+
+@pytest.mark.parametrize("name", list(_DIGESTS))
+def test_closed_form_bits_are_unchanged(name):
+    data = b"".join(t.coeffs.tobytes() for t in _evaluations(name))
+    assert hashlib.sha256(data).hexdigest()[:32] == _DIGESTS[name]
+
+
+def _constants():
+    return [v for k, v in vars(catalog).items()
+            if k.startswith("_") and isinstance(v, np.ndarray)]
+
+
+def test_basis_arrays_are_read_only():
+    consts = _constants()
+    assert len(consts) > 15
+    for c in consts:
+        assert not c.flags.writeable
+        with pytest.raises(ValueError):
+            c.flat[0] = 1
+
+
+@pytest.mark.parametrize("name", list(_DIGESTS))
+def test_evaluations_return_fresh_arrays(name):
+    first, second = _evaluations(name)[:1] + _evaluations(name)[:1]
+    assert first.coeffs.flags.writeable
+    assert not np.shares_memory(first.coeffs, second.coeffs)
+    assert not any(np.shares_memory(first.coeffs, c) for c in _constants())

@@ -495,3 +495,29 @@ def test_sweep_non_finite_grid_usage_error(capsys, grid):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == f"error: bad grid {grid!r}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    "eval --solution ell21 --tau 0,-1 --v 0.2 --y 0.4",
+    "verify --identity aybe --solution ell21 --tau 0,-1",
+    "verify --identity limit --solution ell21 --tau 0,-1",
+    "eval --curve elliptic --tau 0,0 --v1 0.1 --v2 0.3 --y1 0.2 --y2 0.5",
+    "eval --solution ell21 --tau 0,0 --v 0.2 --y 0.4",
+])
+def test_tau_off_the_upper_half_plane_is_usage_error(capsys, argv):
+    code = main(argv.split())
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: tau must have positive imaginary part")
+    assert "Traceback" not in captured.err
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    from rmx.cli import build_parser
+    assert build_parser() is build_parser()
+    argv = ["verify", "--identity", "aybe", "--solution", "rat21", "--samples", "2"]
+    assert json.loads(run(capsys, *argv, "--tol=1")[1])["tol"] == 1.0
+    assert json.loads(run(capsys, *argv)[1])["tol"] == verify.DEFAULT_TOL["aybe"]
+    argv = ["eval", "--solution", "yang", "--y", "2.0"]
+    assert run(capsys, *argv, "--out", "csv")[1].startswith("row,col,re,im\n")
+    assert json.loads(run(capsys, *argv)[1])["solution"] == "yang"

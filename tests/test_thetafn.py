@@ -6,6 +6,7 @@ from math import pi
 import numpy as np
 import pytest
 
+from rmx import thetafn
 from rmx.thetafn import (
     SHIFT_TABLE, ThetaParams, arg_scale, cn, dn, shift_residual, sn,
     theta1_prime_at_0, theta_char, theta_j, theta_product_identity_residual,
@@ -231,4 +232,65 @@ def test_theta_j_matches_mpmath_jtheta(tau, deriv):
         z = complex(rng.uniform(-1, 1), rng.uniform(-0.4, 0.4))
         for j in range(1, 5):
             err = abs(theta_j(j, z, p, deriv=deriv) - oracles.theta_mpmath(j, z, tau, deriv))
+            assert err <= THETA_MPMATH_BOUND * oracles.theta_term_scale(j, z, tau, deriv), (j, z)
+
+
+# the array path: z = 0, real z, half periods and complex points whose
+# windows differ, on upper half plane taus near and far from the real axis
+ARRAY_TAUS = [1.1j, 0.3 + 1.1j, 0.25 + 0.35j, 2j, -0.4 + 0.8j, 0.5 + 0.5j]
+
+
+def _array_points(tau):
+    rng = np.random.default_rng(7)
+    special = [0.0, 0.5, tau / 2, 0.5 + tau / 2, 1.0, -0.5]
+    real = rng.uniform(-1, 1, 100)
+    cplx = rng.uniform(-1, 1, 204) + 1j * rng.uniform(-0.6, 0.6, 204)
+    return np.concatenate([np.array(special, dtype=complex), real, cplx])
+
+
+def _theta_one_z(j, z, p, deriv):
+    """theta_j at one z, summed as before theta took arrays: the terms of
+    thetafn._window's range, smallest modulus first, in one np.sum."""
+    a, b, sign = thetafn._JACOBI_CHARS[j]
+    zb = complex(z) + b
+    n_max = thetafn._window(a, zb, p.tau, p.tol)
+    n = np.arange(-n_max, n_max + 1, dtype=float) + a
+    terms = np.exp(thetafn.PI_I * n * n * p.tau + thetafn.TWO_PI_I * n * zb)
+    if deriv:
+        terms = terms * (thetafn.TWO_PI_I * n) ** deriv
+    return sign * complex(np.sum(terms[np.argsort(np.abs(terms))]))
+
+
+@pytest.mark.parametrize("tau", ARRAY_TAUS)
+@pytest.mark.parametrize("deriv", [0, 1])
+def test_array_theta_is_the_one_z_sum_bit_for_bit(tau, deriv):
+    p = ThetaParams(tau)
+    zs = _array_points(tau)
+    for j in range(1, 5):
+        want = np.array([_theta_one_z(j, z, p, deriv) for z in zs.tolist()]).view(np.uint64)
+        scalar = [theta_j(j, z, p, deriv) for z in zs.tolist()]
+        assert all(type(v) is complex for v in scalar)
+        assert np.array_equal(np.array(scalar).view(np.uint64), want), j
+        arr = theta_j(j, zs, p, deriv)
+        assert arr.shape == zs.shape
+        assert np.array_equal(arr.view(np.uint64), want), j
+
+
+def test_array_theta_keeps_the_shape():
+    p = ThetaParams(TAUS[1])
+    zs = [[0.1, 0.2 + 0.3j], [0.0, -0.4j]]
+    vals = theta_char(0.5, 0.0, zs, p)
+    assert vals.shape == (2, 2)
+    assert vals[1, 1] == theta_char(0.5, 0.0, -0.4j, p)
+
+
+@pytest.mark.parametrize("tau", [1.1j, 0.3 + 1.1j, 0.25 + 0.35j])
+@pytest.mark.parametrize("deriv", [0, 1])
+def test_array_theta_matches_mpmath_jtheta(tau, deriv):
+    p = ThetaParams(tau)
+    rng = np.random.default_rng(17)
+    zs = rng.uniform(-1, 1, 12) + 1j * rng.uniform(-0.4, 0.4, 12)
+    for j in range(1, 5):
+        for z, val in zip(zs.tolist(), theta_j(j, zs, p, deriv=deriv).tolist()):
+            err = abs(val - oracles.theta_mpmath(j, z, tau, deriv))
             assert err <= THETA_MPMATH_BOUND * oracles.theta_term_scale(j, z, tau, deriv), (j, z)
