@@ -265,11 +265,6 @@ def _endo_dim_cusp(t: CuspTriple) -> int:
     return _solution_dim(eq, [(n1, n1), (n2, n1), (n2, n2)])
 
 
-def offdiag_block_rank(t: NodalTriple) -> int:
-    """Rank of the n1 x n2 upper-right block of m(0) (full for simple objects)."""
-    return svd_rank(np.linalg.svd(t.m0[:t.n1, t.n1:], compute_uv=False))
-
-
 # --- elliptic automorphy factors --------------------------------------------
 
 @dataclass(frozen=True)
@@ -307,11 +302,11 @@ def automorphy(n: int, d: int, x: complex, tau: complex) -> AutomorphyFactor:
 
 
 def line_bundle_factor(y: complex, tau: complex):
-    """psi_y(z) = -exp(-2 pi i z + 2 pi i y - 2 pi i tau), the automorphy
-    factor of O(y); its section is theta(z + (1+tau)/2 - y | tau)."""
+    """psi_y(z) = -exp(-2 pi i (z + tau - y)), the automorphy factor of O(y);
+    its section is theta(z + (1+tau)/2 - y | tau)."""
     y, tau = complex(y), complex(tau)
 
     def psi(z: complex) -> complex:
-        return -np.exp(-2j * pi * complex(z) + 2j * pi * y - 2j * pi * tau)
+        return -np.exp(-2j * pi * (complex(z) + tau - y))
 
     return psi

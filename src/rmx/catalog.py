@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .tensorcore import E11, E12, E21, E22, GAMMA, H, ID2, SIGMA, Tensor2
-from .thetafn import ThetaParams, jacobi_quotient, theta_j, theta1_prime_at_0
+from .thetafn import ThetaParams, jacobi_quotient, pole_guard, theta_j, theta1_prime_at_0
 
 
 def _basis(t: Tensor2) -> np.ndarray:
@@ -71,7 +71,6 @@ class RSolution:
     arity: str
     n: int
     evaluator: Callable[..., Tensor2]
-    poles: str = ""
     params: dict = field(default_factory=dict)
 
     def __call__(self, *args) -> Tensor2:
@@ -123,13 +122,14 @@ def as_two_point(sol: RSolution) -> Callable[[complex, complex], Tensor2]:
 
 def _ell21(v, y, p: ThetaParams, t1p: complex) -> np.ndarray:
     """Coefficients of the elliptic rank-2 degree-1 solution, normalized so
-    res_v = (1/4) 1(x)1; t1p = theta_1'(0)."""
+    res_v = (1/4) 1(x)1; t1p = theta_1'(0).  A numerically zero theta
+    denominator (theta_1(y), theta_j(v)) is a pole."""
     t1 = theta_j(1, [y + v, v, y], p).tolist()
-    pref = 0.25 * t1p / t1[2]
-    out = _ID_ID * (pref * (t1[0] / t1[1]))
+    pref = 0.25 * t1p / pole_guard(t1[2], "ell21", y=y)
+    out = _ID_ID * (pref * (t1[0] / pole_guard(t1[1], "ell21", v=v)))
     for j, basis in ((2, _H_H), (3, _SIGMA_SIGMA), (4, _GAMMA_GAMMA)):
         num, den = theta_j(j, [y + v, v], p).tolist()
-        out = out + basis * (pref * (num / den))
+        out = out + basis * (pref * (num / pole_guard(den, "ell21", v=v)))
     return out
 
 
@@ -143,7 +143,7 @@ def elliptic_closed_form(x, y, p: ThetaParams) -> Tensor2:
 def _ell21_classical(y, p: ThetaParams, at0: dict) -> Tensor2:
     """at0[k] = theta_k(0) for k = 2, 3, 4."""
     aty = {k: theta_j(k, y, p) for k in (1, 2, 3, 4)}
-    s = jacobi_quotient("sn", y, at0, aty)
+    s = pole_guard(jacobi_quotient("sn", y, at0, aty), "ell21_classical", y=y)
     c = jacobi_quotient("cn", y, at0, aty)
     out = _H_H * (c / s) + _GAMMA_GAMMA * (1.0 / s)
     out = out + _SIGMA_SIGMA * (jacobi_quotient("dn", y, at0, aty) / s)
@@ -285,35 +285,36 @@ NAMES = (
     "cherednik", "stolin", "stolin_difference_s", "yang", "rat21_degenerate",
 )
 
-# name -> (arity, evaluator, poles) of the rank-2 entries that take no tau
+# name -> (arity, evaluator) of the rank-2 entries that take no tau, with
+# each entry's pole locus
 _FIXED = {
-    "trg21": ("vdiff_ydiff", _trg21, "v, y = 0 mod pi"),
-    "cherednik": ("cl_ydiff", _cherednik, "y = 0 mod pi"),
-    "rat21": ("vdiff_y12", _rat21, "v = 0, y1 = y2"),
-    "stolin": ("cl_y12", _stolin, "y1 = y2"),
-    "stolin_difference_s": ("cl_ydiff", _stolin_difference, "y = 0"),
-    "yang": ("cl_ydiff", _yang, "y = 0"),
-    "rat21_degenerate": ("vdiff_ydiff", _rat21_degenerate, "v = 0, y = 0"),
-    "trg20_semistable": ("vdiff_ydiff", _trg20, "v, y = 0 mod pi; pole of order 3 in v"),
+    "trg21": ("vdiff_ydiff", _trg21),                         # v, y = 0 mod pi
+    "cherednik": ("cl_ydiff", _cherednik),                    # y = 0 mod pi
+    "rat21": ("vdiff_y12", _rat21),                           # v = 0, y1 = y2
+    "stolin": ("cl_y12", _stolin),                            # y1 = y2
+    "stolin_difference_s": ("cl_ydiff", _stolin_difference),  # y = 0
+    "yang": ("cl_ydiff", _yang),                              # y = 0
+    "rat21_degenerate": ("vdiff_ydiff", _rat21_degenerate),   # v = 0, y = 0
+    "trg20_semistable": ("vdiff_ydiff", _trg20),  # v, y = 0 mod pi; order 3 in v
 }
 
 
 def get(name: str, tau: complex = DEFAULT_TAU) -> RSolution:
     """Look up a named solution.  tau only matters for the elliptic entries."""
-    if name == "ell21":
+    if name == "ell21":      # poles at v = 0, y = 0 (mod lattice)
         p = ThetaParams(tau)
         t1p = theta1_prime_at_0(p)
         return RSolution(name, "vdiff_ydiff", 2, lambda v, y: Tensor2(2, _ell21(v, y, p, t1p)),
-                         poles="v = 0, y = 0 (mod lattice)", params={"tau": tau})
-    if name == "ell21_classical":
+                         params={"tau": tau})
+    if name == "ell21_classical":      # pole at y = 0 (mod lattice)
         p = ThetaParams(tau)
         at0 = {k: theta_j(k, 0, p) for k in (2, 3, 4)}
         return RSolution(name, "cl_ydiff", 2, lambda y: _ell21_classical(y, p, at0),
-                         poles="y = 0 (mod lattice)", params={"tau": tau})
+                         params={"tau": tau})
     if name not in _FIXED:
         raise KeyError(f"unknown solution name {name!r}; known: {', '.join(NAMES)}")
-    arity, evaluator, poles = _FIXED[name]
-    return RSolution(name, arity, 2, evaluator, poles=poles)
+    arity, evaluator = _FIXED[name]
+    return RSolution(name, arity, 2, evaluator)
 
 
 def classical_of(name: str, tau: complex = DEFAULT_TAU) -> RSolution:

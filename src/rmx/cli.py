@@ -155,15 +155,14 @@ def cmd_eval(args) -> int:
                           f"spectral parameters: --{' --'.join(names)}")
     try:
         t = sol.evaluator(*[complex(p) for p in params])
-    except (ZeroDivisionError, rmatrix.DegenerateSystemError) as e:
+    except rmatrix.DegenerateSystemError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 3 if isinstance(e, rmatrix.DegenerateSystemError) else 2
+        return 3
     except rmatrix.EngineError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     if not np.all(np.isfinite(t.coeffs)):
-        print("error: evaluation hit a pole (non-finite tensor)", file=sys.stderr)
-        return 2
+        raise ZeroDivisionError("non-finite tensor")
     if args.out == "csv":
         k = t.kron()
         side, flat = len(k), k.ravel()
@@ -384,13 +383,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one rmx command and return its exit code.  A pole hit, that is a
+    ZeroDivisionError from any command or a non-finite eval tensor, exits 2
+    with `error: evaluation hit a pole (...)`.  numpy's division and
+    overflow warnings are off: inf and nan show only as values."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return args.func(args)
     except SystemExit2 as e:
         return e.code
     except verify.PoleSampleError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except ZeroDivisionError as e:
+        print(f"error: evaluation hit a pole ({e})", file=sys.stderr)
         return 2
 
 

@@ -225,8 +225,7 @@ def engine_elliptic_21(tau: complex, x1: complex, x2: complex,
     def phi(z):
         return e(z + tau)
 
-    def psi(z):  # automorphy factor of O(y1)
-        return -e(z + tau - y1)
+    psi = bundles.line_bundle_factor(y1, tau)
 
     p4 = ThetaParams(4 * tau)
 
@@ -295,8 +294,7 @@ def apply_gauge(sol: RSolution, phi) -> RSolution:
             raise EngineError("gauge matrix singular at a sample point") from None
         return _sandwich(t, a1, a2, i1, i2)
 
-    return RSolution(f"gauge({sol.name})", "v12_y12", sol.n, ev,
-                     poles=sol.poles, params=dict(sol.params))
+    return RSolution(f"gauge({sol.name})", "v12_y12", sol.n, ev, params=dict(sol.params))
 
 
 # --- engine outputs as solutions --------------------------------------------

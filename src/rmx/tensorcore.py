@@ -50,10 +50,6 @@ class Tensor:
         return self.coeffs.ndim // 2
 
     @classmethod
-    def zero(cls, n: int) -> "Tensor":
-        return cls(n, np.zeros((n,) * 4, dtype=complex))
-
-    @classmethod
     def simple(cls, a, b) -> "Tensor":
         """Simple tensor a (x) b from two n x n matrices."""
         a = np.asarray(a, dtype=complex)
@@ -134,13 +130,6 @@ SIGMA = np.array([[0, -1j], [1j, 0]], dtype=complex)
 GAMMA = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
-def unit_matrix(n: int, i: int, j: int) -> np.ndarray:
-    """Matrix unit e_{ij}, 0-based."""
-    m = np.zeros((n, n), dtype=complex)
-    m[i, j] = 1.0
-    return m
-
-
 # leg tag -> the two 0-based legs of Mat_n^(x3) it names
 _LEG_TAGS = {12: (0, 1), 13: (0, 2), 23: (1, 2)}
 
@@ -190,12 +179,6 @@ def leg_product(a: Tensor2, legs_a: int, b: Tensor2, legs_b: int) -> Tensor3:
 def swap(t: Tensor2) -> Tensor2:
     """Exchange the two tensor legs: a (x) b -> b (x) a."""
     return Tensor2(t.n, t.coeffs.transpose(2, 3, 0, 1))
-
-
-def project_traceless(m: np.ndarray) -> np.ndarray:
-    """pr(A) = A - (tr A / n) * 1, the projection along scalar matrices."""
-    n = m.shape[0]
-    return m - (np.trace(m) / n) * np.eye(n, dtype=complex)
 
 
 def project_sl(t: Tensor2) -> Tensor2:

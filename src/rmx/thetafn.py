@@ -19,7 +19,7 @@ and
 
 These are the classical Jacobi functions taken at the unscaled argument z;
 the textbook functions of modulus k = theta_2(0)^2/theta_3(0)^2 are recovered
-at the argument u = pi*theta_3(0)^2 * z (see ARG_SCALE below).
+at the argument u = pi*theta_3(0)^2 * z.
 """
 
 from __future__ import annotations
@@ -109,26 +109,18 @@ def theta1_prime_at_0(p: ThetaParams) -> complex:
     return theta_j(1, 0.0, p, deriv=1)
 
 
-def theta_product_identity_residual(p: ThetaParams) -> float:
-    """|theta_1'(0) - pi * theta_2(0) theta_3(0) theta_4(0)|.
-
-    Note the factor pi, which the derivative of the sine series forces with
-    this argument convention.
-    """
-    lhs = theta1_prime_at_0(p)
-    rhs = pi * theta_j(2, 0, p) * theta_j(3, 0, p) * theta_j(4, 0, p)
-    return abs(lhs - rhs)
-
-
-def arg_scale(p: ThetaParams) -> complex:
-    """pi*theta_3(0|tau)^2: z -> u argument scale to textbook Jacobi functions."""
-    t3 = theta_j(3, 0.0, p)
-    return pi * t3 * t3
-
-
 # theta values at moderate arguments are O(1); a denominator this small is
-# a numerical zero of theta_4 (or theta_2(0)), i.e. a pole of the quotient
+# a numerical zero of a theta function, i.e. a pole of the quotient over it
 _POLE_EPS = 1e-13
+
+
+def pole_guard(den: complex, name: str, **at) -> complex:
+    """den, the denominator of `name` at the point `at`, unless it is a
+    numerical zero: that is a pole of `name`, raised as ZeroDivisionError."""
+    if abs(den) < _POLE_EPS:
+        where = ", ".join(f"{k}={v}" for k, v in at.items())
+        raise ZeroDivisionError(f"{name} pole at {where}")
+    return den
 
 
 # Jacobi function -> (j0, j, k0) of theta_j0(0) theta_j(z) / (theta_k0(0) theta_4(z))
@@ -139,10 +131,7 @@ def jacobi_quotient(name: str, z: complex, at0: dict, atz: dict) -> complex:
     """The Jacobi function `name` at z from theta_k(0) = at0[k] and
     theta_k(z) = atz[k]; a numerically zero denominator is its pole."""
     j0, j, k0 = _QUOTIENTS[name]
-    den = at0[k0] * atz[4]
-    if abs(den) < _POLE_EPS:
-        raise ZeroDivisionError(f"{name} pole at z={z}")
-    return at0[j0] * atz[j] / den
+    return at0[j0] * atz[j] / pole_guard(at0[k0] * atz[4], name, z=z)
 
 
 def _jacobi(name: str, z: complex, p: ThetaParams) -> complex:
@@ -161,112 +150,3 @@ def cn(z: complex, p: ThetaParams) -> complex:
 
 def dn(z: complex, p: ThetaParams) -> complex:
     return _jacobi("dn", z, p)
-
-
-# --- shift transformation table --------------------------------------------
-
-def shift_p(z: complex, p: ThetaParams) -> complex:
-    """p(z) = exp(-pi i (2z + tau)) of the shift table."""
-    return np.exp(-PI_I * (2 * z + p.tau))
-
-
-def shift_q(z: complex, p: ThetaParams) -> complex:
-    """q(z) = exp(-pi i (z + tau/4)) of the shift table."""
-    return np.exp(-PI_I * (z + p.tau / 4))
-
-
-# For each theta_j: factors (as functions of z) for the shifts
-#   -z, z+1, z+tau, z+1+tau, z+1/2, z+tau/2.
-# An entry (c, g, k) means theta_j(z + shift) = c * g(z) * theta_k(z) with
-# g one of 1, p, q.
-_ONE = lambda z, p: 1.0  # noqa: E731
-
-SHIFT_TABLE = {
-    1: {
-        "neg": (-1, _ONE, 1),
-        "z+1": (-1, _ONE, 1),
-        "z+tau": (-1, shift_p, 1),
-        "z+1+tau": (1, shift_p, 1),
-        "z+1/2": (1, _ONE, 2),
-        "z+tau/2": (1j, shift_q, 4),
-    },
-    2: {
-        "neg": (1, _ONE, 2),
-        "z+1": (-1, _ONE, 2),
-        "z+tau": (1, shift_p, 2),
-        "z+1+tau": (-1, shift_p, 2),
-        "z+1/2": (-1, _ONE, 1),
-        "z+tau/2": (1, shift_q, 3),
-    },
-    3: {
-        "neg": (1, _ONE, 3),
-        "z+1": (1, _ONE, 3),
-        "z+tau": (1, shift_p, 3),
-        "z+1+tau": (1, shift_p, 3),
-        "z+1/2": (1, _ONE, 4),
-        "z+tau/2": (1, shift_q, 2),
-    },
-    4: {
-        "neg": (1, _ONE, 4),
-        "z+1": (1, _ONE, 4),
-        "z+tau": (-1, shift_p, 4),
-        "z+1+tau": (-1, shift_p, 4),
-        "z+1/2": (1, _ONE, 3),
-        "z+tau/2": (1j, shift_q, 1),
-    },
-}
-
-_SHIFT_ARG = {
-    "neg": lambda z, tau: -z,
-    "z+1": lambda z, tau: z + 1,
-    "z+tau": lambda z, tau: z + tau,
-    "z+1+tau": lambda z, tau: z + 1 + tau,
-    "z+1/2": lambda z, tau: z + 0.5,
-    "z+tau/2": lambda z, tau: z + tau / 2,
-}
-
-
-def shift_residual(j: int, shift: str, z: complex, p: ThetaParams) -> float:
-    """Residual of one entry of the shift transformation table at z."""
-    c, g, k = SHIFT_TABLE[j][shift]
-    lhs = theta_j(j, _SHIFT_ARG[shift](z, p.tau), p)
-    rhs = c * g(z, p) * theta_j(k, z, p)
-    return abs(lhs - rhs)
-
-
-# --- Watson / Landen identities --------------------------------------------
-
-def watson_suite(x: complex, y: complex, p: ThetaParams) -> dict:
-    """Residuals of the five Watson determinantal identities and the two
-    Landen transforms, evaluated at (x, y).  Returns a dict of named
-    residuals plus the max under key 'max'."""
-    p2 = ThetaParams(2 * p.tau, p.tol)
-
-    def t(j, z, pp=p):
-        return theta_j(j, z, pp)
-
-    out = {}
-    out["watson1"] = abs(
-        t(3, 2 * x, p2) * t(2, 2 * y, p2) - t(3, 2 * y, p2) * t(2, 2 * x, p2)
-        - t(1, x + y) * t(1, x - y)
-    )
-    out["watson2"] = abs(
-        t(1, 2 * x, p2) * t(4, 2 * y, p2) - t(1, 2 * y, p2) * t(4, 2 * x, p2)
-        - t(2, x + y) * t(1, x - y)
-    )
-    out["watson3"] = abs(
-        t(1, 2 * x, p2) * t(4, 2 * y, p2) + t(1, 2 * y, p2) * t(4, 2 * x, p2)
-        - t(1, x + y) * t(2, x - y)
-    )
-    out["watson4"] = abs(
-        t(4, 2 * x, p2) * t(4, 2 * y, p2) - t(1, 2 * y, p2) * t(1, 2 * x, p2)
-        - t(3, x + y) * t(4, x - y)
-    )
-    out["watson5"] = abs(
-        t(4, 2 * x, p2) * t(4, 2 * y, p2) + t(1, 2 * y, p2) * t(1, 2 * x, p2)
-        - t(4, x + y) * t(3, x - y)
-    )
-    out["landen1"] = abs(t(4, 0, p2) * t(1, 2 * x, p2) - t(1, x) * t(2, x))
-    out["landen2"] = abs(t(4, 0, p2) * t(4, 2 * x, p2) - t(3, x) * t(4, x))
-    out["max"] = max(out.values())
-    return out

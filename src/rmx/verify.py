@@ -357,6 +357,13 @@ def dunkl_commutator(sol: RSolution, kappa: complex = 1.0, testfn: Callable = No
         xm = list(xs); xm[i] = xs[i] - step
         return (f(xp) - f(xm)) / (2 * step)
 
+    embedded = {}  # (i, j, x_i - x_j) -> r^{ij} on legs (i, j), once per call
+
+    def r_on_legs(i, j, x):
+        if (i, j, x) not in embedded:
+            embedded[i, j, x] = embed(rfun(x, DUNKL_YS[i], DUNKL_YS[j]), (i, j), m)
+        return embedded[i, j, x]
+
     def theta(i, f):
         def tf(xs):
             out = np.zeros((n**m, n**m), dtype=complex)
@@ -364,8 +371,7 @@ def dunkl_commutator(sol: RSolution, kappa: complex = 1.0, testfn: Callable = No
                 # central differences with one Richardson refinement
                 out = out + kappa * (4 * ddx(f, xs, i, h / 2) - ddx(f, xs, i, h)) / 3
             for j in (k for k in range(m) if k != i):
-                rij = embed(rfun(xs[i] - xs[j], DUNKL_YS[i], DUNKL_YS[j]), (i, j), m)
-                out = out + rij @ f(swap_args(xs, i, j))
+                out = out + r_on_legs(i, j, xs[i] - xs[j]) @ f(swap_args(xs, i, j))
             return out
         return tf
 

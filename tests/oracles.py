@@ -1,15 +1,23 @@
 # tests/oracles.py
 """Independent oracles used by the test suite.
 
-These deliberately avoid the library code paths they are used to check.
+Two kinds live here.  The reference computations (lattice sums, Eisenstein
+series, classical theta series, mpmath, exact rational engines, the per-slot
+Hom-space loop) deliberately avoid the library code paths they are used to
+check.  The theta-identity residuals (the shift table, Watson and Landen,
+the theta_1'(0) product) do call rmx.thetafn: they check classical
+identities among its values, which no part of rmx needs at run time.
 """
 
 from fractions import Fraction
+from math import pi
 
 import mpmath
 import numpy as np
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
+
+from rmx.thetafn import PI_I, ThetaParams, theta1_prime_at_0, theta_j
 
 
 def wp_lattice(zs, tau, cutoff=40):
@@ -27,6 +35,24 @@ def wp_lattice(zs, tau, cutoff=40):
     inv_w2 = 1.0 / w**2
     return [1.0 / z**2 + complex(np.sum(1.0 / (z - w) ** 2 - inv_w2))
             for z in map(complex, zs)]
+
+
+def eisenstein(tau: complex, cutoff: int = 200) -> tuple:
+    """(g2, g3) of the lattice Z + Z tau by direct Eisenstein summation:
+    g2 = 60 sum' w^-4, g3 = 140 sum' w^-6 over w = m' + m'' tau with
+    |m'|, |m''| <= cutoff, (0,0) excluded."""
+    tau = complex(tau)
+    if tau.imag <= 0:
+        raise ValueError("Im(tau) must be positive")
+    if cutoff < 1:
+        raise ValueError("cutoff must be >= 1")
+    m = np.arange(-cutoff, cutoff + 1)
+    mp, mpp = np.meshgrid(m, m, indexing="ij")
+    w = mp + mpp * tau
+    w = w[(mp != 0) | (mpp != 0)]
+    # sum smallest terms first (largest |w| first)
+    w = w[np.argsort(-np.abs(w))]
+    return 60.0 * complex(np.sum(w**-4)), 140.0 * complex(np.sum(w**-6))
 
 
 def kron_embed(t2_coeffs, legs, n):
@@ -90,6 +116,134 @@ def theta_mpmath(j, z, tau, deriv=0, dps=30):
         val = mpmath.pi**deriv * mpmath.jtheta(j, mpmath.pi * mpmath.mpc(z), q,
                                                derivative=deriv)
         return complex(val)
+
+
+# --- theta_1'(0) product and the argument scale -------------------------------
+
+def theta_product_identity_residual(p: ThetaParams) -> float:
+    """|theta_1'(0) - pi * theta_2(0) theta_3(0) theta_4(0)|.
+
+    Note the factor pi, which the derivative of the sine series forces with
+    this argument convention.
+    """
+    lhs = theta1_prime_at_0(p)
+    rhs = pi * theta_j(2, 0, p) * theta_j(3, 0, p) * theta_j(4, 0, p)
+    return abs(lhs - rhs)
+
+
+def arg_scale(p: ThetaParams) -> complex:
+    """pi*theta_3(0|tau)^2: z -> u argument scale to textbook Jacobi functions."""
+    t3 = theta_j(3, 0.0, p)
+    return pi * t3 * t3
+
+
+# --- shift transformation table --------------------------------------------
+
+def shift_p(z: complex, p: ThetaParams) -> complex:
+    """p(z) = exp(-pi i (2z + tau)) of the shift table."""
+    return np.exp(-PI_I * (2 * z + p.tau))
+
+
+def shift_q(z: complex, p: ThetaParams) -> complex:
+    """q(z) = exp(-pi i (z + tau/4)) of the shift table."""
+    return np.exp(-PI_I * (z + p.tau / 4))
+
+
+# For each theta_j: factors (as functions of z) for the shifts
+#   -z, z+1, z+tau, z+1+tau, z+1/2, z+tau/2.
+# An entry (c, g, k) means theta_j(z + shift) = c * g(z) * theta_k(z) with
+# g one of 1, p, q.
+_ONE = lambda z, p: 1.0  # noqa: E731
+
+SHIFT_TABLE = {
+    1: {
+        "neg": (-1, _ONE, 1),
+        "z+1": (-1, _ONE, 1),
+        "z+tau": (-1, shift_p, 1),
+        "z+1+tau": (1, shift_p, 1),
+        "z+1/2": (1, _ONE, 2),
+        "z+tau/2": (1j, shift_q, 4),
+    },
+    2: {
+        "neg": (1, _ONE, 2),
+        "z+1": (-1, _ONE, 2),
+        "z+tau": (1, shift_p, 2),
+        "z+1+tau": (-1, shift_p, 2),
+        "z+1/2": (-1, _ONE, 1),
+        "z+tau/2": (1, shift_q, 3),
+    },
+    3: {
+        "neg": (1, _ONE, 3),
+        "z+1": (1, _ONE, 3),
+        "z+tau": (1, shift_p, 3),
+        "z+1+tau": (1, shift_p, 3),
+        "z+1/2": (1, _ONE, 4),
+        "z+tau/2": (1, shift_q, 2),
+    },
+    4: {
+        "neg": (1, _ONE, 4),
+        "z+1": (1, _ONE, 4),
+        "z+tau": (-1, shift_p, 4),
+        "z+1+tau": (-1, shift_p, 4),
+        "z+1/2": (1, _ONE, 3),
+        "z+tau/2": (1j, shift_q, 1),
+    },
+}
+
+_SHIFT_ARG = {
+    "neg": lambda z, tau: -z,
+    "z+1": lambda z, tau: z + 1,
+    "z+tau": lambda z, tau: z + tau,
+    "z+1+tau": lambda z, tau: z + 1 + tau,
+    "z+1/2": lambda z, tau: z + 0.5,
+    "z+tau/2": lambda z, tau: z + tau / 2,
+}
+
+
+def shift_residual(j: int, shift: str, z: complex, p: ThetaParams) -> float:
+    """Residual of one entry of the shift transformation table at z."""
+    c, g, k = SHIFT_TABLE[j][shift]
+    lhs = theta_j(j, _SHIFT_ARG[shift](z, p.tau), p)
+    rhs = c * g(z, p) * theta_j(k, z, p)
+    return abs(lhs - rhs)
+
+
+# --- Watson / Landen identities --------------------------------------------
+
+def watson_suite(x: complex, y: complex, p: ThetaParams) -> dict:
+    """Residuals of the five Watson determinantal identities and the two
+    Landen transforms, evaluated at (x, y).  Returns a dict of named
+    residuals plus the max under key 'max'."""
+    p2 = ThetaParams(2 * p.tau, p.tol)
+
+    def t(j, z, pp=p):
+        return theta_j(j, z, pp)
+
+    out = {}
+    out["watson1"] = abs(
+        t(3, 2 * x, p2) * t(2, 2 * y, p2) - t(3, 2 * y, p2) * t(2, 2 * x, p2)
+        - t(1, x + y) * t(1, x - y)
+    )
+    out["watson2"] = abs(
+        t(1, 2 * x, p2) * t(4, 2 * y, p2) - t(1, 2 * y, p2) * t(4, 2 * x, p2)
+        - t(2, x + y) * t(1, x - y)
+    )
+    out["watson3"] = abs(
+        t(1, 2 * x, p2) * t(4, 2 * y, p2) + t(1, 2 * y, p2) * t(4, 2 * x, p2)
+        - t(1, x + y) * t(2, x - y)
+    )
+    out["watson4"] = abs(
+        t(4, 2 * x, p2) * t(4, 2 * y, p2) - t(1, 2 * y, p2) * t(1, 2 * x, p2)
+        - t(3, x + y) * t(4, x - y)
+    )
+    out["watson5"] = abs(
+        t(4, 2 * x, p2) * t(4, 2 * y, p2) + t(1, 2 * y, p2) * t(1, 2 * x, p2)
+        - t(4, x + y) * t(3, x - y)
+    )
+    out["landen1"] = abs(t(4, 0, p2) * t(1, 2 * x, p2) - t(1, x) * t(2, x))
+    out["landen2"] = abs(t(4, 0, p2) * t(4, 2 * x, p2) - t(3, x) * t(4, x))
+    out["max"] = max(out.values())
+    return out
 
 
 def theta_term_scale(j, z, tau, deriv=0, nterms=60):

@@ -14,11 +14,11 @@ from rmx import bundles, catalog, rmatrix, verify
 from rmx.catalog import (apply_sl2_automorphism, elliptic_closed_form,
                          nodal21_multiplicative, stolin_gauge)
 from rmx.tensorcore import ID2, Tensor2
-from rmx.thetafn import (SHIFT_TABLE, ThetaParams, arg_scale, cn, dn,
-                         shift_residual, sn,
-                         theta_product_identity_residual, watson_suite)
+from rmx.thetafn import ThetaParams, cn, dn, sn
 
 import oracles
+from oracles import (SHIFT_TABLE, arg_scale, shift_residual,
+                     theta_product_identity_residual, watson_suite)
 
 
 def report(num, ok, desc, metric):

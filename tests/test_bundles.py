@@ -10,12 +10,17 @@ from rmx.bundles import (
     CuspTriple, NodalTriple, atiyah_nodal, automorphy, canonical_cusp,
     canonical_cusp_matrix, canonical_nodal, canonical_nodal_matrix, det_triple,
     endo_dimension, jacobian_form, jacobian_form_cusp, jacobian_form_nodal,
-    line_bundle_factor, offdiag_block_rank,
+    line_bundle_factor, svd_rank,
 )
 from rmx.thetafn import ThetaParams, theta_j
 
 COPRIME_PAIRS = [(a, b) for a in range(1, 7) for b in range(1, 7)
                  if a + b <= 7 and gcd(a, b) == 1]
+
+
+def offdiag_block_rank(t: NodalTriple) -> int:
+    """Rank of the n1 x n2 upper-right block of m(0) (full for simple objects)."""
+    return svd_rank(np.linalg.svd(t.m0[:t.n1, t.n1:], compute_uv=False))
 
 
 # --- canonical nodal forms ----------------------------------------------------

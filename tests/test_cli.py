@@ -1,6 +1,7 @@
 # tests/test_cli.py
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -510,6 +511,26 @@ def test_tau_off_the_upper_half_plane_is_usage_error(capsys, argv):
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: tau must have positive imaginary part")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv,err", [
+    ("eval --solution ell21 --v 0 --y 0.3", "(ell21 pole at v=0j)"),
+    ("eval --solution ell21 --v 0.3 --y 0", "(ell21 pole at y=0j)"),
+    ("eval --solution ell21_classical --y 0", "(ell21_classical pole at y=0j)"),
+    ("eval --solution yang --y 0", "(complex division by zero)"),
+    ("eval --solution trg21 --v 0 --y 0.3", "(non-finite tensor)"),
+    ("eval --solution cherednik --y 0", "(non-finite tensor)"),
+    # the limit grid y = 0.3 ... 1.2 meets the lattice pole y = 1 of ell21
+    ("verify --identity limit --solution ell21", "(ell21 pole at y="),
+])
+def test_pole_hit_is_one_usage_error(capsys, argv, err):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the row
+        code = main(argv.split())
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: evaluation hit a pole " + err)
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 def test_parser_is_built_once_and_keeps_no_state(capsys):

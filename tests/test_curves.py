@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmx.curves import (
-    CUSPIDAL, ELLIPTIC, NODAL, CurveSpec, ModuliCoord, classify, discriminant,
-    eisenstein,
-)
+from rmx.curves import CUSPIDAL, ELLIPTIC, NODAL, ZERO_TOL, classify, discriminant
+
+from oracles import eisenstein
 
 
 def test_classify_examples():
@@ -18,9 +17,10 @@ def test_classify_examples():
     assert discriminant(4, 0) == 64
 
 
-def test_classify_tolerance_override():
+def test_classify_zero_tolerance():
     assert classify(1e-13, 1e-13) == CUSPIDAL
-    assert classify(1e-13, 1e-13, zero_tol=1e-16) == NODAL
+    # g2 is above the tolerance, so not cuspidal; Delta = 8e-36 is below it
+    assert classify(2 * ZERO_TOL, 0) == NODAL
 
 
 @settings(max_examples=40, deadline=None)
@@ -31,16 +31,6 @@ def test_nodal_locus(t):
     # magnitude is kept small enough that float rounding stays below the
     # absolute zero tolerance
     assert classify(3 * t**2, t**3) == NODAL
-
-
-def test_curvespec_constructors():
-    assert CurveSpec.from_g2g3(4, 0).kind == ELLIPTIC
-    assert CurveSpec.from_g2g3(0, 0).kind == CUSPIDAL
-    assert CurveSpec.nodal().kind == NODAL
-    with pytest.raises(ValueError):
-        CurveSpec.elliptic(0.2 - 0.1j)
-    with pytest.raises(ValueError):
-        ModuliCoord(NODAL, 0.0)
 
 
 def test_eisenstein_square_lattice_g3_vanishes():

@@ -8,12 +8,14 @@ import pytest
 
 from rmx import thetafn
 from rmx.thetafn import (
-    SHIFT_TABLE, ThetaParams, arg_scale, cn, dn, shift_residual, sn,
-    theta1_prime_at_0, theta_char, theta_j, theta_product_identity_residual,
-    watson_suite,
+    ThetaParams, cn, dn, sn, theta1_prime_at_0, theta_char, theta_j,
 )
 
 import oracles
+from oracles import (
+    SHIFT_TABLE, arg_scale, shift_residual, theta_product_identity_residual,
+    watson_suite,
+)
 
 TAUS = [1.1j, 0.3 + 1.1j]
 

@@ -1,5 +1,7 @@
 # tests/test_verify.py
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -31,7 +33,7 @@ def test_unitarity_passes(name):
 
 
 def test_zero_solution_trivially_passes():
-    zero = RSolution("zero", "vdiff_ydiff", 2, lambda v, y: Tensor2.zero(2))
+    zero = RSolution("zero", "vdiff_ydiff", 2, lambda v, y: Tensor2(2, np.zeros((2,) * 4)))
     assert verify.aybe(zero, samples=3, seed=0).max_residual == 0.0
 
 
@@ -194,7 +196,8 @@ def test_casimir_residue(name, alpha):
 
 def test_casimir_residue_elliptic_classical():
     # residue is Omega / (pi theta_3(0)^2): proportional to the Casimir
-    from rmx.thetafn import ThetaParams, arg_scale
+    from oracles import arg_scale
+    from rmx.thetafn import ThetaParams
     a, defect = verify.casimir_residue(catalog.get("ell21_classical", tau=1.1j))
     assert defect < 1e-10
     assert abs(a - 1.0 / arg_scale(ThetaParams(1.1j))) < 1e-8
@@ -248,6 +251,24 @@ def test_dunkl_nan_residual_fails():
                                   samples=2, seed=13)
     assert np.isnan(rep.max_residual) and not rep.passed
     assert rep.samples == 6
+
+
+@pytest.mark.parametrize("kappa", [0.0, 1.0])
+@pytest.mark.parametrize("name", ["rat21", "trg21", "trg20_semistable", "rat21_degenerate"])
+def test_dunkl_evaluates_each_term_once(name, kappa):
+    # the nested theta_i theta_j f meet the same r^{ij}(x_i - x_j) many times;
+    # each distinct argument tuple reaches the evaluator once per call
+    sol = catalog.get(name)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return sol.evaluator(*args)
+
+    rep = verify.dunkl_commutator(dataclasses.replace(sol, evaluator=counted),
+                                  kappa=kappa, samples=3)
+    assert rep.passed, rep
+    assert len(calls) == len(set(calls)) == (72 if kappa == 0 else 144)
 
 
 # --- report plumbing -------------------------------------------------------------
