@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from . import bundles, catalog, curves, rmatrix, verify
+from . import bundles, catalog, curves, rmatrix, thetafn, verify
 from .tensorcore import LAYOUT, Tensor, project_sl
 
 CONVENTIONS = {
@@ -155,14 +155,13 @@ def cmd_eval(args) -> int:
                           f"spectral parameters: --{' --'.join(names)}")
     try:
         t = sol.evaluator(*[complex(p) for p in params])
-    except rmatrix.DegenerateSystemError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
     except rmatrix.EngineError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(e, rmatrix.DegenerateSystemError) else 2
+    except ZeroDivisionError as e:  # a closed form divided by zero at its pole
+        raise thetafn.PoleError(*e.args) from e
     if not np.all(np.isfinite(t.coeffs)):
-        raise ZeroDivisionError("non-finite tensor")
+        raise thetafn.PoleError("non-finite tensor")
     if args.out == "csv":
         k = t.kron()
         side, flat = len(k), k.ravel()
@@ -383,10 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one rmx command and return its exit code.  A pole hit, that is a
-    ZeroDivisionError from any command or a non-finite eval tensor, exits 2
-    with `error: evaluation hit a pole (...)`.  numpy's division and
-    overflow warnings are off: inf and nan show only as values."""
+    """Run one rmx command and return its exit code.  A thetafn.PoleError exits
+    2 with `error: evaluation hit a pole (...)`.  numpy's division and overflow
+    warnings are off: inf and nan show only as values."""
     args = build_parser().parse_args(argv)
     try:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -396,7 +394,7 @@ def main(argv=None) -> int:
     except verify.PoleSampleError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except ZeroDivisionError as e:
+    except thetafn.PoleError as e:
         print(f"error: evaluation hit a pole ({e})", file=sys.stderr)
         return 2
 

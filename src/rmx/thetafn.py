@@ -114,12 +114,16 @@ def theta1_prime_at_0(p: ThetaParams) -> complex:
 _POLE_EPS = 1e-13
 
 
+class PoleError(ZeroDivisionError):
+    """A function was evaluated at (numerically) one of its poles."""
+
+
 def pole_guard(den: complex, name: str, **at) -> complex:
     """den, the denominator of `name` at the point `at`, unless it is a
-    numerical zero: that is a pole of `name`, raised as ZeroDivisionError."""
+    numerical zero: that is a pole of `name`, raised as PoleError."""
     if abs(den) < _POLE_EPS:
         where = ", ".join(f"{k}={v}" for k, v in at.items())
-        raise ZeroDivisionError(f"{name} pole at {where}")
+        raise PoleError(f"{name} pole at {where}")
     return den
 
 

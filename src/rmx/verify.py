@@ -21,6 +21,7 @@ import numpy as np
 from .catalog import RSolution, as_four_param, as_three_param, as_two_point
 from .tensorcore import (Tensor2, Tensor3, casimir, embed, embed_leg, leg_product,
                          project_sl, swap)
+from .thetafn import PoleError
 
 
 @dataclass
@@ -244,15 +245,17 @@ def classical_limit(sol: RSolution, reference: RSolution,
                     y_grid: Sequence[complex], tol: float = DEFAULT_TOL["limit"],
                     y_base: complex = 0.0) -> ResidualReport:
     """Compare the extrapolated classical limit against a catalog entry on a
-    y-grid (points y interpreted as (y_base, y_base + y) pairs)."""
-    y_grid = list(y_grid)
-    y_pairs = [(y_base, y_base + y) for y in y_grid]
-    vals = classical_limit_values(sol, y_pairs)
-    if reference.arity == "cl_ydiff":
-        ref = [reference.evaluator(y) for y in y_grid]
-    else:
-        ref = [reference.evaluator(a, b) for (a, b) in y_pairs]
-    res = [((got - want).norm(), (y,)) for y, got, want in zip(y_grid, vals, ref)]
+    y-grid (points y interpreted as (y_base, y_base + y) pairs).  A grid
+    point at a pole of either solution has a NaN residual: the report fails."""
+    def residual(y):
+        pair = (y_base, y_base + y)
+        try:
+            got, = classical_limit_values(sol, [pair])
+            want = reference.evaluator(*((y,) if reference.arity == "cl_ydiff" else pair))
+        except PoleError:
+            return math.nan
+        return (got - want).norm()
+    res = [(residual(y), (y,)) for y in y_grid]
     return _report("classical-limit", f"{sol.name}->{reference.name}", res, tol, 0)
 
 

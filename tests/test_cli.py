@@ -520,8 +520,6 @@ def test_tau_off_the_upper_half_plane_is_usage_error(capsys, argv):
     ("eval --solution yang --y 0", "(complex division by zero)"),
     ("eval --solution trg21 --v 0 --y 0.3", "(non-finite tensor)"),
     ("eval --solution cherednik --y 0", "(non-finite tensor)"),
-    # the limit grid y = 0.3 ... 1.2 meets the lattice pole y = 1 of ell21
-    ("verify --identity limit --solution ell21", "(ell21 pole at y="),
 ])
 def test_pole_hit_is_one_usage_error(capsys, argv, err):
     with warnings.catch_warnings():
@@ -531,6 +529,29 @@ def test_pole_hit_is_one_usage_error(capsys, argv, err):
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: evaluation hit a pole " + err)
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def test_limit_grid_on_a_pole_fails_the_identity(capsys):
+    # the limit grid y = 0.3 ... 1.2 meets the lattice pole y = 1 of ell21:
+    # the check's own point, so a NaN residual there and exit 1, not a usage error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main("verify --identity limit --solution ell21".split())
+    captured = capsys.readouterr()
+    d = json.loads(captured.out)
+    assert code == 1 and captured.err == ""
+    assert np.isnan(d["max_residual"]) and d["passed"] is False and d["samples"] == 10
+    assert abs(complex(*d["argmax_sample"][0]) - 1) < 1e-12
+
+
+def test_other_division_by_zero_is_not_a_pole(monkeypatch):
+    # only a PoleError (or eval's own evaluator call) reads as a pole hit;
+    # a ZeroDivisionError elsewhere is a fault of rmx and propagates
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("division by zero")
+    monkeypatch.setattr(verify, "laurent_payload", broken)
+    with pytest.raises(ZeroDivisionError):
+        main("verify --identity laurent --solution rat21".split())
 
 
 def test_parser_is_built_once_and_keeps_no_state(capsys):

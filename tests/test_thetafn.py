@@ -156,7 +156,7 @@ def test_sncn_squares(params):
 def test_pole_raises():
     p = ThetaParams(1.1j)
     # theta_4 vanishes at tau/2
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(thetafn.PoleError, match="sn pole"):
         sn(p.tau / 2, p)
 
 
