@@ -3,8 +3,14 @@
 """Command line front end: evaluate solutions/engines, run identity checks,
 emit canonical gluing forms, run parameter sweeps.
 
-Exit codes: 0 pass, 1 identity failure, 2 usage/parameter error,
-3 numeric degeneracy (ill-conditioned residue system).
+Exit codes: a command returns 0 (pass) or 1 (identity failure) and raises
+on error; main alone maps the error class to a code and an `error:` line:
+
+    rmatrix.DegenerateSystemError (degenerate system)            -> 3
+    ValueError (UsageError too), rmatrix.EngineError,
+    verify.PoleSampleError, thetafn.PoleError (usage error)      -> 2
+
+argparse exits 2 on a malformed option; any other exception propagates.
 """
 
 from __future__ import annotations
@@ -98,10 +104,8 @@ def _emit(payload, args):
         sys.stdout.write(text)
 
 
-class SystemExit2(SystemExit):
-    def __init__(self, msg):
-        print(f"error: {msg}", file=sys.stderr)
-        super().__init__(2)
+class UsageError(ValueError):
+    """Input that rmx refuses; main reports it with exit 2."""
 
 
 def _tau(args) -> complex:
@@ -110,7 +114,7 @@ def _tau(args) -> complex:
     if args.tau is None:
         return catalog.DEFAULT_TAU
     if args.tau.imag <= 0:
-        raise SystemExit2(f"tau must have positive imaginary part, got {args.tau}")
+        raise UsageError(f"tau must have positive imaginary part, got {args.tau}")
     return args.tau
 
 
@@ -119,20 +123,19 @@ def _engine_from_args(args) -> catalog.RSolution:
     if kind is None and args.g2 is not None and args.g3 is not None:
         kind = curves.classify(args.g2, args.g3)
         if kind == curves.ELLIPTIC and args.tau is None:
-            raise SystemExit2(
+            raise UsageError(
                 "(g2, g3) is a smooth curve; pass --tau explicitly "
                 "(the inverse modular map is not provided)")
     if kind == "elliptic":
         if args.tau is None:
-            raise SystemExit2("--tau is required for the elliptic engine")
-        return rmatrix.engine_solution("elliptic", 2, 1, tau=_tau(args))
+            raise UsageError("--tau is required for the elliptic engine")
+        return rmatrix.engine_solution("elliptic", args.rank, args.deg, tau=_tau(args))
     if kind == "nodal":
         if (args.rank, args.deg) == (2, 0):
             return rmatrix.engine_solution("nodal-semistable")
         return rmatrix.engine_solution("nodal", args.rank, args.deg)
-    if kind == "cuspidal":
-        return rmatrix.engine_solution("cusp", args.rank, args.deg)
-    raise SystemExit2(f"unknown curve {kind!r}")
+    # cuspidal: --curve's choices and curves.classify admit no other kind
+    return rmatrix.engine_solution("cusp", args.rank, args.deg)
 
 
 def _solution_from_args(args) -> catalog.RSolution:
@@ -140,10 +143,10 @@ def _solution_from_args(args) -> catalog.RSolution:
         try:
             return catalog.get(args.solution, tau=_tau(args))
         except KeyError as e:
-            raise SystemExit2(e.args[0])
+            raise UsageError(e.args[0])
     if args.curve or (args.g2 is not None and args.g3 is not None):
         return _engine_from_args(args)
-    raise SystemExit2("need --solution NAME, --curve KIND, or --g2/--g3")
+    raise UsageError("need --solution NAME, --curve KIND, or --g2/--g3")
 
 
 def cmd_eval(args) -> int:
@@ -151,13 +154,10 @@ def cmd_eval(args) -> int:
     names = catalog.ARITY_PARAMS[sol.arity]
     params = [getattr(args, name) for name in names]
     if any(p is None for p in params):
-        raise SystemExit2(f"solution {sol.name!r} (arity {sol.arity}) needs {len(names)} "
-                          f"spectral parameters: --{' --'.join(names)}")
+        raise UsageError(f"solution {sol.name!r} (arity {sol.arity}) needs {len(names)} "
+                         f"spectral parameters: --{' --'.join(names)}")
     try:
         t = sol.evaluator(*[complex(p) for p in params])
-    except rmatrix.EngineError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3 if isinstance(e, rmatrix.DegenerateSystemError) else 2
     except ZeroDivisionError as e:  # a closed form divided by zero at its pole
         raise thetafn.PoleError(*e.args) from e
     if not np.all(np.isfinite(t.coeffs)):
@@ -193,7 +193,7 @@ _SAMPLED_CHECKS = {"aybe": "aybe", "dual": "aybe_dual", "unitarity": "unitarity"
 
 def cmd_verify(args) -> int:
     if args.samples < 1:
-        raise SystemExit2(f"--samples must be at least 1, got {args.samples}")
+        raise UsageError(f"--samples must be at least 1, got {args.samples}")
     seed = _seed(args)
     sol = _solution_from_args(args)
     tol = verify.default_tol(args.identity, args.kappa) if args.tol is None else args.tol
@@ -205,13 +205,14 @@ def cmd_verify(args) -> int:
             v0 = 0.7 if args.v0 is None else args.v0
             rep = verify.qybe(sol, v0=v0, samples=args.samples, tol=tol, seed=seed)
         elif args.identity == "limit":
+            tau = _tau(args)  # before the try: a bad tau is not a missing partner
             try:
-                ref = catalog.classical_of(sol.name, tau=_tau(args))
+                ref = catalog.classical_of(sol.name, tau=tau)
             except ValueError:
                 # no recorded partner: still probe the limit to report divergence
                 verify.classical_limit_values(sol, [(0.15, 0.8)])
-                raise SystemExit2(f"{sol.name} has no recorded classical partner "
-                                  "and its pr(x)pr limit converged; nothing to compare")
+                raise UsageError(f"{sol.name} has no recorded classical partner "
+                                 "and its pr(x)pr limit converged; nothing to compare")
             grid = [0.3 + 0.1 * k for k in range(10)]
             rep = verify.classical_limit(sol, ref, grid, tol=tol,
                                          y_base=0.15)
@@ -234,26 +235,18 @@ def cmd_verify(args) -> int:
                    "divergence": True, "detail": str(e), "passed": False}
         _emit(payload, args)
         return 1
-    except rmatrix.DegenerateSystemError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except ValueError as e:
-        raise SystemExit2(str(e))
     _emit(rep.to_json_dict(), args)
     return 0 if rep.passed else 1
 
 
 def cmd_canon(args) -> int:
     lam = complex(args.lam)
-    try:
-        if args.type == "nodal":
-            t = bundles.canonical_nodal(args.n1, args.n2, lam)
-            mat = t.m0
-        else:
-            t = bundles.canonical_cusp(args.n1, args.n2, lam)
-            mat = t.mEps
-    except ValueError as e:
-        raise SystemExit2(str(e))
+    if args.type == "nodal":
+        t = bundles.canonical_nodal(args.n1, args.n2, lam)
+        mat = t.m0
+    else:
+        t = bundles.canonical_cusp(args.n1, args.n2, lam)
+        mat = t.mEps
     det, endo = bundles.det_triple(t), bundles.endo_dimension(t)
     payload = {
         "type": args.type,
@@ -275,9 +268,9 @@ def _parse_grid(spec_str, default):
     try:
         vals = [_parse_real(t) for t in spec_str.split(",") if t.strip()]
     except (ValueError, argparse.ArgumentTypeError):
-        raise SystemExit2(f"bad grid {spec_str!r}")
+        raise UsageError(f"bad grid {spec_str!r}")
     if not vals:
-        raise SystemExit2("empty grid")
+        raise UsageError("empty grid")
     return vals
 
 
@@ -286,31 +279,24 @@ def cmd_sweep(args) -> int:
         grid = _parse_grid(args.grid, [1e2, 1e3, 1e4, 1e5])
         # with no solution named, the sweep runs the one recorded degeneration
         named = any(a is not None for a in (args.solution, args.curve, args.g2, args.g3))
-        try:
-            trg, rat = catalog.degeneration_of(
-                _solution_from_args(args).name if named else "cherednik")
-        except ValueError as e:
-            raise SystemExit2(str(e))
+        trg, rat = catalog.degeneration_of(
+            _solution_from_args(args).name if named else "cherednik")
         lines = ["t,max_error"]
         for t in grid:
             lines.append(f"{t!r},{verify.degeneration_error(trg, rat, t)!r}")
         _emit("\n".join(lines) + "\n", args)
         return 0
-    if args.kind == "limit":
-        sol = _solution_from_args(args)
-        grid = _parse_grid(args.grid, [1e-1, 1e-2, 1e-3, 1e-4])
-        try:
-            r3 = catalog.as_three_param(sol)
-        except ValueError as e:
-            raise SystemExit2(str(e))
-        lines = ["v,pr_norm,delta_to_next"]
-        vals = [project_sl(r3(v, 0.15, 0.85)) for v in grid]
-        for i, v in enumerate(grid):
-            delta = repr((vals[i] - vals[i + 1]).norm()) if i + 1 < len(grid) else ""
-            lines.append(f"{v!r},{vals[i].norm()!r},{delta}")
-        _emit("\n".join(lines) + "\n", args)
-        return 0
-    raise SystemExit2(f"unknown sweep kind {args.kind!r}")
+    # limit: argparse's choices admit no other kind
+    sol = _solution_from_args(args)
+    grid = _parse_grid(args.grid, [1e-1, 1e-2, 1e-3, 1e-4])
+    r3 = catalog.as_three_param(sol)
+    lines = ["v,pr_norm,delta_to_next"]
+    vals = [project_sl(r3(v, 0.15, 0.85)) for v in grid]
+    for i, v in enumerate(grid):
+        delta = repr((vals[i] - vals[i + 1]).norm()) if i + 1 < len(grid) else ""
+        lines.append(f"{v!r},{vals[i].norm()!r},{delta}")
+    _emit("\n".join(lines) + "\n", args)
+    return 0
 
 
 def _add_common_solution_args(sp):
@@ -382,21 +368,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one rmx command and return its exit code.  A thetafn.PoleError exits
-    2 with `error: evaluation hit a pole (...)`.  numpy's division and overflow
-    warnings are off: inf and nan show only as values."""
+    """Run one rmx command and return its exit code, the one owner of the
+    module docstring's table: DegenerateSystemError exits 3; ValueError,
+    EngineError, PoleSampleError and PoleError exit 2; each writes one line
+    `error: {e}`, a PoleError `error: evaluation hit a pole ({e})`.  numpy's
+    division and overflow warnings are off: inf and nan show only as values."""
     args = build_parser().parse_args(argv)
     try:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             return args.func(args)
-    except SystemExit2 as e:
-        return e.code
-    except verify.PoleSampleError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except thetafn.PoleError as e:
-        print(f"error: evaluation hit a pole ({e})", file=sys.stderr)
-        return 2
+    except (ValueError, rmatrix.EngineError, verify.PoleSampleError,
+            thetafn.PoleError) as e:
+        msg = f"evaluation hit a pole ({e})" if isinstance(e, thetafn.PoleError) else e
+        print(f"error: {msg}", file=sys.stderr)
+        return 3 if isinstance(e, rmatrix.DegenerateSystemError) else 2
 
 
 if __name__ == "__main__":

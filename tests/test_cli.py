@@ -1,12 +1,14 @@
 # tests/test_cli.py
 
+import ast
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rmx import catalog, rmatrix, verify
+from rmx import catalog, cli, rmatrix, verify
 from rmx.cli import main
 from rmx.tensorcore import Tensor2
 
@@ -52,11 +54,6 @@ def test_eval_complex_argument_parsing(capsys):
 
 def test_eval_missing_parameters(capsys):
     code, _ = run(capsys, "eval", "--solution", "rat21", "--v", "0.5")
-    assert code == 2
-
-
-def test_eval_unknown_solution(capsys):
-    code, _ = run(capsys, "eval", "--solution", "nope", "--y", "1")
     assert code == 2
 
 
@@ -197,12 +194,6 @@ def test_canon_cusp_lambda_zero(capsys):
     assert np.array_equal(m, np.array([[0, 1], [0, 0]]))
 
 
-def test_canon_gcd_error(capsys):
-    code, _ = run(capsys, "canon", "--type", "nodal", "--n1", "2", "--n2",
-                  "4", "--lambda", "1")
-    assert code == 2
-
-
 def test_sweep_degeneration_decreasing(capsys):
     code, out = run(capsys, "sweep", "--kind", "degeneration", "--grid",
                     "1e2,1e3,1e4,1e5")
@@ -251,11 +242,6 @@ def test_sweep_limit_stabilizes(capsys):
     lines = out.strip().splitlines()
     deltas = [float(l.split(",")[2]) for l in lines[1:-1]]
     assert deltas == sorted(deltas, reverse=True)
-
-
-def test_sweep_empty_grid(capsys):
-    code, _ = run(capsys, "sweep", "--kind", "degeneration", "--grid", "")
-    assert code == 2
 
 
 def test_json_output_reproducible(capsys, tmp_path):
@@ -546,12 +532,15 @@ def test_limit_grid_on_a_pole_fails_the_identity(capsys):
 
 def test_other_division_by_zero_is_not_a_pole(monkeypatch):
     # only a PoleError (or eval's own evaluator call) reads as a pole hit;
-    # a ZeroDivisionError elsewhere is a fault of rmx and propagates
-    def broken(*args, **kwargs):
-        raise ZeroDivisionError("division by zero")
-    monkeypatch.setattr(verify, "laurent_payload", broken)
-    with pytest.raises(ZeroDivisionError):
-        main("verify --identity laurent --solution rat21".split())
+    # a ZeroDivisionError elsewhere is a fault of rmx and propagates, and so
+    # does every class that main's table does not name
+    for exc in (ZeroDivisionError, KeyError, TypeError, RuntimeError):
+        def broken(*args, **kwargs):
+            raise exc("division by zero")
+        monkeypatch.setattr(verify, "laurent_payload", broken)
+        with pytest.raises(exc) as info:
+            main("verify --identity laurent --solution rat21".split())
+        assert info.type is exc
 
 
 def test_parser_is_built_once_and_keeps_no_state(capsys):
@@ -563,3 +552,73 @@ def test_parser_is_built_once_and_keeps_no_state(capsys):
     argv = ["eval", "--solution", "yang", "--y", "2.0"]
     assert run(capsys, *argv, "--out", "csv")[1].startswith("row,col,re,im\n")
     assert json.loads(run(capsys, *argv)[1])["solution"] == "yang"
+
+
+# --- the exit-code contract: commands raise, cli.main maps ---------------------
+
+_NODAL = "--rank 2 --deg 1 --v1 {} --v2 {} --y1 {} --y2 {}"
+
+
+@pytest.mark.parametrize("argv,code,err", [
+    pytest.param("eval --curve nodal " + _NODAL.format("1e-200", 1, 1, 2), 2,
+                 "error: gluing matrices must be invertible", id="eval-singular-gluing"),
+    pytest.param("eval --curve elliptic --rank 3 --deg 1 --tau 0,1 --v1 0 --v2 .2 "
+                 "--y1 .1 --y2 .3", 2,
+                 "error: elliptic engine implemented for (n, d) = (2, 1)",
+                 id="eval-elliptic-rank"),
+    pytest.param("eval --curve nodal --rank 4 --deg 2 --v1 1 --v2 2 --y1 0.3 --y2 0.8",
+                 2, "error: (n, d) = (4, 2) must be coprime", id="eval-not-coprime"),
+    pytest.param("eval --curve nodal " + _NODAL.format(1, 1, 0.3, 0.3), 2,
+                 "error: coincident spectral points", id="eval-coincident-points"),
+    pytest.param("eval --curve cuspidal " + _NODAL.format(1, 1, 0.3, 0.8), 2,
+                 "error: coincident moduli points", id="eval-coincident-moduli"),
+    pytest.param("eval --curve nodal " + _NODAL.format(0, 1, 0.3, 0.8), 2,
+                 "error: nodal parameters must be nonzero", id="eval-zero-nodal"),
+    pytest.param("eval --solution nope --y 1", 2, "error: unknown solution name 'nope'",
+                 id="eval-unknown-solution"),
+    pytest.param("eval --rank 2", 2, "error: need --solution NAME", id="eval-no-solution"),
+    pytest.param("verify --identity aybe --curve nodal --rank 4 --deg 2 --samples 2", 2,
+                 "error: (n, d) = (4, 2) must be coprime", id="verify-not-coprime"),
+    pytest.param("verify --identity aybe --curve elliptic --rank 3 --deg 2 --tau 0,1 "
+                 "--samples 2", 2,
+                 "error: elliptic engine implemented for (n, d) = (2, 1)",
+                 id="verify-elliptic-rank"),
+    pytest.param("verify --identity unitarity --curve cuspidal --rank 12 --deg 5 "
+                 "--samples 3", 3, "error: residue system condition number",
+                 id="verify-degenerate"),
+    pytest.param("verify --identity casimir --curve nodal", 2,
+                 "error: 'engine-nodal(2,1)' is not a classical solution",
+                 id="verify-not-classical"),
+    # the limit branch validates tau before it looks up a classical partner
+    pytest.param("verify --identity limit --curve nodal --tau 0,-1", 2,
+                 "error: tau must have positive imaginary part", id="verify-limit-tau"),
+    pytest.param("canon --type nodal --n1 2 --n2 4 --lambda 1", 2,
+                 "error: (2, 4) must be coprime", id="canon-not-coprime"),
+    pytest.param("canon --type nodal --n1 2 --n2 1 --lambda 0", 2,
+                 "error: lam must be nonzero", id="canon-zero-lambda"),
+    pytest.param("sweep --kind degeneration --grid=", 2, "error: empty grid",
+                 id="sweep-empty-grid"),
+    pytest.param("sweep --kind limit --curve nodal", 2,
+                 "error: solution 'engine-nodal(2,1)' has arity 'v12_y12'",
+                 id="sweep-limit-arity"),
+])
+def test_exit_code_contract(capsys, argv, code, err):
+    got = main(argv.split())
+    captured = capsys.readouterr()
+    assert got == code and captured.out == ""
+    assert captured.err.startswith(err)
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def test_main_is_the_one_owner_of_exit_codes():
+    # no command writes to stderr or exits by itself: main maps every error
+    tree = ast.parse(Path(cli.__file__).read_text())
+    main_def = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
+    in_main = {id(n) for n in ast.walk(main_def)}
+    stderr = [n.lineno for n in ast.walk(tree) if id(n) not in in_main and (
+        isinstance(n, ast.Attribute) and n.attr == "stderr"
+        or isinstance(n, ast.Name) and n.id == "stderr")]
+    assert stderr == [], f"sys.stderr outside main at lines {stderr}"
+    exits = [n.name for n in ast.walk(tree) if isinstance(n, ast.ClassDef)
+             and any("SystemExit" in ast.unparse(b) for b in n.bases)]
+    assert exits == [], f"SystemExit subclasses: {exits}"
