@@ -271,6 +271,8 @@ def _parse_grid(spec_str, default):
         raise UsageError(f"bad grid {spec_str!r}")
     if not vals:
         raise UsageError("empty grid")
+    if 0 in vals:  # 1/t at t = 0; r(v; y1, y2) has its pole at v = 0
+        raise UsageError(f"grid values must be nonzero, got {spec_str!r}")
     return vals
 
 

@@ -2,10 +2,10 @@
 
 """Residual evaluators for the Yang-Baxter identities and limit extractors.
 
-Every check samples random admissible parameter points from a seeded
-generator (or walks a fixed grid), evaluates left minus right side of the
-identity in Mat_n^(x3) (or Mat_n^(x2)) and reports the max absolute residual
-through `_report`.
+Every check walks a fixed grid or samples parameter points from a seeded
+generator, evaluates left minus right side of the identity in Mat_n^(x3)
+(or Mat_n^(x2)) and reports the max absolute residual through `_report`.
+All six sampled checks draw through `_accepted_draws`, the NORM_CAP guard.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Callable, Sequence
 
 import numpy as np
@@ -108,24 +108,29 @@ def _report(identity: str, solution: str, pairs: list, tol: float,
                           worst < tol)
 
 
-def _sampled_residual(identity: str, sol: RSolution, k: int, terms: Callable,
-                      residual: Callable, samples: int, tol: float,
-                      seed: int) -> ResidualReport:
-    """Max over `samples` seeded draws of k points of |residual(*terms(*pts))|.
-
-    A draw whose terms are not all below NORM_CAP is rejected; a sample gets
-    at most 50 draws."""
-    rng = np.random.default_rng(seed)
-    pairs = []
+def _accepted_draws(draw: Callable, terms: Callable, samples: int):
+    """The one draw-and-reject loop of the sampled checks: yields `samples`
+    accepted (points, terms(*points)), points = draw().  A draw with a term at
+    NORM_CAP or above is rejected; a sample gets 50 draws, then PoleSampleError."""
     for _ in range(samples):
         for _retry in range(50):
-            pts = _sample(rng, k)
+            pts = draw()
             ts = terms(*pts)
             if _admissible(*ts):
                 break
         else:
             raise PoleSampleError("sampling kept hitting poles")
-        pairs.append((residual(*ts).norm(), tuple(pts)))
+        yield pts, ts
+
+
+def _sampled_residual(identity: str, sol: RSolution, k: int, terms: Callable,
+                      residual: Callable, samples: int, tol: float,
+                      seed: int) -> ResidualReport:
+    """Max of |residual(*terms(*pts))| over `samples` accepted draws of k
+    points from a generator seeded by `seed` (see _accepted_draws)."""
+    rng = np.random.default_rng(seed)
+    pairs = [(residual(*ts).norm(), tuple(pts))
+             for pts, ts in _accepted_draws(lambda: _sample(rng, k), terms, samples)]
     return _report(identity, sol.name, pairs, tol, seed)
 
 
@@ -222,17 +227,15 @@ def classical_limit_values(sol: RSolution, y_pairs: Sequence[tuple]) -> list:
     ev = as_three_param(sol)
     out = []
     for (y1, y2) in y_pairs:
-        vals = []
-        for k in range(LIMIT_LEVELS):
-            t = project_sl(ev(LIMIT_V0 / 2**k, y1, y2))
-            vals.append(t.coeffs)
+        vals = [project_sl(ev(LIMIT_V0 / 2**k, y1, y2)).coeffs
+                for k in range(LIMIT_LEVELS)]
         norms = [np.max(np.abs(v)) for v in vals]
         if norms[-1] > 4.0 * norms[0] and norms[-1] > 1e3:
             raise DivergenceError(
                 f"pr(x)pr values grow as v -> 0 (|r| ~ {norms[-1]:.3g}); "
                 "no classical limit")
         # Richardson on halving steps: eliminate v, v^2, ... terms
-        table = [np.array(v) for v in vals]
+        table = vals
         for order in range(1, LIMIT_LEVELS):
             f = 2.0**order
             table = [(f * table[i + 1] - table[i]) / (f - 1.0)
@@ -265,12 +268,9 @@ def laurent_v(sol: RSolution, y1: complex, y2: complex,
     v = 0 by circle sampling and discrete Fourier inversion."""
     r3 = as_three_param(sol)
     vals = np.stack([r3(v, y1, y2).coeffs for v in radius * _UNIT_CIRCLE])
-    coeffs = {}
-    for m in LAURENT_ORDERS:
-        phase = np.exp(-1j * m * _ANGLES) / CIRCLE_POINTS
-        c = np.tensordot(phase, vals, axes=(0, 0)) / radius**m
-        coeffs[m] = Tensor2(sol.n, c)
-    return coeffs
+    return {m: Tensor2(sol.n, np.tensordot(np.exp(-1j * m * _ANGLES) / CIRCLE_POINTS,
+                                           vals, axes=(0, 0)) / radius**m)
+            for m in LAURENT_ORDERS}
 
 
 def _line_fit(t: Tensor2, line: Tensor2) -> tuple:
@@ -331,11 +331,12 @@ def dunkl_commutator(sol: RSolution, kappa: complex = 1.0, testfn: Callable = No
     theta_i = kappa d_i + sum_{j != i} rtilde^{ij} K^{ij} acts on
     Mat_n^(x m)-valued functions of (x_1..x_m) with fixed distinct y's.
 
-    Derivatives use central differences (second-order accurate); the
-    kappa = 0 case involves no differentiation and is exact.
+    The generator draws testfn's coefficients, then points through
+    _accepted_draws, guarded by the six r^{ij}(x_i - x_j); each accepted draw
+    gives the three i < j residuals.  Derivatives use central differences
+    (second-order accurate); the kappa = 0 case involves no differentiation.
     """
-    if tol is None:
-        tol = default_tol("dunkl", kappa)
+    tol = default_tol("dunkl", kappa) if tol is None else tol
     rng = np.random.default_rng(seed)
     n, m, h = sol.n, DUNKL_LEGS, DUNKL_STEP
     rfun = as_three_param(sol)
@@ -345,27 +346,20 @@ def dunkl_commutator(sol: RSolution, kappa: complex = 1.0, testfn: Callable = No
             + 1j * rng.standard_normal((3, n**m, n**m))
 
         def testfn(xs):
-            acc = np.zeros((n**m, n**m), dtype=complex)
-            for k, c in enumerate(coef):
-                acc = acc + c * (sum(x**(k + 1) for x in xs))
-            return acc
-
-    def swap_args(xs, i, j):
-        xs = list(xs)
-        xs[i], xs[j] = xs[j], xs[i]
-        return xs
+            return sum(c * sum(x**(k + 1) for x in xs) for k, c in enumerate(coef))
 
     def ddx(f, xs, i, step):
         xp = list(xs); xp[i] = xs[i] + step
         xm = list(xs); xm[i] = xs[i] - step
         return (f(xp) - f(xm)) / (2 * step)
 
-    embedded = {}  # (i, j, x_i - x_j) -> r^{ij} on legs (i, j), once per call
+    cache = {}  # (i, j, x_i - x_j) -> (r^{ij}, r^{ij} on legs (i, j)), once per call
 
-    def r_on_legs(i, j, x):
-        if (i, j, x) not in embedded:
-            embedded[i, j, x] = embed(rfun(x, DUNKL_YS[i], DUNKL_YS[j]), (i, j), m)
-        return embedded[i, j, x]
+    def term(i, j, x):
+        if (i, j, x) not in cache:
+            t = rfun(x, DUNKL_YS[i], DUNKL_YS[j])
+            cache[i, j, x] = t, embed(t, (i, j), m)
+        return cache[i, j, x]
 
     def theta(i, f):
         def tf(xs):
@@ -374,19 +368,23 @@ def dunkl_commutator(sol: RSolution, kappa: complex = 1.0, testfn: Callable = No
                 # central differences with one Richardson refinement
                 out = out + kappa * (4 * ddx(f, xs, i, h / 2) - ddx(f, xs, i, h)) / 3
             for j in (k for k in range(m) if k != i):
-                out = out + r_on_legs(i, j, xs[i] - xs[j]) @ f(swap_args(xs, i, j))
+                swapped = list(xs)
+                swapped[i], swapped[j] = xs[j], xs[i]
+                out = out + term(i, j, xs[i] - xs[j])[1] @ f(swapped)
             return out
         return tf
 
-    pairs = []  # one per sample and i < j
-    for _ in range(samples):
+    def draw():
         # well-separated arguments keep the r-matrix derivatives moderate
         base = rng.uniform(0.0, 2 * np.pi)
-        xs = [np.exp(1j * (base + 2 * np.pi * k / m)) *
-              rng.uniform(0.8, 1.2) for k in range(m)]
-        for i in range(m):
-            for j in range(i + 1, m):
-                ti_tj = theta(i, theta(j, testfn))
-                tj_ti = theta(j, theta(i, testfn))
-                pairs.append((float(np.max(np.abs(ti_tj(xs) - tj_ti(xs)))), tuple(xs)))
+        return [np.exp(1j * (base + 2 * np.pi * k / m)) *
+                rng.uniform(0.8, 1.2) for k in range(m)]
+
+    def guard_terms(*xs):
+        return [term(i, j, xs[i] - xs[j])[0] for i, j in permutations(range(m), 2)]
+
+    pairs = [(float(np.max(np.abs(theta(i, theta(j, testfn))(xs)
+                                  - theta(j, theta(i, testfn))(xs)))), tuple(xs))
+             for xs, _ in _accepted_draws(draw, guard_terms, samples)
+             for i, j in combinations(range(m), 2)]
     return _report("dunkl-commutator", sol.name, pairs, tol, seed)

@@ -1,0 +1,108 @@
+# tests/byte_identity.py
+
+"""Byte-identity check of rmx's output on the benchmark's ops.
+
+    python tests/byte_identity.py digest FILE     # write one digest per op
+    python tests/byte_identity.py diff OLD NEW    # list the ops that differ
+
+`digest` takes every op of passes 0-2, the warm-up and the defect probe of
+the three workloads of perfbench/workloads.py at seeds 1-3, runs each through
+rmx.cli.main in-process (the rmx under src/ next to this file) and writes one
+line per op: its key (workload, seed, part, index), the sha256 of (exit code,
+stdout, stderr) and the argv.  Run it in two checkouts and `diff` the files:
+the exit status is 0 when every op has the same digest.  It is not a pytest
+module: it runs the full op lists, some 1,800 ops, for about a minute.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (1, 2, 3)
+PASSES = (0, 1, 2)
+
+
+def ops():
+    """(key, argv) of every op, in a fixed order."""
+    from workloads import WORKLOADS, defect_probe, make_pass, warmup_ops
+    for workload in sorted(WORKLOADS):
+        for seed in SEEDS:
+            parts = [(f"pass{k}", make_pass(workload, seed, k)) for k in PASSES]
+            parts += [("warmup", warmup_ops(workload, seed)),
+                      ("probe", defect_probe(workload, seed))]
+            for part, part_ops in parts:
+                for i, op in enumerate(part_ops):
+                    yield f"{workload} {seed} {part} {i}", op["argv"]
+
+
+def digest(cli, argv: list) -> str:
+    """sha256 of (exit code, stdout, stderr) of one in-process rmx command;
+    an exception escaping main is its outcome, as a crash of the program."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as e:
+            code = e.code
+        except Exception as e:  # noqa: BLE001 - a crash is one more outcome
+            code = f"crash: {type(e).__name__}: {e}"
+    text = f"{code}\0{out.getvalue()}\0{err.getvalue()}"
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def write_digests(path: str) -> int:
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    from rmx import cli
+    n = 0
+    with open(path, "w") as fh:
+        for key, argv in ops():
+            fh.write(f"{key} {digest(cli, argv)} {' '.join(argv)}\n")
+            n += 1
+    print(f"{n} ops digested into {path}")
+    return 0
+
+
+def _read(path: str) -> dict:
+    with open(path) as fh:
+        rows = [line.split(" ", 5) for line in fh if line.strip()]
+    return {" ".join(r[:4]): (r[4], r[5].rstrip("\n")) for r in rows}
+
+
+def diff(old_path: str, new_path: str) -> int:
+    old, new = _read(old_path), _read(new_path)
+    changed = [k for k in old if k in new and old[k] != new[k]]
+    missing = sorted(old.keys() ^ new.keys())
+    for k in changed:
+        print(f"changed {k}: {new[k][1]}")
+    for k in missing:
+        print(f"only in {old_path if k in old else new_path}: {k}")
+    print(f"{len(old.keys() & new.keys())} ops in both, {len(changed)} changed, "
+          f"{len(missing)} in one file only")
+    return 1 if changed or missing else 0
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = ap.add_subparsers(dest="command", required=True)
+    sub.add_parser("digest", help="digest every op into FILE").add_argument("file")
+    d = sub.add_parser("diff", help="compare two digest files")
+    d.add_argument("old")
+    d.add_argument("new")
+    args = ap.parse_args(argv)
+    if args.command == "digest":
+        return write_digests(args.file)
+    return diff(args.old, args.new)
+
+
+if __name__ == "__main__":
+    # one BLAS thread, set before numpy loads, as in perfbench/run.py
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
+    sys.exit(main())

@@ -598,6 +598,10 @@ _NODAL = "--rank 2 --deg 1 --v1 {} --v2 {} --y1 {} --y2 {}"
                  "error: lam must be nonzero", id="canon-zero-lambda"),
     pytest.param("sweep --kind degeneration --grid=", 2, "error: empty grid",
                  id="sweep-empty-grid"),
+    pytest.param("sweep --kind degeneration --grid 0", 2,
+                 "error: grid values must be nonzero", id="sweep-degeneration-zero"),
+    pytest.param("sweep --kind limit --solution rat21 --grid 0.1,0", 2,
+                 "error: grid values must be nonzero", id="sweep-limit-zero"),
     pytest.param("sweep --kind limit --curve nodal", 2,
                  "error: solution 'engine-nodal(2,1)' has arity 'v12_y12'",
                  id="sweep-limit-arity"),

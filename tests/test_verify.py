@@ -1,6 +1,8 @@
 # tests/test_verify.py
 
 import dataclasses
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from rmx import catalog, rmatrix, verify
 from rmx.catalog import RSolution
 from rmx.tensorcore import E21, H, ID2, Tensor2, casimir
+from rmx.thetafn import ThetaParams, theta_j
 
 
 ASSOCIATIVE = ["ell21", "trg21", "rat21", "trg20_semistable", "rat21_degenerate"]
@@ -157,6 +160,17 @@ def test_classical_limit_is_gauge_invariant():
     assert max((x - y).norm() for x, y in zip(a, b)) < 1e-7
 
 
+@pytest.mark.parametrize("y", [0.2, 0.45 + 0.3j, 0.7, 1.05, 0.3 - 0.2j])
+def test_ell21_limit_is_a_multiple_of_ell21_classical(y):
+    # why `rmx verify --identity limit --solution ell21` fails off the lattice
+    # pole y = 1 too: the extrapolated limit is (pi theta_3(0)^2 / 2) times
+    # ell21_classical, measured to 1.1e-7 (still above the check's tol 1e-7)
+    scale = np.pi * theta_j(3, 0.0, ThetaParams(catalog.DEFAULT_TAU)) ** 2 / 2
+    got, = verify.classical_limit_values(catalog.get("ell21"), [(0.15, 0.15 + y)])
+    want = scale * catalog.get("ell21_classical").evaluator(y)
+    assert (got - want).norm() <= 1e-6 * want.norm()
+
+
 # --- Laurent / residue extraction ----------------------------------------------
 
 def test_laurent_ell21_quarter_identity():
@@ -197,7 +211,6 @@ def test_casimir_residue(name, alpha):
 def test_casimir_residue_elliptic_classical():
     # residue is Omega / (pi theta_3(0)^2): proportional to the Casimir
     from oracles import arg_scale
-    from rmx.thetafn import ThetaParams
     a, defect = verify.casimir_residue(catalog.get("ell21_classical", tau=1.1j))
     assert defect < 1e-10
     assert abs(a - 1.0 / arg_scale(ThetaParams(1.1j))) < 1e-8
@@ -269,6 +282,46 @@ def test_dunkl_evaluates_each_term_once(name, kappa):
                                   kappa=kappa, samples=3)
     assert rep.passed, rep
     assert len(calls) == len(set(calls)) == (72 if kappa == 0 else 144)
+
+
+@pytest.mark.parametrize("kappa", [0.0, 1.0])
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_dunkl_ell21_passes_at_the_default_tol(seed, kappa):
+    # draws with some |r^{ij}(x_i - x_j)| >= NORM_CAP sit next to zeros of
+    # ell21's theta_j(v) denominators; unrejected they gave 1e-7 .. 2e-3
+    rep = verify.dunkl_commutator(catalog.get("ell21"), kappa=kappa, seed=seed)
+    assert rep.passed and rep.samples == 9, rep
+
+
+# sha256 (first 32 hex digits) of the sorted-key JSON of dunkl_commutator's
+# report (3 samples), recorded with numpy 2.4.6 on x86-64 while Dunkl drew in
+# a loop of its own; none of these draws is near a pole, so drawing through
+# verify._accepted_draws must keep every bit
+_DUNKL_DIGESTS = {
+    ("trg21", 0.0, 0): "ee5bacb9102c42ae19618512084610e9",
+    ("trg21", 0.0, 7): "311aff6723e4005c0ea4515f173c6547",
+    ("trg21", 1.0, 0): "10e72e30f86f4f294591e1876314e8bf",
+    ("trg21", 1.0, 7): "f8f840d787ce8cae2553423d4ab7bb1f",
+    ("rat21", 0.0, 0): "94fe7968609697c6857d2c2b6fcb4856",
+    ("rat21", 0.0, 7): "46f2e9d144263cf69ee939d363746ac0",
+    ("rat21", 1.0, 0): "f269acd5c454c54d504513cc1eb68db6",
+    ("rat21", 1.0, 7): "532b6dfcc0f14fe08f78eb2cf65ab217",
+    ("trg20_semistable", 0.0, 0): "784bc30db4b89bc01504cba6121b5a45",
+    ("trg20_semistable", 0.0, 7): "789cbc3c48472a7d978c7d402375ecff",
+    ("trg20_semistable", 1.0, 0): "b0f342bea1eccb239a0b50223944ade6",
+    ("trg20_semistable", 1.0, 7): "b1478f0824e5e2f961fff2de189a8a94",
+    ("rat21_degenerate", 0.0, 0): "69459eb6f44a93992fc30be88b4e4beb",
+    ("rat21_degenerate", 0.0, 7): "c539d3fdd25b938348439125605cee03",
+    ("rat21_degenerate", 1.0, 0): "e7b6048061d6549d4e0d078f222765ea",
+    ("rat21_degenerate", 1.0, 7): "5c05494e30ed8342b3b1c04299ecb645",
+}
+
+
+@pytest.mark.parametrize("name,kappa,seed", sorted(_DUNKL_DIGESTS))
+def test_dunkl_reports_are_pinned(name, kappa, seed):
+    rep = verify.dunkl_commutator(catalog.get(name), kappa=kappa, seed=seed)
+    text = json.dumps(rep.to_json_dict(), sort_keys=True).encode()
+    assert hashlib.sha256(text).hexdigest()[:32] == _DUNKL_DIGESTS[name, kappa, seed]
 
 
 # --- report plumbing -------------------------------------------------------------
@@ -382,8 +435,23 @@ def test_qybe_rejects_v0_at_the_pole(name, v0):
         verify.qybe(catalog.get(name), v0, samples=3)
 
 
+@pytest.mark.parametrize("check,name,per_draw", [
+    ("aybe", "trg21", 6), ("aybe_dual", "trg21", 6), ("unitarity", "trg21", 2),
+    ("cybe", "yang", 3), ("qybe", "trg21", 3), ("dunkl_commutator", "rat21", 6),
+])
+def test_every_sampled_check_draws_through_admissible(monkeypatch, check, name, per_draw):
+    # one draw-and-reject loop: each accepted draw's terms pass _admissible once
+    seen, admissible = [], verify._admissible
+    monkeypatch.setattr(verify, "_admissible",
+                        lambda *ts: seen.append(len(ts)) or admissible(*ts))
+    args = (0.45,) if check == "qybe" else ()
+    rep = getattr(verify, check)(catalog.get(name), *args, samples=3, seed=5)
+    assert rep.passed and seen == [per_draw] * 3
+
+
 @pytest.mark.parametrize("check,per_draw", [
     ("aybe", 6), ("aybe_dual", 6), ("unitarity", 2), ("qybe", 3),
+    ("dunkl_commutator", 6),
 ])
 def test_sampling_gives_up_after_50_draws(check, per_draw):
     calls = []
