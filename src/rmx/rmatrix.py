@@ -13,7 +13,10 @@ and convert the resulting linear map to a tensor via the trace pairing
 
 For the singular curves Pi is a space of matrices of homogeneous polynomials
 in (z0, z1) and the compatibility constraint is an exact linear system on
-the coefficients; for the elliptic curve Pi is spanned by four explicit
+the coefficients.  It is solved by elimination: each equation at an entry of
+degree >= 1 gives one coefficient from the top coefficients, the n1 n2
+equations at the degree-0 entries go through an SVD, and one QR makes the
+basis orthonormal.  For the elliptic curve Pi is spanned by four explicit
 theta-type matrices.
 """
 
@@ -76,38 +79,54 @@ def _hom_space_glued(deg: np.ndarray, m_src: np.ndarray, m_dst: np.ndarray,
     C[eps]/eps^2, with F0 + eps F1 the z1-normalized evaluation and m_src,
     m_dst the eps-parts of the gluing matrices.
 
-    The unknowns are the coefficients c[i, j, k], k <= deg[i, j], in
-    row-major order; the constraint is evaluated once on all of them.
+    The equation reads the top coefficient X[i, j] = c[i, j, deg] of each
+    entry and, where deg >= 1, one partner coefficient (nodal c[i, j, 0],
+    cuspidal c[i, j, deg - 1]), which it gives explicitly from X:
+
+        nodal      c[i, j, 0]       = s (m_dst X m_src^{-1}),  s = (-1)^deg
+        cuspidal   c[i, j, deg - 1] = -(X m_src - m_dst X).
+
+    A degree-0 entry has no partner (its one coefficient is X), so only the
+    n1 n2 equations there constrain X; their nullspace is taken by SVD
+    (_nullspace).  The third coefficient of each degree-2 entry (middle
+    nodal, lowest cuspidal) is a free direction.  One reduced QR
+    orthonormalises the coupled block (X and its partners); with the unit
+    free directions the basis is orthonormal.  A dimension other than n^2
+    marks an exceptional locus.
     """
     n = deg.shape[0]
-    kmax = int(deg.max()) + 1
-    slots = np.nonzero(np.arange(kmax) <= deg[..., None])
-    nc = len(slots[0])
+    flat = deg.ravel()
+    glued, lower, free = flat == 0, flat >= 1, flat == 2
 
-    def coeffs(vecs: np.ndarray) -> np.ndarray:
-        """Coefficient arrays (b, n, n, kmax) of a batch of unknown vectors."""
-        c = np.zeros((len(vecs), n, n, kmax), dtype=complex)
-        c[:, slots[0], slots[1], slots[2]] = vecs
-        return c
+    def vec_map(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Matrix of X -> a X b on row-major vec(X): np.kron(a, b.T)."""
+        return (a[:, None, :, None] * b.T[None, :, None, :]).reshape(n * n, n * n)
 
-    unit = coeffs(np.eye(nc))
-
-    def at(k: np.ndarray) -> np.ndarray:
-        """Coefficient k[i, j] of every entry: shape (nc, n, n)."""
-        return np.take_along_axis(unit, k[None, :, :, None], axis=-1)[..., 0]
-
-    top = at(deg)
+    # row p of partner maps vec(X) to the partner coefficient that the
+    # equation at entry p gives; a degree-0 entry has none, so there the
+    # equation constrains X
     if cuspidal:
-        below = np.where(deg >= 1, at(deg - 1), 0)
-        eq = below + top @ m_src - m_dst @ top
+        eye = np.eye(n)
+        partner = vec_map(m_dst, eye) - vec_map(eye, m_src)
+        constraint = partner[glued]
     else:
-        eq = (-1) ** deg * unit[..., 0] @ m_src - m_dst @ top
-    ns = _nullspace(eq.reshape(nc, n * n).T)
-    if ns.shape[0] != n * n:
+        partner = (-1.0) ** flat[:, None] * vec_map(m_dst, np.linalg.inv(m_src))
+        constraint = (np.eye(n * n) - partner)[glued]
+    ns = _nullspace(constraint)
+    dim = len(ns) + np.count_nonzero(free)
+    if dim != n * n:
         raise DegenerateSystemError(
-            f"gluing constraint has nullity {ns.shape[0]}, expected {n*n} "
+            f"gluing constraint has nullity {dim}, expected {n*n} "
             "(parameters on an exceptional locus)")
-    return coeffs(ns)
+    q, _ = np.linalg.qr(np.concatenate([ns, ns @ partner[lower].T], axis=1).T)
+    # scatter into the coefficient slots, flattened (entry, k) -> entry*kmax + k
+    kmax = int(flat.max()) + 1
+    entry = np.arange(n * n) * kmax
+    partner_k = flat[lower] - 1 if cuspidal else 0
+    basis = np.zeros((dim, n * n * kmax), dtype=complex)
+    basis[:len(ns), np.concatenate([entry + flat, entry[lower] + partner_k])] = q.T
+    basis[len(ns) + np.arange(dim - len(ns)), entry[free] + (0 if cuspidal else 1)] = 1.0
+    return basis.reshape(dim, n, n, kmax)
 
 
 def _compose_ev_res(res_vals: np.ndarray, ev_vals: np.ndarray) -> Tensor2:

@@ -62,8 +62,8 @@ def _sample(rng: np.random.Generator, k: int) -> np.ndarray:
 NORM_CAP = 100.0
 
 
-def _admissible(*tensors) -> bool:
-    return all(t.norm() < NORM_CAP for t in tensors)
+def _admissible(*norms: float) -> bool:
+    return all(x < NORM_CAP for x in norms)
 
 
 # check (rmx verify --identity name) -> its tolerance when none is given
@@ -110,27 +110,37 @@ def _report(identity: str, solution: str, pairs: list, tol: float,
 
 def _accepted_draws(draw: Callable, terms: Callable, samples: int):
     """The one draw-and-reject loop of the sampled checks: yields `samples`
-    accepted (points, terms(*points)), points = draw().  A draw with a term at
-    NORM_CAP or above is rejected; a sample gets 50 draws, then PoleSampleError."""
+    accepted (points, terms), points = draw() and terms the list of the
+    lazily evaluated terms(*points).  A draw is rejected at its first term
+    with a norm at NORM_CAP or above (or NaN), and its later terms are never
+    evaluated; a sample gets 50 draws, then PoleSampleError."""
     for _ in range(samples):
         for _retry in range(50):
             pts = draw()
-            ts = terms(*pts)
-            if _admissible(*ts):
+            ts, norms = [], []
+            for t in terms(*pts):
+                ts.append(t)
+                norms.append(t.norm())
+                if not norms[-1] < NORM_CAP:
+                    break
+            if _admissible(*norms):
                 break
         else:
             raise PoleSampleError("sampling kept hitting poles")
         yield pts, ts
 
 
-def _sampled_residual(identity: str, sol: RSolution, k: int, terms: Callable,
-                      residual: Callable, samples: int, tol: float,
+def _sampled_residual(identity: str, sol: RSolution, k: int, ev: Callable,
+                      args: Callable, residual: Callable, samples: int, tol: float,
                       seed: int) -> ResidualReport:
-    """Max of |residual(*terms(*pts))| over `samples` accepted draws of k
-    points from a generator seeded by `seed` (see _accepted_draws)."""
+    """Max of |residual(*terms)| over `samples` accepted draws of k points from
+    a generator seeded by `seed` (see _accepted_draws); the terms of points
+    are ev(*a) for a in args(*points), evaluated in order."""
     rng = np.random.default_rng(seed)
     pairs = [(residual(*ts).norm(), tuple(pts))
-             for pts, ts in _accepted_draws(lambda: _sample(rng, k), terms, samples)]
+             for pts, ts in _accepted_draws(lambda: _sample(rng, k),
+                                            lambda *pts: (ev(*a) for a in args(*pts)),
+                                            samples)]
     return _report(identity, sol.name, pairs, tol, seed)
 
 
@@ -143,10 +153,10 @@ def aybe(sol: RSolution, samples: int = 50, tol: float = DEFAULT_TOL["aybe"],
     form = {"v12_y12": "AYBE", "vdiff_y12": "AYBE-vdiff",
             "vdiff_ydiff": "AYBE-diff"}[sol.arity]
     return _sampled_residual(
-        form, sol, 6,
+        form, sol, 6, r4,
         lambda v1, v2, v3, y1, y2, y3: (
-            r4(v1, v2, y1, y2), r4(v1, v3, y2, y3), r4(v1, v3, y1, y3),
-            r4(v3, v2, y1, y2), r4(v2, v3, y2, y3), r4(v1, v2, y1, y3)),
+            (v1, v2, y1, y2), (v1, v3, y2, y3), (v1, v3, y1, y3),
+            (v3, v2, y1, y2), (v2, v3, y2, y3), (v1, v2, y1, y3)),
         lambda a, b, c, d, e, f: leg_product(a, 12, b, 23)
         - (leg_product(c, 13, d, 12) + leg_product(e, 23, f, 13)),
         samples, tol, seed)
@@ -157,10 +167,10 @@ def aybe_dual(sol: RSolution, samples: int = 50, tol: float = DEFAULT_TOL["dual"
     """Residual of the dual associative equation (holds for unitary solutions)."""
     r4 = as_four_param(sol)
     return _sampled_residual(
-        "AYBE-dual", sol, 6,
+        "AYBE-dual", sol, 6, r4,
         lambda v1, v2, v3, y1, y2, y3: (
-            r4(v2, v3, y2, y3), r4(v1, v3, y1, y2), r4(v1, v2, y1, y2),
-            r4(v2, v3, y1, y3), r4(v1, v3, y1, y3), r4(v2, v1, y2, y3)),
+            (v2, v3, y2, y3), (v1, v3, y1, y2), (v1, v2, y1, y2),
+            (v2, v3, y1, y3), (v1, v3, y1, y3), (v2, v1, y2, y3)),
         lambda a, b, c, d, e, f: leg_product(a, 23, b, 12)
         - (leg_product(c, 12, d, 13) + leg_product(e, 13, f, 23)),
         samples, tol, seed)
@@ -171,8 +181,8 @@ def unitarity(sol: RSolution, samples: int = 50, tol: float = DEFAULT_TOL["unita
     """Residual of r(v1,v2;y1,y2) + swap(r(v2,v1;y2,y1))."""
     r4 = as_four_param(sol)
     return _sampled_residual(
-        "unitarity", sol, 4,
-        lambda v1, v2, y1, y2: (r4(v1, v2, y1, y2), r4(v2, v1, y2, y1)),
+        "unitarity", sol, 4, r4,
+        lambda v1, v2, y1, y2: ((v1, v2, y1, y2), (v2, v1, y2, y1)),
         lambda ta, tb: ta + swap(tb),
         samples, tol, seed)
 
@@ -197,7 +207,7 @@ def cybe(sol: RSolution, samples: int = 50, tol: float = DEFAULT_TOL["cybe"],
     [r12, r23] + [r12, r13] + [r13, r23] = 0 at random spectral points."""
     r2 = as_two_point(sol)
     return _sampled_residual(
-        "CYBE", sol, 3, lambda y1, y2, y3: (r2(y1, y2), r2(y1, y3), r2(y2, y3)),
+        "CYBE", sol, 3, r2, lambda y1, y2, y3: ((y1, y2), (y1, y3), (y2, y3)),
         _cybe_lhs, samples, tol, seed)
 
 
@@ -210,8 +220,8 @@ def qybe(sol: RSolution, v0: complex, samples: int = 50, tol: float = DEFAULT_TO
         raise ValueError("qybe needs v0 != 0: v = 0 is a pole of every "
                          "v-difference solution")
     return _sampled_residual(
-        "QYBE", sol, 3,
-        lambda y1, y2, y3: (r3(v0, y1, y2), r3(v0, y1, y3), r3(v0, y2, y3)),
+        "QYBE", sol, 3, r3,
+        lambda y1, y2, y3: ((v0, y1, y2), (v0, y1, y3), (v0, y2, y3)),
         _qybe_difference, samples, tol, seed)
 
 
@@ -381,7 +391,7 @@ def dunkl_commutator(sol: RSolution, kappa: complex = 1.0, testfn: Callable = No
                 rng.uniform(0.8, 1.2) for k in range(m)]
 
     def guard_terms(*xs):
-        return [term(i, j, xs[i] - xs[j])[0] for i, j in permutations(range(m), 2)]
+        return (term(i, j, xs[i] - xs[j])[0] for i, j in permutations(range(m), 2))
 
     pairs = [(float(np.max(np.abs(theta(i, theta(j, testfn))(xs)
                                   - theta(j, theta(i, testfn))(xs)))), tuple(xs))

@@ -9,9 +9,11 @@
 the three workloads of perfbench/workloads.py at seeds 1-3, runs each through
 rmx.cli.main in-process (the rmx under src/ next to this file) and writes one
 line per op: its key (workload, seed, part, index), the sha256 of (exit code,
-stdout, stderr) and the argv.  Run it in two checkouts and `diff` the files:
-the exit status is 0 when every op has the same digest.  It is not a pytest
-module: it runs the full op lists, some 1,800 ops, for about a minute.
+stdout, stderr), the exit code in clear and the argv.  Run it in two
+checkouts and `diff` the files: it counts, per workload, the ops whose exit
+code changed and the ops whose bytes changed, and its exit status is 0 when
+every op has the same digest.  It is not a pytest module: it runs the full
+op lists, some 1,800 ops, for about a minute.
 """
 
 from __future__ import annotations
@@ -42,9 +44,10 @@ def ops():
                     yield f"{workload} {seed} {part} {i}", op["argv"]
 
 
-def digest(cli, argv: list) -> str:
-    """sha256 of (exit code, stdout, stderr) of one in-process rmx command;
-    an exception escaping main is its outcome, as a crash of the program."""
+def digest(cli, argv: list) -> tuple:
+    """(exit code, sha256 of (exit code, stdout, stderr)) of one in-process
+    rmx command; an exception escaping main is its outcome, as a crash of the
+    program, and its exit code reads "crash"."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -54,7 +57,8 @@ def digest(cli, argv: list) -> str:
         except Exception as e:  # noqa: BLE001 - a crash is one more outcome
             code = f"crash: {type(e).__name__}: {e}"
     text = f"{code}\0{out.getvalue()}\0{err.getvalue()}"
-    return hashlib.sha256(text.encode()).hexdigest()
+    shown = "crash" if str(code).startswith("crash") else code
+    return shown, hashlib.sha256(text.encode()).hexdigest()
 
 
 def write_digests(path: str) -> int:
@@ -63,27 +67,36 @@ def write_digests(path: str) -> int:
     n = 0
     with open(path, "w") as fh:
         for key, argv in ops():
-            fh.write(f"{key} {digest(cli, argv)} {' '.join(argv)}\n")
+            code, sha = digest(cli, argv)
+            fh.write(f"{key} {code} {sha} {' '.join(argv)}\n")
             n += 1
     print(f"{n} ops digested into {path}")
     return 0
 
 
 def _read(path: str) -> dict:
+    """key -> (exit code, digest, argv) of every op of a digest file."""
     with open(path) as fh:
-        rows = [line.split(" ", 5) for line in fh if line.strip()]
-    return {" ".join(r[:4]): (r[4], r[5].rstrip("\n")) for r in rows}
+        rows = [line.rstrip("\n").split(" ", 6) for line in fh if line.strip()]
+    return {" ".join(r[:4]): (r[4], r[5], r[6]) for r in rows}
 
 
 def diff(old_path: str, new_path: str) -> int:
     old, new = _read(old_path), _read(new_path)
-    changed = [k for k in old if k in new and old[k] != new[k]]
+    both = [k for k in old if k in new]
+    changed = [k for k in both if old[k][1] != new[k][1]]
     missing = sorted(old.keys() ^ new.keys())
     for k in changed:
-        print(f"changed {k}: {new[k][1]}")
+        print(f"changed {k}: exit {old[k][0]} -> {new[k][0]}: {new[k][2]}")
     for k in missing:
         print(f"only in {old_path if k in old else new_path}: {k}")
-    print(f"{len(old.keys() & new.keys())} ops in both, {len(changed)} changed, "
+    for workload in sorted({k.split()[0] for k in both}):
+        keys = [k for k in both if k.split()[0] == workload]
+        codes = sum(old[k][0] != new[k][0] for k in keys)
+        outputs = sum(old[k][1] != new[k][1] for k in keys)
+        print(f"{workload}: {len(keys)} ops, {codes} exit codes changed, "
+              f"{outputs} outputs changed")
+    print(f"{len(both)} ops in both, {len(changed)} changed, "
           f"{len(missing)} in one file only")
     return 1 if changed or missing else 0
 

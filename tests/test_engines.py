@@ -3,6 +3,7 @@
 import hashlib
 from fractions import Fraction as F
 from math import gcd
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,9 @@ from rmx.rmatrix import (
     engine_solution,
 )
 from rmx.thetafn import ThetaParams
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def ring_points(rng, k, lo=0.3, hi=1.3):
@@ -289,10 +293,68 @@ def test_hom_space_matches_per_slot_reference(monkeypatch):
     for deg, m_src, m_dst, cuspidal, basis in calls:
         n = deg.shape[0]
         want = oracles.hom_space_basis_per_slot(deg, m_src, m_dst, cuspidal)
-        assert np.array_equal(basis, want)
-        assert basis.shape[0] == n * n
+        assert basis.shape == want.shape and basis.shape[0] == n * n
+        # the same subspace: the orthogonal projectors agree
+        assert np.max(np.abs(_projector(basis) - _projector(want))) < 1e-12
+        # an orthonormal basis, as the SVD basis was, so cond(res) is unchanged
+        flat = basis.reshape(n * n, -1)
+        assert np.max(np.abs(flat.conj() @ flat.T - np.eye(n * n))) < 1e-13
         for c in basis:
             assert _gluing_residual(deg, m_src, m_dst, cuspidal, c) < 1e-12
+
+
+def _projector(basis):
+    """Orthogonal projector onto the span of an orthonormal basis (dim, ...)."""
+    flat = basis.reshape(len(basis), -1)
+    return flat.T @ flat.conj()
+
+
+def _residue_cond(basis, cuspidal, y1):
+    """cond of the residue system of a Hom-space basis, as _glued_engine takes it."""
+    res = rmatrix._at_affine(basis, y1) if cuspidal else rmatrix._at_affine(basis, y1) / y1
+    return np.linalg.cond(res.reshape(len(res), -1).T)
+
+
+def _spread_points(monkeypatch):
+    """(kind, n, d, spread) at ranks 8 and 12 on both sides of COND_CAP; the
+    rank-12 spreads are the benchmark's pass limit and its probe range."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from workloads import RANK12_MAX_SPREAD, RANK12_PROBE_SPREAD
+    points = [("nodal", 8, 3, 3.6), ("nodal", 8, 5, 7.5),
+              ("cusp", 8, 3, 2.5), ("cusp", 8, 5, 3.0)]
+    for kind, curve in (("nodal", "nodal"), ("cusp", "cuspidal")):
+        lo, hi = RANK12_PROBE_SPREAD[curve]
+        top = RANK12_MAX_SPREAD[curve]
+        points += [(kind, 12, 5, top), (kind, 12, 7, 0.8 * top),
+                   (kind, 12, 5, lo), (kind, 12, 7, hi)]
+    return points
+
+
+def test_hom_space_cond_and_refusals_match_per_slot_reference(monkeypatch):
+    calls = []
+    real = rmatrix._hom_space_glued
+    monkeypatch.setattr(rmatrix, "_hom_space_glued",
+                        lambda *a: calls.append(a) or real(*a))
+    refused = []
+    for kind, n, d, spread in _spread_points(monkeypatch):
+        if kind == "nodal":
+            v2 = 0.32 * np.exp(0.4j)
+            v1, y1, y2 = v2 * spread * np.exp(1.1j), 0.7 * np.exp(2.0j), 0.9 * np.exp(-0.5j)
+        else:
+            v2 = 1.0 + 0.2j
+            v1, y1, y2 = v2 + spread * np.exp(1.1j), 0.8 - 0.3j, 1.2 + 0.1j
+        calls.clear()
+        try:
+            (engine_nodal if kind == "nodal" else engine_cusp)(n, d, v1, v2, y1, y2)
+            refused.append(False)
+        except DegenerateSystemError:
+            refused.append(True)
+        args = calls[0]
+        got = _residue_cond(real(*args), args[3], y1)
+        want = _residue_cond(oracles.hom_space_basis_per_slot(*args), args[3], y1)
+        assert abs(got - want) <= 1e-8 * want, (kind, n, d, spread, got, want)
+        assert refused[-1] == (want > rmatrix.COND_CAP), (kind, n, d, spread, want)
+    assert len(refused) >= 10 and any(refused) and not all(refused)
 
 
 EXACT_POINTS = {
