@@ -161,19 +161,68 @@ def embed_leg(t: Tensor2, legs: int) -> Tensor3:
     return Tensor3.from_kron(embed(t, _legs(legs), 3), t.n)
 
 
+def _product_plan(legs_a: int, legs_b: int) -> tuple:
+    """How leg_product(a, legs_a, b, legs_b) runs as one broadcast matmul.
+
+    Output axis 2k is leg k's row index and 2k + 1 its column index.  a owns
+    the shared leg's row and both indices of its other leg, b the shared
+    leg's column and its other leg; the shared leg's inner index is the
+    contraction.  The trailing run of output axes owned by one operand is
+    the GEMM's N, the run before it (the other operand's) its M, and every
+    earlier axis a batch axis, size 1 in the operand that does not own it.
+    So the product comes out C-contiguous in the abcdef layout.
+
+    Returns the plans of the matmul's left and right factor, each (operand,
+    0 for a and 1 for b; permutation of its four axes; exponents e of its
+    reshape shape n**e).
+    """
+    la, lb = _LEG_TAGS[legs_a], _LEG_TAGS[legs_b]
+    (s,) = set(la) & set(lb)
+    # per operand: output axis -> axis of its coeffs; key None is the
+    # contracted index (a's column, b's row on the shared leg)
+    src = ({}, {})
+    for op, legs, inner in ((0, la, 2 * s + 1), (1, lb, 2 * s)):
+        for i, k in enumerate(legs):
+            for j, out in enumerate((2 * k, 2 * k + 1)):
+                src[op][None if out == inner else out] = 2 * i + j
+    right = int(5 in src[1])  # the operand owning the last output axis gives N
+    n_start = 1 + max(out for out in range(6) if out not in src[right])
+    m_start = 1 + max((out for out in range(n_start) if out in src[right]), default=-1)
+    batch = [[out] for out in range(m_start)]
+    plans = []
+    for op, groups in ((1 - right, batch + [range(m_start, n_start), [None]]),
+                       (right, batch + [[None], range(n_start, 6)])):
+        perm = tuple(src[op][out] for g in groups for out in g if out in src[op])
+        exps = tuple(sum(out in src[op] for out in g) for g in groups)
+        plans.append((op, perm, exps))
+    return tuple(plans)
+
+
+# (legs_a, legs_b) -> matmul plan of leg_product, for the six ordered pairs
+_PRODUCT_PLANS = {(p, q): _product_plan(p, q) for p in _LEG_TAGS for q in _LEG_TAGS
+                  if p != q}
+
+
 def leg_product(a: Tensor2, legs_a: int, b: Tensor2, legs_b: int) -> Tensor3:
     """embed_leg(a, legs_a).matmul(embed_leg(b, legs_b)) for two leg tags
     sharing exactly one leg, in O(n^7) and without the identity-padded n^6
     operands: only the shared leg is contracted (a's column index with b's
-    row index, subscript z); every other leg keeps the one factor on it."""
-    la, lb = _legs(legs_a), _legs(legs_b)
-    shared = set(la) & set(lb)
-    if len(shared) != 1:
+    row index); every other leg keeps the one factor on it.  One broadcast
+    BLAS matmul (plans built once, at import) whose result is already
+    C-contiguous in the coefficient layout.  BLAS sums in its own order, so
+    the result agrees with the padded product to rounding, not bit for bit."""
+    plan = _PRODUCT_PLANS.get((legs_a, legs_b))
+    if plan is None:
+        for tag in (legs_a, legs_b):
+            _legs(tag)  # raises on a tag other than 12, 13, 23
         raise ValueError(f"leg tags {legs_a} and {legs_b} must share exactly one leg")
-    rows, cols, s = "ace", "bdf", shared.pop()
-    sub_a = "".join(rows[k] + ("z" if k == s else cols[k]) for k in la)
-    sub_b = "".join(("z" if k == s else rows[k]) + cols[k] for k in lb)
-    return Tensor3(a.n, np.einsum(f"{sub_a},{sub_b}->abcdef", a.coeffs, b.coeffs))
+    if a.n != b.n:
+        raise ValueError(f"tensors of different size: n = {a.n} and n = {b.n}")
+    n = a.n
+    (op_x, perm_x, exps_x), (op_y, perm_y, exps_y) = plan
+    x = (a, b)[op_x].coeffs.transpose(perm_x).reshape([n**e for e in exps_x])
+    y = (a, b)[op_y].coeffs.transpose(perm_y).reshape([n**e for e in exps_y])
+    return Tensor3(n, np.matmul(x, y).reshape((n,) * 6))
 
 
 def swap(t: Tensor2) -> Tensor2:

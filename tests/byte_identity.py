@@ -8,12 +8,15 @@
 `digest` takes every op of passes 0-2, the warm-up and the defect probe of
 the three workloads of perfbench/workloads.py at seeds 1-3, runs each through
 rmx.cli.main in-process (the rmx under src/ next to this file) and writes one
-line per op: its key (workload, seed, part, index), the sha256 of (exit code,
-stdout, stderr), the exit code in clear and the argv.  Run it in two
+line per op: its key (workload, seed, part, index), the exit code, the JSON
+verdict (`passed`) and `max_residual` in clear ("-" where the output has
+none), the sha256 of (exit code, stdout, stderr) and the argv.  Run it in two
 checkouts and `diff` the files: it counts, per workload, the ops whose exit
-code changed and the ops whose bytes changed, and its exit status is 0 when
-every op has the same digest.  It is not a pytest module: it runs the full
-op lists, some 1,800 ops, for about a minute.
+code, verdict or bytes changed and gives the largest |change of
+max_residual| among the changed ops, so that a change at rounding level
+shows as one; its exit status is 0 when every op has the same digest.  It is
+not a pytest module: it runs the full op lists, some 1,800 ops, for about a
+minute.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -44,10 +49,23 @@ def ops():
                     yield f"{workload} {seed} {part} {i}", op["argv"]
 
 
+def _verdict(stdout: str) -> tuple:
+    """(passed, max_residual) of a JSON residual report, as text; "-" for
+    each one the output does not have."""
+    try:
+        report = json.loads(stdout)
+    except ValueError:
+        return "-", "-"
+    if not isinstance(report, dict):
+        return "-", "-"
+    return tuple(json.dumps(report[k]) if k in report else "-"
+                 for k in ("passed", "max_residual"))
+
+
 def digest(cli, argv: list) -> tuple:
-    """(exit code, sha256 of (exit code, stdout, stderr)) of one in-process
-    rmx command; an exception escaping main is its outcome, as a crash of the
-    program, and its exit code reads "crash"."""
+    """(exit code, passed, max_residual, sha256 of (exit code, stdout,
+    stderr)) of one in-process rmx command; an exception escaping main is its
+    outcome, as a crash of the program, and its exit code reads "crash"."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -58,7 +76,8 @@ def digest(cli, argv: list) -> tuple:
             code = f"crash: {type(e).__name__}: {e}"
     text = f"{code}\0{out.getvalue()}\0{err.getvalue()}"
     shown = "crash" if str(code).startswith("crash") else code
-    return shown, hashlib.sha256(text.encode()).hexdigest()
+    return (shown, *_verdict(out.getvalue()),
+            hashlib.sha256(text.encode()).hexdigest())
 
 
 def write_digests(path: str) -> int:
@@ -67,35 +86,49 @@ def write_digests(path: str) -> int:
     n = 0
     with open(path, "w") as fh:
         for key, argv in ops():
-            code, sha = digest(cli, argv)
-            fh.write(f"{key} {code} {sha} {' '.join(argv)}\n")
+            fh.write(f"{key} {' '.join(map(str, digest(cli, argv)))} {' '.join(argv)}\n")
             n += 1
     print(f"{n} ops digested into {path}")
     return 0
 
 
 def _read(path: str) -> dict:
-    """key -> (exit code, digest, argv) of every op of a digest file."""
+    """key -> (exit code, passed, max_residual, digest, argv) of every op of
+    a digest file."""
     with open(path) as fh:
-        rows = [line.rstrip("\n").split(" ", 6) for line in fh if line.strip()]
-    return {" ".join(r[:4]): (r[4], r[5], r[6]) for r in rows}
+        rows = [line.rstrip("\n").split(" ", 8) for line in fh if line.strip()]
+    return {" ".join(r[:4]): tuple(r[4:]) for r in rows}
+
+
+def _residual_change(old: tuple, new: tuple) -> float:
+    """|new - old max_residual| of one op: 0 when either has none or both
+    read the same, inf when only one of them is NaN."""
+    if old[2] == new[2] or "-" in (old[2], new[2]):
+        return 0.0
+    delta = abs(float(json.loads(new[2])) - float(json.loads(old[2])))
+    return math.inf if math.isnan(delta) else delta
 
 
 def diff(old_path: str, new_path: str) -> int:
     old, new = _read(old_path), _read(new_path)
     both = [k for k in old if k in new]
-    changed = [k for k in both if old[k][1] != new[k][1]]
+    changed = [k for k in both if old[k][3] != new[k][3]]
     missing = sorted(old.keys() ^ new.keys())
     for k in changed:
-        print(f"changed {k}: exit {old[k][0]} -> {new[k][0]}: {new[k][2]}")
+        (code0, pass0, res0), (code1, pass1, res1) = old[k][:3], new[k][:3]
+        print(f"changed {k}: exit {code0} -> {code1}, passed {pass0} -> {pass1}, "
+              f"max_residual {res0} -> {res1}: {new[k][4]}")
     for k in missing:
         print(f"only in {old_path if k in old else new_path}: {k}")
     for workload in sorted({k.split()[0] for k in both}):
         keys = [k for k in both if k.split()[0] == workload]
         codes = sum(old[k][0] != new[k][0] for k in keys)
-        outputs = sum(old[k][1] != new[k][1] for k in keys)
+        verdicts = sum(old[k][1] != new[k][1] for k in keys)
+        outputs = [k for k in keys if k in changed]
+        delta = max((_residual_change(old[k], new[k]) for k in outputs), default=0.0)
         print(f"{workload}: {len(keys)} ops, {codes} exit codes changed, "
-              f"{outputs} outputs changed")
+              f"{verdicts} verdicts changed, {len(outputs)} outputs changed, "
+              f"largest |delta max_residual| {delta:.3g}")
     print(f"{len(both)} ops in both, {len(changed)} changed, "
           f"{len(missing)} in one file only")
     return 1 if changed or missing else 0

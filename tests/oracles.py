@@ -55,25 +55,36 @@ def eisenstein(tau: complex, cutoff: int = 200) -> tuple:
     return 60.0 * complex(np.sum(w**-4)), 140.0 * complex(np.sum(w**-6))
 
 
+# leg tag -> the two 0-based legs of Mat_n^(x3) it names
+LEGS = {12: (0, 1), 13: (0, 2), 23: (1, 2)}
+
+
 def kron_embed(t2_coeffs, legs, n):
     """Dense Kronecker-product embedding of a 2-leg tensor into Mat_{n^3}:
-    sum of c * (A at leg a) kron (B at leg b) kron (eye elsewhere)."""
+    sum of c * e_{i1 j1} (at leg a) (x) e_{i2 j2} (at leg b) (x) 1 (elsewhere),
+    each term written entry by entry into the row-major Kronecker layout
+    (leg k's index has place value n^(2-k)); 1 = sum_m e_{mm}."""
     out = np.zeros((n**3, n**3), dtype=complex)
-    a, b = {12: (0, 1), 13: (0, 2), 23: (1, 2)}[legs]
-    for i1 in range(n):
-        for j1 in range(n):
-            for i2 in range(n):
-                for j2 in range(n):
-                    c = t2_coeffs[i1, j1, i2, j2]
-                    if c == 0:
-                        continue
-                    mats = [np.eye(n, dtype=complex) for _ in range(3)]
-                    mats[a] = np.zeros((n, n), dtype=complex)
-                    mats[a][i1, j1] = 1
-                    mats[b] = np.zeros((n, n), dtype=complex)
-                    mats[b][i2, j2] = 1
-                    out += c * np.kron(np.kron(mats[0], mats[1]), mats[2])
+    a, b = LEGS[legs]
+    (rest,) = {0, 1, 2} - {a, b}
+    place = [n**2, n, 1]
+    diag = np.arange(n) * place[rest]
+    for (i1, j1, i2, j2), c in np.ndenumerate(t2_coeffs):
+        out[i1 * place[a] + i2 * place[b] + diag, j1 * place[a] + j2 * place[b] + diag] += c
     return out
+
+
+def einsum_leg_product(a, legs_a: int, b, legs_b: int) -> np.ndarray:
+    """Coefficients (n,)*6 of the shared-leg product a^{legs_a} b^{legs_b} as
+    one plain einsum over n^7 index tuples: a's column index on the shared leg
+    is contracted with b's row index (subscript z); every other leg keeps the
+    one factor on it."""
+    la, lb = LEGS[legs_a], LEGS[legs_b]
+    (s,) = set(la) & set(lb)
+    rows, cols = "ace", "bdf"
+    sub_a = "".join(rows[k] + ("z" if k == s else cols[k]) for k in la)
+    sub_b = "".join(("z" if k == s else rows[k]) + cols[k] for k in lb)
+    return np.einsum(f"{sub_a},{sub_b}->abcdef", a.coeffs, b.coeffs)
 
 
 def theta3_cosine_series(z, tau, nterms=60):

@@ -11,7 +11,7 @@ from rmx.tensorcore import (
     leg_product, project_sl, swap,
 )
 
-from oracles import kron_embed
+from oracles import einsum_leg_product, kron_embed
 
 
 def rand_tensor2(rng, n=2):
@@ -82,14 +82,24 @@ def test_leg_products_match_dense_kron_oracle(n, legs):
 LEG_PAIRS = [(12, 13), (12, 23), (13, 12), (13, 23), (23, 12), (23, 13)]
 
 
-@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
 @pytest.mark.parametrize("legs_a,legs_b", LEG_PAIRS)
 def test_shared_leg_product_matches_dense_kron_oracle(n, legs_a, legs_b):
     rng = np.random.default_rng(1000 * n + legs_a + legs_b)
     a, b = rand_tensor2(rng, n), rand_tensor2(rng, n)
-    got = leg_product(a, legs_a, b, legs_b).kron()
+    got = leg_product(a, legs_a, b, legs_b)
+    assert got.coeffs.shape == (n,) * 6 and got.coeffs.flags.c_contiguous
     want = kron_embed(a.coeffs, legs_a, n) @ kron_embed(b.coeffs, legs_b, n)
-    assert np.max(np.abs(got - want)) < 1e-12
+    assert np.max(np.abs(got.kron() - want)) < 1e-12
+    assert np.max(np.abs(got.coeffs - einsum_leg_product(a, legs_a, b, legs_b))) < 1e-12
+
+
+@pytest.mark.parametrize("n_a,n_b", [(2, 3), (1, 2), (2, 1)])
+def test_leg_product_rejects_tensors_of_different_size(n_a, n_b):
+    rng = np.random.default_rng(17)
+    a, b = rand_tensor2(rng, n_a), rand_tensor2(rng, n_b)
+    with pytest.raises(ValueError):
+        leg_product(a, 12, b, 23)
 
 
 @pytest.mark.parametrize("legs_a,legs_b", [(12, 12), (23, 23), (12, 21), (31, 23)])
