@@ -131,17 +131,29 @@ def _hom_space_glued(deg: np.ndarray, m_src: np.ndarray, m_dst: np.ndarray,
 
 def _compose_ev_res(res_vals: np.ndarray, ev_vals: np.ndarray) -> Tensor2:
     """Tensor of ev o res^{-1} from per-basis residue/evaluation matrices,
-    each of shape (dim, n, n)."""
+    each of shape (dim, n, n).
+
+    The residue matrix R is refused (DegenerateSystemError with its cond)
+    when cond_2(R) = |R|_2 |R^{-1}|_2 exceeds COND_CAP or is not finite.
+    R^{-1} is computed anyway, and |R|_F |R^{-1}|_F >= cond_2(R), so that
+    product at most COND_CAP / 2 (the 2 is margin for rounding) accepts R
+    without an SVD.  Otherwise np.linalg.cond decides, and a singular R
+    (solve raises) is refused with that cond."""
     dim, n = res_vals.shape[0], res_vals.shape[-1]
     r_mat = res_vals.reshape(dim, n * n).T      # maps coeff vector -> Mat_n
     e_mat = ev_vals.reshape(dim, n * n).T
-    cond = np.linalg.cond(r_mat)
-    if not np.isfinite(cond) or cond > COND_CAP:
-        raise DegenerateSystemError(
-            f"residue system condition number {cond:.3g} exceeds cap "
-            f"{COND_CAP:.3g}", cond=cond)
     # action on the standard basis e_{ab}: solve res(F) = e_{ab}, apply ev
-    sol = np.linalg.solve(r_mat, np.eye(n * n, dtype=complex))
+    try:
+        sol = np.linalg.solve(r_mat, np.eye(n * n, dtype=complex))
+        proven = np.linalg.norm(r_mat) * np.linalg.norm(sol) <= COND_CAP / 2
+    except np.linalg.LinAlgError:
+        sol, proven = None, False
+    if not proven:
+        cond = np.linalg.cond(r_mat)
+        if sol is None or not np.isfinite(cond) or cond > COND_CAP:
+            raise DegenerateSystemError(
+                f"residue system condition number {cond:.3g} exceeds cap "
+                f"{COND_CAP:.3g}", cond=cond)
     lin = (e_mat @ sol)                          # (n^2)x(n^2): basis-to-basis
     action = lin.T.reshape(n, n, n, n)           # [a,b,k,l]
     # trace pairing: e_{ab} -> alpha e_{kl} is alpha e_{ba} (x) e_{kl}

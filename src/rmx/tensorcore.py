@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import string
 from dataclasses import dataclass
 
@@ -162,7 +163,9 @@ def embed_leg(t: Tensor2, legs: int) -> Tensor3:
 
 
 def _product_plan(legs_a: int, legs_b: int) -> tuple:
-    """How leg_product(a, legs_a, b, legs_b) runs as one broadcast matmul.
+    """How the shared-leg product a^{legs_a} b^{legs_b}, that is
+    embed_leg(a, legs_a).matmul(embed_leg(b, legs_b)) for two tags sharing
+    exactly one leg, runs as one broadcast matmul in O(n^7).
 
     Output axis 2k is leg k's row index and 2k + 1 its column index.  a owns
     the shared leg's row and both indices of its other leg, b the shared
@@ -174,7 +177,10 @@ def _product_plan(legs_a: int, legs_b: int) -> tuple:
 
     Returns the plans of the matmul's left and right factor, each (operand,
     0 for a and 1 for b; permutation of its four axes; exponents e of its
-    reshape shape n**e).
+    reshape shape n**e), and the cut factor: 0 or 1 for the factor that owns
+    output axis 0.  Output axis 0 leads the output's axes, and it is axis 0
+    of its operand's coeffs (leg 1 is the first leg of a tag), so it is
+    axis 0 of the cut factor too.
     """
     la, lb = _LEG_TAGS[legs_a], _LEG_TAGS[legs_b]
     (s,) = set(la) & set(lb)
@@ -195,34 +201,87 @@ def _product_plan(legs_a: int, legs_b: int) -> tuple:
         perm = tuple(src[op][out] for g in groups for out in g if out in src[op])
         exps = tuple(sum(out in src[op] for out in g) for g in groups)
         plans.append((op, perm, exps))
-    return tuple(plans)
+    return (*plans, next(k for k, (op, _, _) in enumerate(plans) if 0 in src[op]))
 
 
-# (legs_a, legs_b) -> matmul plan of leg_product, for the six ordered pairs
+# (legs_a, legs_b) -> matmul plan of the shared-leg product, for the six ordered pairs
 _PRODUCT_PLANS = {(p, q): _product_plan(p, q) for p in _LEG_TAGS for q in _LEG_TAGS
                   if p != q}
 
 
-def leg_product(a: Tensor2, legs_a: int, b: Tensor2, legs_b: int) -> Tensor3:
-    """embed_leg(a, legs_a).matmul(embed_leg(b, legs_b)) for two leg tags
-    sharing exactly one leg, in O(n^7) and without the identity-padded n^6
-    operands: only the shared leg is contracted (a's column index with b's
-    row index); every other leg keeps the one factor on it.  One broadcast
-    BLAS matmul (plans built once, at import) whose result is already
-    C-contiguous in the coefficient layout.  BLAS sums in its own order, so
-    the result agrees with the padded product to rounding, not bit for bit."""
+def _plan(legs_a: int, legs_b: int) -> tuple:
+    """The matmul plan of the product a^{legs_a} b^{legs_b}; ValueError
+    unless the two tags are valid and share exactly one leg."""
     plan = _PRODUCT_PLANS.get((legs_a, legs_b))
     if plan is None:
         for tag in (legs_a, legs_b):
             _legs(tag)  # raises on a tag other than 12, 13, 23
         raise ValueError(f"leg tags {legs_a} and {legs_b} must share exactly one leg")
-    if a.n != b.n:
-        raise ValueError(f"tensors of different size: n = {a.n} and n = {b.n}")
-    n = a.n
-    (op_x, perm_x, exps_x), (op_y, perm_y, exps_y) = plan
-    x = (a, b)[op_x].coeffs.transpose(perm_x).reshape([n**e for e in exps_x])
-    y = (a, b)[op_y].coeffs.transpose(perm_y).reshape([n**e for e in exps_y])
-    return Tensor3(n, np.matmul(x, y).reshape((n,) * 6))
+    return plan
+
+
+def _factors(plan: tuple, a: np.ndarray, b: np.ndarray) -> list:
+    """The two factors of the broadcast matmul that gives the shared-leg
+    product of the coefficient arrays a and b by plan (see _product_plan):
+    np.matmul(*factors) is the product, C-contiguous in the abcdef layout."""
+    n = a.shape[0]
+    return [(a, b)[op].transpose(perm).reshape([n**e for e in exps])
+            for op, perm, exps in plan[:2]]
+
+
+# Up to this many coefficients (n <= 4) leg_residual_norm takes all leg-1 rows
+# in one block: there one call per product costs less than n smaller ones
+_ONE_BLOCK_MAX = 4**6
+
+
+def leg_residual_norm(lhs: list, rhs: list) -> float:
+    """max |sum(lhs) - sum(rhs)| over the coefficients in Mat_n^(x3), each
+    side a list of shared-leg products (a, legs_a, b, legs_b), that is
+    embed_leg(a, legs_a).matmul(embed_leg(b, legs_b)) (the two tags must
+    share exactly one leg, the tensors have one size n).
+
+    Above n = 4 no n^6 tensor is formed: the output is walked one leg-1 row
+    index i at a time.  Row block i of a product is its matmul with the
+    plan's cut factor, the one led by leg 1's row index, cut to its i-th
+    n-th along axis 0; each block is written into the product's block
+    before it, so one n^5 array per product serves every i.  Each side
+    sums left to right, then the right side is subtracted, so the result
+    equals the whole-tensor expression, such as p0 - (p1 + p2), bit for
+    bit.  A NaN anywhere gives NaN."""
+    if not lhs or not rhs:
+        raise ValueError("each side needs at least one product")
+    n = lhs[0][0].n
+    step = n if n**6 <= _ONE_BLOCK_MAX else 1  # leg-1 rows per block
+    sides = []  # per product: [factors, cut factor, its rows per block, last block]
+    for side in (lhs, rhs):
+        terms = []
+        for a, legs_a, b, legs_b in side:
+            plan = _plan(legs_a, legs_b)
+            if a.n != n or b.n != n:
+                raise ValueError(f"tensors of different size: n = {a.n} and n = {b.n}")
+            factors = _factors(plan, a.coeffs, b.coeffs)
+            terms.append([factors, plan[2], len(factors[plan[2]]) // n * step, None])
+        sides.append(terms)
+    magnitude, worst = None, 0.0
+    for i in range(n // step):
+        sums = []
+        for terms in sides:
+            for j, term in enumerate(terms):
+                f, cut, rows, out = term
+                f = list(f)
+                f[cut] = f[cut][i * rows:(i + 1) * rows]
+                term[3] = np.matmul(*f, out=out)
+                if j == 0:
+                    sums.append(term[3].reshape(-1))
+                else:
+                    sums[-1] += term[3].reshape(-1)
+        left, right = sums
+        magnitude = np.abs(np.subtract(left, right, out=right), out=magnitude)
+        m = float(magnitude.max())
+        if math.isnan(m):
+            return m
+        worst = max(worst, m)
+    return worst
 
 
 def swap(t: Tensor2) -> Tensor2:

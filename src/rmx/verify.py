@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .catalog import RSolution, as_four_param, as_three_param, as_two_point
-from .tensorcore import (Tensor2, Tensor3, casimir, embed, embed_leg, leg_product,
+from .tensorcore import (Tensor2, Tensor3, casimir, embed, embed_leg, leg_residual_norm,
                          project_sl, swap)
 from .thetafn import PoleError
 
@@ -133,11 +133,12 @@ def _accepted_draws(draw: Callable, terms: Callable, samples: int):
 def _sampled_residual(identity: str, sol: RSolution, k: int, ev: Callable,
                       args: Callable, residual: Callable, samples: int, tol: float,
                       seed: int) -> ResidualReport:
-    """Max of |residual(*terms)| over `samples` accepted draws of k points from
-    a generator seeded by `seed` (see _accepted_draws); the terms of points
-    are ev(*a) for a in args(*points), evaluated in order."""
+    """Max of residual(*terms), the float max |left - right| of one draw, over
+    `samples` accepted draws of k points from a generator seeded by `seed`
+    (see _accepted_draws); the terms of points are ev(*a) for a in
+    args(*points), evaluated in order."""
     rng = np.random.default_rng(seed)
-    pairs = [(residual(*ts).norm(), tuple(pts))
+    pairs = [(residual(*ts), tuple(pts))
              for pts, ts in _accepted_draws(lambda: _sample(rng, k),
                                             lambda *pts: (ev(*a) for a in args(*pts)),
                                             samples)]
@@ -157,8 +158,8 @@ def aybe(sol: RSolution, samples: int = 50, tol: float = DEFAULT_TOL["aybe"],
         lambda v1, v2, v3, y1, y2, y3: (
             (v1, v2, y1, y2), (v1, v3, y2, y3), (v1, v3, y1, y3),
             (v3, v2, y1, y2), (v2, v3, y2, y3), (v1, v2, y1, y3)),
-        lambda a, b, c, d, e, f: leg_product(a, 12, b, 23)
-        - (leg_product(c, 13, d, 12) + leg_product(e, 23, f, 13)),
+        lambda a, b, c, d, e, f: leg_residual_norm(
+            [(a, 12, b, 23)], [(c, 13, d, 12), (e, 23, f, 13)]),
         samples, tol, seed)
 
 
@@ -171,8 +172,8 @@ def aybe_dual(sol: RSolution, samples: int = 50, tol: float = DEFAULT_TOL["dual"
         lambda v1, v2, v3, y1, y2, y3: (
             (v2, v3, y2, y3), (v1, v3, y1, y2), (v1, v2, y1, y2),
             (v2, v3, y1, y3), (v1, v3, y1, y3), (v2, v1, y2, y3)),
-        lambda a, b, c, d, e, f: leg_product(a, 23, b, 12)
-        - (leg_product(c, 12, d, 13) + leg_product(e, 13, f, 23)),
+        lambda a, b, c, d, e, f: leg_residual_norm(
+            [(a, 23, b, 12)], [(c, 12, d, 13), (e, 13, f, 23)]),
         samples, tol, seed)
 
 
@@ -183,7 +184,7 @@ def unitarity(sol: RSolution, samples: int = 50, tol: float = DEFAULT_TOL["unita
     return _sampled_residual(
         "unitarity", sol, 4, r4,
         lambda v1, v2, y1, y2: ((v1, v2, y1, y2), (v2, v1, y2, y1)),
-        lambda ta, tb: ta + swap(tb),
+        lambda ta, tb: (ta + swap(tb)).norm(),
         samples, tol, seed)
 
 
@@ -191,14 +192,14 @@ def _comm(a: Tensor3, b: Tensor3) -> Tensor3:
     return a.matmul(b) - b.matmul(a)
 
 
-def _cybe_lhs(ta: Tensor2, tb: Tensor2, tc: Tensor2) -> Tensor3:
+def _cybe_residual(ta: Tensor2, tb: Tensor2, tc: Tensor2) -> float:
     r12, r13, r23 = embed_leg(ta, 12), embed_leg(tb, 13), embed_leg(tc, 23)
-    return _comm(r12, r23) + _comm(r12, r13) + _comm(r13, r23)
+    return (_comm(r12, r23) + _comm(r12, r13) + _comm(r13, r23)).norm()
 
 
-def _qybe_difference(ta: Tensor2, tb: Tensor2, tc: Tensor2) -> Tensor3:
+def _qybe_residual(ta: Tensor2, tb: Tensor2, tc: Tensor2) -> float:
     r12, r13, r23 = embed_leg(ta, 12), embed_leg(tb, 13), embed_leg(tc, 23)
-    return r12.matmul(r13).matmul(r23) - r23.matmul(r13).matmul(r12)
+    return (r12.matmul(r13).matmul(r23) - r23.matmul(r13).matmul(r12)).norm()
 
 
 def cybe(sol: RSolution, samples: int = 50, tol: float = DEFAULT_TOL["cybe"],
@@ -208,7 +209,7 @@ def cybe(sol: RSolution, samples: int = 50, tol: float = DEFAULT_TOL["cybe"],
     r2 = as_two_point(sol)
     return _sampled_residual(
         "CYBE", sol, 3, r2, lambda y1, y2, y3: ((y1, y2), (y1, y3), (y2, y3)),
-        _cybe_lhs, samples, tol, seed)
+        _cybe_residual, samples, tol, seed)
 
 
 def qybe(sol: RSolution, v0: complex, samples: int = 50, tol: float = DEFAULT_TOL["qybe"],
@@ -222,7 +223,7 @@ def qybe(sol: RSolution, v0: complex, samples: int = 50, tol: float = DEFAULT_TO
     return _sampled_residual(
         "QYBE", sol, 3, r3,
         lambda y1, y2, y3: ((v0, y1, y2), (v0, y1, y3), (v0, y2, y3)),
-        _qybe_difference, samples, tol, seed)
+        _qybe_residual, samples, tol, seed)
 
 
 class DivergenceError(RuntimeError):

@@ -17,6 +17,7 @@ import numpy as np
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
+from rmx import tensorcore
 from rmx.thetafn import PI_I, ThetaParams, theta1_prime_at_0, theta_j
 
 
@@ -85,6 +86,21 @@ def einsum_leg_product(a, legs_a: int, b, legs_b: int) -> np.ndarray:
     sub_a = "".join(rows[k] + ("z" if k == s else cols[k]) for k in la)
     sub_b = "".join(("z" if k == s else rows[k]) + cols[k] for k in lb)
     return np.einsum(f"{sub_a},{sub_b}->abcdef", a.coeffs, b.coeffs)
+
+
+def leg_product(a, legs_a: int, b, legs_b: int):
+    """embed_leg(a, legs_a).matmul(embed_leg(b, legs_b)) as one whole n^6
+    Tensor3, by the same BLAS matmul plan that
+    rmx.tensorcore.leg_residual_norm runs one leg-1 row block at a time; the
+    residual expressions built from it are the reducer's bit-for-bit
+    reference.  ValueError on tags not sharing exactly one leg or on tensors
+    of different size, as the reducer raises."""
+    plan = tensorcore._plan(legs_a, legs_b)
+    if a.n != b.n:
+        raise ValueError(f"tensors of different size: n = {a.n} and n = {b.n}")
+    n = a.n
+    return tensorcore.Tensor3(n, np.matmul(*tensorcore._factors(plan, a.coeffs, b.coeffs))
+                              .reshape((n,) * 6))
 
 
 def theta3_cosine_series(z, tau, nterms=60):

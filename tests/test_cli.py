@@ -64,6 +64,18 @@ def test_verify_aybe_pass(capsys):
     assert json.loads(out)["passed"] is True
 
 
+@pytest.mark.parametrize("identity,form", [("aybe", "AYBE"), ("dual", "AYBE-dual")])
+def test_verify_engine_aybe_at_rank_10(capsys, identity, form):
+    # the north-star rank: the residual is reduced one leg-1 row block at a time
+    code, out = run(capsys, "verify", "--identity", identity, "--curve", "nodal",
+                    "--rank", "10", "--deg", "3", "--samples", "2")
+    report = json.loads(out)
+    assert code == 0 and report["passed"] is True
+    assert (report["identity"], report["samples"]) == (form, 2)
+    assert report["tol"] == verify.DEFAULT_TOL[identity]
+    assert 0 < report["max_residual"] < report["tol"]
+
+
 def test_verify_failure_exit_code(capsys):
     # absurdly tight tolerance forces an identity failure report
     code, out = run(capsys, "verify", "--identity", "aybe", "--solution",

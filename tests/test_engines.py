@@ -202,6 +202,8 @@ def test_semistable_pole_order_three(monkeypatch):
     # the e12 (x) e12 coefficient blows up like (1 - lam)^-3
     # near the pole the residue system is genuinely ill-conditioned;
     # lift the cap to probe the blowup rate
+    with pytest.raises(DegenerateSystemError):  # refused at the default cap
+        engine_semistable_nodal_20(1.0, 1.005, 1.0, 3.0)
     monkeypatch.setattr(rmatrix, "COND_CAP", 1e12)
     vals = []
     for eps in (0.02, 0.01, 0.005):
@@ -224,8 +226,8 @@ def test_engine_rejects_bad_input():
 
 def test_elliptic_coincident_moduli_degenerate():
     # x1 = x2 makes the residue systems singular
-    with pytest.raises((DegenerateSystemError, EngineError)):
-        rmx_engine = engine_elliptic_21(1.1j, 0.2, 0.2, 0.1, 0.4)
+    with pytest.raises(DegenerateSystemError):
+        engine_elliptic_21(1.1j, 0.2, 0.2, 0.1, 0.4)
 
 
 def test_conditioning_guard_near_exceptional_locus():
@@ -330,6 +332,20 @@ def _spread_points(monkeypatch):
     return points
 
 
+def _spread_args(kind, spread):
+    """(v1, v2, y1, y2) of a spread point: |v1 / v2| (nodal) or |v1 - v2|
+    (cuspidal) is the spread."""
+    if kind == "nodal":
+        v2 = 0.32 * np.exp(0.4j)
+        return v2 * spread * np.exp(1.1j), v2, 0.7 * np.exp(2.0j), 0.9 * np.exp(-0.5j)
+    v2 = 1.0 + 0.2j
+    return v2 + spread * np.exp(1.1j), v2, 0.8 - 0.3j, 1.2 + 0.1j
+
+
+def _engine_at_spread(kind, n, d, spread):
+    return (engine_nodal if kind == "nodal" else engine_cusp)(n, d, *_spread_args(kind, spread))
+
+
 def test_hom_space_cond_and_refusals_match_per_slot_reference(monkeypatch):
     calls = []
     real = rmatrix._hom_space_glued
@@ -337,15 +353,10 @@ def test_hom_space_cond_and_refusals_match_per_slot_reference(monkeypatch):
                         lambda *a: calls.append(a) or real(*a))
     refused = []
     for kind, n, d, spread in _spread_points(monkeypatch):
-        if kind == "nodal":
-            v2 = 0.32 * np.exp(0.4j)
-            v1, y1, y2 = v2 * spread * np.exp(1.1j), 0.7 * np.exp(2.0j), 0.9 * np.exp(-0.5j)
-        else:
-            v2 = 1.0 + 0.2j
-            v1, y1, y2 = v2 + spread * np.exp(1.1j), 0.8 - 0.3j, 1.2 + 0.1j
+        y1 = _spread_args(kind, spread)[2]
         calls.clear()
         try:
-            (engine_nodal if kind == "nodal" else engine_cusp)(n, d, v1, v2, y1, y2)
+            _engine_at_spread(kind, n, d, spread)
             refused.append(False)
         except DegenerateSystemError:
             refused.append(True)
@@ -355,6 +366,50 @@ def test_hom_space_cond_and_refusals_match_per_slot_reference(monkeypatch):
         assert abs(got - want) <= 1e-8 * want, (kind, n, d, spread, got, want)
         assert refused[-1] == (want > rmatrix.COND_CAP), (kind, n, d, spread, want)
     assert len(refused) >= 10 and any(refused) and not all(refused)
+
+
+def test_cond_cap_decision_matches_svd_cond_at_spread_points(monkeypatch):
+    # the engine accepts without an SVD when |R|_F |R^-1|_F <= COND_CAP / 2;
+    # every refusal and its cond must still be np.linalg.cond's
+    seen = []
+    real = rmatrix._compose_ev_res
+    monkeypatch.setattr(rmatrix, "_compose_ev_res",
+                        lambda res, ev: seen.append(res) or real(res, ev))
+    skipped = fallback_accepted = refused = 0
+    for kind, n, d, spread in _spread_points(monkeypatch):
+        seen.clear()
+        try:
+            _engine_at_spread(kind, n, d, spread)
+            got = None
+        except DegenerateSystemError as exc:
+            got = exc.cond
+        (res,) = seen
+        r_mat = res.reshape(len(res), -1).T
+        cond = np.linalg.cond(r_mat)
+        bound = np.linalg.norm(r_mat) * np.linalg.norm(
+            np.linalg.solve(r_mat, np.eye(len(r_mat), dtype=complex)))
+        assert bound >= cond, (kind, n, d, spread)
+        if cond > rmatrix.COND_CAP:
+            assert got == cond, (kind, n, d, spread, got, cond)
+            refused += 1
+        else:
+            assert got is None, (kind, n, d, spread, got)
+            skipped += bound <= rmatrix.COND_CAP / 2
+            fallback_accepted += bound > rmatrix.COND_CAP / 2
+    # both acceptance paths and the refusal are taken
+    assert skipped and fallback_accepted and refused
+
+
+def test_singular_residue_system_is_refused_with_its_cond():
+    # an exactly singular R makes solve raise; that is a refusal, not a leak
+    res = np.array([np.eye(2), np.zeros((2, 2)), [[0, 1], [0, 0]], [[0, 0], [1, 0]]],
+                   dtype=complex)
+    r_mat = res.reshape(4, 4).T
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(r_mat, np.eye(4))
+    with pytest.raises(DegenerateSystemError) as exc:
+        rmatrix._compose_ev_res(res, res)
+    assert exc.value.cond == np.linalg.cond(r_mat)
 
 
 EXACT_POINTS = {

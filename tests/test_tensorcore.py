@@ -1,17 +1,19 @@
 # tests/test_tensorcore.py
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmx import rmatrix
+from rmx import rmatrix, verify
 from rmx.tensorcore import (
     E12, E21, H, ID2, Tensor, Tensor2, Tensor3, casimir, embed, embed_leg,
-    leg_product, project_sl, swap,
+    leg_residual_norm, project_sl, swap,
 )
 
-from oracles import einsum_leg_product, kron_embed
+from oracles import einsum_leg_product, kron_embed, leg_product
 
 
 def rand_tensor2(rng, n=2):
@@ -107,6 +109,127 @@ def test_leg_product_rejects_tags_not_sharing_one_leg(legs_a, legs_b):
     t = Tensor2.simple(H, E21)
     with pytest.raises(ValueError):
         leg_product(t, legs_a, t, legs_b)
+
+
+# --- leg_residual_norm: the AYBE and dual residual reducer ------------------
+
+# (lhs, rhs) tag pairs of the two residuals: AYBE r12 r23 - (r13 r12 + r23 r13),
+# dual r23 r12 - (r12 r13 + r13 r23); the six tensors fill the slots in order
+RESIDUAL_TAGS = {"aybe": ([(12, 23)], [(13, 12), (23, 13)]),
+                 "dual": ([(23, 12)], [(12, 13), (13, 23)])}
+
+# per residual, the (v1, v2, y1, y2) of its six engine terms at the draw
+# (v1, v2, v3, y1, y2, y3), as verify.aybe and verify.aybe_dual take them
+DRAW_ARGS = {
+    "aybe": lambda v1, v2, v3, y1, y2, y3: (
+        (v1, v2, y1, y2), (v1, v3, y2, y3), (v1, v3, y1, y3),
+        (v3, v2, y1, y2), (v2, v3, y2, y3), (v1, v2, y1, y3)),
+    "dual": lambda v1, v2, v3, y1, y2, y3: (
+        (v2, v3, y2, y3), (v1, v3, y1, y2), (v1, v2, y1, y2),
+        (v2, v3, y1, y3), (v1, v3, y1, y3), (v2, v1, y2, y3)),
+}
+DRAW = (0.7 + 0.2j, 1.3 - 0.4j, -0.5 + 0.9j, 0.6 - 0.3j, -0.2 + 1.0j, 1.1 + 0.1j)
+
+
+def _residual_sides(form, ts):
+    """(lhs, rhs) product lists of the reducer from six tensors."""
+    lhs_tags, rhs_tags = RESIDUAL_TAGS[form]
+    slots = iter(ts)
+    return tuple([(next(slots), ta, next(slots), tb) for ta, tb in tags]
+                 for tags in (lhs_tags, rhs_tags))
+
+
+def _whole_residual(lhs, rhs):
+    """The residual as the whole-tensor expression p0 - (p1 + p2)."""
+    (p0,), (p1, p2) = ([leg_product(*p) for p in side] for side in (lhs, rhs))
+    return (p0 - (p1 + p2)).norm()
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("form", RESIDUAL_TAGS)
+def test_leg_residual_norm_equals_whole_tensor_expression(n, form):
+    rng = np.random.default_rng(100 * n + len(form))
+    random_terms = [rand_tensor2(rng, n) for _ in range(6)]
+    engine = rmatrix.engine_solution("nodal", n, 1).evaluator
+    engine_terms = [engine(*a) for a in DRAW_ARGS[form](*DRAW)]
+    for ts in (random_terms, engine_terms):
+        lhs, rhs = _residual_sides(form, ts)
+        got = leg_residual_norm(lhs, rhs)
+        assert isinstance(got, float) and got == _whole_residual(lhs, rhs)
+    assert got < 1e-10  # the engine terms satisfy the identity
+
+
+@pytest.mark.parametrize("n", [3, 5])  # one block; one block per leg-1 row
+@pytest.mark.parametrize("slot", range(6))
+@pytest.mark.parametrize("form", RESIDUAL_TAGS)
+def test_leg_residual_norm_nan_fails_the_report(n, slot, form):
+    rng = np.random.default_rng(40 + slot)
+    ts = [rand_tensor2(rng, n) for _ in range(6)]
+    # a NaN in leg-1 row n - 1: where its tensor owns output axis 0 and the
+    # rows are walked, only the last row block sees it
+    ts[slot].coeffs[n - 1, rng.integers(n), rng.integers(n), rng.integers(n)] = np.nan
+    got = leg_residual_norm(*_residual_sides(form, ts))
+    assert np.isnan(got)
+    assert not verify._report("AYBE", "x", [(0.0, (1,)), (got, (2,))], 1e-8, 0).passed
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_leg_residual_norm_sums_each_side_left_to_right(n):
+    # three products a side, as in the CYBE commutators
+    rng = np.random.default_rng(60 + n)
+    tags = [(12, 23), (12, 13), (13, 23)]
+    lhs = [(rand_tensor2(rng, n), ta, rand_tensor2(rng, n), tb) for ta, tb in tags]
+    rhs = [(rand_tensor2(rng, n), tb, rand_tensor2(rng, n), ta) for ta, tb in tags]
+    p0, p1, p2 = (leg_product(*p) for p in lhs)
+    q0, q1, q2 = (leg_product(*p) for p in rhs)
+    assert leg_residual_norm(lhs, rhs) == ((p0 + p1) + p2 - ((q0 + q1) + q2)).norm()
+
+
+def test_leg_residual_norm_rejects_an_empty_side():
+    t = Tensor2.simple(H, E21)
+    with pytest.raises(ValueError):
+        leg_residual_norm([(t, 12, t, 23)], [])
+    with pytest.raises(ValueError):
+        leg_residual_norm([], [(t, 12, t, 23)])
+
+
+@pytest.mark.parametrize("n_a,n_b", [(2, 3), (1, 2), (3, 2), (5, 6)])
+def test_leg_residual_norm_rejects_tensors_of_different_size(n_a, n_b):
+    rng = np.random.default_rng(18)
+    a, b = rand_tensor2(rng, n_a), rand_tensor2(rng, n_b)
+    with pytest.raises(ValueError):
+        leg_residual_norm([(a, 12, b, 23)], [(a, 13, a, 12)])
+    with pytest.raises(ValueError):  # each product alone fine, the sizes differ
+        leg_residual_norm([(a, 12, a, 23)], [(b, 13, b, 12)])
+
+
+@pytest.mark.parametrize("legs_a,legs_b", [(12, 12), (23, 23), (12, 21), (31, 23)])
+def test_leg_residual_norm_rejects_tags_not_sharing_one_leg(legs_a, legs_b):
+    t = Tensor2.simple(H, E21)
+    with pytest.raises(ValueError):
+        leg_residual_norm([(t, 12, t, 23)], [(t, legs_a, t, legs_b)])
+    with pytest.raises(ValueError):
+        leg_residual_norm([(t, legs_a, t, legs_b)], [(t, 12, t, 23)])
+
+
+@pytest.mark.parametrize("form", RESIDUAL_TAGS)
+def test_leg_residual_norm_peak_memory_below_one_n6_tensor(form):
+    n = 8
+    rng = np.random.default_rng(8)
+    lhs, rhs = _residual_sides(form, [rand_tensor2(rng, n) for _ in range(6)])
+    one_tensor = 16 * n**6  # bytes of one complex (n,)*6 array, 4.2 MB
+    peaks = []
+    for residual in (leg_residual_norm, _whole_residual):
+        tracemalloc.start()
+        try:
+            residual(lhs, rhs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    reduced, whole = peaks
+    assert reduced < one_tensor
+    # tracemalloc sees numpy's buffers: the whole expression holds several
+    assert whole > 3 * one_tensor
 
 
 def einsum_matmul(x: Tensor3, y: Tensor3) -> np.ndarray:

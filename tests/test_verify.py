@@ -359,9 +359,9 @@ def test_reports_are_reproducible():
 # max_residual and the first coordinate of argmax_sample for 4 samples.  The
 # engine entries pin rounding noise: that of the engines' Hom-space basis (the
 # elimination basis with its QR-orthonormalised coupled block) and that of the
-# BLAS summation order in leg_product.  The catalog entries were computed by
-# the per-identity sampling loops that preceded the shared residual driver;
-# qybe runs at v0 = 0.45.
+# BLAS summation order of the shared-leg products (tensorcore._PRODUCT_PLANS).
+# The catalog entries were computed by the per-identity sampling loops that
+# preceded the shared residual driver; qybe runs at v0 = 0.45.
 PINNED_RESIDUALS = {
     ("nodal", 5, 2, "aybe", 0): (7.801728335116027e-14, -0.6203240672829127 - 0.4914667910877345j),
     ("nodal", 5, 2, "aybe", 7): (9.61712711863696e-14, -0.5630387996316589 - 0.034680483300054445j),
