@@ -150,14 +150,25 @@ def canonical_cusp(n1: int, n2: int, lam: complex) -> CuspTriple:
     return CuspTriple(n1, n2, canonical_cusp_matrix(n1, n2, lam))
 
 
-def jacobian_form_nodal(n1: int, n2: int, t: complex) -> NodalTriple:
-    """Jacobian-compatible family Ntilde_{n1,n2}(t): the canonical pattern
-    with every nonzero entry replaced by t, so Ntilde(beta*t) =
-    beta*Ntilde(t).  The determinant coordinate is lam = +-t^n."""
-    if t == 0:
+def jacobian_nodal_matrices(n1: int, n2: int, ts) -> np.ndarray:
+    """m(0) of the Jacobian-compatible family Ntilde_{n1,n2}(t) for every t of
+    the 1-d array ts, shape (len(ts), n, n): the canonical pattern, built
+    once, with every nonzero entry replaced by t, so Ntilde(beta*t) =
+    beta*Ntilde(t).  Each t must be nonzero and each matrix invertible."""
+    ts = np.asarray(ts)
+    if not ts.all():
         raise ValueError("t must be nonzero")
-    pattern = canonical_nodal_matrix(n1, n2, 1.0)
-    return NodalTriple(n1, n2, t * (pattern != 0), np.eye(n1 + n2, dtype=complex))
+    m = ts[:, None, None] * (canonical_nodal_matrix(n1, n2, 1.0) != 0)
+    if (np.abs(np.linalg.det(m)) < 1e-300).any():
+        raise ValueError("gluing matrices must be invertible")
+    return m
+
+
+def jacobian_form_nodal(n1: int, n2: int, t: complex) -> NodalTriple:
+    """Jacobian-compatible family Ntilde_{n1,n2}(t) (jacobian_nodal_matrices).
+    The determinant coordinate is lam = +-t^n."""
+    return NodalTriple(n1, n2, jacobian_nodal_matrices(n1, n2, [t])[0],
+                       np.eye(n1 + n2, dtype=complex))
 
 
 def jacobian_form_cusp(n1: int, n2: int, lam: complex) -> CuspTriple:

@@ -19,7 +19,7 @@ construction engines.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -72,6 +72,10 @@ class RSolution:
     n: int
     evaluator: Callable[..., Tensor2]
     params: dict = field(default_factory=dict)
+    # rows -> the terms evaluator(*row) of a list of parameter rows, in order;
+    # set for the glued engines (rmatrix.engine_solution), which evaluate a
+    # sampled check's rows together; None: one evaluator call per row
+    evaluate_rows: Callable[[list], Iterable[Tensor2]] | None = None
 
     def __call__(self, *args) -> Tensor2:
         return self.evaluator(*args)

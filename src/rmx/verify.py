@@ -110,10 +110,12 @@ def _report(identity: str, solution: str, pairs: list, tol: float,
 
 def _accepted_draws(draw: Callable, terms: Callable, samples: int):
     """The one draw-and-reject loop of the sampled checks: yields `samples`
-    accepted (points, terms), points = draw() and terms the list of the
-    lazily evaluated terms(*points).  A draw is rejected at its first term
+    accepted (points, terms), points = draw() and terms the list of the terms
+    that terms(*points) gives in order.  A draw is rejected at its first term
     with a norm at NORM_CAP or above (or NaN), and its later terms are never
-    evaluated; a sample gets 50 draws, then PoleSampleError."""
+    read: lazily evaluated terms, such as a generator's, are never evaluated,
+    while a glued engine's stacked rows have them at hand already
+    (rmatrix._rows_evaluator); a sample gets 50 draws, then PoleSampleError."""
     for _ in range(samples):
         for _retry in range(50):
             pts = draw()
@@ -135,13 +137,18 @@ def _sampled_residual(identity: str, sol: RSolution, k: int, ev: Callable,
                       seed: int) -> ResidualReport:
     """Max of residual(*terms), the float max |left - right| of one draw, over
     `samples` accepted draws of k points from a generator seeded by `seed`
-    (see _accepted_draws); the terms of points are ev(*a) for a in
-    args(*points), evaluated in order."""
+    (see _accepted_draws).  The terms of points are ev(*a) for a in
+    args(*points), in order: lazily evaluated, one call each, or, when ev is
+    the solution's own evaluator and it has evaluate_rows (a glued engine),
+    from one evaluate_rows(args(*points)), which up to rank 5 evaluates the
+    draw's rows as one stack."""
     rng = np.random.default_rng(seed)
+    if ev is sol.evaluator and sol.evaluate_rows is not None:
+        terms = lambda *pts: sol.evaluate_rows(args(*pts))
+    else:
+        terms = lambda *pts: (ev(*a) for a in args(*pts))
     pairs = [(residual(*ts), tuple(pts))
-             for pts, ts in _accepted_draws(lambda: _sample(rng, k),
-                                            lambda *pts: (ev(*a) for a in args(*pts)),
-                                            samples)]
+             for pts, ts in _accepted_draws(lambda: _sample(rng, k), terms, samples)]
     return _report(identity, sol.name, pairs, tol, seed)
 
 

@@ -292,7 +292,7 @@ def test_hom_space_matches_per_slot_reference(monkeypatch):
         engine_cusp(n, d, 0.1 + 0.2j, 0.9 - 0.3j, 0.3, -0.6 + 0.1j)
     engine_semistable_nodal_20(0.7 + 0.2j, 1.3 - 0.4j, 0.5 + 0.1j, 1.1)
     assert len(calls) == 2 * len(COPRIME_UP_TO_9) + 1
-    for deg, m_src, m_dst, cuspidal, basis in calls:
+    for deg, (m_src,), (m_dst,), cuspidal, (basis,) in calls:  # one-row stacks
         n = deg.shape[0]
         want = oracles.hom_space_basis_per_slot(deg, m_src, m_dst, cuspidal)
         assert basis.shape == want.shape and basis.shape[0] == n * n
@@ -313,7 +313,8 @@ def _projector(basis):
 
 def _residue_cond(basis, cuspidal, y1):
     """cond of the residue system of a Hom-space basis, as _glued_engine takes it."""
-    res = rmatrix._at_affine(basis, y1) if cuspidal else rmatrix._at_affine(basis, y1) / y1
+    ((res,),) = rmatrix._at_affine(basis[None], [[y1]])
+    res = res if cuspidal else res / y1
     return np.linalg.cond(res.reshape(len(res), -1).T)
 
 
@@ -360,9 +361,10 @@ def test_hom_space_cond_and_refusals_match_per_slot_reference(monkeypatch):
             refused.append(False)
         except DegenerateSystemError:
             refused.append(True)
-        args = calls[0]
-        got = _residue_cond(real(*args), args[3], y1)
-        want = _residue_cond(oracles.hom_space_basis_per_slot(*args), args[3], y1)
+        deg, (m_src,), (m_dst,), cuspidal = args = calls[0]  # a one-row stack
+        got = _residue_cond(real(*args)[0], cuspidal, y1)
+        want = _residue_cond(oracles.hom_space_basis_per_slot(deg, m_src, m_dst, cuspidal),
+                             cuspidal, y1)
         assert abs(got - want) <= 1e-8 * want, (kind, n, d, spread, got, want)
         assert refused[-1] == (want > rmatrix.COND_CAP), (kind, n, d, spread, want)
     assert len(refused) >= 10 and any(refused) and not all(refused)
@@ -383,7 +385,7 @@ def test_cond_cap_decision_matches_svd_cond_at_spread_points(monkeypatch):
             got = None
         except DegenerateSystemError as exc:
             got = exc.cond
-        (res,) = seen
+        ((res,),) = seen  # a one-row stack
         r_mat = res.reshape(len(res), -1).T
         cond = np.linalg.cond(r_mat)
         bound = np.linalg.norm(r_mat) * np.linalg.norm(
@@ -408,8 +410,102 @@ def test_singular_residue_system_is_refused_with_its_cond():
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(r_mat, np.eye(4))
     with pytest.raises(DegenerateSystemError) as exc:
-        rmatrix._compose_ev_res(res, res)
+        rmatrix._compose_ev_res(res[None], res[None])
     assert exc.value.cond == np.linalg.cond(r_mat)
+
+
+# --- stacked rows ------------------------------------------------------------------
+
+STACK_ENGINES = [("nodal", n, d) for n, d in ((2, 1), (3, 2), (4, 1), (5, 2), (6, 5), (7, 3), (8, 3))] \
+    + [("cusp", n, d) for n, d in ((2, 1), (3, 1), (4, 3), (5, 3), (6, 1), (7, 2), (8, 5))] \
+    + [("nodal-semistable", 2, 0)]
+
+
+def _one_row_and_stacked(kind, n, d):
+    if kind == "nodal":
+        return (lambda *a: engine_nodal(n, d, *a)), (lambda rows: rmatrix._nodal_rows(n, d, rows))
+    if kind == "cusp":
+        return (lambda *a: engine_cusp(n, d, *a)), (lambda rows: rmatrix._cusp_rows(n, d, rows))
+    return engine_semistable_nodal_20, rmatrix._semistable_rows
+
+
+def _accepted_rows(kind, n, d, monkeypatch):
+    """(rows, number of them decided by np.linalg.cond): random rows the engine
+    accepts, with the accepted spread rows (_spread_args) that take the SVD
+    fallback of the cond cap at rows 2 and 5."""
+    one_row, _ = _one_row_and_stacked(kind, n, d)
+    conds = []
+    real_cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda a: conds.append(1) or real_cond(a))
+
+    def accepted(row):
+        conds.clear()
+        try:
+            one_row(*row)
+        except DegenerateSystemError:
+            return None
+        return bool(conds)
+
+    fallback = []
+    if kind != "nodal-semistable":
+        fallback = [row for row in (_spread_args(kind, s) for s in (2.0, 2.5, 4.0, 5.0, 6.0, 7.5, 9.0))
+                    if accepted(row)][:2]
+    rng = np.random.default_rng(100 * n + d)
+    rows = []
+    while len(rows) < 6 - len(fallback):
+        row = tuple(ring_points(rng, 4))
+        if accepted(row) is not None:
+            rows.append(row)
+    for at, row in zip((2, 5), fallback):
+        rows.insert(at, row)
+    monkeypatch.setattr(np.linalg, "cond", real_cond)
+    return rows, len(fallback)
+
+
+@pytest.mark.parametrize("kind,n,d", STACK_ENGINES)
+def test_stacked_rows_equal_one_row_calls(kind, n, d, monkeypatch):
+    # a stack of k parameter rows gives, bit for bit, the k one-row calls
+    rows, fallback = _accepted_rows(kind, n, d, monkeypatch)
+    # the SVD fallback of the cond cap is taken at these ranks (measured)
+    assert fallback > 0 or kind == "nodal-semistable" or n < (7 if kind == "nodal" else 4)
+    one_row, stacked = _one_row_and_stacked(kind, n, d)
+    want = [one_row(*row).coeffs for row in rows]
+    for k in range(1, 7):
+        got = stacked(rows[-k:])
+        assert len(got) == k
+        assert all(np.array_equal(t.coeffs, w) for t, w in zip(got, want[-k:])), k
+
+
+def test_a_stack_with_one_refused_row_is_refused():
+    rows = [(0.7, 1.3, 0.5, 1.1), (1.0, -1.0 - 1e-9, 0.5, 1.2), (0.6, 1.2, 0.5, 0.9)]
+    with pytest.raises(DegenerateSystemError):
+        rmatrix._nodal_rows(2, 1, rows)
+    with pytest.raises(DegenerateSystemError):
+        rmatrix._nodal_rows(2, 1, rows[1:2])
+    rmatrix._nodal_rows(2, 1, rows[::2])   # the other rows are accepted
+
+
+@pytest.mark.parametrize("n", [rmatrix._STACK_MAX_N, rmatrix._STACK_MAX_N + 1])
+def test_evaluate_rows_stacks_up_to_the_cutoff(n, monkeypatch):
+    calls = []
+    real = rmatrix._hom_space_glued
+    monkeypatch.setattr(rmatrix, "_hom_space_glued",
+                        lambda *a: calls.append(len(a[1])) or real(*a))
+    rows = [tuple(ring_points(np.random.default_rng(n + k), 4)) for k in range(6)]
+    terms = engine_solution("cusp", n, 1).evaluate_rows(rows)
+    stacked = n <= rmatrix._STACK_MAX_N
+    # above the cutoff nothing is evaluated before it is read
+    assert calls == ([6] if stacked else [])
+    got = list(terms)
+    assert calls == ([6] if stacked else [1] * 6)
+    assert all(np.array_equal(t.coeffs, engine_cusp(n, 1, *row).coeffs)
+               for t, row in zip(got, rows))
+
+
+def test_evaluate_rows_is_set_for_the_glued_engines_only():
+    assert engine_solution("elliptic").evaluate_rows is None
+    for kind in ("nodal", "cusp", "nodal-semistable"):
+        assert engine_solution(kind).evaluate_rows is not None
 
 
 EXACT_POINTS = {

@@ -352,14 +352,14 @@ def test_linmap_to_tensor_rule():
     units = _unit_basis(2)
     ev = np.zeros_like(units)
     ev[0] = unit_matrix(2, 1, 1)
-    t = rmatrix._compose_ev_res(units, ev)
+    (t,) = rmatrix._compose_ev_res(units[None], ev[None])
     assert (t - Tensor2.simple(unit_matrix(2, 0, 0), unit_matrix(2, 1, 1))).norm() == 0
 
 
 def test_identity_linmap_tensor():
     # the identity map of Mat_2 is sum_ij e_ji (x) e_ij
     units = _unit_basis(2)
-    t = rmatrix._compose_ev_res(units, units)
+    (t,) = rmatrix._compose_ev_res(units[None], units[None])
     want = Tensor2(2, np.zeros((2,) * 4))
     for i in range(2):
         for j in range(2):
@@ -374,7 +374,7 @@ def test_trace_pairing_convention():
     x, y, m = rand_matrix(rng), rand_matrix(rng), rand_matrix(rng)
     units = np.array([unit_matrix(2, a, b) for a in range(2) for b in range(2)])
     ev = np.array([np.trace(x @ u) * y for u in units])
-    t = rmatrix._compose_ev_res(units, ev)
+    (t,) = rmatrix._compose_ev_res(units[None], ev[None])
     assert np.max(np.abs(t.coeffs - Tensor2.simple(x, y).coeffs)) < 1e-14
     # X (x) Y acts as M -> tr(X M) Y: contract leg 1 with M through the trace
     assert np.allclose(np.einsum("ij,jikl->kl", m, t.coeffs), np.trace(x @ m) * y)

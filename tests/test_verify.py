@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from rmx import catalog, rmatrix, verify
+from rmx import catalog, cli, rmatrix, verify
 from rmx.catalog import RSolution
 from rmx.tensorcore import E21, H, ID2, Tensor2, casimir
 from rmx.thetafn import ThetaParams, theta_j
@@ -481,3 +481,100 @@ def test_as_three_param_views():
             verify.as_three_param(catalog.get(name))
     with pytest.raises(ValueError, match="v-difference"):
         verify.as_three_param(rmatrix.engine_solution("nodal", 2, 1))
+
+
+# --- engine draws: one stack per draw, replayed one row at a time on a refusal ------
+
+_V = (0.6 + 0.3j, 0.9 - 0.2j)            # v1, v2
+_Y = (0.7 + 0.1j, 0.4 - 0.6j, -0.5 + 0.3j)  # y1, y2, y3
+
+
+def _scripted_sample(monkeypatch, first):
+    """verify._sample returns the points `first`, then draws as before."""
+    real, script = verify._sample, [np.array(first)]
+    monkeypatch.setattr(verify, "_sample",
+                        lambda rng, k: script.pop() if script else real(rng, k))
+
+
+def _lazy(sol):
+    return dataclasses.replace(sol, evaluate_rows=None)
+
+
+def _row_counts(monkeypatch):
+    """Rows of every rmatrix._nodal_rows call, stacked and one-row alike."""
+    counts, real = [], rmatrix._nodal_rows
+    monkeypatch.setattr(rmatrix, "_nodal_rows",
+                        lambda n, d, rows: counts.append(len(rows)) or real(n, d, rows))
+    return counts
+
+
+def test_replay_keeps_the_rejection_of_a_draw_with_a_later_degenerate_term(monkeypatch):
+    # term 0 (v1, v2, y1, y2) is near its pole y1 = y2, over NORM_CAP; term 3
+    # (v3, v2, y1, y2) is at the nodal (2,1) exceptional locus v3 = -v2, where
+    # the engine refuses.  The lazy draw is rejected at term 0 and never
+    # reaches term 3; the stack is refused, and its replay must do the same
+    (v1, v2), (y1, _, y3) = _V, _Y
+    first = [v1, v2, -v2, y1, y1 + 1e-3, y3]
+    sol = rmatrix.engine_solution("nodal", 2, 1)
+    with pytest.raises(rmatrix.DegenerateSystemError):
+        rmatrix.engine_nodal(2, 1, -v2, v2, y1, y1 + 1e-3)
+    norms, admissible = [], verify._admissible
+    monkeypatch.setattr(verify, "_admissible", lambda *ts: norms.append(ts) or admissible(*ts))
+    counts = _row_counts(monkeypatch)
+    reports = []
+    # stacked: the refused stack, its row 0, then one stack per accepted draw;
+    # lazy: row 0, then six rows per accepted draw
+    for s, want in ((sol, [6, 1, 6, 6, 6]), (_lazy(sol), [1] * 19)):
+        norms.clear()
+        counts.clear()
+        _scripted_sample(monkeypatch, first)
+        reports.append(verify.aybe(s, samples=3, seed=4))
+        # the first draw is rejected at its first term, then 3 are accepted
+        assert len(norms[0]) == 1 and norms[0][0] >= verify.NORM_CAP
+        assert [len(ts) for ts in norms[1:]] == [6] * 3
+        assert counts == want
+    assert reports[0] == reports[1] and reports[0].passed
+
+
+def test_stacked_and_lazy_runs_see_the_same_rows(monkeypatch):
+    sol = rmatrix.engine_solution("nodal", 2, 1)
+    counts = _row_counts(monkeypatch)
+    stacked = verify.aybe(sol, samples=3, seed=4)
+    assert counts == [6, 6, 6]           # one stack per accepted draw
+    counts.clear()
+    assert verify.aybe(_lazy(sol), samples=3, seed=4) == stacked
+    assert counts == [1] * 18
+
+
+def test_replay_raises_the_degenerate_term_of_an_admissible_draw(monkeypatch, capsys):
+    # terms 0-2 are admissible and term 3 (v3, v2, y1, y2) sits at v3 = -v2:
+    # the stack is refused, and its replay raises that term's refusal
+    (v1, v2), (y1, y2, y3) = _V, _Y
+    first = [v1, v2, -v2, y1, y2, y3]
+    sol = rmatrix.engine_solution("nodal", 2, 1)
+    errors, counts = [], _row_counts(monkeypatch)
+    for s, want in ((sol, [6, 1, 1, 1, 1]), (_lazy(sol), [1, 1, 1, 1])):
+        counts.clear()
+        _scripted_sample(monkeypatch, first)
+        with pytest.raises(rmatrix.DegenerateSystemError) as exc:
+            verify.aybe(s, samples=2, seed=4)
+        errors.append((str(exc.value), exc.value.cond))
+        assert counts == want   # the refused stack, then rows 0-3 one at a time
+    assert errors[0] == errors[1] and errors[0][1] > rmatrix.COND_CAP
+    _scripted_sample(monkeypatch, first)
+    code = cli.main(["verify", "--identity", "aybe", "--curve", "nodal", "--rank", "2",
+                     "--deg", "1", "--samples", "2"])
+    assert code == 3 and capsys.readouterr().err.startswith(f"error: {errors[0][0]}")
+
+
+@pytest.mark.parametrize("kind,first,message", [
+    ("nodal", [_V[0], _V[0], 0.5, *_Y], "coincident spectral points"),
+    ("nodal", [0.0, *_V, *_Y], "nodal parameters must be nonzero"),
+    ("cusp", [*_V, 0.5, _Y[0], _Y[0], _Y[2]], "coincident curve points"),
+])
+def test_invalid_rows_raise_as_before(monkeypatch, kind, first, message):
+    sol = rmatrix.engine_solution(kind, 2, 1)
+    for s in (sol, _lazy(sol)):
+        _scripted_sample(monkeypatch, first)
+        with pytest.raises(rmatrix.EngineError, match=message):
+            verify.aybe(s, samples=2, seed=4)

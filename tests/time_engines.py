@@ -1,0 +1,156 @@
+# tests/time_engines.py
+
+"""Per-call timing of the glued engines, one row and stacked.
+
+    python tests/time_engines.py                 # a table on stdout
+    python tests/time_engines.py --json FILE     # the same numbers as JSON
+
+For the nodal and cuspidal engines at n = 2..8 (the degrees of perfbench's
+engine-aybe workload, (2, 1) at n = 2) it times, on six parameter rows the
+engine accepts:
+
+- one one-row call (`engine_nodal` / `engine_cusp`), k = 1;
+- the six rows as one stack (`rmatrix._nodal_rows` / `_cusp_rows`), k = 6,
+  against six one-row calls;
+- the stages of the pipeline at k = 1 and k = 6: Hom-space assembly
+  (`_hom_space_glued` without its SVD and QR), the nullspace SVD
+  (`_nullspace`), the QR and the residue solve (`_compose_ev_res`).
+
+The calls are interleaved and each figure is the median wall time of
+`--repeats` rounds, so a slow stretch of a shared host hits all of them
+alike.  The ratio of six one-row calls to one stack of six sets
+`rmatrix._STACK_MAX_N`.  It is not a pytest module.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+from rmx import rmatrix  # noqa: E402
+
+DEGREES = {"nodal": {2: 1, 3: 1, 4: 1, 5: 2, 6: 1, 7: 3, 8: 3},
+           "cusp": {2: 1, 3: 2, 4: 3, 5: 3, 6: 5, 7: 4, 8: 5}}
+STAGES = ("hom_assembly", "nullspace_svd", "qr", "res_solve")
+
+
+def _rows(kind: str, n: int, d: int, k: int = 6) -> list:
+    """k rows (lam1, lam2, y1, y2) in the ring 0.3 <= |z| <= 1.3 that the
+    engine accepts."""
+    engine = rmatrix.engine_nodal if kind == "nodal" else rmatrix.engine_cusp
+    rng = np.random.default_rng(10 * n + d)
+    rows = []
+    while len(rows) < k:
+        row = tuple(rng.uniform(0.3, 1.3, 4) * np.exp(1j * rng.uniform(0, 2 * np.pi, 4)))
+        try:
+            engine(n, d, *row)
+        except rmatrix.EngineError:
+            continue
+        rows.append(row)
+    return rows
+
+
+def _elapsed(fn) -> float:
+    t0 = time.perf_counter()
+    fn()
+    return time.perf_counter() - t0
+
+
+class _StageClock:
+    """Adds the time spent in each pipeline stage while installed."""
+
+    def __init__(self):
+        self.spent = dict.fromkeys(("hom", "nullspace_svd", "qr", "res_solve"), 0.0)
+        self._saved = []
+
+    def _timed(self, owner, name, stage):
+        fn = getattr(owner, name)
+
+        def timed(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self.spent[stage] += time.perf_counter() - t0
+        self._saved.append((owner, name, fn))
+        setattr(owner, name, timed)
+
+    def __enter__(self):
+        self._timed(rmatrix, "_hom_space_glued", "hom")
+        self._timed(rmatrix, "_nullspace", "nullspace_svd")
+        self._timed(np.linalg, "qr", "qr")
+        self._timed(rmatrix, "_compose_ev_res", "res_solve")
+        return self
+
+    def __exit__(self, *exc):
+        for owner, name, fn in reversed(self._saved):
+            setattr(owner, name, fn)
+
+    def stages(self) -> dict:
+        s = self.spent
+        return {"hom_assembly": s["hom"] - s["nullspace_svd"] - s["qr"],
+                "nullspace_svd": s["nullspace_svd"], "qr": s["qr"], "res_solve": s["res_solve"]}
+
+
+def _stage_times(stacked, rows) -> dict:
+    with _StageClock() as clock:
+        stacked(rows)
+    return clock.stages()
+
+
+def measure(kind: str, n: int, repeats: int) -> dict:
+    d = DEGREES[kind][n]
+    rows = _rows(kind, n, d)
+    engine = rmatrix.engine_nodal if kind == "nodal" else rmatrix.engine_cusp
+    stacked = (rmatrix._nodal_rows if kind == "nodal" else rmatrix._cusp_rows)
+    stack = lambda rs: stacked(n, d, rs)  # noqa: E731
+    one, six_calls, six_stacked = [], [], []
+    stages = {1: {s: [] for s in STAGES}, 6: {s: [] for s in STAGES}}
+    for _ in range(repeats):
+        one.append(_elapsed(lambda: engine(n, d, *rows[0])))
+        six_calls.append(_elapsed(lambda: [engine(n, d, *row) for row in rows]))
+        six_stacked.append(_elapsed(lambda: stack(rows)))
+        for k in (1, 6):
+            for stage, t in _stage_times(stack, rows[:k]).items():
+                stages[k][stage].append(t)
+    ms = lambda ts: round(1e3 * statistics.median(ts), 4)  # noqa: E731
+    return {"kind": kind, "n": n, "d": d, "k1_ms": ms(one), "six_calls_ms": ms(six_calls),
+            "stack6_ms": ms(six_stacked),
+            "speedup_stack6": round(statistics.median(six_calls) / statistics.median(six_stacked), 3),
+            "stages_k1_ms": {s: ms(v) for s, v in stages[1].items()},
+            "stages_k6_ms": {s: ms(v) for s, v in stages[6].items()}}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--repeats", type=int, default=60)
+    ap.add_argument("--json", metavar="FILE")
+    args = ap.parse_args(argv)
+    results = []
+    print(f"{'engine':6s} {'n':>2s} {'d':>2s} {'k=1':>8s} {'6 calls':>8s} {'stack 6':>8s} "
+          f"{'ratio':>6s}  stages at k=1 / k=6 (ms): " + ", ".join(STAGES))
+    for kind in ("nodal", "cusp"):
+        for n in range(2, 9):
+            r = measure(kind, n, args.repeats)
+            results.append(r)
+            st = "  ".join(f"{r['stages_k1_ms'][s]:.3f}/{r['stages_k6_ms'][s]:.3f}" for s in STAGES)
+            print(f"{kind:6s} {n:2d} {r['d']:2d} {r['k1_ms']:8.3f} {r['six_calls_ms']:8.3f} "
+                  f"{r['stack6_ms']:8.3f} {r['speedup_stack6']:6.2f}  {st}", flush=True)
+    if args.json:
+        env = {"python": platform.python_version(), "numpy": np.__version__,
+               "machine": platform.machine(), "repeats": args.repeats,
+               "stack_max_n": rmatrix._STACK_MAX_N}
+        Path(args.json).write_text(json.dumps({"env": env, "results": results}, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
