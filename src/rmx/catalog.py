@@ -73,9 +73,13 @@ class RSolution:
     evaluator: Callable[..., Tensor2]
     params: dict = field(default_factory=dict)
     # rows -> the terms evaluator(*row) of a list of parameter rows, in order;
-    # set for the glued engines (rmatrix.engine_solution), which evaluate a
-    # sampled check's rows together; None: one evaluator call per row
+    # set for the glued engines (rmatrix.engine_solution), which stack one
+    # sampled draw's rows, and for ell21 and ell21_classical, which take one
+    # theta pass over any number of rows; None: one evaluator call per row
     evaluate_rows: Callable[[list], Iterable[Tensor2]] | None = None
+    # whether one evaluate_rows call may take the rows of many sampled draws:
+    # the theta-bound entries gain from it, the glued engines do not
+    batch_draws: bool = False
 
     def __call__(self, *args) -> Tensor2:
         return self.evaluator(*args)
@@ -91,67 +95,104 @@ ARITY_PARAMS = {
 }
 
 
+# view -> arity it takes -> the map of a row of the view's spectral
+# parameters to the evaluator's arguments (None: the row is the arguments)
+_ROW_ARGS = {
+    "as_four_param": {"v12_y12": None,
+                      "vdiff_y12": lambda v1, v2, y1, y2: (v2 - v1, y1, y2),
+                      "vdiff_ydiff": lambda v1, v2, y1, y2: (v2 - v1, y2 - y1)},
+    "as_three_param": {"vdiff_y12": None,
+                       "vdiff_ydiff": lambda v, y1, y2: (v, y2 - y1)},
+    "as_two_point": {"cl_y12": None, "cl_ydiff": lambda y1, y2: (y2 - y1,)},
+}
+
+
+def _one_row(sol: RSolution, as_view: str, error: str) -> Callable[..., Tensor2]:
+    """The term at a row of the parameters of the view named as_view: sol's
+    evaluator itself when the row is its arguments; an arity the view does
+    not take raises ValueError(error)."""
+    if sol.arity not in _ROW_ARGS[as_view]:
+        raise ValueError(error)
+    to_args = _ROW_ARGS[as_view][sol.arity]
+    return sol.evaluator if to_args is None else lambda *row: sol.evaluator(*to_args(*row))
+
+
 def as_four_param(sol: RSolution) -> Callable[[complex, complex, complex, complex], Tensor2]:
     """Uniform 4-parameter view r(v1, v2; y1, y2) of a solution."""
-    if sol.arity == "v12_y12":
-        return sol.evaluator
-    if sol.arity == "vdiff_y12":
-        return lambda v1, v2, y1, y2: sol.evaluator(v2 - v1, y1, y2)
-    if sol.arity == "vdiff_ydiff":
-        return lambda v1, v2, y1, y2: sol.evaluator(v2 - v1, y2 - y1)
-    raise ValueError(f"solution {sol.name!r} has classical arity {sol.arity!r}; "
-                     "not an associative r-matrix")
+    return _one_row(sol, "as_four_param", f"solution {sol.name!r} has classical arity "
+                    f"{sol.arity!r}; not an associative r-matrix")
 
 
 def as_three_param(sol: RSolution) -> Callable[[complex, complex, complex], Tensor2]:
     """The r(v; y1, y2) view of a v-difference solution."""
-    if sol.arity == "vdiff_y12":
-        return sol.evaluator
-    if sol.arity == "vdiff_ydiff":
-        return lambda v, y1, y2: sol.evaluator(v, y2 - y1)
-    raise ValueError(f"solution {sol.name!r} has arity {sol.arity!r}; "
-                     "needs a v-difference solution r(v; y1, y2)")
+    return _one_row(sol, "as_three_param", f"solution {sol.name!r} has arity "
+                    f"{sol.arity!r}; needs a v-difference solution r(v; y1, y2)")
 
 
 def as_two_point(sol: RSolution) -> Callable[[complex, complex], Tensor2]:
     """The r(y1, y2) view of a classical solution."""
-    if sol.arity == "cl_y12":
-        return sol.evaluator
-    if sol.arity == "cl_ydiff":
-        return lambda y1, y2: sol.evaluator(y2 - y1)
-    raise ValueError(f"{sol.name!r} is not a classical solution")
+    return _one_row(sol, "as_two_point", f"{sol.name!r} is not a classical solution")
+
+
+def view(sol: RSolution, as_view: Callable) -> tuple:
+    """(one, rows) of the view as_view (as_four_param, as_three_param or
+    as_two_point) of sol: one = as_view(sol), the term at one row of the
+    view's parameters, and rows(list of rows), their terms in order.  rows
+    makes one sol.evaluate_rows call when sol has one, which may evaluate
+    every row before the first is read; otherwise one lazy call of one per
+    row."""
+    one = as_view(sol)
+    to_args = _ROW_ARGS[as_view.__name__][sol.arity]
+
+    def rows(rs):
+        if sol.evaluate_rows is None:
+            return (one(*r) for r in rs)
+        return sol.evaluate_rows(rs if to_args is None else [to_args(*r) for r in rs])
+    return one, rows
 
 
 # --- associative solutions ---------------------------------------------------
 
-def _ell21(v, y, p: ThetaParams, t1p: complex) -> np.ndarray:
-    """Coefficients of the elliptic rank-2 degree-1 solution, normalized so
-    res_v = (1/4) 1(x)1; t1p = theta_1'(0).  A numerically zero theta
-    denominator (theta_1(y), theta_j(v)) is a pole."""
-    t1 = theta_j(1, [y + v, v, y], p).tolist()
-    pref = 0.25 * t1p / pole_guard(t1[2], "ell21", y=y)
-    out = _ID_ID * (pref * (t1[0] / pole_guard(t1[1], "ell21", v=v)))
-    for j, basis in ((2, _H_H), (3, _SIGMA_SIGMA), (4, _GAMMA_GAMMA)):
-        num, den = theta_j(j, [y + v, v], p).tolist()
-        out = out + basis * (pref * (num / pole_guard(den, "ell21", v=v)))
+def _ell21(rows, p: ThetaParams, t1p: complex) -> list:
+    """Coefficients of the elliptic rank-2 degree-1 solution at each (v, y)
+    of rows, normalized so res_v = (1/4) 1(x)1; t1p = theta_1'(0).  One
+    theta_j call per index takes every row's points.  A numerically zero
+    theta denominator (theta_1(y), theta_j(v)) is a pole, raised at the first
+    row that has one."""
+    t1 = theta_j(1, [z for v, y in rows for z in (y + v, v, y)], p).tolist()
+    tj = {j: theta_j(j, [z for v, y in rows for z in (y + v, v)], p).tolist()
+          for j in (2, 3, 4)}
+    out = []
+    for i, (v, y) in enumerate(rows):
+        pref = 0.25 * t1p / pole_guard(t1[3 * i + 2], "ell21", y=y)
+        coeffs = _ID_ID * (pref * (t1[3 * i] / pole_guard(t1[3 * i + 1], "ell21", v=v)))
+        for j, basis in ((2, _H_H), (3, _SIGMA_SIGMA), (4, _GAMMA_GAMMA)):
+            num, den = tj[j][2 * i:2 * i + 2]
+            coeffs = coeffs + basis * (pref * (num / pole_guard(den, "ell21", v=v)))
+        out.append(coeffs)
     return out
 
 
 def elliptic_closed_form(x, y, p: ThetaParams) -> Tensor2:
     """Elliptic solution in the half-argument normalization produced by the
     rank-2 degree-1 construction: prefactor 1/2 and theta ratios at (y+x/2, x/2).
-    That is 2 * _ell21(x/2, y)."""
-    return Tensor2(2, _ell21(x / 2, y, p, theta1_prime_at_0(p)) * 2)
+    That is 2 * ell21(x/2, y)."""
+    return Tensor2(2, _ell21([(x / 2, y)], p, theta1_prime_at_0(p))[0] * 2)
 
 
-def _ell21_classical(y, p: ThetaParams, at0: dict) -> Tensor2:
-    """at0[k] = theta_k(0) for k = 2, 3, 4."""
-    aty = {k: theta_j(k, y, p) for k in (1, 2, 3, 4)}
-    s = pole_guard(jacobi_quotient("sn", y, at0, aty), "ell21_classical", y=y)
-    c = jacobi_quotient("cn", y, at0, aty)
-    out = _H_H * (c / s) + _GAMMA_GAMMA * (1.0 / s)
-    out = out + _SIGMA_SIGMA * (jacobi_quotient("dn", y, at0, aty) / s)
-    return Tensor2(2, out * 0.5)
+def _ell21_classical(ys, p: ThetaParams, at0: dict) -> list:
+    """The classical elliptic solution at each y of ys; at0[k] = theta_k(0)
+    for k = 2, 3, 4.  One theta_j call per index takes every point."""
+    aty = {k: theta_j(k, ys, p).tolist() for k in (1, 2, 3, 4)}
+    out = []
+    for i, y in enumerate(ys):
+        at = {k: t[i] for k, t in aty.items()}
+        s = pole_guard(jacobi_quotient("sn", y, at0, at), "ell21_classical", y=y)
+        c = jacobi_quotient("cn", y, at0, at)
+        coeffs = _H_H * (c / s) + _GAMMA_GAMMA * (1.0 / s)
+        coeffs = coeffs + _SIGMA_SIGMA * (jacobi_quotient("dn", y, at0, at) / s)
+        out.append(Tensor2(2, coeffs * 0.5))
+    return out
 
 
 def _trg21(v, y) -> Tensor2:
@@ -305,16 +346,19 @@ _FIXED = {
 
 def get(name: str, tau: complex = DEFAULT_TAU) -> RSolution:
     """Look up a named solution.  tau only matters for the elliptic entries."""
+    # the elliptic entries evaluate one row as the one-row case of their rows
     if name == "ell21":      # poles at v = 0, y = 0 (mod lattice)
         p = ThetaParams(tau)
         t1p = theta1_prime_at_0(p)
-        return RSolution(name, "vdiff_ydiff", 2, lambda v, y: Tensor2(2, _ell21(v, y, p, t1p)),
-                         params={"tau": tau})
+        rows = lambda rs: [Tensor2(2, c) for c in _ell21(rs, p, t1p)]
+        return RSolution(name, "vdiff_ydiff", 2, lambda v, y: rows([(v, y)])[0],
+                         params={"tau": tau}, evaluate_rows=rows, batch_draws=True)
     if name == "ell21_classical":      # pole at y = 0 (mod lattice)
         p = ThetaParams(tau)
         at0 = {k: theta_j(k, 0, p) for k in (2, 3, 4)}
-        return RSolution(name, "cl_ydiff", 2, lambda y: _ell21_classical(y, p, at0),
-                         params={"tau": tau})
+        rows = lambda rs: _ell21_classical([y for y, in rs], p, at0)
+        return RSolution(name, "cl_ydiff", 2, lambda y: rows([(y,)])[0],
+                         params={"tau": tau}, evaluate_rows=rows, batch_draws=True)
     if name not in _FIXED:
         raise KeyError(f"unknown solution name {name!r}; known: {', '.join(NAMES)}")
     arity, evaluator = _FIXED[name]

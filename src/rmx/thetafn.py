@@ -73,17 +73,17 @@ def theta_char(a, b, z, p: ThetaParams, deriv: int = 0):
     tau = complex(p.tau)
     zb = np.asarray(z, dtype=complex) + b
     flat = zb.reshape(-1)
-    windows = [_window(a, w, tau, p.tol) for w in flat.tolist()]
+    windows = np.array([_window(a, w, tau, p.tol) for w in flat.tolist()])
     out = np.empty(flat.shape, dtype=complex)
-    for n_max in set(windows):
-        rows = [i for i, w in enumerate(windows) if w == n_max]
+    for n_max in set(windows.tolist()):
+        rows = windows == n_max
         n = np.arange(-n_max, n_max + 1, dtype=float) + a
         terms = np.exp(PI_I * n * n * tau + TWO_PI_I * n * flat[rows, None])
         if deriv:
             terms = terms * (TWO_PI_I * n) ** deriv
         # sum each row smallest-first for a touch of accuracy
         order = np.argsort(np.abs(terms), axis=1)
-        out[rows] = terms[np.arange(len(rows))[:, None], order].sum(axis=1)
+        out[rows] = terms[np.arange(len(terms))[:, None], order].sum(axis=1)
     return complex(out[0]) if zb.ndim == 0 else out.reshape(zb.shape)
 
 

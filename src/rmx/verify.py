@@ -18,7 +18,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .catalog import RSolution, as_four_param, as_three_param, as_two_point
+from .catalog import RSolution, as_four_param, as_three_param, as_two_point, view
+from .rmatrix import EngineError
 from .tensorcore import (Tensor2, Tensor3, casimir, embed, embed_leg, leg_residual_norm,
                          project_sl, swap)
 from .thetafn import PoleError
@@ -108,47 +109,77 @@ def _report(identity: str, solution: str, pairs: list, tol: float,
                           worst < tol)
 
 
-def _accepted_draws(draw: Callable, terms: Callable, samples: int):
+def _accepted_draws(draw: Callable, terms: Callable, samples: int,
+                    batch: Callable | None = None):
     """The one draw-and-reject loop of the sampled checks: yields `samples`
     accepted (points, terms), points = draw() and terms the list of the terms
     that terms(*points) gives in order.  A draw is rejected at its first term
-    with a norm at NORM_CAP or above (or NaN), and its later terms are never
-    read: lazily evaluated terms, such as a generator's, are never evaluated,
-    while a glued engine's stacked rows have them at hand already
-    (rmatrix._rows_evaluator); a sample gets 50 draws, then PoleSampleError."""
-    for _ in range(samples):
-        for _retry in range(50):
-            pts = draw()
+    with a norm at NORM_CAP or above (or NaN); a sample gets 50 draws, then
+    PoleSampleError.
+
+    The loop draws ahead the draws it will certainly walk, min(samples still
+    to accept, draws left before the 50th rejection in a row), and hands
+    them to batch(list of points), which gives each draw's terms in order
+    (by default terms(*points), lazily, when the walk reaches the draw).  It
+    walks them in order.  A rejected draw's terms after its first over-cap
+    one are never read: lazily evaluated terms are never evaluated, while a
+    batch may have them at hand already.  A batch that raises PoleError,
+    ValueError or EngineError is replayed from its first draw through
+    terms(), so every draw is rejected, or raises, at the same term as it
+    would one term at a time.  The draws of a batch are drawn before its
+    first draw is walked, so a draw() that raises (_sample does after 200
+    failed tries) raises before the earlier draws of its batch are walked."""
+    if batch is None:
+        batch = lambda draws: (terms(*pts) for pts in draws)
+    accepted = rejected = 0
+    while accepted < samples:
+        draws = [draw() for _ in range(min(samples - accepted, 50 - rejected))]
+        try:
+            per_draw = batch(draws)
+        except (PoleError, ValueError, EngineError):
+            per_draw = (terms(*pts) for pts in draws)
+        for pts, draw_terms in zip(draws, per_draw):
             ts, norms = [], []
-            for t in terms(*pts):
+            for t in draw_terms:
                 ts.append(t)
                 norms.append(t.norm())
                 if not norms[-1] < NORM_CAP:
                     break
             if _admissible(*norms):
-                break
-        else:
-            raise PoleSampleError("sampling kept hitting poles")
-        yield pts, ts
+                accepted, rejected = accepted + 1, 0
+                yield pts, ts
+            else:
+                rejected += 1
+                if rejected == 50:
+                    raise PoleSampleError("sampling kept hitting poles")
 
 
-def _sampled_residual(identity: str, sol: RSolution, k: int, ev: Callable,
+def _sampled_residual(identity: str, sol: RSolution, k: int, sol_view: tuple,
                       args: Callable, residual: Callable, samples: int, tol: float,
                       seed: int) -> ResidualReport:
     """Max of residual(*terms), the float max |left - right| of one draw, over
     `samples` accepted draws of k points from a generator seeded by `seed`
-    (see _accepted_draws).  The terms of points are ev(*a) for a in
-    args(*points), in order: lazily evaluated, one call each, or, when ev is
-    the solution's own evaluator and it has evaluate_rows (a glued engine),
-    from one evaluate_rows(args(*points)), which up to rank 5 evaluates the
-    draw's rows as one stack."""
+    (see _accepted_draws).  sol_view = (one, rows) is a view of sol
+    (catalog.view), and the terms of points are those of the rows
+    args(*points), in order.  When sol batches draws (ell21,
+    ell21_classical), the rows of all the draws the loop draws ahead go
+    through one rows() call; otherwise each draw's rows go through one
+    rows() call when the walk reaches it (a glued engine stacks them up to
+    rank 5; a solution without evaluate_rows makes one-row calls, lazily).
+    A refused batch is replayed with one-row calls."""
+    one, rows = sol_view
     rng = np.random.default_rng(seed)
-    if ev is sol.evaluator and sol.evaluate_rows is not None:
-        terms = lambda *pts: sol.evaluate_rows(args(*pts))
+    if sol.evaluate_rows is not None and sol.batch_draws:
+        def batch(draws):
+            ts = list(rows([a for pts in draws for a in args(*pts)]))
+            m = len(ts) // len(draws)   # every draw has as many rows
+            return [ts[i:i + m] for i in range(0, len(ts), m)]
     else:
-        terms = lambda *pts: (ev(*a) for a in args(*pts))
+        batch = lambda draws: (rows(args(*pts)) for pts in draws)
     pairs = [(residual(*ts), tuple(pts))
-             for pts, ts in _accepted_draws(lambda: _sample(rng, k), terms, samples)]
+             for pts, ts in _accepted_draws(lambda: _sample(rng, k),
+                                            lambda *pts: (one(*a) for a in args(*pts)),
+                                            samples, batch)]
     return _report(identity, sol.name, pairs, tol, seed)
 
 
@@ -157,7 +188,7 @@ def aybe(sol: RSolution, samples: int = 50, tol: float = DEFAULT_TOL["aybe"],
     """Associative Yang-Baxter residual, in the form matching the arity:
     the full four-parameter equation, its v-difference form, or the full
     difference form."""
-    r4 = as_four_param(sol)
+    r4 = view(sol, as_four_param)
     form = {"v12_y12": "AYBE", "vdiff_y12": "AYBE-vdiff",
             "vdiff_ydiff": "AYBE-diff"}[sol.arity]
     return _sampled_residual(
@@ -173,7 +204,7 @@ def aybe(sol: RSolution, samples: int = 50, tol: float = DEFAULT_TOL["aybe"],
 def aybe_dual(sol: RSolution, samples: int = 50, tol: float = DEFAULT_TOL["dual"],
               seed: int = 0) -> ResidualReport:
     """Residual of the dual associative equation (holds for unitary solutions)."""
-    r4 = as_four_param(sol)
+    r4 = view(sol, as_four_param)
     return _sampled_residual(
         "AYBE-dual", sol, 6, r4,
         lambda v1, v2, v3, y1, y2, y3: (
@@ -187,7 +218,7 @@ def aybe_dual(sol: RSolution, samples: int = 50, tol: float = DEFAULT_TOL["dual"
 def unitarity(sol: RSolution, samples: int = 50, tol: float = DEFAULT_TOL["unitarity"],
               seed: int = 0) -> ResidualReport:
     """Residual of r(v1,v2;y1,y2) + swap(r(v2,v1;y2,y1))."""
-    r4 = as_four_param(sol)
+    r4 = view(sol, as_four_param)
     return _sampled_residual(
         "unitarity", sol, 4, r4,
         lambda v1, v2, y1, y2: ((v1, v2, y1, y2), (v2, v1, y2, y1)),
@@ -213,7 +244,7 @@ def cybe(sol: RSolution, samples: int = 50, tol: float = DEFAULT_TOL["cybe"],
          seed: int = 0) -> ResidualReport:
     """Classical Yang-Baxter residual
     [r12, r23] + [r12, r13] + [r13, r23] = 0 at random spectral points."""
-    r2 = as_two_point(sol)
+    r2 = view(sol, as_two_point)
     return _sampled_residual(
         "CYBE", sol, 3, r2, lambda y1, y2, y3: ((y1, y2), (y1, y3), (y2, y3)),
         _cybe_residual, samples, tol, seed)
@@ -223,7 +254,7 @@ def qybe(sol: RSolution, v0: complex, samples: int = 50, tol: float = DEFAULT_TO
          seed: int = 0) -> ResidualReport:
     """Quantum Yang-Baxter residual at fixed spectral value v0:
     R12 R13 R23 = R23 R13 R12 with R^{ij} = r(v0; y_i, y_j)."""
-    r3 = as_three_param(sol)
+    r3 = view(sol, as_three_param)
     if v0 == 0:
         raise ValueError("qybe needs v0 != 0: v = 0 is a pole of every "
                          "v-difference solution")
@@ -242,11 +273,11 @@ def classical_limit_values(sol: RSolution, y_pairs: Sequence[tuple]) -> list:
 
     Divergence (as for the semistable solution) raises DivergenceError.
     """
-    ev = as_three_param(sol)
+    _, rows = view(sol, as_three_param)
     out = []
     for (y1, y2) in y_pairs:
-        vals = [project_sl(ev(LIMIT_V0 / 2**k, y1, y2)).coeffs
-                for k in range(LIMIT_LEVELS)]
+        vals = [project_sl(t).coeffs
+                for t in rows([(LIMIT_V0 / 2**k, y1, y2) for k in range(LIMIT_LEVELS)])]
         norms = [np.max(np.abs(v)) for v in vals]
         if norms[-1] > 4.0 * norms[0] and norms[-1] > 1e3:
             raise DivergenceError(
@@ -284,8 +315,8 @@ def laurent_v(sol: RSolution, y1: complex, y2: complex,
               radius: float = CIRCLE_RADIUS) -> dict:
     """Laurent coefficients of orders LAURENT_ORDERS of r(v; y1, y2) around
     v = 0 by circle sampling and discrete Fourier inversion."""
-    r3 = as_three_param(sol)
-    vals = np.stack([r3(v, y1, y2).coeffs for v in radius * _UNIT_CIRCLE])
+    _, rows = view(sol, as_three_param)
+    vals = np.stack([t.coeffs for t in rows([(v, y1, y2) for v in radius * _UNIT_CIRCLE])])
     return {m: Tensor2(sol.n, np.tensordot(np.exp(-1j * m * _ANGLES) / CIRCLE_POINTS,
                                            vals, axes=(0, 0)) / radius**m)
             for m in LAURENT_ORDERS}
@@ -317,9 +348,10 @@ def casimir_residue(sol: RSolution) -> tuple:
     Returns (alpha, defect): residue = alpha * casimir(n) with defect the
     distance to the Casimir line.
     """
-    r2 = as_two_point(sol)
+    _, rows = view(sol, as_two_point)
     # res = (1/2pi i) contour integral = mean of f(y) * y over the circle
-    vals = np.stack([r2(0.0, y).coeffs * y for y in CIRCLE_RADIUS * _UNIT_CIRCLE])
+    ys = CIRCLE_RADIUS * _UNIT_CIRCLE
+    vals = np.stack([t.coeffs * y for t, y in zip(rows([(0.0, y) for y in ys]), ys)])
     return _line_fit(Tensor2(sol.n, vals.mean(axis=0)), casimir(sol.n))
 
 
@@ -353,6 +385,7 @@ def dunkl_commutator(sol: RSolution, kappa: complex = 1.0, testfn: Callable = No
     _accepted_draws, guarded by the six r^{ij}(x_i - x_j); each accepted draw
     gives the three i < j residuals.  Derivatives use central differences
     (second-order accurate); the kappa = 0 case involves no differentiation.
+    testfn is evaluated once per distinct point of a call.
     """
     tol = default_tol("dunkl", kappa) if tol is None else tol
     rng = np.random.default_rng(seed)
@@ -365,6 +398,14 @@ def dunkl_commutator(sol: RSolution, kappa: complex = 1.0, testfn: Callable = No
 
         def testfn(xs):
             return sum(c * sum(x**(k + 1) for x in xs) for k, c in enumerate(coef))
+
+    values = {}  # point -> testfn there, once per call
+
+    def f0(xs):
+        key = tuple(xs)
+        if key not in values:
+            values[key] = testfn(xs)
+        return values[key]
 
     def ddx(f, xs, i, step):
         xp = list(xs); xp[i] = xs[i] + step
@@ -401,8 +442,8 @@ def dunkl_commutator(sol: RSolution, kappa: complex = 1.0, testfn: Callable = No
     def guard_terms(*xs):
         return (term(i, j, xs[i] - xs[j])[0] for i, j in permutations(range(m), 2))
 
-    pairs = [(float(np.max(np.abs(theta(i, theta(j, testfn))(xs)
-                                  - theta(j, theta(i, testfn))(xs)))), tuple(xs))
+    pairs = [(float(np.max(np.abs(theta(i, theta(j, f0))(xs)
+                                  - theta(j, theta(i, f0))(xs)))), tuple(xs))
              for xs, _ in _accepted_draws(draw, guard_terms, samples)
              for i, j in combinations(range(m), 2)]
     return _report("dunkl-commutator", sol.name, pairs, tol, seed)

@@ -3,6 +3,7 @@
 """Byte-identity check of rmx's output on the benchmark's ops.
 
     python tests/byte_identity.py digest FILE     # write one digest per op
+    python tests/byte_identity.py digest FILE --workload catalog-verify
     python tests/byte_identity.py diff OLD NEW    # list the ops that differ
 
 `digest` takes every op of passes 0-2, the warm-up and the defect probe of
@@ -15,8 +16,10 @@ checkouts and `diff` the files: it counts, per workload, the ops whose exit
 code, verdict or bytes changed and gives the largest |change of
 max_residual| among the changed ops, so that a change at rounding level
 shows as one; its exit status is 0 when every op has the same digest.  It is
-not a pytest module: it runs the full op lists, some 1,800 ops, for about a
-minute.
+not a pytest module: it runs the full op lists, some 1,800 ops, in about
+half a minute.  `--workload NAME` (repeatable) digests only the ops of the
+named workloads; `diff` then compares the ops both files have and lists the
+others as in one file only.
 """
 
 from __future__ import annotations
@@ -36,10 +39,15 @@ SEEDS = (1, 2, 3)
 PASSES = (0, 1, 2)
 
 
-def ops():
-    """(key, argv) of every op, in a fixed order."""
+def ops(workloads=None):
+    """(key, argv) of every op of the named workloads (default: all), in a
+    fixed order."""
     from workloads import WORKLOADS, defect_probe, make_pass, warmup_ops
-    for workload in sorted(WORKLOADS):
+    unknown = set(workloads or ()) - set(WORKLOADS)
+    if unknown:
+        raise ValueError(f"unknown workload {', '.join(sorted(unknown))}; "
+                         f"known: {', '.join(sorted(WORKLOADS))}")
+    for workload in sorted(workloads or WORKLOADS):
         for seed in SEEDS:
             parts = [(f"pass{k}", make_pass(workload, seed, k)) for k in PASSES]
             parts += [("warmup", warmup_ops(workload, seed)),
@@ -80,12 +88,13 @@ def digest(cli, argv: list) -> tuple:
             hashlib.sha256(text.encode()).hexdigest())
 
 
-def write_digests(path: str) -> int:
+def write_digests(path: str, workloads=None) -> int:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     from rmx import cli
+    keyed = list(ops(workloads))
     n = 0
     with open(path, "w") as fh:
-        for key, argv in ops():
+        for key, argv in keyed:
             fh.write(f"{key} {' '.join(map(str, digest(cli, argv)))} {' '.join(argv)}\n")
             n += 1
     print(f"{n} ops digested into {path}")
@@ -137,13 +146,19 @@ def diff(old_path: str, new_path: str) -> int:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = ap.add_subparsers(dest="command", required=True)
-    sub.add_parser("digest", help="digest every op into FILE").add_argument("file")
+    g = sub.add_parser("digest", help="digest every op into FILE")
+    g.add_argument("file")
+    g.add_argument("--workload", action="append", metavar="NAME",
+                   help="digest only this workload's ops (repeatable)")
     d = sub.add_parser("diff", help="compare two digest files")
     d.add_argument("old")
     d.add_argument("new")
     args = ap.parse_args(argv)
     if args.command == "digest":
-        return write_digests(args.file)
+        try:
+            return write_digests(args.file, args.workload)
+        except ValueError as e:
+            ap.error(str(e))
     return diff(args.old, args.new)
 
 

@@ -9,7 +9,7 @@ import pytest
 from rmx import catalog
 from rmx.catalog import apply_sl2_automorphism, stolin_gauge
 from rmx.tensorcore import E12, E21, H, Tensor2, casimir, project_sl
-from rmx.thetafn import ThetaParams
+from rmx.thetafn import PoleError, ThetaParams
 
 
 def s(a, b):
@@ -272,3 +272,61 @@ def test_evaluations_return_fresh_arrays(name):
     assert first.coeffs.flags.writeable
     assert not np.shares_memory(first.coeffs, second.coeffs)
     assert not any(np.shares_memory(first.coeffs, c) for c in _constants())
+
+
+# --- rows of the theta-bound entries -------------------------------------------
+
+def _theta_calls(monkeypatch):
+    """Point counts of every catalog.theta_j call."""
+    calls, real = [], catalog.theta_j
+    monkeypatch.setattr(catalog, "theta_j",
+                        lambda j, z, p, **kw: calls.append(np.size(z)) or real(j, z, p, **kw))
+    return calls
+
+
+# (v, y) rows: generic ones, and rows at 1e-6 .. 1e-11 from the poles v = 0,
+# y = 0 and y = 1, tau (the lattice), whose denominators are still above the
+# PoleError threshold; the test adds 20 random rows
+_ELL21_ROWS = [
+    (0.3 + 0.2j, -0.7 + 0.4j), (-0.45 - 0.1j, 1.05 - 0.3j),
+    (1e-6, 0.4 + 0.1j), (0.2 - 0.3j, 1e-9j), (1e-11 + 1e-11j, 0.6),
+    (0.35, 1 + 1e-8), (0.5 + 0.5j, 1.1j - 1e-7),
+]
+
+
+@pytest.mark.parametrize("name,rows", [
+    ("ell21", _ELL21_ROWS),
+    ("ell21_classical", [(y,) for _, y in _ELL21_ROWS]),
+])
+def test_theta_rows_equal_one_row_calls(monkeypatch, name, rows):
+    rng = np.random.default_rng(11)
+    rows = rows + [tuple(z) for z in (rng.uniform(-1.3, 1.3, (20, len(rows[0])))
+                                      + 1j * rng.uniform(-0.5, 0.5, (20, len(rows[0]))))]
+    sol = catalog.get(name)
+    calls = _theta_calls(monkeypatch)
+    got = sol.evaluate_rows(rows)
+    # one theta_j call per theta index, whatever the number of rows
+    assert len(calls) == 4 and sum(calls) == len(rows) * (9 if name == "ell21" else 4)
+    assert sol.batch_draws and len(got) == len(rows)
+    for row, t in zip(rows, got):
+        assert np.array_equal(t.coeffs, sol(*row).coeffs), row
+
+
+@pytest.mark.parametrize("name,rows,message", [
+    # theta_1(y) is guarded before theta_1(v), and a row before the next
+    ("ell21", [(0.3, 0.4), (0.0, 0.0), (0.2, 0.0)], "ell21 pole at y=0.0"),
+    ("ell21", [(0.3, 0.4), (0.0, 0.5), (0.2, 0.0)], "ell21 pole at v=0.0"),
+    ("ell21", [(0.3, 0.4), (1.0, 0.5)], "ell21 pole at v=1.0"),
+    ("ell21_classical", [(0.4,), (1.0,), (0.0,)], "ell21_classical pole at y=1.0"),
+    # theta_4 vanishes at tau/2: sn's denominator is guarded first
+    ("ell21_classical", [(0.4,), (0.55j,)], "sn pole at z=0.55j"),
+])
+def test_theta_rows_raise_the_one_row_pole_error(name, rows, message):
+    # rows[1] is the first row at a pole
+    sol = catalog.get(name, tau=1.1j)
+    sol(*rows[0])
+    with pytest.raises(PoleError) as one:
+        sol(*rows[1])
+    with pytest.raises(PoleError) as many:
+        sol.evaluate_rows(rows)
+    assert str(many.value) == str(one.value) == message

@@ -578,3 +578,111 @@ def test_invalid_rows_raise_as_before(monkeypatch, kind, first, message):
         _scripted_sample(monkeypatch, first)
         with pytest.raises(rmatrix.EngineError, match=message):
             verify.aybe(s, samples=2, seed=4)
+
+
+# --- theta-bound draws: prefetched in one batch, replayed lazily on a pole ------
+
+def _admissible_calls(monkeypatch):
+    calls, real = [], verify._admissible
+    monkeypatch.setattr(verify, "_admissible", lambda *ts: calls.append(ts) or real(*ts))
+    return calls
+
+
+def _theta_calls(monkeypatch):
+    calls, real = [], catalog.theta_j
+    monkeypatch.setattr(catalog, "theta_j",
+                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    return calls
+
+
+@pytest.mark.parametrize("seed", [1, 4, 9])
+@pytest.mark.parametrize("check,name", [
+    ("aybe", "ell21"), ("aybe_dual", "ell21"), ("unitarity", "ell21"),
+    ("qybe", "ell21"), ("cybe", "ell21_classical"),
+])
+def test_prefetched_and_lazy_draws_agree(monkeypatch, check, name, seed):
+    sol = catalog.get(name)
+    args = (0.45,) if check == "qybe" else ()
+    norms, thetas = _admissible_calls(monkeypatch), _theta_calls(monkeypatch)
+    runs = []
+    for s in (sol, _lazy(sol)):
+        norms.clear()
+        thetas.clear()
+        runs.append((getattr(verify, check)(s, *args, samples=20, seed=seed),
+                     list(norms), len(thetas)))
+    (batched, seen, prefetched), (lazy, seen_lazy, one_row) = runs
+    assert batched == lazy and batched.passed
+    # the same draws walked, each rejected at the same term
+    assert seen == seen_lazy
+    assert prefetched < one_row / 10
+
+
+def test_prefetch_rejects_an_over_cap_draw_with_a_later_pole(monkeypatch):
+    # term 0 (v1, v2, y1, y2) has v = v2 - v1 = 1e-3, far over NORM_CAP; term 1
+    # (v1, v3, y2, y3) has v = 0, a pole.  The lazy draw is rejected at term 0
+    # and never reaches term 1; the batch raises, and its replay must do the same
+    (v1, _), (y1, y2, y3) = _V, _Y
+    first = [v1, v1 + 1e-3, v1, y1, y2, y3]
+    sol = catalog.get("ell21")
+    with pytest.raises(verify.PoleError):
+        sol(0j, y3 - y2)
+    norms = _admissible_calls(monkeypatch)
+    runs = []
+    for s in (sol, _lazy(sol)):
+        norms.clear()
+        _scripted_sample(monkeypatch, first)
+        runs.append((verify.aybe(s, samples=3, seed=4), list(norms)))
+        assert len(norms[0]) == 1 and norms[0][0] >= verify.NORM_CAP
+    assert runs[0] == runs[1] and runs[0][0].passed
+
+
+def test_prefetch_raises_the_pole_of_an_admissible_draw(monkeypatch):
+    (v1, v2), (y1, y2, y3) = _V, _Y
+    first = [v1, v2, v1, y1, y2, y3]      # term 1 (v1, v3, y2, y3) is at v = 0
+    sol = catalog.get("ell21")
+    errors = []
+    for s in (sol, _lazy(sol)):
+        norms = _admissible_calls(monkeypatch)
+        _scripted_sample(monkeypatch, first)
+        with pytest.raises(verify.PoleError) as exc:
+            verify.aybe(s, samples=3, seed=4)
+        errors.append(str(exc.value))
+        assert norms == []
+    assert errors[0] == errors[1] == "ell21 pole at v=0j"
+
+
+def test_fifty_rejections_in_a_row_raise_at_the_same_draw(monkeypatch):
+    # r(v, y) is over NORM_CAP where |y| > 1: two good draws, then only bad ones
+    def r(v, y):
+        return (1e3 if abs(y) > 1 else 1.0) * Tensor2.simple(ID2, ID2)
+
+    lazy = RSolution("step", "vdiff_ydiff", 2, r)
+    batched = dataclasses.replace(lazy, evaluate_rows=lambda rows: [r(*a) for a in rows],
+                                  batch_draws=True)
+    good, bad = [0.3, 0.6, 0.2, 0.7], [0.3, 0.6, 0.2, 2.5]
+    counts = []
+    for s in (batched, lazy):
+        script = [bad] * 100 + [good] * 2
+        drawn = []
+        monkeypatch.setattr(verify, "_sample",
+                            lambda rng, k: drawn.append(1) or np.array(script.pop()))
+        norms = _admissible_calls(monkeypatch)
+        with pytest.raises(verify.PoleSampleError, match="kept hitting poles"):
+            verify.unitarity(s, samples=5, seed=0)
+        counts.append((len(drawn), [len(ts) for ts in norms]))
+    assert counts[0] == counts[1] == (52, [2, 2] + [1] * 50)
+
+
+def test_circle_payloads_agree_on_both_paths(monkeypatch):
+    ell, cl = catalog.get("ell21"), catalog.get("ell21_classical")
+    thetas = _theta_calls(monkeypatch)
+    assert verify.laurent_payload(ell) == verify.laurent_payload(_lazy(ell))
+    assert verify.casimir_residue(cl) == verify.casimir_residue(_lazy(cl))
+    pairs = [(0.15, 0.45), (0.1, 0.8 + 0.2j)]
+    for a, b in zip(verify.classical_limit_values(ell, pairs),
+                    verify.classical_limit_values(_lazy(ell), pairs)):
+        assert np.array_equal(a.coeffs, b.coeffs)
+    # the 64 circle points are one call, 4 theta_j calls, on the rows path
+    thetas.clear()
+    verify.casimir_residue(cl)
+    assert len(thetas) == 4
