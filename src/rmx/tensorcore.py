@@ -93,7 +93,9 @@ class Tensor:
         return Tensor.from_kron(self.kron() @ other.kron(), self.n)
 
     def norm(self) -> float:
-        return float(np.max(np.abs(self.coeffs)))
+        # the method skips np.max's Python dispatch; the same maximum.reduce,
+        # so the bits and NaN propagation are the same
+        return float(np.abs(self.coeffs).max())
 
     def to_json_dict(self) -> dict:
         flat = self.kron().ravel()

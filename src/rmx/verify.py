@@ -374,6 +374,46 @@ def degeneration_trg_to_rat(trg: RSolution, rat: RSolution,
 
 # --- Dunkl operators ---------------------------------------------------------
 
+def _dunkl_stencil(derivatives: bool) -> tuple:
+    """The stencils of the Dunkl operators theta_a on DUNKL_LEGS = m legs as
+    index tables, for kappa != 0 (derivatives) or kappa = 0.
+
+    theta_a at p reads its argument at K stencil points: p + h/2, p - h/2,
+    p + h, p - h on leg a (derivatives only), then p with legs a and k swapped
+    for each k = others[a, t], increasing.  The ordered leg pairs (a, b) =
+    (A[q], B[q]) are the pairs a < b, then the same pairs reversed.  Returns
+    (steps, others, A, B, perm1, step1, src, step0, idx0, idx1):
+    - theta_a's u-th stencil point around x is x[perm1[q, u]] + step1[q, u];
+    - theta_b's v-th stencil point around that one is x[src[d]] + step0[d],
+      d = idx0[q, u, v].  Each leg of it is x[src] + s1 + s0 with at most
+      one of the two steps nonzero, so points with equal (src, s1 + s0) are
+      one point, and d runs over the distinct ones (87 of 216 with
+      derivatives).  That keeps a draw's stacks below 128 kB: larger
+      temporaries are fresh mmap pages, whose faults cost more than the
+      arithmetic on them;
+    - idx1[q, u] = K q + u numbers the (q, u) of the first level in order."""
+    m, h = DUNKL_LEGS, DUNKL_STEP
+    steps = (h / 2, -h / 2, h, -h) if derivatives else ()
+    w, st = len(steps) + 1, np.array((0.0, *steps))  # stp indexes st
+    others = np.array([[k for k in range(m) if k != a] for a in range(m)])
+    perm = np.array([[range(m)] * len(steps) + [[{a: k, k: a}.get(c, c) for c in range(m)]
+                                                 for k in others[a]] for a in range(m)])
+    K, stp = perm.shape[1], np.zeros(perm.shape, dtype=int)
+    stp[:, :len(steps)] = np.eye(m, dtype=int)[:, None] * np.arange(1, w)[:, None]
+    ab = list(combinations(range(m), 2))
+    A, B = np.array(ab + [(b, a) for a, b in ab]).T
+    i0 = (A[:, None, None, None], np.arange(K)[:, None, None], perm[B][:, None])
+    src, j = np.broadcast_arrays(perm[i0], stp[i0] + stp[B][:, None])
+    _, first, idx0 = np.unique((w * src + j) @ (w * m) ** np.arange(m),
+                               return_index=True, return_inverse=True)
+    return (steps, others, A, B, perm[A], st[stp[A]], src.reshape(-1, m)[first],
+            st[j.reshape(-1, m)[first]], idx0.reshape(j.shape[:-1]),
+            np.arange(len(A) * K).reshape(len(A), K))
+
+
+_DUNKL_STENCILS = {d: _dunkl_stencil(d) for d in (False, True)}
+
+
 def dunkl_commutator(sol: RSolution, kappa: complex = 1.0, testfn: Callable = None,
                      samples: int = 3, tol: float = None,
                      seed: int = 0) -> ResidualReport:
@@ -383,55 +423,72 @@ def dunkl_commutator(sol: RSolution, kappa: complex = 1.0, testfn: Callable = No
 
     The generator draws testfn's coefficients, then points through
     _accepted_draws, guarded by the six r^{ij}(x_i - x_j); each accepted draw
-    gives the three i < j residuals.  Derivatives use central differences
-    (second-order accurate); the kappa = 0 case involves no differentiation.
-    testfn is evaluated once per distinct point of a call.
+    gives the three i < j residuals, all six theta_a theta_b f as stacked
+    array operations on _dunkl_stencil's stencils, the same to the bit as one
+    point at a time.  Derivatives use central differences (second-order
+    accurate); kappa = 0 takes none.  testfn is evaluated once per distinct
+    point of a call, r^{ij}(x) once per distinct (i, j, x).
     """
     tol = default_tol("dunkl", kappa) if tol is None else tol
     rng = np.random.default_rng(seed)
-    n, m, h = sol.n, DUNKL_LEGS, DUNKL_STEP
+    n, m, N = sol.n, DUNKL_LEGS, sol.n**DUNKL_LEGS
+    steps, others, A, B, perm1, step1, src, step0, idx0, idx1 = _DUNKL_STENCILS[kappa != 0]
     rfun = as_three_param(sol)
-    if testfn is None:
-        # generic matrix-valued polynomial test function
-        coef = rng.standard_normal((3, n**m, n**m)) \
-            + 1j * rng.standard_normal((3, n**m, n**m))
-
-        def testfn(xs):
-            return sum(c * sum(x**(k + 1) for x in xs) for k, c in enumerate(coef))
-
     values = {}  # point -> testfn there, once per call
+    if testfn is None:
+        # generic matrix-valued polynomial test function, at the points of a
+        # (..., m) array at once.  np.power(X, k) equals the scalar x**k bit for
+        # bit (X**k and X*X do not), so each point gets its one-point value
+        coef = rng.standard_normal((3, N, N)) + 1j * rng.standard_normal((3, N, N))
 
-    def f0(xs):
-        key = tuple(xs)
-        if key not in values:
-            values[key] = testfn(xs)
-        return values[key]
+        def f(pts):
+            xs = [pts[..., k, None, None] for k in range(m)]
+            return sum(c * sum(np.power(x, k + 1) for x in xs) for k, c in enumerate(coef))
+    else:
+        def f(pts):
+            keys = list(map(tuple, pts))
+            for p in keys:
+                values[p] = values[p] if p in values else testfn(list(p))
+            return np.array([values[p] for p in keys])
 
-    def ddx(f, xs, i, step):
-        xp = list(xs); xp[i] = xs[i] + step
-        xm = list(xs); xm[i] = xs[i] - step
-        return (f(xp) - f(xm)) / (2 * step)
-
-    cache = {}  # (i, j, x_i - x_j) -> (r^{ij}, r^{ij} on legs (i, j)), once per call
+    # scatter[a, t]: flat r^{ak} padded with 0 -> flat embed(r^{ak}, (a, k), m), k = others[a, t]
+    ids = Tensor2(n, np.arange(1, n**4 + 1).reshape((n,) * 4))
+    scatter = np.array([[embed(ids, (a, k), m).real.astype(int).ravel() - 1 for k in ks]
+                        for a, ks in enumerate(others)])
+    cache = {}  # (i, j, x_i - x_j) -> r^{ij}, once per call
 
     def term(i, j, x):
         if (i, j, x) not in cache:
-            t = rfun(x, DUNKL_YS[i], DUNKL_YS[j])
-            cache[i, j, x] = t, embed(t, (i, j), m)
+            cache[i, j, x] = rfun(x, DUNKL_YS[i], DUNKL_YS[j])
         return cache[i, j, x]
 
-    def theta(i, f):
-        def tf(xs):
-            out = np.zeros((n**m, n**m), dtype=complex)
-            if kappa != 0:
-                # central differences with one Richardson refinement
-                out = out + kappa * (4 * ddx(f, xs, i, h / 2) - ddx(f, xs, i, h)) / 3
-            for j in (k for k in range(m) if k != i):
-                swapped = list(xs)
-                swapped[i], swapped[j] = xs[j], xs[i]
-                out = out + term(i, j, xs[i] - xs[j])[1] @ f(swapped)
-            return out
-        return tf
+    def theta(legs, pts, vals, idx):
+        # theta_legs g at pts (..., m); vals[idx[..., u]] is g at their u-th stencil points
+        g = [vals[idx[..., u]] for u in range(idx.shape[-1])]
+        out = np.zeros(g[0].shape, dtype=complex)
+        if kappa != 0:
+            # central differences with one Richardson refinement
+            d = [(g[u] - g[u + 1]) / (2 * steps[u]) for u in (0, 2)]
+            out = out + kappa * (4 * d[0] - d[1]) / 3
+        legs = np.broadcast_to(legs, pts.shape[:-1]).ravel()
+        pts, ks = pts.reshape(-1, m), others[legs]
+        rows = np.arange(len(legs))[:, None]
+        diffs = pts[rows, legs[:, None]] - pts[rows, ks]
+        coeffs = np.zeros((diffs.size, n**4 + 1), dtype=complex)
+        coeffs[:, :-1] = [term(a, k, x).coeffs.ravel() for a, kr, xr in
+                          zip(legs.tolist(), ks.tolist(), diffs) for k, x in zip(kr, xr)]
+        r = coeffs[np.arange(diffs.size)[:, None], scatter[legs].reshape(-1, N * N)]
+        r = r.reshape(out.shape[:-2] + (m - 1, N, N))
+        for t in range(m - 1):
+            # stacked matmul of N x N matrices equals the one-matrix @ bit for bit
+            out = out + r[..., t, :, :] @ g[len(steps) + t]
+        return out
+
+    def commutators(xs):
+        x = np.array(xs)  # x + 0.0 == x below
+        inner = theta(B[:, None], x[perm1] + step1, f(x[src] + step0), idx0)
+        outer = theta(A, np.broadcast_to(x, (len(A), m)), inner.reshape(-1, N, N), idx1)
+        return np.abs(outer[:len(A) // 2] - outer[len(A) // 2:]).max(axis=(1, 2)).tolist()
 
     def draw():
         # well-separated arguments keep the r-matrix derivatives moderate
@@ -440,10 +497,8 @@ def dunkl_commutator(sol: RSolution, kappa: complex = 1.0, testfn: Callable = No
                 rng.uniform(0.8, 1.2) for k in range(m)]
 
     def guard_terms(*xs):
-        return (term(i, j, xs[i] - xs[j])[0] for i, j in permutations(range(m), 2))
+        return (term(i, j, xs[i] - xs[j]) for i, j in permutations(range(m), 2))
 
-    pairs = [(float(np.max(np.abs(theta(i, theta(j, f0))(xs)
-                                  - theta(j, theta(i, f0))(xs)))), tuple(xs))
-             for xs, _ in _accepted_draws(draw, guard_terms, samples)
-             for i, j in combinations(range(m), 2)]
+    pairs = [(r, tuple(xs)) for xs, _ in _accepted_draws(draw, guard_terms, samples)
+             for r in commutators(xs)]
     return _report("dunkl-commutator", sol.name, pairs, tol, seed)

@@ -386,3 +386,69 @@ def exact_engine_coeffs(kind, n, d, pattern, lam1, lam2, y1, y2):
     coeffs = np.array([[float(Fraction(int(x.numerator), int(x.denominator)))
                         for x in r] for r in lin])
     return coeffs.T.reshape(n, n, n, n).transpose(1, 0, 2, 3).astype(complex), len(null)
+
+
+# --- Dunkl commutator, one point at a time ------------------------------------
+
+def dunkl_commutator_pointwise(sol, kappa=1.0, testfn=None, samples=3, seed=0):
+    """rmx.verify.dunkl_commutator's report, with each theta_i a closure that
+    evaluates one point at a time (nested theta_i(theta_j f)): the stacked
+    stencil's bit-for-bit reference.  Same generator, guard, caches and
+    tolerance; r^{ij} is embedded by tensorcore.embed per distinct term."""
+    from itertools import combinations, permutations
+
+    from rmx import verify
+    from rmx.catalog import as_three_param
+    rng = np.random.default_rng(seed)
+    n, m, h = sol.n, verify.DUNKL_LEGS, verify.DUNKL_STEP
+    rfun = as_three_param(sol)
+    if testfn is None:
+        coef = rng.standard_normal((3, n**m, n**m)) + 1j * rng.standard_normal((3, n**m, n**m))
+
+        def testfn(xs):
+            return sum(c * sum(x**(k + 1) for x in xs) for k, c in enumerate(coef))
+
+    values, cache = {}, {}
+
+    def f0(xs):
+        if tuple(xs) not in values:
+            values[tuple(xs)] = testfn(xs)
+        return values[tuple(xs)]
+
+    def ddx(f, xs, i, step):
+        xp = list(xs); xp[i] = xs[i] + step
+        xm = list(xs); xm[i] = xs[i] - step
+        return (f(xp) - f(xm)) / (2 * step)
+
+    def term(i, j, x):
+        if (i, j, x) not in cache:
+            t = rfun(x, verify.DUNKL_YS[i], verify.DUNKL_YS[j])
+            cache[i, j, x] = t, tensorcore.embed(t, (i, j), m)
+        return cache[i, j, x]
+
+    def theta(i, f):
+        def tf(xs):
+            out = np.zeros((n**m, n**m), dtype=complex)
+            if kappa != 0:
+                out = out + kappa * (4 * ddx(f, xs, i, h / 2) - ddx(f, xs, i, h)) / 3
+            for j in (k for k in range(m) if k != i):
+                swapped = list(xs)
+                swapped[i], swapped[j] = xs[j], xs[i]
+                out = out + term(i, j, xs[i] - xs[j])[1] @ f(swapped)
+            return out
+        return tf
+
+    def draw():
+        base = rng.uniform(0.0, 2 * np.pi)
+        return [np.exp(1j * (base + 2 * np.pi * k / m)) * rng.uniform(0.8, 1.2)
+                for k in range(m)]
+
+    def guard_terms(*xs):
+        return (term(i, j, xs[i] - xs[j])[0] for i, j in permutations(range(m), 2))
+
+    pairs = [(float(np.max(np.abs(theta(i, theta(j, f0))(xs) - theta(j, theta(i, f0))(xs)))),
+              tuple(xs))
+             for xs, _ in verify._accepted_draws(draw, guard_terms, samples)
+             for i, j in combinations(range(m), 2)]
+    return verify._report("dunkl-commutator", sol.name, pairs,
+                          verify.default_tol("dunkl", kappa), seed)

@@ -7,9 +7,10 @@ import json
 import numpy as np
 import pytest
 
+import oracles
 from rmx import catalog, cli, rmatrix, verify
 from rmx.catalog import RSolution
-from rmx.tensorcore import E21, H, ID2, Tensor2, casimir
+from rmx.tensorcore import E12, E21, GAMMA, H, ID2, SIGMA, Tensor2, casimir
 from rmx.thetafn import ThetaParams, theta_j
 
 
@@ -322,6 +323,69 @@ def test_dunkl_reports_are_pinned(name, kappa, seed):
     rep = verify.dunkl_commutator(catalog.get(name), kappa=kappa, seed=seed)
     text = json.dumps(rep.to_json_dict(), sort_keys=True).encode()
     assert hashlib.sha256(text).hexdigest()[:32] == _DUNKL_DIGESTS[name, kappa, seed]
+
+
+def _digest(rep) -> str:
+    return hashlib.sha256(json.dumps(rep.to_json_dict(), sort_keys=True).encode()).hexdigest()[:32]
+
+
+# as _DUNKL_DIGESTS, for ell21 (its terms come through theta_j), recorded with
+# numpy 2.4.6 on x86-64 while each theta_i was a nested one-point closure
+_DUNKL_ELL21_DIGESTS = {
+    (0.0, 0): "a96e792d86ea21e04188480c68ee01fc",
+    (0.0, 7): "ed1a29fab1a5a3d1ad0db6d96e4bd3a5",
+    (1.0, 0): "8fe3fbd360be90cb37f5b206b8d6adcf",
+    (1.0, 7): "e0398849c1c469ac76ba7f507a0f5c68",
+}
+
+
+@pytest.mark.parametrize("kappa,seed", sorted(_DUNKL_ELL21_DIGESTS))
+def test_dunkl_ell21_reports_are_pinned(kappa, seed):
+    rep = verify.dunkl_commutator(catalog.get("ell21"), kappa=kappa, seed=seed)
+    assert _digest(rep) == _DUNKL_ELL21_DIGESTS[kappa, seed]
+
+
+# a custom test function that is not symmetric in the legs, with fixed
+# coefficients; its reports at seed 4 (3 samples), recorded as above, and the
+# number of distinct points of a call it is evaluated at
+_A = np.arange(64).reshape(8, 8) * (0.03 - 0.02j) + np.kron(np.kron(H, E12), SIGMA)
+_B = np.kron(np.kron(GAMMA, E21), H) - 0.4j * np.eye(8)
+_DUNKL_CUSTOM_DIGESTS = {
+    ("rat21", 0.0): ("daa9810e30f5bb6f6cf12c3b74b4ba1e", 9),
+    ("rat21", 1.0): ("99a437db3dc6a5476bec2cc7d8f08f0f", 261),
+    ("trg21", 0.0): ("58447a9549728d6a7b9fc500e44a968f", 9),
+    ("trg21", 1.0): ("133cbe8940d0517d2d403d2624e4fc46", 261),
+    ("trg20_semistable", 0.0): ("4993f2ce2d118fc2b71ce7f261b3dd5f", 9),
+    ("trg20_semistable", 1.0): ("55550eef7adc57ad4a46ea1e9f0ba22a", 261),
+}
+
+
+@pytest.mark.parametrize("name,kappa", sorted(_DUNKL_CUSTOM_DIGESTS))
+def test_dunkl_custom_testfn_is_pinned_and_called_once_per_point(name, kappa):
+    calls = []
+
+    def testfn(xs):
+        calls.append(tuple(xs))
+        return _A * xs[0] + _B * xs[1]**2
+
+    rep = verify.dunkl_commutator(catalog.get(name), kappa=kappa, testfn=testfn, seed=4)
+    digest, points = _DUNKL_CUSTOM_DIGESTS[name, kappa]
+    assert rep.passed and _digest(rep) == digest, rep
+    assert len(calls) == len(set(calls)) == points
+    assert all(type(x) is np.complex128 for xs in calls for x in xs)
+
+
+@pytest.mark.parametrize("kappa", [0.0, 1.0, 0.5 - 0.25j])
+@pytest.mark.parametrize("name", ASSOCIATIVE)
+def test_dunkl_stencil_equals_the_pointwise_reference(name, kappa):
+    # the stacked stencil keeps each point's order of arithmetic: equal reports
+    sol = catalog.get(name)
+    for seed in (5, 10):
+        assert (verify.dunkl_commutator(sol, kappa=kappa, seed=seed)
+                == oracles.dunkl_commutator_pointwise(sol, kappa=kappa, seed=seed))
+    testfn = lambda xs: _A * xs[2] - _B * xs[0]**3  # noqa: E731
+    assert (verify.dunkl_commutator(sol, kappa=kappa, testfn=testfn, seed=3)
+            == oracles.dunkl_commutator_pointwise(sol, kappa=kappa, testfn=testfn, seed=3))
 
 
 # --- report plumbing -------------------------------------------------------------
