@@ -59,7 +59,11 @@ def _at_affine(basis: np.ndarray, ys) -> np.ndarray:
     (len(ys), k, dim, n, n).  basis[s, b, i, j, c] is the coefficient c_c of
     entry (i, j) of element b, q = sum_c c_c z0^(d-c) z1^c."""
     kmax = basis.shape[-1]
-    powers = np.array([complex(v)**c for y in ys for v in y for c in range(kmax)])
+    try:
+        powers = np.array([complex(v)**c for y in ys for v in y for c in range(kmax)])
+    except OverflowError as e:  # complex ** int raises where a float power is inf
+        raise EngineError(f"spectral parameter too large: its powers up to "
+                          f"{kmax - 1} overflow") from e
     return np.einsum("sbijc,tsc->tsbij", basis, powers.reshape(len(ys), -1, kmax))
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rmx import catalog, cli, rmatrix, verify
+from rmx import catalog, cli, floattext, rmatrix, verify
 from rmx.cli import main
 from rmx.tensorcore import Tensor2
 
@@ -418,6 +418,102 @@ def test_eval_csv_values_equal_json_data(capsys):
         i, j, re, im = row.split(",")
         assert (int(i), int(j)) == divmod(k, 9)
         assert [float(re), float(im)] == data[k]
+
+
+# --- floattext: float.__repr__ of many doubles at once --------------------------
+
+def array_reprs(x) -> list:
+    """floattext.join_reprs's texts of the numbers of x, one per number."""
+    x = np.asarray(x, dtype=np.float64)
+    text = floattext.join_reprs(np.concatenate([x, [0.0] * (len(x) % 2)]), ",", ";", "", "")
+    return text.replace(";", ",").split(",")[:len(x)]
+
+
+def assert_reprs(x):
+    got, want = array_reprs(x), [repr(v) for v in np.asarray(x, np.float64).tolist()]
+    bad = [(g, w) for g, w in zip(got, want) if g != w]
+    assert not bad, f"{len(bad)} of {len(want)} differ, first {bad[:5]}"
+
+
+def repr_calls(monkeypatch) -> list:
+    """The numbers floattext hands to float.__repr__, recorded from now on."""
+    calls = []
+    monkeypatch.setattr(floattext, "repr", lambda v: calls.append(v) or repr(v),
+                        raising=False)
+    return calls
+
+
+def test_floattext_random_bit_patterns(monkeypatch):
+    bits = np.random.default_rng(20).integers(0, 2**64, 200_000, dtype=np.uint64)
+    x = bits.view(np.float64)
+    x = x[np.isfinite(x)]
+    calls = repr_calls(monkeypatch)
+    assert_reprs(x)
+    in_range = np.count_nonzero((np.abs(x) >= 1e-250) & (np.abs(x) < 1e250))
+    assert in_range > 0.75 * len(x)
+    # of the others, the array path leaves only exact interval edges and ties
+    # (integers about 1e16, where D is exact) to float.__repr__
+    assert len(calls) - (len(x) - in_range) <= 0.01 * in_range
+
+
+def test_floattext_short_decimals_across_scales():
+    rng = np.random.default_rng(21)
+    digits = np.concatenate([np.arange(1, 1000), rng.integers(1, 10**7, 3000)])
+    scales = 10.0 ** rng.integers(-30, 31, len(digits))
+    x = np.array([float(f"{d}e{e}") for d in range(1, 200) for e in range(-30, 31)])
+    assert_reprs(np.concatenate([x, -x, [float(f"{d * s:.7g}") for d, s in zip(digits, scales)]]))
+
+
+def test_floattext_powers_of_two_and_ten_with_neighbours():
+    powers = np.concatenate([np.ldexp(1.0, np.arange(-1074, 1024)),
+                             [float(f"1e{e}") for e in range(-323, 309)]])
+    x = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+    assert_reprs(np.concatenate([x, -x]))
+
+
+def test_floattext_edges_switches_and_ties():
+    tiny, big = 1e-250, 1e250  # the array path's range
+    x = [0.0, -0.0, 5e-324, -5e-324, 2.5e-320, 2.2250738585072014e-308,
+         np.nextafter(2.2250738585072014e-308, 0), 1.7976931348623157e308,
+         tiny, np.nextafter(tiny, 0), np.nextafter(tiny, 1), big, np.nextafter(big, 0),
+         1e-4, 1e-5, 9999999999999998.0, 1e16, 562949953421312.25, 0.1 + 0.2,
+         float("nan"), float("inf"), -float("inf")]
+    assert_reprs(x)
+    assert_reprs(np.zeros(9000))  # a block with no number for the array path
+    assert array_reprs([0.0, -0.0, 1e-4, 1e-5, 9999999999999998.0, 1e16,
+                        562949953421312.25, 2.0**-56]) == [
+        "0.0", "-0.0", "0.0001", "1e-05", "9999999999999998.0", "1e+16",
+        "562949953421312.2", "1.3877787807814457e-17"]
+
+
+def test_floattext_pow10_table_is_exact_to_2_pow_minus_105():
+    from fractions import Fraction
+    for k, (hi, lo, hi1, hi2) in enumerate(floattext._P10.T, floattext._K0):
+        exact = Fraction(10) ** k
+        assert abs(Fraction(hi) + Fraction(lo) - exact) <= exact * Fraction(1, 2**105)
+        assert hi1 + hi2 == hi
+        assert float(np.frexp(hi1)[0] * 2**26).is_integer()  # 26 bits: exact products
+
+
+@pytest.mark.parametrize("engine,n,d", [(rmatrix.engine_nodal, 8, 3),
+                                        (rmatrix.engine_cusp, 8, 3),
+                                        (rmatrix.engine_nodal, 12, 5),
+                                        (rmatrix.engine_cusp, 12, 5)])
+def test_floattext_decides_engine_tensors(monkeypatch, engine, n, d):
+    x = engine(n, d, 1 + 0.2j, 1.6 - 0.1j, 0.3, 0.8 + 0.1j).kron().ravel().view(np.float64)
+    calls = repr_calls(monkeypatch)
+    assert_reprs(x)
+    assert len(calls) <= 0.01 * len(x)
+
+
+@pytest.mark.parametrize("curve,rank", [("nodal", "2"), ("cuspidal", "3")])
+def test_eval_huge_curve_point_is_a_usage_error(capsys, curve, rank):
+    # complex ** int overflows at y2 = 1e200: a usage error, not a crash
+    code = main(["eval", "--curve", curve, "--rank", rank, "--deg", "1", "--v1", "1",
+                 "--v2", "2", "--y1", "0.5", "--y2", "1e200"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: spectral parameter too large: its powers up to 2 overflow\n"
 
 
 # --- arity, default tolerances, non-finite input ---------------------------------
