@@ -207,10 +207,11 @@ def det_triple(triple) -> complex:
     raise TypeError(f"expected a bundle triple, got {type(triple).__name__}")
 
 
-def svd_rank(sv: np.ndarray) -> int:
-    """Numerical rank from descending singular values: the number above
-    SVD_RTOL times the largest."""
-    return int(np.sum(sv > SVD_RTOL * sv[0])) if sv.size else 0
+def svd_rank(sv: np.ndarray):
+    """Numerical rank from descending singular values on the last axis: the
+    number above SVD_RTOL times the largest; an int array for a stack."""
+    r = (sv > SVD_RTOL * sv[..., :1]).sum(axis=-1)
+    return int(r) if r.ndim == 0 else r
 
 
 def _solution_dim(eq, shapes: list) -> int:

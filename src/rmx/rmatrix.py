@@ -18,11 +18,16 @@ degree >= 1 gives one coefficient from the top coefficients, the n1 n2
 equations at the degree-0 entries go through an SVD, and one QR makes the
 basis orthonormal.  For the elliptic curve Pi is spanned by four explicit
 theta-type matrices.
+
+The nodal gluing is monomial, so its constraint couples entry (i, j) only
+with (pi i, pi j): the nodal engine solves n orbit blocks of n entries each
+(_nodal_orbits), and its outputs are exactly 0 off those blocks.  Its digits
+differ from those of the whole n^2 x n^2 system at rounding level.
 """
 
 from __future__ import annotations
 
-from math import gcd, pi
+from math import gcd, isqrt, pi
 
 import numpy as np
 
@@ -57,11 +62,16 @@ def _at_affine(basis: np.ndarray, ys) -> np.ndarray:
     """Evaluate every Hom-space basis element of stack row s at
     (z0, z1) = (1, y[s]) for each y in ys, arrays of shape (k,): shape
     (len(ys), k, dim, n, n).  basis[s, b, i, j, c] is the coefficient c_c of
-    entry (i, j) of element b, q = sum_c c_c z0^(d-c) z1^c."""
+    entry (i, j) of element b, q = sum_c c_c z0^(d-c) z1^c (for an orbit
+    basis, of entry j of element i of orbit b)."""
     kmax = basis.shape[-1]
     try:
+        # complex ** int raises where a float power is inf, and gives nan
+        # where a product of infs is inf - inf
         powers = np.array([complex(v)**c for y in ys for v in y for c in range(kmax)])
-    except OverflowError as e:  # complex ** int raises where a float power is inf
+        if not np.isfinite(powers).all():
+            raise OverflowError
+    except OverflowError as e:
         raise EngineError(f"spectral parameter too large: its powers up to "
                           f"{kmax - 1} overflow") from e
     return np.einsum("sbijc,tsc->tsbij", basis, powers.reshape(len(ys), -1, kmax))
@@ -76,19 +86,25 @@ def _entry_degrees(n1: int, n2: int) -> np.ndarray:
     return deg
 
 
-def _nullspace(a: np.ndarray) -> np.ndarray:
-    """Rows span the right nullspace of each matrix of the stack a (numerical
-    rank by bundles.svd_rank): shape (k, nullity, columns).  A stack whose
-    matrices differ in rank has no such shape and is refused."""
+def _nullspace(a: np.ndarray, rank) -> np.ndarray:
+    """Right singular vectors of each matrix of the stack a (k, blocks,
+    rows, columns), conjugated: shape (k, blocks, columns, columns), where
+    rows rank[b]: of block b span its right nullspace.  A block whose
+    numerical rank (bundles.svd_rank) is not its expected rank[b] changes
+    the dimension of the Hom space, blocks x columns when every rank is as
+    expected, and its stack row is refused with that dimension."""
     _, s, vh = np.linalg.svd(a)
-    ranks = {bundles.svd_rank(sv) for sv in s}
-    if len(ranks) != 1:
-        raise DegenerateSystemError(f"gluing constraints of ranks {sorted(ranks)} in one stack")
-    return vh[:, ranks.pop():].conj()
+    excess = (np.asarray(rank) - bundles.svd_rank(s)).sum(axis=1)
+    if excess.any():
+        dim = a.shape[1] * a.shape[-1]
+        raise DegenerateSystemError(
+            f"gluing constraint has nullity {dim + excess[excess != 0][0]}, expected {dim} "
+            "(parameters on an exceptional locus)")
+    return vh.conj()
 
 
 def _hom_space_glued(deg: np.ndarray, m_src: np.ndarray, m_dst: np.ndarray,
-                     cuspidal: bool) -> np.ndarray:
+                     cuspidal: bool, orbits: np.ndarray = None) -> np.ndarray:
     """Basis (k, dim, n, n, max_deg+1) of the Hom space of matrices of
     homogeneous polynomials cut out by the gluing constraint, one per row of
     the stacks m_src, m_dst of shape (k, n, n).
@@ -112,9 +128,45 @@ def _hom_space_glued(deg: np.ndarray, m_src: np.ndarray, m_dst: np.ndarray,
     orthonormalises the coupled block (X and its partners); with the unit
     free directions the basis is orthonormal.  A dimension other than n^2
     marks an exceptional locus.
+
+    orbits (_nodal_orbits) splits a nodal constraint with monomial gluing
+    matrices into blocks: the basis is then (k, n, n, n, 3), the n basis
+    elements of each orbit with their entries in orbit order (see there).
     """
     n = deg.shape[0]
     flat = deg.ravel()
+    if orbits is not None:
+        # m_src, m_dst are multiples of one permutation matrix P, with
+        # P[i, pi(i)] = 1, so at (i, j) the partner m_dst X m_src^{-1} is
+        # mu X[pi i, pi j]: the next entry of the orbit
+        k, pi0 = len(m_src), orbits[0, 1] % n
+        mu = (m_dst[:, 0, pi0] / m_src[:, 0, pi0])[:, None, None]
+        d = flat[orbits]
+        glued = d == 0
+        nglued = glued.sum(axis=1)  # also the number of degree-2 entries
+        after = np.arange(1, n + 1)
+        nxt = after % n
+        eye = np.eye(n)
+        # the glued rows X_t - mu X_{t+1}, padded with zero rows to n per orbit
+        constraint = glued[:, :, None] * (eye - mu[..., None] * eye[nxt])
+        # basis candidates, over the slots (X, partner, free direction) of
+        # the orbit's entries: its nullspace rows with their partners
+        # s mu X_{t+1}, and in place of its first nglued (range) rows the unit
+        # free directions.  They share no slot with the coupled block, so the
+        # one QR returns them as units up to sign
+        cand = np.empty((k, n, n, 3 * n), dtype=complex)
+        x = cand[..., :n]
+        np.multiply(_nullspace(constraint, nglued), after[:, None] > nglued[:, None, None], out=x)
+        np.multiply(x[..., nxt], (mu * np.array([0.0, -1.0, 1.0])[d])[:, :, None],
+                    out=cand[..., n:2 * n])
+        two = d == 2
+        cand[..., 2 * n:] = two[:, None] & (two.cumsum(axis=1)[:, None] == after[:, None])
+        q = np.linalg.qr(cand.swapaxes(-1, -2))[0].swapaxes(-1, -2).reshape(k, n, n, 3, n)
+        # coefficients: X at c = deg, the partner at c = 0, the free direction at c = 1
+        basis = q[..., 0, :, None] * np.eye(3)[d][:, None]
+        basis[..., 0] += q[..., 1, :]
+        basis[..., 1] += q[..., 2, :]
+        return basis
     glued, lower, free = flat == 0, flat >= 1, flat == 2
 
     def vec_map(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -133,13 +185,10 @@ def _hom_space_glued(deg: np.ndarray, m_src: np.ndarray, m_dst: np.ndarray,
     else:
         partner = (-1.0) ** flat[:, None] * vec_map(m_dst, np.linalg.inv(m_src))
         constraint = np.eye(n * n)[glued] - partner[:, glued]
-    ns = _nullspace(constraint)
+    rank = np.count_nonzero(glued)
+    ns = _nullspace(constraint[:, None], [rank])[:, 0, rank:]
     k, coupled = ns.shape[:2]
-    dim = coupled + np.count_nonzero(free)
-    if dim != n * n:
-        raise DegenerateSystemError(
-            f"gluing constraint has nullity {dim}, expected {n*n} "
-            "(parameters on an exceptional locus)")
+    dim = n * n
     q, _ = np.linalg.qr(np.concatenate(
         [ns, ns @ partner[:, lower].swapaxes(-1, -2)], axis=-1).swapaxes(-1, -2))
     # scatter into the coefficient slots, flattened (entry, c) -> entry*kmax + c;
@@ -159,57 +208,105 @@ def _frobenius_sq(a: np.ndarray) -> np.ndarray:
     return (flat @ flat.swapaxes(-1, -2))[:, 0, 0]
 
 
-def _compose_ev_res(res_vals: np.ndarray, ev_vals: np.ndarray) -> list:
+def _compose_ev_res(res_vals: np.ndarray, ev_vals: np.ndarray,
+                    blocks: np.ndarray = None) -> list:
     """Tensors of ev o res^{-1}, one per stack row, from per-basis
-    residue/evaluation matrices of shape (k, dim, n, n).
+    residue/evaluation matrices of shape (k, dim, n, n).  With blocks, an
+    (nb, m) array of flat entries i n + j, the shape is (k, nb, m, m): block
+    b holds m basis elements and their values at the entries blocks[b],
+    every other value being 0, so R, the matrix of res, is block diagonal
+    and ev o res^{-1} is solved block by block and is exactly 0 off them.
 
     A residue matrix R is refused (DegenerateSystemError with its cond) when
     cond_2(R) = |R|_2 |R^{-1}|_2 exceeds COND_CAP or is not finite, and a
     stack is refused with its first such row.  R^{-1} is computed anyway, and
     |R|_F |R^{-1}|_F >= cond_2(R), so that product at most COND_CAP / 2 (the
-    2 is margin for rounding) accepts R without an SVD.  np.linalg.cond
-    decides the other rows; a singular R makes solve raise for the whole
-    stack, which is then refused with the cond of its first row."""
-    k, dim, n = res_vals.shape[0], res_vals.shape[1], res_vals.shape[-1]
-    r_mat = res_vals.reshape(k, dim, n * n).swapaxes(-1, -2)  # coeff vector -> Mat_n
-    e_mat = ev_vals.reshape(k, dim, n * n).swapaxes(-1, -2)
+    2 is margin for rounding) accepts R without an SVD.  The singular values
+    decide the other rows, those of all blocks of a row together, as
+    np.linalg.cond does on one block; a singular R makes solve raise for the
+    whole stack, which is then refused with the cond of its first row."""
+    k = len(res_vals)
+    if blocks is None:  # one block: every entry, row-major
+        blocks = np.arange(res_vals[0, 0].size)[None]
+    (nb, m), n = blocks.shape, isqrt(blocks.size)
+    r_mat = res_vals.reshape(k, nb, m, m).swapaxes(-1, -2)  # coeff vector -> entries
+    e_mat = ev_vals.reshape(k, nb, m, m).swapaxes(-1, -2)
     # action on the standard basis e_{ab}: solve res(F) = e_{ab}, apply ev
     try:
-        sol = np.linalg.solve(r_mat, np.eye(n * n, dtype=complex)[None])
+        sol = np.linalg.solve(r_mat, np.eye(m, dtype=complex))
         proven = _frobenius_sq(res_vals) * _frobenius_sq(sol) <= (COND_CAP / 2) ** 2
     except np.linalg.LinAlgError:
         sol, proven = None, np.zeros(k, dtype=bool)
     if not all(proven):
-        cond = np.linalg.cond(r_mat[~proven])
+        sv = np.linalg.svd(r_mat[~proven], compute_uv=False)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cond = sv[..., 0].max(axis=-1) / sv[..., -1].min(axis=-1)
+        cond[np.isnan(cond)] = np.inf  # R = 0, as np.linalg.cond has it
         refused = (sol is None) | ~np.isfinite(cond) | (cond > COND_CAP)
         if refused.any():
             cond = cond[refused.argmax()]
             raise DegenerateSystemError(
                 f"residue system condition number {cond:.3g} exceeds cap "
                 f"{COND_CAP:.3g}", cond=cond)
-    lin = e_mat @ sol                                  # basis-to-basis, per row
-    action = lin.swapaxes(-1, -2).reshape(k, n, n, n, n)  # [s, a, b, k, l]
+    lin = e_mat @ sol                                  # entries to entries, per block
+    if nb > 1:
+        full = np.zeros((k, n**4), dtype=complex)
+        full[:, (n * n * blocks[:, :, None] + blocks[:, None, :]).ravel()] = lin.reshape(k, -1)
+        lin = full
+    action = lin.reshape(k, n * n, n * n).swapaxes(-1, -2).reshape(k, n, n, n, n)  # [s, a, b, k, l]
     # trace pairing: e_{ab} -> alpha e_{kl} is alpha e_{ba} (x) e_{kl}
     return [Tensor2(n, action[s].transpose(1, 0, 2, 3)) for s in range(k)]
 
 
 def _glued_engine(deg: np.ndarray, m_src: np.ndarray, m_dst: np.ndarray,
-                  cuspidal: bool, y1: np.ndarray, y2: np.ndarray) -> list:
+                  cuspidal: bool, y1: np.ndarray, y2: np.ndarray,
+                  orbits: np.ndarray = None) -> list:
     """ev o res^{-1} on the glued Hom space of each stack row: the residue at
     y1 is taken against dz on the cuspidal curve and dz/z on the nodal one,
-    the evaluation at y2 against 1/(y2 - y1); y1 and y2 have shape (k,)."""
+    the evaluation at y2 against 1/(y2 - y1); y1 and y2 have shape (k,).
+    orbits (_nodal_orbits) solves a nodal constraint orbit by orbit."""
     # the basis is dropped once evaluated and its values are divided in place,
     # so no more than _compose_ev_res's inputs stays alive while it runs
-    res_vals, ev_vals = _at_affine(_hom_space_glued(deg, m_src, m_dst, cuspidal), (y1, y2))
+    res_vals, ev_vals = _at_affine(_hom_space_glued(deg, m_src, m_dst, cuspidal, orbits),
+                                   (y1, y2))
     if not cuspidal:
         res_vals /= y1[:, None, None, None]
     ev_vals /= (y2 - y1)[:, None, None, None]
-    return _compose_ev_res(res_vals, ev_vals)
+    return _compose_ev_res(res_vals, ev_vals, orbits)
+
+
+def _nodal_orbits(m: np.ndarray) -> np.ndarray:
+    """Orbits of the nodal gluing constraint for a monomial gluing matrix m
+    (one nonzero per row and column, m[i, pi(i)]), an n-cycle pi as for
+    coprime (n, d): entry (u, t) is the flat index of (pi^t(0), pi^(t+u)(0)).
+
+    With m_src, m_dst of that pattern the equation at (i, j) reads X at
+    (pi i, pi j) only (_hom_space_glued), so the n orbits of n entries each
+    are independent: Pi, res and ev are block diagonal over them."""
+    n = len(m)
+    pi = np.argmax(m != 0, axis=1).tolist()
+    c = [0]
+    for _ in range(n - 1):
+        c.append(pi[c[-1]])
+    return np.array([[n * c[t] + c[(t + u) % n] for t in range(n)] for u in range(n)])
 
 
 def _require_coprime(n: int, d: int):
     if gcd(n, d) != 1 or not (0 < d < n):
         raise EngineError(f"(n, d) = ({n}, {d}) must be coprime with 0 < d < n")
+
+
+def _require_finite_det(n: int, *scales):
+    """Each glued engine's gluing matrix is s (permutation) or s (1 + nilpotent)
+    for a scalar s of its parameter row, so its determinant is +-s^n.  Where
+    that overflows the residue system has no digit left (its cond reads
+    inf): an EngineError, not a degenerate system."""
+    try:
+        for s in scales:
+            abs(s) ** n  # a float power raises OverflowError
+    except OverflowError:
+        raise EngineError(f"parameters too large: a gluing matrix's determinant "
+                          f"(power {n}) overflows") from None
 
 
 def _nodal_rows(n: int, d: int, rows) -> list:
@@ -220,11 +317,13 @@ def _nodal_rows(n: int, d: int, rows) -> list:
             raise EngineError("nodal parameters must be nonzero")
         if y1 == y2 or lam1 == lam2:
             raise EngineError("coincident spectral points")
+        _require_finite_det(n, lam1, complex(y1) * complex(lam2))
     lam1, lam2, y1, y2 = np.array(rows, dtype=complex).T
     n1, n2 = n - d, d
     m_src = bundles.jacobian_nodal_matrices(n1, n2, lam1)
     m_dst = y1[:, None, None] * bundles.jacobian_nodal_matrices(n1, n2, lam2)
-    return _glued_engine(_entry_degrees(n1, n2), m_src, m_dst, False, y1, y2)
+    return _glued_engine(_entry_degrees(n1, n2), m_src, m_dst, False, y1, y2,
+                         _nodal_orbits(m_src[0]))
 
 
 def engine_nodal(n: int, d: int, lam1: complex, lam2: complex,
@@ -251,6 +350,7 @@ def _semistable_rows(rows) -> list:
             raise EngineError("coincident curve points")
         if lam1 == lam2:
             raise EngineError("residue system degenerate at lam1 = lam2")
+        _require_finite_det(2, lam1, complex(y1) * complex(lam2))
     lam1, _, y1, y2 = np.array(rows, dtype=complex).T
     # y1 lam2 as a product of Python complex numbers: numpy's vector product
     # may round differently
@@ -276,6 +376,7 @@ def _cusp_rows(n: int, d: int, rows) -> list:
             raise EngineError("coincident curve points")
         if lam1 == lam2:
             raise EngineError("coincident moduli points")
+        _require_finite_det(n, lam1, complex(lam2) - complex(y1))
     lam1, lam2, y1, y2 = np.array(rows, dtype=complex).T
     n1, n2 = n - d, d
     # at lam = 0 the canonical matrix is Z: its diagonal holds lam and zeros
@@ -396,11 +497,13 @@ def apply_gauge(sol: RSolution, phi) -> RSolution:
 
 # Up to this rank an engine solution evaluates a draw's parameter rows as one
 # stack: one SVD, QR and solve call for all of them, where a one-row call is
-# mostly fixed overhead.  Six stacked rows are 3.3x faster than six one-row
-# calls at n = 3, 2x at n = 5, 1.5x at n = 6 and even at n = 8
+# mostly fixed overhead.  Six stacked cuspidal rows are 3.7x faster than six
+# one-row calls at n = 3, 2.2x at n = 5, 1.8x at n = 6 and even at n = 8
 # (tests/time_engines.py).  Above the cutoff the rows are one-row calls,
 # evaluated lazily: there 42-57% of the draws are rejected by NORM_CAP, most
 # at their first term, and the lazy path never evaluates the later ones.
+# The nodal orbit blocks keep stacking ahead for longer (3.1x at n = 6, 2.4x
+# at n = 8); one cutoff serves both engines.
 _STACK_MAX_N = 5
 
 

@@ -516,6 +516,25 @@ def test_eval_huge_curve_point_is_a_usage_error(capsys, curve, rank):
     assert captured.err == "error: spectral parameter too large: its powers up to 2 overflow\n"
 
 
+@pytest.mark.parametrize("argv,err", [
+    # (1e300 + 1e300j)**2 is nan + nan j: no OverflowError, but no finite power
+    (["--curve", "nodal", "--rank", "2", "--y1", "0.5", "--y2", "1e300,1e300"],
+     "spectral parameter too large: its powers up to 2 overflow"),
+    # det(lam1 P) = +-lam1^3 overflows; the residue system's cond read inf
+    (["--curve", "nodal", "--rank", "3", "--v1", "1e200", "--y1", "0.5", "--y2", "3"],
+     "parameters too large: a gluing matrix's determinant (power 3) overflows"),
+    (["--curve", "cuspidal", "--rank", "3", "--v1", "1e200", "--y1", "0.5", "--y2", "3"],
+     "parameters too large: a gluing matrix's determinant (power 3) overflows"),
+])
+def test_eval_overflow_is_a_usage_error_not_a_pole_or_a_degenerate_system(capsys, argv, err):
+    args = dict(zip(argv[::2], argv[1::2]))
+    args = {"--deg": "1", "--v1": "1", "--v2": "2", **args}
+    code = main(["eval", *[x for kv in args.items() for x in kv]])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {err}\n"
+
+
 # --- arity, default tolerances, non-finite input ---------------------------------
 
 @pytest.mark.parametrize("argv,arity", [

@@ -6,19 +6,22 @@
     python tests/time_engines.py --json FILE     # the same numbers as JSON
 
 For the nodal and cuspidal engines at n = 2..8 (the degrees of perfbench's
-engine-aybe workload, (2, 1) at n = 2) it times, on six parameter rows the
-engine accepts:
+engine-aybe workload, (2, 1) at n = 2) and at n = 12 (engine-eval's rank-12
+degree) it times, on six parameter rows the engine accepts:
 
 - one one-row call (`engine_nodal` / `engine_cusp`), k = 1;
 - the six rows as one stack (`rmatrix._nodal_rows` / `_cusp_rows`), k = 6,
   against six one-row calls;
 - the stages of the pipeline at k = 1 and k = 6: Hom-space assembly
   (`_hom_space_glued` without its SVD and QR), the nullspace SVD
-  (`_nullspace`), the QR and the residue solve (`_compose_ev_res`).
+  (`_nullspace`), the QR and the residue solve (`_compose_ev_res`).  The
+  nodal engine runs each stage on its n orbit blocks of n entries (one
+  stack of k x n blocks: SVDs of n x n, QRs of 3n x n, solves of n x n);
+  the cuspidal one on the whole n^2 x n^2 system.
 
 The calls are interleaved and each figure is the median wall time of
-`--repeats` rounds, so a slow stretch of a shared host hits all of them
-alike.  The ratio of six one-row calls to one stack of six sets
+`--repeats` rounds (a sixth of them, at least 5, at n = 12), so a slow
+stretch of a shared host hits all of them alike.  The ratio of six one-row calls to one stack of six sets
 `rmatrix._STACK_MAX_N`.  It is not a pytest module.
 """
 
@@ -37,8 +40,8 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from rmx import rmatrix  # noqa: E402
 
-DEGREES = {"nodal": {2: 1, 3: 1, 4: 1, 5: 2, 6: 1, 7: 3, 8: 3},
-           "cusp": {2: 1, 3: 2, 4: 3, 5: 3, 6: 5, 7: 4, 8: 5}}
+DEGREES = {"nodal": {2: 1, 3: 1, 4: 1, 5: 2, 6: 1, 7: 3, 8: 3, 12: 5},
+           "cusp": {2: 1, 3: 2, 4: 3, 5: 3, 6: 5, 7: 4, 8: 5, 12: 5}}
 STAGES = ("hom_assembly", "nullspace_svd", "qr", "res_solve")
 
 
@@ -138,8 +141,8 @@ def main(argv=None) -> int:
     print(f"{'engine':6s} {'n':>2s} {'d':>2s} {'k=1':>8s} {'6 calls':>8s} {'stack 6':>8s} "
           f"{'ratio':>6s}  stages at k=1 / k=6 (ms): " + ", ".join(STAGES))
     for kind in ("nodal", "cusp"):
-        for n in range(2, 9):
-            r = measure(kind, n, args.repeats)
+        for n in DEGREES[kind]:
+            r = measure(kind, n, max(5, args.repeats // 6) if n > 8 else args.repeats)
             results.append(r)
             st = "  ".join(f"{r['stages_k1_ms'][s]:.3f}/{r['stages_k6_ms'][s]:.3f}" for s in STAGES)
             print(f"{kind:6s} {n:2d} {r['d']:2d} {r['k1_ms']:8.3f} {r['six_calls_ms']:8.3f} "
