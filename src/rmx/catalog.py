@@ -72,14 +72,11 @@ class RSolution:
     n: int
     evaluator: Callable[..., Tensor2]
     params: dict = field(default_factory=dict)
-    # rows -> the terms evaluator(*row) of a list of parameter rows, in order;
-    # set for the glued engines (rmatrix.engine_solution), which stack one
-    # sampled draw's rows, and for ell21 and ell21_classical, which take one
-    # theta pass over any number of rows; None: one evaluator call per row
+    # rows -> the terms evaluator(*row) of any number of parameter rows, in
+    # order; set for the glued engines up to rank 5 (rmatrix.engine_solution),
+    # which stack them, and for ell21 and ell21_classical, which take one
+    # theta pass over them; None: one evaluator call per row
     evaluate_rows: Callable[[list], Iterable[Tensor2]] | None = None
-    # whether one evaluate_rows call may take the rows of many sampled draws:
-    # the theta-bound entries gain from it, the glued engines do not
-    batch_draws: bool = False
 
     def __call__(self, *args) -> Tensor2:
         return self.evaluator(*args)
@@ -352,13 +349,13 @@ def get(name: str, tau: complex = DEFAULT_TAU) -> RSolution:
         t1p = theta1_prime_at_0(p)
         rows = lambda rs: [Tensor2(2, c) for c in _ell21(rs, p, t1p)]
         return RSolution(name, "vdiff_ydiff", 2, lambda v, y: rows([(v, y)])[0],
-                         params={"tau": tau}, evaluate_rows=rows, batch_draws=True)
+                         params={"tau": tau}, evaluate_rows=rows)
     if name == "ell21_classical":      # pole at y = 0 (mod lattice)
         p = ThetaParams(tau)
         at0 = {k: theta_j(k, 0, p) for k in (2, 3, 4)}
         rows = lambda rs: _ell21_classical([y for y, in rs], p, at0)
         return RSolution(name, "cl_ydiff", 2, lambda y: rows([(y,)])[0],
-                         params={"tau": tau}, evaluate_rows=rows, batch_draws=True)
+                         params={"tau": tau}, evaluate_rows=rows)
     if name not in _FIXED:
         raise KeyError(f"unknown solution name {name!r}; known: {', '.join(NAMES)}")
     arity, evaluator = _FIXED[name]

@@ -495,35 +495,18 @@ def apply_gauge(sol: RSolution, phi) -> RSolution:
 
 # --- engine outputs as solutions --------------------------------------------
 
-# Up to this rank an engine solution evaluates a draw's parameter rows as one
-# stack: one SVD, QR and solve call for all of them, where a one-row call is
-# mostly fixed overhead.  Six stacked cuspidal rows are 3.7x faster than six
-# one-row calls at n = 3, 2.2x at n = 5, 1.8x at n = 6 and even at n = 8
-# (tests/time_engines.py).  Above the cutoff the rows are one-row calls,
-# evaluated lazily: there 42-57% of the draws are rejected by NORM_CAP, most
-# at their first term, and the lazy path never evaluates the later ones.
-# The nodal orbit blocks keep stacking ahead for longer (3.1x at n = 6, 2.4x
-# at n = 8); one cutoff serves both engines.
+# Up to this rank an engine solution evaluates parameter rows as one stack
+# (its evaluate_rows): one SVD, QR and solve call for all of them, where a
+# one-row call is mostly fixed overhead.  A sampled check hands it the rows
+# of every draw it draws ahead, rejected draws' later rows included.  Above
+# the cutoff evaluate_rows is None and the rows are one-row calls, evaluated
+# lazily: there 42-57% of the draws are rejected by NORM_CAP, most at their
+# first term, and the lazy path never evaluates the later ones.  Six stacked
+# cuspidal rows are 3.7x faster than six one-row calls at n = 3, 2.2x at
+# n = 5, 1.8x at n = 6 and even at n = 8; the nodal orbit blocks keep
+# stacking ahead for longer (3.1x at n = 6, 2.4x at n = 8)
+# (tests/time_engines.py).  One cutoff serves both engines.
 _STACK_MAX_N = 5
-
-
-def _rows_evaluator(n: int, stacked, one_row):
-    """evaluate_rows of an engine solution of rank n: a list of parameter rows
-    -> their terms one_row(*row), in order.
-
-    At n <= _STACK_MAX_N the rows go through stacked(rows) in one pass,
-    bit for bit the one-row terms.  If that pass refuses any row (invalid
-    parameters, a wrong nullity, a singular or over-cap residue system), and
-    above the cutoff, the terms are the one-row calls, evaluated lazily: a
-    refusal is then raised at its own row, and only when that row is read."""
-    def evaluate_rows(rows):
-        if n <= _STACK_MAX_N:
-            try:
-                return stacked(rows)
-            except (EngineError, ValueError):
-                pass  # replayed one row at a time below
-        return (one_row(*row) for row in rows)
-    return evaluate_rows
 
 
 def engine_solution(kind: str, n: int = 2, d: int = 1,
@@ -534,7 +517,7 @@ def engine_solution(kind: str, n: int = 2, d: int = 1,
     or "nodal-semistable".  The residue functional's differential form is
     baked per curve type: dz/z on the nodal curve (prefactor 1/y1), dz on the
     cuspidal curve, dz on the torus (theta-normalized).  The glued engines
-    also evaluate parameter rows together (evaluate_rows, _rows_evaluator)."""
+    evaluate parameter rows together up to rank _STACK_MAX_N (evaluate_rows)."""
     if kind == "elliptic":
         if (n, d) != (2, 1):
             raise EngineError("elliptic engine implemented for (n, d) = (2, 1)")
@@ -557,4 +540,4 @@ def engine_solution(kind: str, n: int = 2, d: int = 1,
     else:
         raise ValueError(f"unknown engine kind {kind!r}")
     return RSolution(name, "v12_y12", n, ev, params={"kind": kind, "n": n, "d": d},
-                     evaluate_rows=stacked and _rows_evaluator(n, stacked, ev))
+                     evaluate_rows=stacked if n <= _STACK_MAX_N else None)

@@ -161,21 +161,18 @@ def _sampled_residual(identity: str, sol: RSolution, k: int, sol_view: tuple,
     `samples` accepted draws of k points from a generator seeded by `seed`
     (see _accepted_draws).  sol_view = (one, rows) is a view of sol
     (catalog.view), and the terms of points are those of the rows
-    args(*points), in order.  When sol batches draws (ell21,
-    ell21_classical), the rows of all the draws the loop draws ahead go
-    through one rows() call; otherwise each draw's rows go through one
-    rows() call when the walk reaches it (a glued engine stacks them up to
-    rank 5; a solution without evaluate_rows makes one-row calls, lazily).
-    A refused batch is replayed with one-row calls."""
+    args(*points), in order.  When sol has evaluate_rows, the rows of all the
+    draws the loop draws ahead go through one rows() call, which the loop
+    replays one row at a time if it is refused; otherwise each row is one
+    lazy call."""
     one, rows = sol_view
     rng = np.random.default_rng(seed)
-    if sol.evaluate_rows is not None and sol.batch_draws:
+    batch = None
+    if sol.evaluate_rows is not None:
         def batch(draws):
             ts = list(rows([a for pts in draws for a in args(*pts)]))
             m = len(ts) // len(draws)   # every draw has as many rows
             return [ts[i:i + m] for i in range(0, len(ts), m)]
-    else:
-        batch = lambda draws: (rows(args(*pts)) for pts in draws)
     pairs = [(residual(*ts), tuple(pts))
              for pts, ts in _accepted_draws(lambda: _sample(rng, k),
                                             lambda *pts: (one(*a) for a in args(*pts)),

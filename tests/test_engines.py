@@ -484,11 +484,14 @@ def _accepted_rows(kind, n, d, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", svd)
 
+    refused = []
+
     def accepted(row):
         conds.clear()
         try:
             one_row(*row)
-        except DegenerateSystemError:
+        except DegenerateSystemError as e:
+            refused.append(e)
             return None
         return bool(conds)
 
@@ -498,10 +501,15 @@ def _accepted_rows(kind, n, d, monkeypatch):
                     if accepted(row)][:2]
     rng = np.random.default_rng(100 * n + d)
     rows = []
-    while len(rows) < 6 - len(fallback):
+    for _ in range(200):
         row = tuple(ring_points(rng, 4))
         if accepted(row) is not None:
             rows.append(row)
+            if len(rows) == 6 - len(fallback):
+                break
+    else:
+        raise AssertionError(f"{kind} ({n}, {d}) accepts fewer than {6 - len(fallback)} of "
+                             f"200 random rows; the last refusal: {refused[-1]}")
     for at, row in zip((2, 5), fallback):
         rows.insert(at, row)
     monkeypatch.setattr(np.linalg, "svd", real_svd)
@@ -538,7 +546,8 @@ def test_evaluate_rows_stacks_up_to_the_cutoff(n, monkeypatch):
     monkeypatch.setattr(rmatrix, "_hom_space_glued",
                         lambda *a: calls.append(len(a[1])) or real(*a))
     rows = [tuple(ring_points(np.random.default_rng(n + k), 4)) for k in range(6)]
-    terms = engine_solution("cusp", n, 1).evaluate_rows(rows)
+    _, evaluate = catalog.view(engine_solution("cusp", n, 1), catalog.as_four_param)
+    terms = evaluate(rows)
     stacked = n <= rmatrix._STACK_MAX_N
     # above the cutoff nothing is evaluated before it is read
     assert calls == ([6] if stacked else [])
@@ -552,6 +561,9 @@ def test_evaluate_rows_is_set_for_the_glued_engines_only():
     assert engine_solution("elliptic").evaluate_rows is None
     for kind in ("nodal", "cusp", "nodal-semistable"):
         assert engine_solution(kind).evaluate_rows is not None
+    for kind in ("nodal", "cusp"):
+        assert engine_solution(kind, rmatrix._STACK_MAX_N, 1).evaluate_rows is not None
+        assert engine_solution(kind, rmatrix._STACK_MAX_N + 1, 1).evaluate_rows is None
 
 
 EXACT_POINTS = {

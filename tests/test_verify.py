@@ -548,7 +548,7 @@ def test_as_three_param_views():
         verify.as_three_param(rmatrix.engine_solution("nodal", 2, 1))
 
 
-# --- engine draws: one stack per draw, replayed one row at a time on a refusal ------
+# --- engine draws: one stack per batch of draws, replayed one row at a time on a refusal
 
 _V = (0.6 + 0.3j, 0.9 - 0.2j)            # v1, v2
 _Y = (0.7 + 0.1j, 0.4 - 0.6j, -0.5 + 0.3j)  # y1, y2, y3
@@ -565,10 +565,11 @@ def _lazy(sol):
     return dataclasses.replace(sol, evaluate_rows=None)
 
 
-def _row_counts(monkeypatch):
-    """Rows of every rmatrix._nodal_rows call, stacked and one-row alike."""
-    counts, real = [], rmatrix._nodal_rows
-    monkeypatch.setattr(rmatrix, "_nodal_rows",
+def _row_counts(monkeypatch, engine="_nodal_rows"):
+    """Rows of every rmatrix._nodal_rows (or `engine`) call, stacked and
+    one-row alike."""
+    counts, real = [], getattr(rmatrix, engine)
+    monkeypatch.setattr(rmatrix, engine,
                         lambda n, d, rows: counts.append(len(rows)) or real(n, d, rows))
     return counts
 
@@ -587,9 +588,10 @@ def test_replay_keeps_the_rejection_of_a_draw_with_a_later_degenerate_term(monke
     monkeypatch.setattr(verify, "_admissible", lambda *ts: norms.append(ts) or admissible(*ts))
     counts = _row_counts(monkeypatch)
     reports = []
-    # stacked: the refused stack, its row 0, then one stack per accepted draw;
-    # lazy: row 0, then six rows per accepted draw
-    for s, want in ((sol, [6, 1, 6, 6, 6]), (_lazy(sol), [1] * 19)):
+    # stacked: the refused stack of the three drawn-ahead draws, its replay
+    # (row 0 of the first, six rows of each other), then a stack for the
+    # fourth draw; lazy: row 0, then six rows per accepted draw
+    for s, want in ((sol, [18] + [1] * 13 + [6]), (_lazy(sol), [1] * 19)):
         norms.clear()
         counts.clear()
         _scripted_sample(monkeypatch, first)
@@ -605,10 +607,26 @@ def test_stacked_and_lazy_runs_see_the_same_rows(monkeypatch):
     sol = rmatrix.engine_solution("nodal", 2, 1)
     counts = _row_counts(monkeypatch)
     stacked = verify.aybe(sol, samples=3, seed=4)
-    assert counts == [6, 6, 6]           # one stack per accepted draw
+    assert counts == [18]                # one stack for the three draws
     counts.clear()
     assert verify.aybe(_lazy(sol), samples=3, seed=4) == stacked
     assert counts == [1] * 18
+
+
+@pytest.mark.parametrize("kind,engine", [("nodal", "_nodal_rows"), ("cusp", "_cusp_rows")])
+def test_one_stack_takes_the_drawn_ahead_draws_up_to_the_cutoff(monkeypatch, kind, engine):
+    counts = _row_counts(monkeypatch, engine)
+    for n in (rmatrix._STACK_MAX_N, rmatrix._STACK_MAX_N + 1):
+        counts.clear()
+        sol = rmatrix.engine_solution(kind, n, 1)
+        report = verify.aybe(sol, samples=3, seed=2)
+        assert report.passed and report.samples == 3
+        if n <= rmatrix._STACK_MAX_N:
+            # three draws, none rejected: their 18 rows in one call
+            assert counts == [18]
+            assert verify.aybe(_lazy(sol), samples=3, seed=2) == report
+        else:
+            assert sol.evaluate_rows is None and set(counts) == {1}
 
 
 def test_replay_raises_the_degenerate_term_of_an_admissible_draw(monkeypatch, capsys):
@@ -618,7 +636,7 @@ def test_replay_raises_the_degenerate_term_of_an_admissible_draw(monkeypatch, ca
     first = [v1, v2, -v2, y1, y2, y3]
     sol = rmatrix.engine_solution("nodal", 2, 1)
     errors, counts = [], _row_counts(monkeypatch)
-    for s, want in ((sol, [6, 1, 1, 1, 1]), (_lazy(sol), [1, 1, 1, 1])):
+    for s, want in ((sol, [12, 1, 1, 1, 1]), (_lazy(sol), [1, 1, 1, 1])):
         counts.clear()
         _scripted_sample(monkeypatch, first)
         with pytest.raises(rmatrix.DegenerateSystemError) as exc:
@@ -722,8 +740,7 @@ def test_fifty_rejections_in_a_row_raise_at_the_same_draw(monkeypatch):
         return (1e3 if abs(y) > 1 else 1.0) * Tensor2.simple(ID2, ID2)
 
     lazy = RSolution("step", "vdiff_ydiff", 2, r)
-    batched = dataclasses.replace(lazy, evaluate_rows=lambda rows: [r(*a) for a in rows],
-                                  batch_draws=True)
+    batched = dataclasses.replace(lazy, evaluate_rows=lambda rows: [r(*a) for a in rows])
     good, bad = [0.3, 0.6, 0.2, 0.7], [0.3, 0.6, 0.2, 2.5]
     counts = []
     for s in (batched, lazy):

@@ -1,9 +1,11 @@
 # tests/time_engines.py
 
-"""Per-call timing of the glued engines, one row and stacked.
+"""Per-call timing of the glued engines, one row and stacked, and the cost
+of two sampled checks.
 
-    python tests/time_engines.py                 # a table on stdout
+    python tests/time_engines.py                 # tables on stdout
     python tests/time_engines.py --json FILE     # the same numbers as JSON
+    python tests/time_engines.py --check nodal dual   # one check's cost as JSON
 
 For the nodal and cuspidal engines at n = 2..8 (the degrees of perfbench's
 engine-aybe workload, (2, 1) at n = 2) and at n = 12 (engine-eval's rank-12
@@ -21,8 +23,14 @@ degree) it times, on six parameter rows the engine accepts:
 
 The calls are interleaved and each figure is the median wall time of
 `--repeats` rounds (a sixth of them, at least 5, at n = 12), so a slow
-stretch of a shared host hits all of them alike.  The ratio of six one-row calls to one stack of six sets
-`rmatrix._STACK_MAX_N`.  It is not a pytest module.
+stretch of a shared host hits all of them alike.  The ratio of six one-row
+calls to one stack of six shows what a stack saves per row.  A sampled check
+stacks more: the rows of every draw it draws ahead (at most 50 draws, six
+rows each), rejected draws' later rows included.  So the script first runs two 50-sample
+rank-5 checks, `dual` on the nodal engine and `aybe` on the cuspidal one
+(rank 5 is `rmatrix._STACK_MAX_N`), each in a process of its own, and gives
+the check's thread time and the process's peak RSS (`ru_maxrss`).  It is not
+a pytest module.
 """
 
 from __future__ import annotations
@@ -30,7 +38,9 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import resource
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -38,27 +48,32 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-from rmx import rmatrix  # noqa: E402
+from rmx import rmatrix, verify  # noqa: E402
 
 DEGREES = {"nodal": {2: 1, 3: 1, 4: 1, 5: 2, 6: 1, 7: 3, 8: 3, 12: 5},
            "cusp": {2: 1, 3: 2, 4: 3, 5: 3, 6: 5, 7: 4, 8: 5, 12: 5}}
 STAGES = ("hom_assembly", "nullspace_svd", "qr", "res_solve")
+CHECKS = (("nodal", "dual"), ("cusp", "aybe"))   # 50 samples at rank 5
 
 
 def _rows(kind: str, n: int, d: int, k: int = 6) -> list:
     """k rows (lam1, lam2, y1, y2) in the ring 0.3 <= |z| <= 1.3 that the
-    engine accepts."""
+    engine accepts; an AssertionError if fewer than k of 200 random rows are."""
     engine = rmatrix.engine_nodal if kind == "nodal" else rmatrix.engine_cusp
     rng = np.random.default_rng(10 * n + d)
-    rows = []
-    while len(rows) < k:
+    rows, refusal = [], None
+    for _ in range(200):
         row = tuple(rng.uniform(0.3, 1.3, 4) * np.exp(1j * rng.uniform(0, 2 * np.pi, 4)))
         try:
             engine(n, d, *row)
-        except rmatrix.EngineError:
+        except rmatrix.EngineError as e:
+            refusal = e
             continue
         rows.append(row)
-    return rows
+        if len(rows) == k:
+            return rows
+    raise AssertionError(f"{kind} ({n}, {d}) accepts fewer than {k} of 200 random rows; "
+                         f"the last refusal: {refusal}")
 
 
 def _elapsed(fn) -> float:
@@ -132,13 +147,44 @@ def measure(kind: str, n: int, repeats: int) -> dict:
             "stages_k6_ms": {s: ms(v) for s, v in stages[6].items()}}
 
 
+def check_cost(kind: str, identity: str) -> dict:
+    """Thread time of one 50-sample rank-5 check of `identity` on the `kind`
+    engine (seed 0) and the peak RSS of this process after it."""
+    n = rmatrix._STACK_MAX_N
+    sol = rmatrix.engine_solution(kind, n, DEGREES[kind][n])
+    check = {"aybe": verify.aybe, "dual": verify.aybe_dual}[identity]
+    t0 = time.thread_time()
+    report = check(sol, samples=50)
+    ms = 1e3 * (time.thread_time() - t0)
+    return {"kind": kind, "identity": identity, "n": n, "d": DEGREES[kind][n],
+            "passed": report.passed, "thread_ms": round(ms, 2),
+            # ru_maxrss is in KiB on Linux
+            "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=60)
     ap.add_argument("--json", metavar="FILE")
+    ap.add_argument("--check", nargs=2, metavar=("KIND", "IDENTITY"),
+                    help="run one CHECKS entry and print its cost as JSON")
     args = ap.parse_args(argv)
+    if args.check:
+        print(json.dumps(check_cost(*args.check)))
+        return 0
+    # the checks first, while this process is smallest: on Linux a child's
+    # ru_maxrss starts from its parent's, through fork and exec
+    checks = []
+    print(f"{'engine':6s} {'check':5s} {'n':>2s} {'d':>2s} {'thread ms':>10s} {'peak RSS MB':>12s}")
+    for kind, identity in CHECKS:
+        out = subprocess.run([sys.executable, __file__, "--check", kind, identity],
+                             capture_output=True, text=True, check=True).stdout
+        c = json.loads(out)
+        checks.append(c)
+        print(f"{kind:6s} {identity:5s} {c['n']:2d} {c['d']:2d} {c['thread_ms']:10.1f} "
+              f"{c['peak_rss_mb']:12.1f}", flush=True)
     results = []
-    print(f"{'engine':6s} {'n':>2s} {'d':>2s} {'k=1':>8s} {'6 calls':>8s} {'stack 6':>8s} "
+    print(f"\n{'engine':6s} {'n':>2s} {'d':>2s} {'k=1':>8s} {'6 calls':>8s} {'stack 6':>8s} "
           f"{'ratio':>6s}  stages at k=1 / k=6 (ms): " + ", ".join(STAGES))
     for kind in ("nodal", "cusp"):
         for n in DEGREES[kind]:
@@ -151,7 +197,8 @@ def main(argv=None) -> int:
         env = {"python": platform.python_version(), "numpy": np.__version__,
                "machine": platform.machine(), "repeats": args.repeats,
                "stack_max_n": rmatrix._STACK_MAX_N}
-        Path(args.json).write_text(json.dumps({"env": env, "results": results}, indent=1) + "\n")
+        Path(args.json).write_text(json.dumps({"env": env, "results": results,
+                                               "checks": checks}, indent=1) + "\n")
     return 0
 
 
