@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import string
 from dataclasses import dataclass
 
@@ -135,6 +134,9 @@ GAMMA = np.array([[0, 1], [1, 0]], dtype=complex)
 
 # leg tag -> the two 0-based legs of Mat_n^(x3) it names
 _LEG_TAGS = {12: (0, 1), 13: (0, 2), 23: (1, 2)}
+# output axes of a three-leg product in the coefficient order: leg k's row
+# index is axis 2k, its column index 2k + 1
+_ABCDEF = tuple(range(6))
 
 
 def _legs(tag: int) -> tuple:
@@ -167,7 +169,7 @@ def embed_leg(t: Tensor2, legs: int) -> Tensor3:
 def _product_plan(legs_a: int, legs_b: int) -> tuple:
     """How the shared-leg product a^{legs_a} b^{legs_b}, that is
     embed_leg(a, legs_a).matmul(embed_leg(b, legs_b)) for two tags sharing
-    exactly one leg, runs as one broadcast matmul in O(n^7).
+    exactly one leg, runs as one broadcast matmul in O(n^7) per draw.
 
     Output axis 2k is leg k's row index and 2k + 1 its column index.  a owns
     the shared leg's row and both indices of its other leg, b the shared
@@ -178,11 +180,13 @@ def _product_plan(legs_a: int, legs_b: int) -> tuple:
     So the product comes out C-contiguous in the abcdef layout.
 
     Returns the plans of the matmul's left and right factor, each (operand,
-    0 for a and 1 for b; permutation of its four axes; exponents e of its
-    reshape shape n**e), and the cut factor: 0 or 1 for the factor that owns
-    output axis 0.  Output axis 0 leads the output's axes, and it is axis 0
-    of its operand's coeffs (leg 1 is the first leg of a tag), so it is
-    axis 0 of the cut factor too.
+    0 for a and 1 for b; permutation of the axes of its coefficient stack,
+    the draw axis 0 first; exponents e of its reshape shape n**e after the
+    draw axis), the cut factor: 0 or 1 for the factor that owns output
+    axis 0, and the output layout, the output axes in the order the matmul
+    writes them (here 0 to 5).  Output axis 0 leads the output's axes, and
+    it is axis 0 of its operand's coeffs (leg 1 is the first leg of a tag),
+    so it leads the cut factor's axes after the draw axis too.
     """
     la, lb = _LEG_TAGS[legs_a], _LEG_TAGS[legs_b]
     (s,) = set(la) & set(lb)
@@ -200,15 +204,34 @@ def _product_plan(legs_a: int, legs_b: int) -> tuple:
     plans = []
     for op, groups in ((1 - right, batch + [range(m_start, n_start), [None]]),
                        (right, batch + [[None], range(n_start, 6)])):
-        perm = tuple(src[op][out] for g in groups for out in g if out in src[op])
+        perm = (0, *(1 + src[op][out] for g in groups for out in g if out in src[op]))
         exps = tuple(sum(out in src[op] for out in g) for g in groups)
         plans.append((op, perm, exps))
-    return (*plans, next(k for k, (op, _, _) in enumerate(plans) if 0 in src[op]))
+    return (*plans, next(k for k, (op, _, _) in enumerate(plans) if 0 in src[op]), _ABCDEF)
+
+
+def _chain_plan(legs: tuple) -> tuple:
+    """How a chain's second matmul, x y with x a three-leg block in the
+    abcdef layout and y on the 0-based legs (p, q), runs as one GEMM per
+    draw in O(n^8): x's column indices on legs p and q contract with y's row
+    indices.  x's other indices, in output order, are the GEMM's M, so
+    output axis 0 leads them, and y's column indices its N.  Returns the plan
+    in _product_plan's form; the cut factor is x, and the output layout M
+    then N.
+    """
+    p, q = legs
+    inner = [2 * p + 1, 2 * q + 1]
+    free = [ax for ax in _ABCDEF if ax not in inner]
+    return ((0, (0, *(1 + ax for ax in free + inner)), (4, 2)),
+            (1, (0, 1, 3, 2, 4), (2, 2)), 0, (*free, *inner))
 
 
 # (legs_a, legs_b) -> matmul plan of the shared-leg product, for the six ordered pairs
 _PRODUCT_PLANS = {(p, q): _product_plan(p, q) for p in _LEG_TAGS for q in _LEG_TAGS
                   if p != q}
+# leg tag -> plan of a chain's second matmul, a shared-leg product times a
+# tensor on that tag
+_CHAIN_PLANS = {tag: _chain_plan(legs) for tag, legs in _LEG_TAGS.items()}
 
 
 def _plan(legs_a: int, legs_b: int) -> tuple:
@@ -222,73 +245,123 @@ def _plan(legs_a: int, legs_b: int) -> tuple:
     return plan
 
 
-def _factors(plan: tuple, a: np.ndarray, b: np.ndarray) -> list:
-    """The two factors of the broadcast matmul that gives the shared-leg
-    product of the coefficient arrays a and b by plan (see _product_plan):
-    np.matmul(*factors) is the product, C-contiguous in the abcdef layout."""
-    n = a.shape[0]
-    return [(a, b)[op].transpose(perm).reshape([n**e for e in exps])
-            for op, perm, exps in plan[:2]]
+def _factor(spec: tuple, x: np.ndarray) -> np.ndarray:
+    """One factor of a plan's matmul (see _product_plan) from the coefficient
+    stack x, draw axis first.  Its first group after the draw axis takes what
+    is left, so a stack cut along output axis 0 gives that block's factor."""
+    _, perm, exps = spec
+    n = x.shape[-1]
+    return x.transpose(perm).reshape(len(x), -1, *[n**e for e in exps[1:]])
 
 
-# Up to this many coefficients (n <= 4) leg_residual_norm takes all leg-1 rows
-# in one block: there one call per product costs less than n smaller ones
+# Up to this many output coefficients (n <= 4) make one block of
+# leg_residual_norm: as many whole draws as fit, since there one call per
+# product costs less than several smaller ones.  Above, a block is one leg-1
+# row index of one draw
 _ONE_BLOCK_MAX = 4**6
 
 
-def leg_residual_norm(lhs: list, rhs: list) -> float:
-    """max |sum(lhs) - sum(rhs)| over the coefficients in Mat_n^(x3), each
-    side a list of shared-leg products (a, legs_a, b, legs_b), that is
-    embed_leg(a, legs_a).matmul(embed_leg(b, legs_b)) (the two tags must
-    share exactly one leg, the tensors have one size n).
+def block_draws(n: int) -> int:
+    """Draws per block of leg_residual_norm at size n: 64 at n = 2, 5 at
+    n = 3, one from n = 4."""
+    return max(1, _ONE_BLOCK_MAX // n**6)
 
-    Above n = 4 no n^6 tensor is formed: the output is walked one leg-1 row
-    index i at a time.  Row block i of a product is its matmul with the
-    plan's cut factor, the one led by leg 1's row index, cut to its i-th
-    n-th along axis 0; each block is written into the product's block
-    before it, so one n^5 array per product serves every i.  Each side
-    sums left to right, then the right side is subtracted, so the result
-    equals the whole-tensor expression, such as p0 - (p1 + p2), bit for
-    bit.  A NaN anywhere gives NaN."""
+
+def _block_shape(plan: tuple, step: int, n: int) -> tuple:
+    """Shape of a block of plan's matmul output, step leg-1 rows, in its layout."""
+    return (-1, *[step if ax == 0 else n for ax in plan[3]])
+
+
+def _block(steps: list, d: slice, i: int) -> np.ndarray:
+    """The block of draws d and leg-1 row block i of one product of
+    leg_residual_norm, shape (draws, rows, n, n, n, n, n) in the abcdef
+    layout.  steps holds one [plan, left factor, right factor, the cut
+    factor's rows per block or 0 for all, output shape, last output] per
+    matmul, the factors over the whole stacks; a chain's second matmul has
+    no left factor, it takes the first one's block.  Each matmul writes into
+    its last output when that has as many draws."""
+    x = None
+    for step in steps:
+        plan, left, right, rows, shape, out = step
+        if x is None:
+            f = [left[d], right[d]]
+            if rows:
+                f[plan[2]] = f[plan[2]][:, i * rows:(i + 1) * rows]
+        else:
+            f = [_factor(plan[0], x), right[d]]
+        if out is not None and len(out) != len(f[0]):
+            out = None  # the last block of draws is shorter
+        step[5] = out = np.matmul(*f, out=out)
+        x = out.reshape(shape)
+        if plan[3] != _ABCDEF:
+            x = x.transpose(0, *[1 + plan[3].index(ax) for ax in range(6)])
+    return x
+
+
+def leg_residual_norm(lhs: list, rhs: list) -> list:
+    """Per draw, max |sum(lhs) - sum(rhs)| over the coefficients in
+    Mat_n^(x3).  The tensors are coefficient stacks of one shape (k, n, n,
+    n, n), draw axis first, and each side is a list of products: shared-leg
+    products (a, legs_a, b, legs_b), that is
+    embed_leg(a, legs_a).matmul(embed_leg(b, legs_b)) per draw (the two tags
+    share exactly one leg), or chains (a, legs_a, b, legs_b, c, legs_c), that
+    product times embed_leg(c, legs_c), whose second matmul, an n^8
+    contraction, runs by _CHAIN_PLANS.  Returns k floats.
+
+    The output is walked in blocks of at most _ONE_BLOCK_MAX coefficients:
+    block_draws(n) whole draws up to n = 4; above, one leg-1 row index i of
+    one draw, so no n^6 tensor is formed.  Row block i of a product is its
+    first matmul with the plan's cut factor cut to its i-th n-th after the
+    draw axis; a chain's second matmul takes that block whole (its rows of
+    leg 1 stay rows).  Each block is written into the product's block before
+    it, so one array per matmul serves every block.  Each side sums left to
+    right, then the right side is subtracted, so a draw's result equals its
+    whole-tensor expression, such as p0 - (p1 + p2), bit for bit, whichever
+    block holds it.  A NaN in a draw gives that draw NaN."""
     if not lhs or not rhs:
         raise ValueError("each side needs at least one product")
-    n = lhs[0][0].n
+    k, n = lhs[0][0].shape[0], lhs[0][0].shape[-1]
     step = n if n**6 <= _ONE_BLOCK_MAX else 1  # leg-1 rows per block
-    sides = []  # per product: [factors, cut factor, its rows per block, last block]
+    sides = []
     for side in (lhs, rhs):
         terms = []
-        for a, legs_a, b, legs_b in side:
+        for a, legs_a, b, legs_b, *chain in side:
             plan = _plan(legs_a, legs_b)
-            if a.n != n or b.n != n:
-                raise ValueError(f"tensors of different size: n = {a.n} and n = {b.n}")
-            factors = _factors(plan, a.coeffs, b.coeffs)
-            terms.append([factors, plan[2], len(factors[plan[2]]) // n * step, None])
+            for x in (a, b, *chain[:1]):
+                if x.shape != (k,) + (n,) * 4:
+                    raise ValueError(f"coefficient stacks of different shapes: "
+                                     f"{lhs[0][0].shape} and {x.shape}")
+            f = [_factor(spec, (a, b)[spec[0]]) for spec in plan[:2]]
+            rows = 0 if step == n else len(f[plan[2]][0]) // n
+            steps = [[plan, *f, rows, _block_shape(plan, step, n), None]]
+            if chain:
+                c, legs_c = chain
+                _legs(legs_c)  # raises on a tag other than 12, 13, 23
+                plan = _CHAIN_PLANS[legs_c]
+                steps.append([plan, None, _factor(plan[1], c), 0, _block_shape(plan, step, n),
+                              None])
+            terms.append(steps)
         sides.append(terms)
-    magnitude, worst = None, 0.0
-    for i in range(n // step):
-        sums = []
-        for terms in sides:
-            for j, term in enumerate(terms):
-                f, cut, rows, out = term
-                f = list(f)
-                f[cut] = f[cut][i * rows:(i + 1) * rows]
-                term[3] = np.matmul(*f, out=out)
-                if j == 0:
-                    sums.append(term[3].reshape(-1))
-                else:
-                    sums[-1] += term[3].reshape(-1)
-        left, right = sums
-        magnitude = np.abs(np.subtract(left, right, out=right), out=magnitude)
-        m = float(magnitude.max())
-        if math.isnan(m):
-            return m
-        worst = max(worst, m)
+    draws, worst, magnitude = block_draws(n), [], None
+    for d0 in range(0, k, draws):
+        d, block_worst = slice(d0, d0 + draws), None
+        for i in range(n // step):
+            sums = []
+            for terms in sides:
+                for j, term in enumerate(terms):
+                    x = _block(term, d, i)
+                    if j == 0:
+                        sums.append(x)
+                    else:
+                        sums[-1] += x
+            left, right = sums
+            diff = np.subtract(left, right, out=right)
+            magnitude = np.abs(diff, out=magnitude if magnitude is not None
+                               and magnitude.shape == diff.shape else None)
+            m = magnitude.max(axis=(1, 2, 3, 4, 5, 6))
+            block_worst = m if block_worst is None else np.maximum(block_worst, m)
+        worst += block_worst.tolist()
     return worst
-
-
-def swap(t: Tensor2) -> Tensor2:
-    """Exchange the two tensor legs: a (x) b -> b (x) a."""
-    return Tensor2(t.n, t.coeffs.transpose(2, 3, 0, 1))
 
 
 def project_sl(t: Tensor2) -> Tensor2:

@@ -3,9 +3,13 @@
 """Residual evaluators for the Yang-Baxter identities and limit extractors.
 
 Every check walks a fixed grid or samples parameter points from a seeded
-generator, evaluates left minus right side of the identity in Mat_n^(x3)
-(or Mat_n^(x2)) and reports the max absolute residual through `_report`.
-All six sampled checks draw through `_accepted_draws`, the NORM_CAP guard.
+generator, takes left minus right side of the identity and reports the max
+absolute residual through `_report`.  All six sampled checks draw through
+`_accepted_draws`, the NORM_CAP guard.  The five Yang-Baxter checks reduce
+their accepted draws a block at a time: unitarity as one stacked sum, the
+others on the leg plans of tensorcore.leg_residual_norm, which form no
+n^3 x n^3 Kronecker matrix and, above n = 4, no whole Mat_n^(x3) tensor.
+Dunkl acts on Mat_n^(x3)-valued functions through Kronecker matrices.
 """
 
 from __future__ import annotations
@@ -20,8 +24,7 @@ import numpy as np
 
 from .catalog import RSolution, as_four_param, as_three_param, as_two_point, view
 from .rmatrix import EngineError
-from .tensorcore import (Tensor2, Tensor3, casimir, embed, embed_leg, leg_residual_norm,
-                         project_sl, swap)
+from .tensorcore import Tensor2, block_draws, casimir, embed, leg_residual_norm, project_sl
 from .thetafn import PoleError
 
 
@@ -157,14 +160,19 @@ def _accepted_draws(draw: Callable, terms: Callable, samples: int,
 def _sampled_residual(identity: str, sol: RSolution, k: int, sol_view: tuple,
                       args: Callable, residual: Callable, samples: int, tol: float,
                       seed: int) -> ResidualReport:
-    """Max of residual(*terms), the float max |left - right| of one draw, over
-    `samples` accepted draws of k points from a generator seeded by `seed`
-    (see _accepted_draws).  sol_view = (one, rows) is a view of sol
+    """Max of the residuals, max |left - right| per draw, over `samples`
+    accepted draws of k points from a generator seeded by `seed` (see
+    _accepted_draws).  sol_view = (one, rows) is a view of sol
     (catalog.view), and the terms of points are those of the rows
     args(*points), in order.  When sol has evaluate_rows, the rows of all the
     draws the loop draws ahead go through one rows() call, which the loop
     replays one row at a time if it is refused; otherwise each row is one
-    lazy call."""
+    lazy call.
+
+    Accepted draws are held up to one block of leg_residual_norm
+    (tensorcore.block_draws(sol.n) draws); residual(*stacks) takes the
+    block's i-th terms as the i-th coefficient stack, draw axis first, and
+    gives one float per draw.  Then the block's terms are dropped."""
     one, rows = sol_view
     rng = np.random.default_rng(seed)
     batch = None
@@ -173,10 +181,20 @@ def _sampled_residual(identity: str, sol: RSolution, k: int, sol_view: tuple,
             ts = list(rows([a for pts in draws for a in args(*pts)]))
             m = len(ts) // len(draws)   # every draw has as many rows
             return [ts[i:i + m] for i in range(0, len(ts), m)]
-    pairs = [(residual(*ts), tuple(pts))
-             for pts, ts in _accepted_draws(lambda: _sample(rng, k),
-                                            lambda *pts: (one(*a) for a in args(*pts)),
-                                            samples, batch)]
+    pairs, block, size = [], [], block_draws(sol.n)
+
+    def flush():
+        stacks = [np.array([t.coeffs for t in terms]) for terms in zip(*(ts for _, ts in block))]
+        pairs.extend(zip(residual(*stacks), (pts for pts, _ in block)))
+        block.clear()
+    for pts, ts in _accepted_draws(lambda: _sample(rng, k),
+                                   lambda *pts: (one(*a) for a in args(*pts)),
+                                   samples, batch):
+        block.append((tuple(pts), ts))
+        if len(block) == size:
+            flush()
+    if block:
+        flush()
     return _report(identity, sol.name, pairs, tol, seed)
 
 
@@ -219,22 +237,8 @@ def unitarity(sol: RSolution, samples: int = 50, tol: float = DEFAULT_TOL["unita
     return _sampled_residual(
         "unitarity", sol, 4, r4,
         lambda v1, v2, y1, y2: ((v1, v2, y1, y2), (v2, v1, y2, y1)),
-        lambda ta, tb: (ta + swap(tb)).norm(),
+        lambda ta, tb: np.abs(ta + tb.transpose(0, 3, 4, 1, 2)).max(axis=(1, 2, 3, 4)).tolist(),
         samples, tol, seed)
-
-
-def _comm(a: Tensor3, b: Tensor3) -> Tensor3:
-    return a.matmul(b) - b.matmul(a)
-
-
-def _cybe_residual(ta: Tensor2, tb: Tensor2, tc: Tensor2) -> float:
-    r12, r13, r23 = embed_leg(ta, 12), embed_leg(tb, 13), embed_leg(tc, 23)
-    return (_comm(r12, r23) + _comm(r12, r13) + _comm(r13, r23)).norm()
-
-
-def _qybe_residual(ta: Tensor2, tb: Tensor2, tc: Tensor2) -> float:
-    r12, r13, r23 = embed_leg(ta, 12), embed_leg(tb, 13), embed_leg(tc, 23)
-    return (r12.matmul(r13).matmul(r23) - r23.matmul(r13).matmul(r12)).norm()
 
 
 def cybe(sol: RSolution, samples: int = 50, tol: float = DEFAULT_TOL["cybe"],
@@ -244,7 +248,9 @@ def cybe(sol: RSolution, samples: int = 50, tol: float = DEFAULT_TOL["cybe"],
     r2 = view(sol, as_two_point)
     return _sampled_residual(
         "CYBE", sol, 3, r2, lambda y1, y2, y3: ((y1, y2), (y1, y3), (y2, y3)),
-        _cybe_residual, samples, tol, seed)
+        lambda a, b, c: leg_residual_norm([(a, 12, c, 23), (a, 12, b, 13), (b, 13, c, 23)],
+                                          [(c, 23, a, 12), (b, 13, a, 12), (c, 23, b, 13)]),
+        samples, tol, seed)
 
 
 def qybe(sol: RSolution, v0: complex, samples: int = 50, tol: float = DEFAULT_TOL["qybe"],
@@ -258,7 +264,8 @@ def qybe(sol: RSolution, v0: complex, samples: int = 50, tol: float = DEFAULT_TO
     return _sampled_residual(
         "QYBE", sol, 3, r3,
         lambda y1, y2, y3: ((v0, y1, y2), (v0, y1, y3), (v0, y2, y3)),
-        _qybe_residual, samples, tol, seed)
+        lambda a, b, c: leg_residual_norm([(a, 12, b, 13, c, 23)], [(c, 23, b, 13, a, 12)]),
+        samples, tol, seed)
 
 
 class DivergenceError(RuntimeError):

@@ -75,6 +75,12 @@ def kron_embed(t2_coeffs, legs, n):
     return out
 
 
+def swap(t):
+    """Exchange the two tensor legs: a (x) b -> b (x) a (rmx.verify.unitarity
+    does it to a whole coefficient stack with one transpose)."""
+    return tensorcore.Tensor2(t.n, t.coeffs.transpose(2, 3, 0, 1))
+
+
 def einsum_leg_product(a, legs_a: int, b, legs_b: int) -> np.ndarray:
     """Coefficients (n,)*6 of the shared-leg product a^{legs_a} b^{legs_b} as
     one plain einsum over n^7 index tuples: a's column index on the shared leg
@@ -91,16 +97,36 @@ def einsum_leg_product(a, legs_a: int, b, legs_b: int) -> np.ndarray:
 def leg_product(a, legs_a: int, b, legs_b: int):
     """embed_leg(a, legs_a).matmul(embed_leg(b, legs_b)) as one whole n^6
     Tensor3, by the same BLAS matmul plan that
-    rmx.tensorcore.leg_residual_norm runs one leg-1 row block at a time; the
-    residual expressions built from it are the reducer's bit-for-bit
-    reference.  ValueError on tags not sharing exactly one leg or on tensors
-    of different size, as the reducer raises."""
+    rmx.tensorcore.leg_residual_norm runs one block at a time; the residual
+    expressions built from it are the reducer's bit-for-bit reference.
+    ValueError on tags not sharing exactly one leg or on tensors of
+    different size, as the reducer raises."""
     plan = tensorcore._plan(legs_a, legs_b)
     if a.n != b.n:
         raise ValueError(f"tensors of different size: n = {a.n} and n = {b.n}")
     n = a.n
-    return tensorcore.Tensor3(n, np.matmul(*tensorcore._factors(plan, a.coeffs, b.coeffs))
-                              .reshape((n,) * 6))
+    factors = [tensorcore._factor(spec, (a, b)[spec[0]].coeffs[None]) for spec in plan[:2]]
+    return tensorcore.Tensor3(n, np.matmul(*factors).reshape((n,) * 6))
+
+
+def _comm(a, b):
+    return a.matmul(b) - b.matmul(a)
+
+
+def cybe_residual_kron(ta, tb, tc):
+    """max |[r12, r23] + [r12, r13] + [r13, r23]| with r12, r13, r23 the
+    tensors ta, tb, tc embedded in Mat_n^(x3) as n^3 x n^3 Kronecker
+    matrices (tensorcore.embed_leg, Tensor.matmul): rmx.verify.cybe's
+    residual before the leg plans, their reference."""
+    r12, r13, r23 = (tensorcore.embed_leg(t, legs) for t, legs in ((ta, 12), (tb, 13), (tc, 23)))
+    return (_comm(r12, r23) + _comm(r12, r13) + _comm(r13, r23)).norm()
+
+
+def qybe_residual_kron(ta, tb, tc):
+    """max |R12 R13 R23 - R23 R13 R12| on Kronecker matrices, as
+    cybe_residual_kron: rmx.verify.qybe's residual before the leg plans."""
+    r12, r13, r23 = (tensorcore.embed_leg(t, legs) for t, legs in ((ta, 12), (tb, 13), (tc, 23)))
+    return (r12.matmul(r13).matmul(r23) - r23.matmul(r13).matmul(r12)).norm()
 
 
 def theta3_cosine_series(z, tau, nterms=60):

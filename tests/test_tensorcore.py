@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmx import rmatrix, verify
+from rmx import rmatrix, tensorcore, verify
 from rmx.tensorcore import (
     E12, E21, H, ID2, Tensor, Tensor2, Tensor3, casimir, embed, embed_leg,
-    leg_residual_norm, project_sl, swap,
+    leg_residual_norm, project_sl,
 )
 
-from oracles import einsum_leg_product, kron_embed, leg_product
+from oracles import (cybe_residual_kron, einsum_leg_product, kron_embed, leg_product,
+                     qybe_residual_kron, swap)
 
 
 def rand_tensor2(rng, n=2):
@@ -111,12 +112,7 @@ def test_leg_product_rejects_tags_not_sharing_one_leg(legs_a, legs_b):
         leg_product(t, legs_a, t, legs_b)
 
 
-# --- leg_residual_norm: the AYBE and dual residual reducer ------------------
-
-# (lhs, rhs) tag pairs of the two residuals: AYBE r12 r23 - (r13 r12 + r23 r13),
-# dual r23 r12 - (r12 r13 + r13 r23); the six tensors fill the slots in order
-RESIDUAL_TAGS = {"aybe": ([(12, 23)], [(13, 12), (23, 13)]),
-                 "dual": ([(23, 12)], [(12, 13), (13, 23)])}
+# --- leg_residual_norm: the sampled residual reducer ------------------------
 
 # per residual, the (v1, v2, y1, y2) of its six engine terms at the draw
 # (v1, v2, v3, y1, y2, y3), as verify.aybe and verify.aybe_dual take them
@@ -131,46 +127,105 @@ DRAW_ARGS = {
 DRAW = (0.7 + 0.2j, 1.3 - 0.4j, -0.5 + 0.9j, 0.6 - 0.3j, -0.2 + 1.0j, 1.1 + 0.1j)
 
 
-def _residual_sides(form, ts):
-    """(lhs, rhs) product lists of the reducer from six tensors."""
-    lhs_tags, rhs_tags = RESIDUAL_TAGS[form]
-    slots = iter(ts)
-    return tuple([(next(slots), ta, next(slots), tb) for ta, tb in tags]
-                 for tags in (lhs_tags, rhs_tags))
+def _stacks(*ts):
+    """Coefficient stacks of one draw: each tensor's coeffs with a draw axis."""
+    return [t.coeffs[None] for t in ts]
+
+
+# (lhs, rhs) of the residuals as verify runs them, slot j standing for the
+# j-th term of a draw: AYBE r12 r23 - (r13 r12 + r23 r13), dual
+# r23 r12 - (r12 r13 + r13 r23), CYBE from r12, r13, r23 as
+# [r12, r23] + [r12, r13] + [r13, r23], QYBE as R12 R13 R23 - R23 R13 R12
+SIDES = {"aybe": ([(0, 12, 1, 23)], [(2, 13, 3, 12), (4, 23, 5, 13)]),
+         "dual": ([(0, 23, 1, 12)], [(2, 12, 3, 13), (4, 13, 5, 23)]),
+         "cybe": ([(0, 12, 2, 23), (0, 12, 1, 13), (1, 13, 2, 23)],
+                  [(2, 23, 0, 12), (1, 13, 0, 12), (2, 23, 1, 13)]),
+         "qybe": ([(0, 12, 1, 13, 2, 23)], [(2, 23, 1, 13, 0, 12)])}
+
+
+def _sides(form, stacks):
+    """The product lists of a residual with stacks[j] put in for slot j."""
+    return tuple([tuple(stacks[x] if i % 2 == 0 else x for i, x in enumerate(p)) for p in side]
+                 for side in SIDES[form])
+
+
+def _random_stacks(rng, count, k, n):
+    return [rng.standard_normal((k,) + (n,) * 4) + 1j * rng.standard_normal((k,) + (n,) * 4)
+            for _ in range(count)]
 
 
 def _whole_residual(lhs, rhs):
-    """The residual as the whole-tensor expression p0 - (p1 + p2)."""
-    (p0,), (p1, p2) = ([leg_product(*p) for p in side] for side in (lhs, rhs))
+    """The residual of a one-draw stack as the whole-tensor expression p0 - (p1 + p2)."""
+    (p0,), (p1, p2) = ([leg_product(Tensor2(a.shape[-1], a[0]), ta, Tensor2(b.shape[-1], b[0]), tb)
+                        for a, ta, b, tb in side] for side in (lhs, rhs))
     return (p0 - (p1 + p2)).norm()
 
 
 @pytest.mark.parametrize("n", range(2, 9))
-@pytest.mark.parametrize("form", RESIDUAL_TAGS)
+@pytest.mark.parametrize("form", ["aybe", "dual"])
 def test_leg_residual_norm_equals_whole_tensor_expression(n, form):
     rng = np.random.default_rng(100 * n + len(form))
     random_terms = [rand_tensor2(rng, n) for _ in range(6)]
     engine = rmatrix.engine_solution("nodal", n, 1).evaluator
     engine_terms = [engine(*a) for a in DRAW_ARGS[form](*DRAW)]
     for ts in (random_terms, engine_terms):
-        lhs, rhs = _residual_sides(form, ts)
-        got = leg_residual_norm(lhs, rhs)
+        lhs, rhs = _sides(form, _stacks(*ts))
+        (got,) = leg_residual_norm(lhs, rhs)
         assert isinstance(got, float) and got == _whole_residual(lhs, rhs)
     assert got < 1e-10  # the engine terms satisfy the identity
 
 
 @pytest.mark.parametrize("n", [3, 5])  # one block; one block per leg-1 row
 @pytest.mark.parametrize("slot", range(6))
-@pytest.mark.parametrize("form", RESIDUAL_TAGS)
+@pytest.mark.parametrize("form", ["aybe", "dual"])
 def test_leg_residual_norm_nan_fails_the_report(n, slot, form):
     rng = np.random.default_rng(40 + slot)
     ts = [rand_tensor2(rng, n) for _ in range(6)]
     # a NaN in leg-1 row n - 1: where its tensor owns output axis 0 and the
     # rows are walked, only the last row block sees it
     ts[slot].coeffs[n - 1, rng.integers(n), rng.integers(n), rng.integers(n)] = np.nan
-    got = leg_residual_norm(*_residual_sides(form, ts))
+    (got,) = leg_residual_norm(*_sides(form, _stacks(*ts)))
     assert np.isnan(got)
     assert not verify._report("AYBE", "x", [(0.0, (1,)), (got, (2,))], 1e-8, 0).passed
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])  # 64 draws a block, 5, one leg-1 row of one draw
+@pytest.mark.parametrize("form", ["aybe", "dual"])
+def test_a_nan_draw_leaves_its_block_mates_finite(n, form):
+    k = 7
+    stacks = _random_stacks(np.random.default_rng(70 + n), 6, k, n)
+    stacks[4][3, 0, 1, 0, 1] = stacks[1][5, n - 1, 0, 0, 0] = np.nan
+    got = leg_residual_norm(*_sides(form, stacks))
+    alone = [leg_residual_norm(*_sides(form, [s[j:j + 1] for s in stacks]))[0]
+             for j in range(k)]
+    assert [np.isnan(r) for r in got] == [j in (3, 5) for j in range(k)]
+    assert [r for r in got if not np.isnan(r)] == [r for r in alone if not np.isnan(r)]
+    report = verify._report("AYBE", "x", [(r, (j,)) for j, r in enumerate(got)], 1e-8, 0)
+    assert np.isnan(report.max_residual) and report.argmax_sample == (3,)
+    assert not report.passed
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("form", SIDES)
+def test_blocks_of_draws_give_each_draw_its_own_residual_bit_for_bit(n, form):
+    # k spans more than one block below n = 4 (64 draws a block at n = 2, 5 at n = 3)
+    k = {2: 70, 3: 12}.get(n, 3)
+    terms = 6 if form in ("aybe", "dual") else 3  # a draw's
+    stacks = _random_stacks(np.random.default_rng(80 + n), terms, k, n)
+    got = leg_residual_norm(*_sides(form, stacks))
+    assert got == [leg_residual_norm(*_sides(form, [s[j:j + 1] for s in stacks]))[0]
+                   for j in range(k)]
+    assert tensorcore.block_draws(n) == {2: 64, 3: 5}.get(n, 1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+@pytest.mark.parametrize("form,oracle", [("cybe", cybe_residual_kron),
+                                         ("qybe", qybe_residual_kron)])
+def test_cybe_and_qybe_leg_plans_match_the_kronecker_residuals(n, form, oracle):
+    stacks = _random_stacks(np.random.default_rng(90 + n), 3, 3, n)
+    for j, r in enumerate(leg_residual_norm(*_sides(form, stacks))):
+        want = oracle(*(Tensor2(n, s[j]) for s in stacks))
+        assert abs(r - want) <= 1e-15 * want
 
 
 @pytest.mark.parametrize("n", [3, 6])
@@ -182,11 +237,13 @@ def test_leg_residual_norm_sums_each_side_left_to_right(n):
     rhs = [(rand_tensor2(rng, n), tb, rand_tensor2(rng, n), ta) for ta, tb in tags]
     p0, p1, p2 = (leg_product(*p) for p in lhs)
     q0, q1, q2 = (leg_product(*p) for p in rhs)
-    assert leg_residual_norm(lhs, rhs) == ((p0 + p1) + p2 - ((q0 + q1) + q2)).norm()
+    stacked = [[(a.coeffs[None], ta, b.coeffs[None], tb) for a, ta, b, tb in side]
+               for side in (lhs, rhs)]
+    assert leg_residual_norm(*stacked) == [((p0 + p1) + p2 - ((q0 + q1) + q2)).norm()]
 
 
 def test_leg_residual_norm_rejects_an_empty_side():
-    t = Tensor2.simple(H, E21)
+    t = Tensor2.simple(H, E21).coeffs[None]
     with pytest.raises(ValueError):
         leg_residual_norm([(t, 12, t, 23)], [])
     with pytest.raises(ValueError):
@@ -196,40 +253,55 @@ def test_leg_residual_norm_rejects_an_empty_side():
 @pytest.mark.parametrize("n_a,n_b", [(2, 3), (1, 2), (3, 2), (5, 6)])
 def test_leg_residual_norm_rejects_tensors_of_different_size(n_a, n_b):
     rng = np.random.default_rng(18)
-    a, b = rand_tensor2(rng, n_a), rand_tensor2(rng, n_b)
+    a, b = _stacks(rand_tensor2(rng, n_a), rand_tensor2(rng, n_b))
     with pytest.raises(ValueError):
         leg_residual_norm([(a, 12, b, 23)], [(a, 13, a, 12)])
     with pytest.raises(ValueError):  # each product alone fine, the sizes differ
         leg_residual_norm([(a, 12, a, 23)], [(b, 13, b, 12)])
+    with pytest.raises(ValueError):  # the draw counts differ
+        leg_residual_norm([(a, 12, a, 23)], [(np.concatenate([a, a]), 13, a, 12)])
+    with pytest.raises(ValueError):  # a chain's third factor
+        leg_residual_norm([(a, 12, a, 13, b, 23)], [(a, 23, a, 13, a, 12)])
 
 
 @pytest.mark.parametrize("legs_a,legs_b", [(12, 12), (23, 23), (12, 21), (31, 23)])
 def test_leg_residual_norm_rejects_tags_not_sharing_one_leg(legs_a, legs_b):
-    t = Tensor2.simple(H, E21)
+    t = Tensor2.simple(H, E21).coeffs[None]
     with pytest.raises(ValueError):
         leg_residual_norm([(t, 12, t, 23)], [(t, legs_a, t, legs_b)])
     with pytest.raises(ValueError):
         leg_residual_norm([(t, legs_a, t, legs_b)], [(t, 12, t, 23)])
+    with pytest.raises(ValueError):
+        leg_residual_norm([(t, 12, t, 13, t, 23)], [(t, legs_a, t, legs_b, t, 12)])
+    with pytest.raises(ValueError):  # a chain's third tag
+        leg_residual_norm([(t, 12, t, 13, t, 23)], [(t, 23, t, 13, t, legs_a + legs_b)])
 
 
-@pytest.mark.parametrize("form", RESIDUAL_TAGS)
+@pytest.mark.parametrize("form", ["aybe", "dual", "qybe"])
 def test_leg_residual_norm_peak_memory_below_one_n6_tensor(form):
     n = 8
     rng = np.random.default_rng(8)
-    lhs, rhs = _residual_sides(form, [rand_tensor2(rng, n) for _ in range(6)])
+    if form == "qybe":
+        lhs, rhs = _sides(form, _stacks(*(rand_tensor2(rng, n) for _ in range(3))))
+    else:
+        lhs, rhs = _sides(form, _stacks(*(rand_tensor2(rng, n) for _ in range(6))))
     one_tensor = 16 * n**6  # bytes of one complex (n,)*6 array, 4.2 MB
-    peaks = []
-    for residual in (leg_residual_norm, _whole_residual):
+    tracemalloc.start()
+    try:
+        leg_residual_norm(lhs, rhs)
+        reduced = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert reduced < one_tensor
+    if form != "qybe":
         tracemalloc.start()
         try:
-            residual(lhs, rhs)
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            _whole_residual(lhs, rhs)
+            whole = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    reduced, whole = peaks
-    assert reduced < one_tensor
-    # tracemalloc sees numpy's buffers: the whole expression holds several
-    assert whole > 3 * one_tensor
+        # tracemalloc sees numpy's buffers: the whole expression holds several
+        assert whole > 3 * one_tensor
 
 
 def einsum_matmul(x: Tensor3, y: Tensor3) -> np.ndarray:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from rmx import catalog, cli, rmatrix, verify
+from rmx import catalog, cli, rmatrix, tensorcore, verify
 from rmx.catalog import RSolution
 from rmx.tensorcore import E12, E21, GAMMA, H, ID2, SIGMA, Tensor2, casimir
 from rmx.thetafn import ThetaParams, theta_j
@@ -60,8 +60,7 @@ def test_unitarity_negative_cases():
 
     def anti(v, y):
         t = Tensor2(2, c * v * y)
-        from rmx.tensorcore import swap
-        return Tensor2(2, 0.5 * (t.coeffs - swap(t).coeffs))
+        return Tensor2(2, 0.5 * (t.coeffs - oracles.swap(t).coeffs))
 
     # antisymmetrized odd family is unitary by construction
     assert verify.unitarity(
@@ -426,7 +425,9 @@ def test_reports_are_reproducible():
 # engine one per orbit block) and that of the BLAS summation order of the
 # shared-leg products (tensorcore._PRODUCT_PLANS).
 # The catalog entries were computed by the per-identity sampling loops that
-# preceded the shared residual driver; qybe runs at v0 = 0.45.
+# preceded the shared residual driver, the cybe and qybe entries whose digits
+# the leg plans moved (tensorcore.leg_residual_norm, _CHAIN_PLANS) by those
+# plans; qybe runs at v0 = 0.45.
 PINNED_RESIDUALS = {
     ("nodal", 5, 2, "aybe", 0): (5.695433295429594e-14, -0.6203240672829127 - 0.4914667910877345j),
     ("nodal", 5, 2, "aybe", 7): (6.393506331881295e-14, -0.5630387996316589 - 0.034680483300054445j),
@@ -444,19 +445,19 @@ PINNED_RESIDUALS = {
     ("rat21", "unitarity", 7): (6.280369834735101e-16, -0.2422208503205726 + 0.7428374117793712j),
     ("trg20_semistable", "unitarity", 0): (0.0, 0.30639733867339203 - 0.7297000932207376j),
     ("trg20_semistable", "unitarity", 7): (0.0, -0.2422208503205726 + 0.7428374117793712j),
-    ("ell21_classical", "cybe", 0): (8.926082647349967e-15, 0.4407666876984843 + 0.8739346126149661j),
+    ("ell21_classical", "cybe", 0): (8.981148454337477e-15, 0.4407666876984843 + 0.8739346126149661j),
     ("ell21_classical", "cybe", 7): (9.880556101808692e-16, 0.12122239229660803 + 0.7718701265595033j),
-    ("cherednik", "cybe", 0): (2.220446049250313e-15, 0.35851943553774046 + 0.3553048442403331j),
+    ("cherednik", "cybe", 0): (2.3525204118543076e-15, 0.7871539320744513 + 0.0820380546589231j),
     ("cherednik", "cybe", 7): (3.580361673049448e-15, -0.2493283214255425 + 0.050923204487072216j),
     ("stolin", "cybe", 0): (1.1102230246251565e-15, 0.7871539320744513 + 0.0820380546589231j),
-    ("stolin", "cybe", 7): (4.965068306494546e-16, -0.2493283214255425 + 0.050923204487072216j),
+    ("stolin", "cybe", 7): (9.226380847435024e-16, -0.2493283214255425 + 0.050923204487072216j),
     ("yang", "cybe", 0): (1.1102230246251565e-15, 0.7871539320744513 + 0.0820380546589231j),
-    ("yang", "cybe", 7): (2.482534153247273e-16, -0.44052460035975366 - 0.1539161210840757j),
+    ("yang", "cybe", 7): (9.226380847435024e-16, -0.2493283214255425 + 0.050923204487072216j),
     ("ell21", "qybe", 0): (1.7288250917028502e-13, 0.4407666876984843 + 0.8739346126149661j),
     ("ell21", "qybe", 7): (3.257326998510068e-14, -0.2493283214255425 + 0.050923204487072216j),
-    ("trg21", "qybe", 0): (7.105427357601002e-15, 0.7028083233941284 - 0.30375269065039434j),
+    ("trg21", "qybe", 0): (5.402578411571407e-15, 0.7028083233941284 - 0.30375269065039434j),
     ("trg21", "qybe", 7): (1.517719948885615e-14, -0.2493283214255425 + 0.050923204487072216j),
-    ("rat21", "qybe", 0): (1.7763568394002505e-15, 0.7028083233941284 - 0.30375269065039434j),
+    ("rat21", "qybe", 0): (1.2560739669470201e-15, 0.7871539320744513 + 0.0820380546589231j),
     ("rat21", "qybe", 7): (3.614624287906422e-15, -0.2493283214255425 + 0.050923204487072216j),
 }
 
@@ -500,6 +501,20 @@ def test_sampled_checks_reject_nonpositive_samples(check, name, samples):
 def test_qybe_rejects_v0_at_the_pole(name, v0):
     with pytest.raises(ValueError, match="v0"):
         verify.qybe(catalog.get(name), v0, samples=3)
+
+
+@pytest.mark.parametrize("check,name", [
+    ("aybe", "trg21"), ("aybe_dual", "ell21"), ("unitarity", "trg21"), ("cybe", "yang"),
+    ("cybe", "ell21_classical"), ("qybe", "trg21"), ("qybe", "ell21"),
+    ("dunkl_commutator", "rat21"),
+])
+def test_no_check_forms_a_kronecker_product(monkeypatch, check, name):
+    def forbidden(*args):
+        raise AssertionError("an n^3 x n^3 Kronecker product on a verify path")
+    monkeypatch.setattr(tensorcore, "embed_leg", forbidden)
+    monkeypatch.setattr(tensorcore.Tensor, "matmul", forbidden)
+    args = (0.45,) if check == "qybe" else ()
+    assert getattr(verify, check)(catalog.get(name), *args, samples=3, seed=1).passed
 
 
 @pytest.mark.parametrize("check,name,per_draw", [
@@ -743,7 +758,9 @@ def test_fifty_rejections_in_a_row_raise_at_the_same_draw(monkeypatch):
     batched = dataclasses.replace(lazy, evaluate_rows=lambda rows: [r(*a) for a in rows])
     good, bad = [0.3, 0.6, 0.2, 0.7], [0.3, 0.6, 0.2, 2.5]
     counts = []
-    for s in (batched, lazy):
+    # the two good draws wait in a block of 64 draws, or each is a block of its own
+    for s, block in ((batched, 64), (lazy, 64), (batched, 1)):
+        monkeypatch.setattr(verify, "block_draws", lambda n: block)
         script = [bad] * 100 + [good] * 2
         drawn = []
         monkeypatch.setattr(verify, "_sample",
@@ -752,7 +769,28 @@ def test_fifty_rejections_in_a_row_raise_at_the_same_draw(monkeypatch):
         with pytest.raises(verify.PoleSampleError, match="kept hitting poles"):
             verify.unitarity(s, samples=5, seed=0)
         counts.append((len(drawn), [len(ts) for ts in norms]))
-    assert counts[0] == counts[1] == (52, [2, 2] + [1] * 50)
+    assert counts == [(52, [2, 2] + [1] * 50)] * 3
+
+
+def _reported_pairs(monkeypatch):
+    """The (residual, point) pairs of every report, as _report gets them."""
+    seen, real = [], verify._report
+    monkeypatch.setattr(verify, "_report", lambda identity, solution, pairs, *rest:
+                        seen.append(list(pairs)) or real(identity, solution, pairs, *rest))
+    return seen
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("check", ["aybe", "aybe_dual", "unitarity"])
+def test_blocks_of_draws_give_the_per_draw_residuals(monkeypatch, n, check):
+    # the samples span several blocks below n = 4: 64 draws a block at n = 2, 5 at n = 3
+    sol = rmatrix.engine_solution("nodal", n, 1)
+    samples = {2: 70, 3: 12}.get(n, 3)
+    pairs = _reported_pairs(monkeypatch)
+    blocked = getattr(verify, check)(sol, samples=samples, seed=3)
+    monkeypatch.setattr(verify, "block_draws", lambda n: 1)
+    assert getattr(verify, check)(sol, samples=samples, seed=3) == blocked
+    assert pairs[0] == pairs[1] and len(pairs[0]) == samples
 
 
 def test_circle_payloads_agree_on_both_paths(monkeypatch):

@@ -6,6 +6,7 @@ of two sampled checks.
     python tests/time_engines.py                 # tables on stdout
     python tests/time_engines.py --json FILE     # the same numbers as JSON
     python tests/time_engines.py --check nodal dual   # one check's cost as JSON
+    python tests/time_engines.py --check nodal aybe --rank 8
 
 For the nodal and cuspidal engines at n = 2..8 (the degrees of perfbench's
 engine-aybe workload, (2, 1) at n = 2) and at n = 12 (engine-eval's rank-12
@@ -28,9 +29,12 @@ calls to one stack of six shows what a stack saves per row.  A sampled check
 stacks more: the rows of every draw it draws ahead (at most 50 draws, six
 rows each), rejected draws' later rows included.  So the script first runs two 50-sample
 rank-5 checks, `dual` on the nodal engine and `aybe` on the cuspidal one
-(rank 5 is `rmatrix._STACK_MAX_N`), each in a process of its own, and gives
-the check's thread time and the process's peak RSS (`ru_maxrss`).  It is not
-a pytest module.
+(rank 5 is `rmatrix._STACK_MAX_N`), each in a process of its own.  The
+process runs its check CHECK_REPEATS times and gives the thread time of the
+first run, the median thread time of the later ones (the first also pays the
+process's one-time costs) and the process's peak RSS (`ru_maxrss`) after
+them.  `--rank N` runs the `--check` at rank N
+instead, with the degree in DEGREES.  It is not a pytest module.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ DEGREES = {"nodal": {2: 1, 3: 1, 4: 1, 5: 2, 6: 1, 7: 3, 8: 3, 12: 5},
            "cusp": {2: 1, 3: 2, 4: 3, 5: 3, 6: 5, 7: 4, 8: 5, 12: 5}}
 STAGES = ("hom_assembly", "nullspace_svd", "qr", "res_solve")
 CHECKS = (("nodal", "dual"), ("cusp", "aybe"))   # 50 samples at rank 5
+CHECK_REPEATS = 5
 
 
 def _rows(kind: str, n: int, d: int, k: int = 6) -> list:
@@ -147,17 +152,20 @@ def measure(kind: str, n: int, repeats: int) -> dict:
             "stages_k6_ms": {s: ms(v) for s, v in stages[6].items()}}
 
 
-def check_cost(kind: str, identity: str) -> dict:
-    """Thread time of one 50-sample rank-5 check of `identity` on the `kind`
-    engine (seed 0) and the peak RSS of this process after it."""
-    n = rmatrix._STACK_MAX_N
+def check_cost(kind: str, identity: str, n: int = rmatrix._STACK_MAX_N) -> dict:
+    """Thread time of one 50-sample rank-n check of `identity` on the `kind`
+    engine (seed 0), run CHECK_REPEATS times: the first run and the median of
+    the later ones, and the peak RSS of this process after them."""
     sol = rmatrix.engine_solution(kind, n, DEGREES[kind][n])
     check = {"aybe": verify.aybe, "dual": verify.aybe_dual}[identity]
-    t0 = time.thread_time()
-    report = check(sol, samples=50)
-    ms = 1e3 * (time.thread_time() - t0)
+    runs = []
+    for _ in range(CHECK_REPEATS):
+        t0 = time.thread_time()
+        report = check(sol, samples=50)
+        runs.append(1e3 * (time.thread_time() - t0))
     return {"kind": kind, "identity": identity, "n": n, "d": DEGREES[kind][n],
-            "passed": report.passed, "thread_ms": round(ms, 2),
+            "passed": report.passed, "first_thread_ms": round(runs[0], 2),
+            "thread_ms": round(statistics.median(runs[1:]), 2),
             # ru_maxrss is in KiB on Linux
             "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
 
@@ -168,21 +176,24 @@ def main(argv=None) -> int:
     ap.add_argument("--json", metavar="FILE")
     ap.add_argument("--check", nargs=2, metavar=("KIND", "IDENTITY"),
                     help="run one CHECKS entry and print its cost as JSON")
+    ap.add_argument("--rank", type=int, default=rmatrix._STACK_MAX_N,
+                    help="the rank of the --check (one of DEGREES)")
     args = ap.parse_args(argv)
     if args.check:
-        print(json.dumps(check_cost(*args.check)))
+        print(json.dumps(check_cost(*args.check, args.rank)))
         return 0
     # the checks first, while this process is smallest: on Linux a child's
     # ru_maxrss starts from its parent's, through fork and exec
     checks = []
-    print(f"{'engine':6s} {'check':5s} {'n':>2s} {'d':>2s} {'thread ms':>10s} {'peak RSS MB':>12s}")
+    print(f"{'engine':6s} {'check':5s} {'n':>2s} {'d':>2s} {'first ms':>9s} {'thread ms':>10s} "
+          f"{'peak RSS MB':>12s}")
     for kind, identity in CHECKS:
         out = subprocess.run([sys.executable, __file__, "--check", kind, identity],
                              capture_output=True, text=True, check=True).stdout
         c = json.loads(out)
         checks.append(c)
-        print(f"{kind:6s} {identity:5s} {c['n']:2d} {c['d']:2d} {c['thread_ms']:10.1f} "
-              f"{c['peak_rss_mb']:12.1f}", flush=True)
+        print(f"{kind:6s} {identity:5s} {c['n']:2d} {c['d']:2d} {c['first_thread_ms']:9.1f} "
+              f"{c['thread_ms']:10.1f} {c['peak_rss_mb']:12.1f}", flush=True)
     results = []
     print(f"\n{'engine':6s} {'n':>2s} {'d':>2s} {'k=1':>8s} {'6 calls':>8s} {'stack 6':>8s} "
           f"{'ratio':>6s}  stages at k=1 / k=6 (ms): " + ", ".join(STAGES))
