@@ -3,7 +3,9 @@
 """Closed-form evaluators for the named r-matrix solutions.
 
 Each entry is an RSolution: an evaluatable family (spectral parameters) ->
-Tensor2 with a declared arity; its evaluator takes ARITY_PARAMS[arity]:
+Tensor2 with a declared arity; its evaluator takes ARITY_PARAMS[arity], and
+its evaluate_rows any number of such rows at once, of which the evaluator is
+the one-row case:
 
     "vdiff_ydiff"   r(v; y)        associative, difference in both slots
     "vdiff_y12"     r(v; y1, y2)   associative, difference in v only
@@ -18,8 +20,9 @@ construction engines.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -34,9 +37,9 @@ def _basis(t: Tensor2) -> np.ndarray:
 
 
 # Constant (2,2,2,2) coefficient arrays of the closed forms, built once with
-# the same tensor sums as the formulas spell them.  Each closed form is
-# scalar x array arithmetic on these, term by term in the formula's order,
-# and wraps the result in one Tensor2.
+# the same tensor sums as the formulas spell them.  A closed form computes
+# each row's scalar factors in Python, and _assemble multiplies these arrays
+# by them and sums the terms in the formula's order, for all rows at once.
 _S = Tensor2.simple
 _ID_ID = _basis(_S(ID2, ID2))
 _H_H, _SIGMA_SIGMA = _basis(_S(H, H)), _basis(_S(SIGMA, SIGMA))
@@ -65,6 +68,35 @@ def _ccos(z):
     return np.cos(complex(z))
 
 
+def _assemble(factors: list, formula: tuple) -> np.ndarray:
+    """The (k, 2, 2, 2, 2) coefficient stack of a closed form at k rows, from
+    each row's scalar factors f (k tuples) and formula = (basis_0, op_1,
+    basis_1, op_2, ...): basis_0 f[0] op_1 basis_1 f[1] ..., each op "+" or
+    "-", left to right.  Every element sees the one-row arithmetic of the
+    formula's order, so each row equals its one-row stack bit for bit."""
+    f = np.array(factors, dtype=complex).reshape(-1, len(formula) // 2 + 1).T
+    f = f[..., None, None, None, None]
+    out, term = formula[0] * f[0], None
+    for i in range(1, len(f)):
+        term = np.multiply(formula[2 * i], f[i], out=term)
+        (np.add if formula[2 * i - 1] == "+" else np.subtract)(out, term, out=out)
+    return out
+
+
+def _closed_form(factors: Callable, *formula) -> tuple:
+    """(one-row evaluator, evaluate_rows) of the closed form formula (see
+    _assemble) whose row factors are factors(*row), in the order of the
+    formula's bases.  The evaluator takes the signature of factors and is
+    the one-row case of the rows."""
+    def rows(rs):
+        return _assemble([factors(*r) for r in rs], formula)
+
+    @functools.wraps(factors)
+    def one(*row):
+        return Tensor2(2, rows([row])[0])
+    return one, rows
+
+
 @dataclass(frozen=True)
 class RSolution:
     name: str
@@ -72,11 +104,12 @@ class RSolution:
     n: int
     evaluator: Callable[..., Tensor2]
     params: dict = field(default_factory=dict)
-    # rows -> the terms evaluator(*row) of any number of parameter rows, in
-    # order; set for the glued engines up to rank 5 (rmatrix.engine_solution),
-    # which stack them, and for ell21 and ell21_classical, which take one
-    # theta pass over them; None: one evaluator call per row
-    evaluate_rows: Callable[[list], Iterable[Tensor2]] | None = None
+    # rows -> the (k, n, n, n, n) coefficient stack of the terms
+    # evaluator(*row) of k parameter rows, in order, equal to them bit for
+    # bit.  Set for every catalog entry, whose evaluator is its one-row case,
+    # and for the glued engines up to their stacking rank
+    # (rmatrix.engine_solution); None: one evaluator call per row
+    evaluate_rows: Callable[[list], np.ndarray] | None = None
 
     def __call__(self, *args) -> Tensor2:
         return self.evaluator(*args)
@@ -134,40 +167,38 @@ def as_two_point(sol: RSolution) -> Callable[[complex, complex], Tensor2]:
 def view(sol: RSolution, as_view: Callable) -> tuple:
     """(one, rows) of the view as_view (as_four_param, as_three_param or
     as_two_point) of sol: one = as_view(sol), the term at one row of the
-    view's parameters, and rows(list of rows), their terms in order.  rows
-    makes one sol.evaluate_rows call when sol has one, which may evaluate
-    every row before the first is read; otherwise one lazy call of one per
-    row."""
+    view's parameters, and rows(list of rows), the (k, n, n, n, n)
+    coefficient stack of their terms in order.  rows is one
+    sol.evaluate_rows call when sol has one, otherwise one call of one per
+    row, in order."""
     one = as_view(sol)
     to_args = _ROW_ARGS[as_view.__name__][sol.arity]
 
     def rows(rs):
         if sol.evaluate_rows is None:
-            return (one(*r) for r in rs)
+            return np.array([one(*r).coeffs for r in rs])
         return sol.evaluate_rows(rs if to_args is None else [to_args(*r) for r in rs])
     return one, rows
 
 
 # --- associative solutions ---------------------------------------------------
 
-def _ell21(rows, p: ThetaParams, t1p: complex) -> list:
-    """Coefficients of the elliptic rank-2 degree-1 solution at each (v, y)
-    of rows, normalized so res_v = (1/4) 1(x)1; t1p = theta_1'(0).  One
+def _ell21(rows, p: ThetaParams, t1p: complex) -> np.ndarray:
+    """Coefficient stack of the elliptic rank-2 degree-1 solution at the
+    (v, y) of rows, normalized so res_v = (1/4) 1(x)1; t1p = theta_1'(0).  One
     theta_j call per index takes every row's points.  A numerically zero
     theta denominator (theta_1(y), theta_j(v)) is a pole, raised at the first
     row that has one."""
     t1 = theta_j(1, [z for v, y in rows for z in (y + v, v, y)], p).tolist()
     tj = {j: theta_j(j, [z for v, y in rows for z in (y + v, v)], p).tolist()
           for j in (2, 3, 4)}
-    out = []
+    factors = []
     for i, (v, y) in enumerate(rows):
         pref = 0.25 * t1p / pole_guard(t1[3 * i + 2], "ell21", y=y)
-        coeffs = _ID_ID * (pref * (t1[3 * i] / pole_guard(t1[3 * i + 1], "ell21", v=v)))
-        for j, basis in ((2, _H_H), (3, _SIGMA_SIGMA), (4, _GAMMA_GAMMA)):
-            num, den = tj[j][2 * i:2 * i + 2]
-            coeffs = coeffs + basis * (pref * (num / pole_guard(den, "ell21", v=v)))
-        out.append(coeffs)
-    return out
+        factors.append([pref * (t1[3 * i] / pole_guard(t1[3 * i + 1], "ell21", v=v))]
+                       + [pref * (tj[j][2 * i] / pole_guard(tj[j][2 * i + 1], "ell21", v=v))
+                          for j in (2, 3, 4)])
+    return _assemble(factors, (_ID_ID, "+", _H_H, "+", _SIGMA_SIGMA, "+", _GAMMA_GAMMA))
 
 
 def elliptic_closed_form(x, y, p: ThetaParams) -> Tensor2:
@@ -177,94 +208,82 @@ def elliptic_closed_form(x, y, p: ThetaParams) -> Tensor2:
     return Tensor2(2, _ell21([(x / 2, y)], p, theta1_prime_at_0(p))[0] * 2)
 
 
-def _ell21_classical(ys, p: ThetaParams, at0: dict) -> list:
-    """The classical elliptic solution at each y of ys; at0[k] = theta_k(0)
-    for k = 2, 3, 4.  One theta_j call per index takes every point."""
+def _ell21_classical(ys, p: ThetaParams, at0: dict) -> np.ndarray:
+    """Coefficient stack of the classical elliptic solution at the y of ys;
+    at0[k] = theta_k(0) for k = 2, 3, 4.  One theta_j call per index takes
+    every point."""
     aty = {k: theta_j(k, ys, p).tolist() for k in (1, 2, 3, 4)}
-    out = []
+    factors = []
     for i, y in enumerate(ys):
         at = {k: t[i] for k, t in aty.items()}
         s = pole_guard(jacobi_quotient("sn", y, at0, at), "ell21_classical", y=y)
         c = jacobi_quotient("cn", y, at0, at)
-        coeffs = _H_H * (c / s) + _GAMMA_GAMMA * (1.0 / s)
-        coeffs = coeffs + _SIGMA_SIGMA * (jacobi_quotient("dn", y, at0, at) / s)
-        out.append(Tensor2(2, coeffs * 0.5))
-    return out
+        factors.append((c / s, 1.0 / s, jacobi_quotient("dn", y, at0, at) / s))
+    return _assemble(factors, (_H_H, "+", _GAMMA_GAMMA, "+", _SIGMA_SIGMA)) * 0.5
 
 
-def _trg21(v, y) -> Tensor2:
-    sv, sy = _csin(v), _csin(y)
-    out = _DIAG * (_csin(y + v) / (sy * sv))
-    out = out + _CROSS * (1.0 / sv)
-    out = out + _OFF * (1.0 / sy)
-    out = out + _E21_E21 * _csin(y + v)
-    return Tensor2(2, out)
+# Each closed form below gives its row's scalar factors, in the order of the
+# bases of the formula _closed_form pairs it with.
+
+def _trg21(v, y):
+    sv, sy, syv = _csin(v), _csin(y), _csin(y + v)
+    return syv / (sy * sv), 1.0 / sv, 1.0 / sy, syv
 
 
-def nodal21_multiplicative(lam, y1, y2) -> Tensor2:
+def _nodal21_multiplicative(lam, y1, y2):
     """Rank-2 degree-1 nodal solution before the sqrt-y gauge, lam = lam2/lam1."""
     lam, y1, y2 = complex(lam), complex(y1), complex(y2)
     dy = y2 - y1
     a = (y2 - lam**2 * y1) / (dy * (1 - lam**2))
-    out = _DIAG * a
-    out = out + _CROSS * (lam / (1 - lam**2))
-    out = out + _E21_E12 * (y1 / dy) + _E12_E21 * (y2 / dy)
-    out = out + _E21_E21 * ((y2 - lam**2 * y1) / lam)
-    return Tensor2(2, out)
+    return a, lam / (1 - lam**2), y1 / dy, y2 / dy, (y2 - lam**2 * y1) / lam
 
 
-def semistable20_multiplicative(lam, y) -> Tensor2:
+def _semistable20_multiplicative(lam, y):
     """Rank-2 degree-0 semistable nodal solution, lam = lam2/lam1, y = y2/y1."""
     lam, y = complex(lam), complex(y)
     a = (y - lam) / ((y - 1) * (1 - lam))
-    out = _DIAG_OFF * a
-    out = out + _E12H_HE12 * (lam / (1 - lam) ** 2)
-    out = out - _E12_E12 * (lam * (1 + lam) / (1 - lam) ** 3)
-    return Tensor2(2, out)
+    return a, lam / (1 - lam) ** 2, lam * (1 + lam) / (1 - lam) ** 3
 
 
-def _cherednik(y) -> Tensor2:
+def _cherednik(y):
     sy = _csin(y)
-    return Tensor2(2, _H_H * (0.5 * _ccos(y) / sy) + _OFF * (1.0 / sy) + _E21_E21 * sy)
+    return 0.5 * _ccos(y) / sy, 1.0 / sy, sy
 
 
-def _rat21(v, y1, y2) -> Tensor2:
+def _rat21(v, y1, y2):
     lam, y1, y2 = complex(v), complex(y1), complex(y2)
-    dy = y2 - y1
-    out = _ID_ID * (1 / (2 * lam))
-    out = out + _DIAG_OFF * (1 / dy)
-    out = out + _E21_H * ((lam - y1) / 2)
-    out = out + _H_E21 * ((lam + y2) / 2)
-    out = out - _E21_E21 * (lam * (lam - y1) * (lam + y2) / 2)
-    return Tensor2(2, out)
+    return (1 / (2 * lam), 1 / (y2 - y1), (lam - y1) / 2, (lam + y2) / 2,
+            lam * (lam - y1) * (lam + y2) / 2)
 
 
-def _stolin(y1, y2) -> Tensor2:
+def _stolin(y1, y2):
     y1, y2 = complex(y1), complex(y2)
-    dy = y2 - y1
-    return Tensor2(2, _CASIMIR * (1 / dy) + _H_E21 * (y2 / 2) - _E21_H * (y1 / 2))
+    return 1 / (y2 - y1), y2 / 2, y1 / 2
 
 
-def _stolin_difference(y) -> Tensor2:
+def _stolin_difference(y):
     y = complex(y)
-    return Tensor2(2, _CASIMIR * (1 / y) + _E21H_HE21 * y - _E21_E21 * y**3)
+    return 1 / y, y, y**3
 
 
-def _yang(y) -> Tensor2:
-    return Tensor2(2, _CASIMIR * (1 / complex(y)))
+def _yang(y):
+    return (1 / complex(y),)
 
 
-def _rat21_degenerate(v, y) -> Tensor2:
+def _rat21_degenerate(v, y):
     v, y = complex(v), complex(y)
-    return Tensor2(2, _ID_ID * (1 / (2 * v)) + _DIAG_OFF * (1 / y))
+    return 1 / (2 * v), 1 / y
 
 
-def _trg20(v, y) -> Tensor2:
+def _trg20(v, y):
     sv, sy = _csin(v), _csin(y)
-    out = _DIAG_OFF * (_csin(y + v) / (2 * sy * sv))
-    out = out + _E12H_HE12 * (1 / (2 * sv**2))
-    out = out - _E12_E12 * (_ccos(v) / sv**3)
-    return Tensor2(2, out)
+    return _csin(y + v) / (2 * sy * sv), 1 / (2 * sv**2), _ccos(v) / sv**3
+
+
+nodal21_multiplicative = _closed_form(
+    _nodal21_multiplicative, _DIAG, "+", _CROSS, "+", _E21_E12, "+", _E12_E21, "+", _E21_E21)[0]
+semistable20_multiplicative = _closed_form(
+    _semistable20_multiplicative, _DIAG_OFF, "+", _E12H_HE12, "-", _E12_E12)[0]
 
 
 # --- gauge used to bring Stolin's solution to difference form ---------------
@@ -327,39 +346,46 @@ NAMES = (
     "cherednik", "stolin", "stolin_difference_s", "yang", "rat21_degenerate",
 )
 
-# name -> (arity, evaluator) of the rank-2 entries that take no tau, with
-# each entry's pole locus
+# name -> (arity, (evaluator, evaluate_rows)) of the rank-2 entries that take
+# no tau, with each entry's pole locus
 _FIXED = {
-    "trg21": ("vdiff_ydiff", _trg21),                         # v, y = 0 mod pi
-    "cherednik": ("cl_ydiff", _cherednik),                    # y = 0 mod pi
-    "rat21": ("vdiff_y12", _rat21),                           # v = 0, y1 = y2
-    "stolin": ("cl_y12", _stolin),                            # y1 = y2
-    "stolin_difference_s": ("cl_ydiff", _stolin_difference),  # y = 0
-    "yang": ("cl_ydiff", _yang),                              # y = 0
-    "rat21_degenerate": ("vdiff_ydiff", _rat21_degenerate),   # v = 0, y = 0
-    "trg20_semistable": ("vdiff_ydiff", _trg20),  # v, y = 0 mod pi; order 3 in v
+    "trg21": ("vdiff_ydiff", _closed_form(                # v, y = 0 mod pi
+        _trg21, _DIAG, "+", _CROSS, "+", _OFF, "+", _E21_E21)),
+    "cherednik": ("cl_ydiff", _closed_form(               # y = 0 mod pi
+        _cherednik, _H_H, "+", _OFF, "+", _E21_E21)),
+    "rat21": ("vdiff_y12", _closed_form(                  # v = 0, y1 = y2
+        _rat21, _ID_ID, "+", _DIAG_OFF, "+", _E21_H, "+", _H_E21, "-", _E21_E21)),
+    "stolin": ("cl_y12", _closed_form(                    # y1 = y2
+        _stolin, _CASIMIR, "+", _H_E21, "-", _E21_H)),
+    "stolin_difference_s": ("cl_ydiff", _closed_form(     # y = 0
+        _stolin_difference, _CASIMIR, "+", _E21H_HE21, "-", _E21_E21)),
+    "yang": ("cl_ydiff", _closed_form(_yang, _CASIMIR)),  # y = 0
+    "rat21_degenerate": ("vdiff_ydiff", _closed_form(     # v = 0, y = 0
+        _rat21_degenerate, _ID_ID, "+", _DIAG_OFF)),
+    "trg20_semistable": ("vdiff_ydiff", _closed_form(     # v, y = 0 mod pi; order 3 in v
+        _trg20, _DIAG_OFF, "+", _E12H_HE12, "-", _E12_E12)),
 }
 
 
 def get(name: str, tau: complex = DEFAULT_TAU) -> RSolution:
-    """Look up a named solution.  tau only matters for the elliptic entries."""
-    # the elliptic entries evaluate one row as the one-row case of their rows
+    """Look up a named solution.  tau only matters for the elliptic entries.
+    Every entry's evaluator is the one-row case of its evaluate_rows."""
     if name == "ell21":      # poles at v = 0, y = 0 (mod lattice)
         p = ThetaParams(tau)
         t1p = theta1_prime_at_0(p)
-        rows = lambda rs: [Tensor2(2, c) for c in _ell21(rs, p, t1p)]
-        return RSolution(name, "vdiff_ydiff", 2, lambda v, y: rows([(v, y)])[0],
+        rows = lambda rs: _ell21(rs, p, t1p)
+        return RSolution(name, "vdiff_ydiff", 2, lambda v, y: Tensor2(2, rows([(v, y)])[0]),
                          params={"tau": tau}, evaluate_rows=rows)
     if name == "ell21_classical":      # pole at y = 0 (mod lattice)
         p = ThetaParams(tau)
         at0 = {k: theta_j(k, 0, p) for k in (2, 3, 4)}
         rows = lambda rs: _ell21_classical([y for y, in rs], p, at0)
-        return RSolution(name, "cl_ydiff", 2, lambda y: rows([(y,)])[0],
+        return RSolution(name, "cl_ydiff", 2, lambda y: Tensor2(2, rows([(y,)])[0]),
                          params={"tau": tau}, evaluate_rows=rows)
     if name not in _FIXED:
         raise KeyError(f"unknown solution name {name!r}; known: {', '.join(NAMES)}")
-    arity, evaluator = _FIXED[name]
-    return RSolution(name, arity, 2, evaluator)
+    arity, (evaluator, rows) = _FIXED[name]
+    return RSolution(name, arity, 2, evaluator, evaluate_rows=rows)
 
 
 def classical_of(name: str, tau: complex = DEFAULT_TAU) -> RSolution:

@@ -209,8 +209,9 @@ def _frobenius_sq(a: np.ndarray) -> np.ndarray:
 
 
 def _compose_ev_res(res_vals: np.ndarray, ev_vals: np.ndarray,
-                    blocks: np.ndarray = None) -> list:
-    """Tensors of ev o res^{-1}, one per stack row, from per-basis
+                    blocks: np.ndarray = None) -> np.ndarray:
+    """The (k, n, n, n, n) coefficient stack of ev o res^{-1}, one tensor per
+    stack row, from per-basis
     residue/evaluation matrices of shape (k, dim, n, n).  With blocks, an
     (nb, m) array of flat entries i n + j, the shape is (k, nb, m, m): block
     b holds m basis elements and their values at the entries blocks[b],
@@ -255,13 +256,14 @@ def _compose_ev_res(res_vals: np.ndarray, ev_vals: np.ndarray,
         lin = full
     action = lin.reshape(k, n * n, n * n).swapaxes(-1, -2).reshape(k, n, n, n, n)  # [s, a, b, k, l]
     # trace pairing: e_{ab} -> alpha e_{kl} is alpha e_{ba} (x) e_{kl}
-    return [Tensor2(n, action[s].transpose(1, 0, 2, 3)) for s in range(k)]
+    return action.transpose(0, 2, 1, 3, 4)
 
 
 def _glued_engine(deg: np.ndarray, m_src: np.ndarray, m_dst: np.ndarray,
                   cuspidal: bool, y1: np.ndarray, y2: np.ndarray,
-                  orbits: np.ndarray = None) -> list:
-    """ev o res^{-1} on the glued Hom space of each stack row: the residue at
+                  orbits: np.ndarray = None) -> np.ndarray:
+    """ev o res^{-1} on the glued Hom space of each stack row, a coefficient
+    stack (_compose_ev_res): the residue at
     y1 is taken against dz on the cuspidal curve and dz/z on the nodal one,
     the evaluation at y2 against 1/(y2 - y1); y1 and y2 have shape (k,).
     orbits (_nodal_orbits) solves a nodal constraint orbit by orbit."""
@@ -309,8 +311,9 @@ def _require_finite_det(n: int, *scales):
                           f"(power {n}) overflows") from None
 
 
-def _nodal_rows(n: int, d: int, rows) -> list:
-    """engine_nodal at every parameter row (lam1, lam2, y1, y2) of rows."""
+def _nodal_rows(n: int, d: int, rows) -> np.ndarray:
+    """The coefficient stack of engine_nodal at the parameter rows
+    (lam1, lam2, y1, y2) of rows."""
     _require_coprime(n, d)
     for lam1, lam2, y1, y2 in rows:
         if lam1 == 0 or lam2 == 0 or y1 == 0 or y2 == 0:
@@ -335,14 +338,15 @@ def engine_nodal(n: int, d: int, lam1: complex, lam2: complex,
     Depends on lam2/lam1 only; the gluing data is the Jacobian-compatible
     family with every nonzero canonical entry equal to lam.
     """
-    return _nodal_rows(n, d, [(lam1, lam2, y1, y2)])[0]
+    return Tensor2(n, _nodal_rows(n, d, [(lam1, lam2, y1, y2)])[0])
 
 
 _J2 = bundles.atiyah_nodal(2).m0  # J_2(1), gluing matrix of the Atiyah bundle
 
 
-def _semistable_rows(rows) -> list:
-    """engine_semistable_nodal_20 at every parameter row of rows."""
+def _semistable_rows(rows) -> np.ndarray:
+    """The coefficient stack of engine_semistable_nodal_20 at the parameter
+    rows of rows."""
     for lam1, lam2, y1, y2 in rows:
         if lam1 == 0 or lam2 == 0 or y1 == 0 or y2 == 0:
             raise EngineError("nodal parameters must be nonzero")
@@ -365,11 +369,12 @@ def engine_semistable_nodal_20(lam1: complex, lam2: complex,
     """r-matrix of the rank-2 degree-0 semistable family m(0) = lam J_2(1)
     on the nodal cubic; all polynomial blocks have degree one.  Pole of
     order three in the moduli direction at lam1 = lam2."""
-    return _semistable_rows([(lam1, lam2, y1, y2)])[0]
+    return Tensor2(2, _semistable_rows([(lam1, lam2, y1, y2)])[0])
 
 
-def _cusp_rows(n: int, d: int, rows) -> list:
-    """engine_cusp at every parameter row (lam1, lam2, y1, y2) of rows."""
+def _cusp_rows(n: int, d: int, rows) -> np.ndarray:
+    """The coefficient stack of engine_cusp at the parameter rows
+    (lam1, lam2, y1, y2) of rows."""
     _require_coprime(n, d)
     for lam1, lam2, y1, y2 in rows:
         if y1 == y2:
@@ -396,7 +401,7 @@ def engine_cusp(n: int, d: int, lam1: complex, lam2: complex,
     The gluing family is 1 + eps(lam I + Z) with Z the off-diagonal canonical
     pattern; twisting by O(y1) shifts the target matrix by -y1.
     """
-    return _cusp_rows(n, d, [(lam1, lam2, y1, y2)])[0]
+    return Tensor2(n, _cusp_rows(n, d, [(lam1, lam2, y1, y2)])[0])
 
 
 # --- elliptic engine ---------------------------------------------------------
@@ -449,7 +454,7 @@ def engine_elliptic_21(tau: complex, x1: complex, x2: complex,
     res_vals = np.stack([basis_mat(b, y1) for b in range(4)]) / theta3p
     ev_vals = np.stack([basis_mat(b, y2) for b in range(4)]) / ev_den
 
-    (raw,) = _compose_ev_res(res_vals[None], ev_vals[None])
+    raw = Tensor2(2, _compose_ev_res(res_vals[None], ev_vals[None])[0])
 
     g1 = np.diag([e(y1 / 2), e(-tau / 4)])
     g2 = np.diag([e(y2 / 2), e(-tau / 4)])
@@ -495,18 +500,21 @@ def apply_gauge(sol: RSolution, phi) -> RSolution:
 
 # --- engine outputs as solutions --------------------------------------------
 
-# Up to this rank an engine solution evaluates parameter rows as one stack
-# (its evaluate_rows): one SVD, QR and solve call for all of them, where a
-# one-row call is mostly fixed overhead.  A sampled check hands it the rows
-# of every draw it draws ahead, rejected draws' later rows included.  Above
-# the cutoff evaluate_rows is None and the rows are one-row calls, evaluated
-# lazily: there 42-57% of the draws are rejected by NORM_CAP, most at their
-# first term, and the lazy path never evaluates the later ones.  Six stacked
-# cuspidal rows are 3.7x faster than six one-row calls at n = 3, 2.2x at
-# n = 5, 1.8x at n = 6 and even at n = 8; the nodal orbit blocks keep
-# stacking ahead for longer (3.1x at n = 6, 2.4x at n = 8)
-# (tests/time_engines.py).  One cutoff serves both engines.
-_STACK_MAX_N = 5
+# engine -> the rank up to which its solution evaluates parameter rows as one
+# stack (its evaluate_rows): one SVD, QR and solve call for all of them,
+# where a one-row call is mostly fixed overhead.  A sampled check hands it
+# the rows of every draw it draws ahead, rejected draws' later rows
+# included.  Above the cutoff evaluate_rows is None and the rows are one-row
+# calls, evaluated lazily: there 42-57% of the draws are rejected by
+# NORM_CAP, most at their first term, and the lazy path never evaluates the
+# later ones.  Six stacked rows against six one-row calls
+# (tests/time_engines.py): cuspidal 3.7x at n = 3, 2.2x at n = 5, 1.8x at
+# n = 6 and even at n = 8; the nodal orbit blocks 3.1x at n = 6 and 2.4x at
+# n = 8.  On engine-aybe (ranks 3-8; 3 paired 10 s perfbench runs) a nodal
+# cutoff of 8 took ops_per_s from 443/454/438 to 477/488/488 with op_ms.tail
+# level at 7.2-7.6 ms, while 8 for both engines gave 369-403 ops/s and a
+# 9.4-10.5 ms tail: the wasted rows of rejected draws outweigh the stack.
+_STACK_MAX_N = {"nodal": 8, "cuspidal": 5, "nodal-semistable": 5}
 
 
 def engine_solution(kind: str, n: int = 2, d: int = 1,
@@ -517,27 +525,25 @@ def engine_solution(kind: str, n: int = 2, d: int = 1,
     or "nodal-semistable".  The residue functional's differential form is
     baked per curve type: dz/z on the nodal curve (prefactor 1/y1), dz on the
     cuspidal curve, dz on the torus (theta-normalized).  The glued engines
-    evaluate parameter rows together up to rank _STACK_MAX_N (evaluate_rows)."""
+    evaluate parameter rows together up to their rank in _STACK_MAX_N
+    (evaluate_rows)."""
     if kind == "elliptic":
         if (n, d) != (2, 1):
             raise EngineError("elliptic engine implemented for (n, d) = (2, 1)")
         ev = lambda v1, v2, y1, y2: engine_elliptic_21(tau, v1, v2, y1, y2)
-        stacked = None
-        name = f"engine-elliptic({n},{d})"
+        stacked, curve = None, "elliptic"
     elif kind == "nodal":
         ev = lambda v1, v2, y1, y2: engine_nodal(n, d, v1, v2, y1, y2)
-        stacked = lambda rows: _nodal_rows(n, d, rows)
-        name = f"engine-nodal({n},{d})"
+        stacked, curve = (lambda rows: _nodal_rows(n, d, rows)), "nodal"
     elif kind in ("cusp", "cuspidal"):
         ev = lambda v1, v2, y1, y2: engine_cusp(n, d, v1, v2, y1, y2)
-        stacked = lambda rows: _cusp_rows(n, d, rows)
-        name = f"engine-cuspidal({n},{d})"
+        stacked, curve = (lambda rows: _cusp_rows(n, d, rows)), "cuspidal"
     elif kind == "nodal-semistable":
         n, d = 2, 0
         ev = lambda v1, v2, y1, y2: engine_semistable_nodal_20(v1, v2, y1, y2)
-        stacked = _semistable_rows
-        name = "engine-nodal-semistable(2,0)"
+        stacked, curve = _semistable_rows, "nodal-semistable"
     else:
         raise ValueError(f"unknown engine kind {kind!r}")
-    return RSolution(name, "v12_y12", n, ev, params={"kind": kind, "n": n, "d": d},
-                     evaluate_rows=stacked if n <= _STACK_MAX_N else None)
+    return RSolution(f"engine-{curve}({n},{d})", "v12_y12", n, ev,
+                     params={"kind": kind, "n": n, "d": d},
+                     evaluate_rows=stacked if n <= _STACK_MAX_N.get(curve, 0) else None)

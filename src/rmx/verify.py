@@ -51,12 +51,35 @@ class PoleSampleError(RuntimeError):
     """Sampling repeatedly hit (near-)poles of the solution."""
 
 
-def _sample(rng: np.random.Generator, k: int) -> np.ndarray:
-    """k generic complex numbers in the ring 0.25 <= |z| <= 1.1, pairwise at
-    least 0.05 apart (at most 200 tries)."""
+# Tries a check draws from its generator at a time (_tries): about the tries
+# of a 20-sample check; a try's radii and angles are drawn from the ring's
+# (low, high) bounds
+TRIES_AHEAD = 32
+_RING_LOW, _RING_HIGH = np.array([[0.25], [0.0]]), np.array([[1.1], [2 * np.pi]])
+
+
+def _tries(rng: np.random.Generator, k: int):
+    """_sample's tries for k points, endless, drawn TRIES_AHEAD at a time:
+    (points, ok), points from k radii, then k angles, of rng, and ok that
+    they are pairwise at least 0.05 apart.  Each try equals a try drawn on
+    its own (tests/oracles.py, sample_sequential) bit for bit: rng gives the
+    same values in the same order, and np.hypot is the scalar abs of a
+    complex, from which np.abs of a complex array may differ in the last bit."""
+    same = np.eye(k, dtype=bool)
+    while True:
+        u = rng.uniform(_RING_LOW, _RING_HIGH, (TRIES_AHEAD, 2, k))
+        pts = u[:, 0] * np.exp(1j * u[:, 1])
+        d = pts[:, :, None] - pts[:, None, :]  # |a - b| = |b - a| exactly
+        ok = ((np.hypot(d.real, d.imag) >= 5e-2) | same).all(axis=(1, 2))
+        yield from zip(pts, ok.tolist())
+
+
+def _sample(tries) -> np.ndarray:
+    """The points of the first good try of tries (_tries), at most 200
+    tries."""
     for _ in range(200):
-        pts = rng.uniform(0.25, 1.1, k) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, k))
-        if all(abs(a - b) >= 5e-2 for a, b in combinations(pts, 2)):
+        pts, ok = next(tries)
+        if ok:
             return pts
     raise PoleSampleError("could not draw distinct sample points")
 
@@ -115,40 +138,50 @@ def _report(identity: str, solution: str, pairs: list, tol: float,
 def _accepted_draws(draw: Callable, terms: Callable, samples: int,
                     batch: Callable | None = None):
     """The one draw-and-reject loop of the sampled checks: yields `samples`
-    accepted (points, terms), points = draw() and terms the list of the terms
-    that terms(*points) gives in order.  A draw is rejected at its first term
-    with a norm at NORM_CAP or above (or NaN); a sample gets 50 draws, then
-    PoleSampleError.
+    accepted (points, terms), points = draw() and terms the coefficient
+    arrays of its terms in order (an (m, n, n, n, n) stack or a list of m
+    arrays).  A draw is rejected at its first term with a norm
+    (max |coefficient|) at NORM_CAP or above (or NaN); _admissible is called
+    once per walked draw with its norms up to that term.  A sample gets 50
+    draws, then PoleSampleError.
 
     The loop draws ahead the draws it will certainly walk, min(samples still
     to accept, draws left before the 50th rejection in a row), and hands
-    them to batch(list of points), which gives each draw's terms in order
-    (by default terms(*points), lazily, when the walk reaches the draw).  It
-    walks them in order.  A rejected draw's terms after its first over-cap
-    one are never read: lazily evaluated terms are never evaluated, while a
-    batch may have them at hand already.  A batch that raises PoleError,
-    ValueError or EngineError is replayed from its first draw through
-    terms(), so every draw is rejected, or raises, at the same term as it
-    would one term at a time.  The draws of a batch are drawn before its
-    first draw is walked, so a draw() that raises (_sample does after 200
-    failed tries) raises before the earlier draws of its batch are walked."""
-    if batch is None:
-        batch = lambda draws: (terms(*pts) for pts in draws)
+    them to batch(list of points), which gives the (draws, m, n, n, n, n)
+    coefficient stack of their terms; the norms of the whole batch are one
+    reduction.  Without a batch, terms(*points) yields a draw's coefficient
+    arrays lazily, when the walk reaches the draw, and its terms after the
+    first over-cap one are never evaluated; a batch has them at hand already.
+    A batch that raises ArithmeticError (PoleError among them), ValueError
+    or EngineError is replayed from its first draw through terms(), so every
+    draw is rejected, or raises, at the same term as it would one term at a
+    time.  The draws of a batch are drawn before its first draw is walked,
+    so a draw() that raises (_sample does after 200 failed tries) raises
+    before the earlier draws of its batch are walked."""
     accepted = rejected = 0
     while accepted < samples:
         draws = [draw() for _ in range(min(samples - accepted, 50 - rejected))]
-        try:
-            per_draw = batch(draws)
-        except (PoleError, ValueError, EngineError):
-            per_draw = (terms(*pts) for pts in draws)
-        for pts, draw_terms in zip(draws, per_draw):
-            ts, norms = [], []
-            for t in draw_terms:
-                ts.append(t)
-                norms.append(t.norm())
-                if not norms[-1] < NORM_CAP:
-                    break
-            if _admissible(*norms):
+        stack = None
+        if batch is not None:
+            try:
+                stack = batch(draws)
+            except (ArithmeticError, ValueError, EngineError):
+                pass
+        if stack is not None:
+            norms = np.abs(stack).max(axis=(2, 3, 4, 5)).tolist()
+        for i, pts in enumerate(draws):
+            if stack is not None:
+                ts, row = stack[i], norms[i]
+                cut = next((j for j, x in enumerate(row) if not x < NORM_CAP), len(row))
+                row = row[:cut + 1]
+            else:
+                ts, row = [], []
+                for c in terms(*pts):
+                    ts.append(c)
+                    row.append(float(np.abs(c).max()))
+                    if not row[-1] < NORM_CAP:
+                        break
+            if _admissible(*row):
                 accepted, rejected = accepted + 1, 0
                 yield pts, ts
             else:
@@ -165,30 +198,30 @@ def _sampled_residual(identity: str, sol: RSolution, k: int, sol_view: tuple,
     _accepted_draws).  sol_view = (one, rows) is a view of sol
     (catalog.view), and the terms of points are those of the rows
     args(*points), in order.  When sol has evaluate_rows, the rows of all the
-    draws the loop draws ahead go through one rows() call, which the loop
-    replays one row at a time if it is refused; otherwise each row is one
-    lazy call.
+    draws the loop draws ahead go through one rows() call, one coefficient
+    stack, which the loop replays one row at a time if it is refused;
+    otherwise each row is one lazy call.
 
     Accepted draws are held up to one block of leg_residual_norm
-    (tensorcore.block_draws(sol.n) draws); residual(*stacks) takes the
-    block's i-th terms as the i-th coefficient stack, draw axis first, and
-    gives one float per draw.  Then the block's terms are dropped."""
+    (tensorcore.block_draws(sol.n) draws) and stacked slot-major in one
+    copy; residual(*stacks) takes the block's i-th terms as the i-th
+    coefficient stack, C-contiguous, draw axis first, and gives one float
+    per draw.  Then the block's terms are dropped."""
     one, rows = sol_view
-    rng = np.random.default_rng(seed)
+    tries = _tries(np.random.default_rng(seed), k)
     batch = None
     if sol.evaluate_rows is not None:
         def batch(draws):
-            ts = list(rows([a for pts in draws for a in args(*pts)]))
-            m = len(ts) // len(draws)   # every draw has as many rows
-            return [ts[i:i + m] for i in range(0, len(ts), m)]
+            stack = rows([a for pts in draws for a in args(*pts)])
+            return stack.reshape(len(draws), -1, *stack.shape[1:])
     pairs, block, size = [], [], block_draws(sol.n)
 
     def flush():
-        stacks = [np.array([t.coeffs for t in terms]) for terms in zip(*(ts for _, ts in block))]
+        stacks = np.stack([ts for _, ts in block], axis=1)
         pairs.extend(zip(residual(*stacks), (pts for pts, _ in block)))
         block.clear()
-    for pts, ts in _accepted_draws(lambda: _sample(rng, k),
-                                   lambda *pts: (one(*a) for a in args(*pts)),
+    for pts, ts in _accepted_draws(lambda: _sample(tries),
+                                   lambda *pts: (one(*a).coeffs for a in args(*pts)),
                                    samples, batch):
         block.append((tuple(pts), ts))
         if len(block) == size:
@@ -280,8 +313,8 @@ def classical_limit_values(sol: RSolution, y_pairs: Sequence[tuple]) -> list:
     _, rows = view(sol, as_three_param)
     out = []
     for (y1, y2) in y_pairs:
-        vals = [project_sl(t).coeffs
-                for t in rows([(LIMIT_V0 / 2**k, y1, y2) for k in range(LIMIT_LEVELS)])]
+        vals = [project_sl(Tensor2(sol.n, c)).coeffs
+                for c in rows([(LIMIT_V0 / 2**k, y1, y2) for k in range(LIMIT_LEVELS)])]
         norms = [np.max(np.abs(v)) for v in vals]
         if norms[-1] > 4.0 * norms[0] and norms[-1] > 1e3:
             raise DivergenceError(
@@ -320,7 +353,7 @@ def laurent_v(sol: RSolution, y1: complex, y2: complex,
     """Laurent coefficients of orders LAURENT_ORDERS of r(v; y1, y2) around
     v = 0 by circle sampling and discrete Fourier inversion."""
     _, rows = view(sol, as_three_param)
-    vals = np.stack([t.coeffs for t in rows([(v, y1, y2) for v in radius * _UNIT_CIRCLE])])
+    vals = rows([(v, y1, y2) for v in radius * _UNIT_CIRCLE])
     return {m: Tensor2(sol.n, np.tensordot(np.exp(-1j * m * _ANGLES) / CIRCLE_POINTS,
                                            vals, axes=(0, 0)) / radius**m)
             for m in LAURENT_ORDERS}
@@ -355,7 +388,7 @@ def casimir_residue(sol: RSolution) -> tuple:
     _, rows = view(sol, as_two_point)
     # res = (1/2pi i) contour integral = mean of f(y) * y over the circle
     ys = CIRCLE_RADIUS * _UNIT_CIRCLE
-    vals = np.stack([t.coeffs * y for t, y in zip(rows([(0.0, y) for y in ys]), ys)])
+    vals = rows([(0.0, y) for y in ys]) * ys[:, None, None, None, None]
     return _line_fit(Tensor2(sol.n, vals.mean(axis=0)), casimir(sol.n))
 
 
@@ -431,13 +464,17 @@ def dunkl_commutator(sol: RSolution, kappa: complex = 1.0, testfn: Callable = No
     array operations on _dunkl_stencil's stencils, the same to the bit as one
     point at a time.  Derivatives use central differences (second-order
     accurate); kappa = 0 takes none.  testfn is evaluated once per distinct
-    point of a call, r^{ij}(x) once per distinct (i, j, x).
+    point of a call, r^{ij}(x) once per distinct (i, j, x): a draw's
+    distinct terms, the guard's and the stencil's, are one evaluate_rows
+    call (catalog.view) when the walk reaches the draw, and the stencil
+    gathers its Kronecker matrices from them.  Without rows, or where they
+    raise, each term is one evaluator call, in the order of the walk.
     """
     tol = default_tol("dunkl", kappa) if tol is None else tol
     rng = np.random.default_rng(seed)
     n, m, N = sol.n, DUNKL_LEGS, sol.n**DUNKL_LEGS
     steps, others, A, B, perm1, step1, src, step0, idx0, idx1 = _DUNKL_STENCILS[kappa != 0]
-    rfun = as_three_param(sol)
+    rfun, rows = view(sol, as_three_param)
     values = {}  # point -> testfn there, once per call
     if testfn is None:
         # generic matrix-valued polynomial test function, at the points of a
@@ -459,39 +496,70 @@ def dunkl_commutator(sol: RSolution, kappa: complex = 1.0, testfn: Callable = No
     ids = Tensor2(n, np.arange(1, n**4 + 1).reshape((n,) * 4))
     scatter = np.array([[embed(ids, (a, k), m).real.astype(int).ravel() - 1 for k in ks]
                         for a, ks in enumerate(others)])
-    cache = {}  # (i, j, x_i - x_j) -> r^{ij}, once per call
+    cache = {}  # (i, j, x) -> r^{ij}(x), once per call
 
     def term(i, j, x):
         if (i, j, x) not in cache:
-            cache[i, j, x] = rfun(x, DUNKL_YS[i], DUNKL_YS[j])
+            cache[i, j, x] = rfun(x, DUNKL_YS[i], DUNKL_YS[j]).coeffs
         return cache[i, j, x]
 
-    def theta(legs, pts, vals, idx):
-        # theta_legs g at pts (..., m); vals[idx[..., u]] is g at their u-th stencil points
+    def stencil_terms(legs, pts):
+        # theta_legs at pts (..., m) reads r^{ak}(p_a - p_k) at each point p,
+        # k = others[a]: (a per point, the (a, k, x) in order, pts.shape[:-1])
+        legs = np.broadcast_to(legs, pts.shape[:-1]).ravel()
+        flat, ks, i = pts.reshape(-1, m), others[legs], np.arange(len(legs))[:, None]
+        diffs = flat[i, legs[:, None]] - flat[i, ks]
+        return legs, [(a, k, x) for a, kr, xr in zip(legs.tolist(), ks.tolist(), diffs)
+                      for k, x in zip(kr, xr)], pts.shape[:-1]
+
+    def theta(vals, idx, r):
+        # theta g at a stencil: vals[idx[..., u]] is g at the u-th stencil
+        # points, r[..., t, :, :] the Kronecker matrix of the t-th r-term
         g = [vals[idx[..., u]] for u in range(idx.shape[-1])]
         out = np.zeros(g[0].shape, dtype=complex)
         if kappa != 0:
             # central differences with one Richardson refinement
             d = [(g[u] - g[u + 1]) / (2 * steps[u]) for u in (0, 2)]
             out = out + kappa * (4 * d[0] - d[1]) / 3
-        legs = np.broadcast_to(legs, pts.shape[:-1]).ravel()
-        pts, ks = pts.reshape(-1, m), others[legs]
-        rows = np.arange(len(legs))[:, None]
-        diffs = pts[rows, legs[:, None]] - pts[rows, ks]
-        coeffs = np.zeros((diffs.size, n**4 + 1), dtype=complex)
-        coeffs[:, :-1] = [term(a, k, x).coeffs.ravel() for a, kr, xr in
-                          zip(legs.tolist(), ks.tolist(), diffs) for k, x in zip(kr, xr)]
-        r = coeffs[np.arange(diffs.size)[:, None], scatter[legs].reshape(-1, N * N)]
-        r = r.reshape(out.shape[:-2] + (m - 1, N, N))
         for t in range(m - 1):
             # stacked matmul of N x N matrices equals the one-matrix @ bit for bit
             out = out + r[..., t, :, :] @ g[len(steps) + t]
         return out
 
-    def commutators(xs):
+    walked = {}  # the points of the draw walked last -> (x, stencils, distinct terms)
+
+    def guard_terms(*xs):
+        # the draw's distinct terms, the guard's six first, go to the cache in
+        # one rows call; without rows, or where they raise, term evaluates one
+        # row at a time, so the guard and the stencil evaluate and raise as
+        # that would
         x = np.array(xs)  # x + 0.0 == x below
-        inner = theta(B[:, None], x[perm1] + step1, f(x[src] + step0), idx0)
-        outer = theta(A, np.broadcast_to(x, (len(A), m)), inner.reshape(-1, N, N), idx1)
+        stencils = (stencil_terms(B[:, None], x[perm1] + step1),
+                    stencil_terms(A, np.broadcast_to(x, (len(A), m))))
+        guard = [(i, j, xs[i] - xs[j]) for i, j in permutations(range(m), 2)]
+        keys = list(dict.fromkeys(guard + stencils[0][1] + stencils[1][1]))
+        new = [key for key in keys if key not in cache]
+        if sol.evaluate_rows is not None:
+            try:
+                cache.update(zip(new, rows([(v, DUNKL_YS[i], DUNKL_YS[j]) for i, j, v in new])))
+            except (ArithmeticError, ValueError, EngineError):
+                pass
+        walked.clear()
+        walked[tuple(xs)] = x, stencils, keys
+        return (term(*key) for key in guard)
+
+    def commutators(xs):
+        x, stencils, keys = walked.pop(tuple(xs))
+        vals = f(x[src] + step0)
+        # the draw's terms, flat, padded with 0 for scatter's -1
+        flat = np.zeros((len(keys), n**4 + 1), dtype=complex)
+        flat[:, :-1] = [term(*key).ravel() for key in keys]
+        index = {key: i for i, key in enumerate(keys)}
+        r_in, r_out = (flat[np.array([index[key] for key in ks])[:, None],
+                            scatter[legs].reshape(-1, N * N)].reshape(lead + (m - 1, N, N))
+                       for legs, ks, lead in stencils)
+        inner = theta(vals, idx0, r_in)
+        outer = theta(inner.reshape(-1, N, N), idx1, r_out)
         return np.abs(outer[:len(A) // 2] - outer[len(A) // 2:]).max(axis=(1, 2)).tolist()
 
     def draw():
@@ -499,9 +567,6 @@ def dunkl_commutator(sol: RSolution, kappa: complex = 1.0, testfn: Callable = No
         base = rng.uniform(0.0, 2 * np.pi)
         return [np.exp(1j * (base + 2 * np.pi * k / m)) *
                 rng.uniform(0.8, 1.2) for k in range(m)]
-
-    def guard_terms(*xs):
-        return (term(i, j, xs[i] - xs[j]) for i, j in permutations(range(m), 2))
 
     pairs = [(r, tuple(xs)) for xs, _ in _accepted_draws(draw, guard_terms, samples)
              for r in commutators(xs)]

@@ -414,6 +414,23 @@ def exact_engine_coeffs(kind, n, d, pattern, lam1, lam2, y1, y2):
     return coeffs.T.reshape(n, n, n, n).transpose(1, 0, 2, 3).astype(complex), len(null)
 
 
+# --- sample points, one try at a time ------------------------------------------
+
+def sample_sequential(rng, k):
+    """rmx.verify._sample one try at a time: k radii, then k angles, drawn
+    from rng per try, and the pairwise distances tested in Python with the
+    scalar abs; at most 200 tries, then PoleSampleError.  The bit-for-bit
+    reference of verify._tries, which draws the tries as arrays."""
+    from itertools import combinations
+
+    from rmx import verify
+    for _ in range(200):
+        pts = rng.uniform(0.25, 1.1, k) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, k))
+        if all(abs(a - b) >= 5e-2 for a, b in combinations(pts, 2)):
+            return pts
+    raise verify.PoleSampleError("could not draw distinct sample points")
+
+
 # --- Dunkl commutator, one point at a time ------------------------------------
 
 def dunkl_commutator_pointwise(sol, kappa=1.0, testfn=None, samples=3, seed=0):
@@ -470,7 +487,7 @@ def dunkl_commutator_pointwise(sol, kappa=1.0, testfn=None, samples=3, seed=0):
                 for k in range(m)]
 
     def guard_terms(*xs):
-        return (term(i, j, xs[i] - xs[j])[0] for i, j in permutations(range(m), 2))
+        return (term(i, j, xs[i] - xs[j])[0].coeffs for i, j in permutations(range(m), 2))
 
     pairs = [(float(np.max(np.abs(theta(i, theta(j, f0))(xs) - theta(j, theta(i, f0))(xs)))),
               tuple(xs))

@@ -526,8 +526,8 @@ def test_stacked_rows_equal_one_row_calls(kind, n, d, monkeypatch):
     want = [one_row(*row).coeffs for row in rows]
     for k in range(1, 7):
         got = stacked(rows[-k:])
-        assert len(got) == k
-        assert all(np.array_equal(t.coeffs, w) for t, w in zip(got, want[-k:])), k
+        assert got.shape == (k,) + (n,) * 4
+        assert all(np.array_equal(t, w) for t, w in zip(got, want[-k:])), k
 
 
 def test_a_stack_with_one_refused_row_is_refused():
@@ -539,7 +539,8 @@ def test_a_stack_with_one_refused_row_is_refused():
     rmatrix._nodal_rows(2, 1, rows[::2])   # the other rows are accepted
 
 
-@pytest.mark.parametrize("n", [rmatrix._STACK_MAX_N, rmatrix._STACK_MAX_N + 1])
+@pytest.mark.parametrize("n", [rmatrix._STACK_MAX_N["cuspidal"],
+                               rmatrix._STACK_MAX_N["cuspidal"] + 1])
 def test_evaluate_rows_stacks_up_to_the_cutoff(n, monkeypatch):
     calls = []
     real = rmatrix._hom_space_glued
@@ -547,23 +548,23 @@ def test_evaluate_rows_stacks_up_to_the_cutoff(n, monkeypatch):
                         lambda *a: calls.append(len(a[1])) or real(*a))
     rows = [tuple(ring_points(np.random.default_rng(n + k), 4)) for k in range(6)]
     _, evaluate = catalog.view(engine_solution("cusp", n, 1), catalog.as_four_param)
-    terms = evaluate(rows)
-    stacked = n <= rmatrix._STACK_MAX_N
-    # above the cutoff nothing is evaluated before it is read
-    assert calls == ([6] if stacked else [])
-    got = list(terms)
-    assert calls == ([6] if stacked else [1] * 6)
-    assert all(np.array_equal(t.coeffs, engine_cusp(n, 1, *row).coeffs)
-               for t, row in zip(got, rows))
+    got = evaluate(rows)
+    # one stack up to the cutoff, one call per row above it
+    assert calls == ([6] if n <= rmatrix._STACK_MAX_N["cuspidal"] else [1] * 6)
+    assert got.shape == (6, n, n, n, n)
+    assert all(np.array_equal(t, engine_cusp(n, 1, *row).coeffs) for t, row in zip(got, rows))
 
 
 def test_evaluate_rows_is_set_for_the_glued_engines_only():
     assert engine_solution("elliptic").evaluate_rows is None
     for kind in ("nodal", "cusp", "nodal-semistable"):
         assert engine_solution(kind).evaluate_rows is not None
-    for kind in ("nodal", "cusp"):
-        assert engine_solution(kind, rmatrix._STACK_MAX_N, 1).evaluate_rows is not None
-        assert engine_solution(kind, rmatrix._STACK_MAX_N + 1, 1).evaluate_rows is None
+    # the nodal orbit blocks stack further than the cuspidal system
+    assert rmatrix._STACK_MAX_N == {"nodal": 8, "cuspidal": 5, "nodal-semistable": 5}
+    for kind, curve in (("nodal", "nodal"), ("cusp", "cuspidal"), ("cuspidal", "cuspidal")):
+        cutoff = rmatrix._STACK_MAX_N[curve]
+        assert engine_solution(kind, cutoff, 1).evaluate_rows is not None
+        assert engine_solution(kind, cutoff + 1, 1).evaluate_rows is None
 
 
 EXACT_POINTS = {
