@@ -510,10 +510,11 @@ def apply_gauge(sol: RSolution, phi) -> RSolution:
 # later ones.  Six stacked rows against six one-row calls
 # (tests/time_engines.py): cuspidal 3.7x at n = 3, 2.2x at n = 5, 1.8x at
 # n = 6 and even at n = 8; the nodal orbit blocks 3.1x at n = 6 and 2.4x at
-# n = 8.  On engine-aybe (ranks 3-8; 3 paired 10 s perfbench runs) a nodal
-# cutoff of 8 took ops_per_s from 443/454/438 to 477/488/488 with op_ms.tail
-# level at 7.2-7.6 ms, while 8 for both engines gave 369-403 ops/s and a
-# 9.4-10.5 ms tail: the wasted rows of rejected draws outweigh the stack.
+# n = 8.  On engine-aybe (ranks 3-8; 3 rounds of 10 s perfbench runs, seeds
+# 2601-2603) a nodal cutoff of 8 in place of 5 took ops_per_s from
+# 482/441/453 to 490/469/492 and op_ms.tail from 6.7-7.2 to 7.1-7.5 ms,
+# while 8 for both engines gave 373-418 ops/s and an 8.8-10.1 ms tail: the
+# cuspidal stack's wasted rows of rejected draws outweigh its gain.
 _STACK_MAX_N = {"nodal": 8, "cuspidal": 5, "nodal-semistable": 5}
 
 

@@ -29,7 +29,8 @@ calls to one stack of six shows what a stack saves per row.  A sampled check
 stacks more: the rows of every draw it draws ahead (at most 50 draws, six
 rows each), rejected draws' later rows included.  So the script first runs two 50-sample
 rank-5 checks, `dual` on the nodal engine and `aybe` on the cuspidal one
-(rank 5 is `rmatrix._STACK_MAX_N`), each in a process of its own.  The
+(CHECK_RANK: the cuspidal cutoff of `rmatrix._STACK_MAX_N`; both stack
+there), each in a process of its own.  The
 process runs its check CHECK_REPEATS times and gives the thread time of the
 first run, the median thread time of the later ones (the first also pays the
 process's one-time costs) and the process's peak RSS (`ru_maxrss`) after
@@ -57,7 +58,8 @@ from rmx import rmatrix, verify  # noqa: E402
 DEGREES = {"nodal": {2: 1, 3: 1, 4: 1, 5: 2, 6: 1, 7: 3, 8: 3, 12: 5},
            "cusp": {2: 1, 3: 2, 4: 3, 5: 3, 6: 5, 7: 4, 8: 5, 12: 5}}
 STAGES = ("hom_assembly", "nullspace_svd", "qr", "res_solve")
-CHECKS = (("nodal", "dual"), ("cusp", "aybe"))   # 50 samples at rank 5
+CHECKS = (("nodal", "dual"), ("cusp", "aybe"))   # 50 samples at CHECK_RANK
+CHECK_RANK = 5
 CHECK_REPEATS = 5
 
 
@@ -152,7 +154,7 @@ def measure(kind: str, n: int, repeats: int) -> dict:
             "stages_k6_ms": {s: ms(v) for s, v in stages[6].items()}}
 
 
-def check_cost(kind: str, identity: str, n: int = rmatrix._STACK_MAX_N) -> dict:
+def check_cost(kind: str, identity: str, n: int = CHECK_RANK) -> dict:
     """Thread time of one 50-sample rank-n check of `identity` on the `kind`
     engine (seed 0), run CHECK_REPEATS times: the first run and the median of
     the later ones, and the peak RSS of this process after them."""
@@ -176,7 +178,7 @@ def main(argv=None) -> int:
     ap.add_argument("--json", metavar="FILE")
     ap.add_argument("--check", nargs=2, metavar=("KIND", "IDENTITY"),
                     help="run one CHECKS entry and print its cost as JSON")
-    ap.add_argument("--rank", type=int, default=rmatrix._STACK_MAX_N,
+    ap.add_argument("--rank", type=int, default=CHECK_RANK,
                     help="the rank of the --check (one of DEGREES)")
     args = ap.parse_args(argv)
     if args.check:
