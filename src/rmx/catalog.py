@@ -38,8 +38,9 @@ def _basis(t: Tensor2) -> np.ndarray:
 
 # Constant (2,2,2,2) coefficient arrays of the closed forms, built once with
 # the same tensor sums as the formulas spell them.  A closed form computes
-# each row's scalar factors in Python, and _assemble multiplies these arrays
-# by them and sums the terms in the formula's order, for all rows at once.
+# each row's scalar factors in Python; its basis sum multiplies these arrays
+# by them (_columns) and sums the terms in the formula's order, for all rows
+# at once.
 _S = Tensor2.simple
 _ID_ID = _basis(_S(ID2, ID2))
 _H_H, _SIGMA_SIGMA = _basis(_S(H, H)), _basis(_S(SIGMA, SIGMA))
@@ -68,28 +69,20 @@ def _ccos(z):
     return np.cos(complex(z))
 
 
-def _assemble(factors: list, formula: tuple) -> np.ndarray:
-    """The (k, 2, 2, 2, 2) coefficient stack of a closed form at k rows, from
-    each row's scalar factors f (k tuples) and formula = (basis_0, op_1,
-    basis_1, op_2, ...): basis_0 f[0] op_1 basis_1 f[1] ..., each op "+" or
-    "-", left to right.  Every element sees the one-row arithmetic of the
-    formula's order, so each row equals its one-row stack bit for bit."""
-    f = np.array(factors, dtype=complex).reshape(-1, len(formula) // 2 + 1).T
-    f = f[..., None, None, None, None]
-    out, term = formula[0] * f[0], None
-    for i in range(1, len(f)):
-        term = np.multiply(formula[2 * i], f[i], out=term)
-        (np.add if formula[2 * i - 1] == "+" else np.subtract)(out, term, out=out)
-    return out
+def _columns(factors: list) -> np.ndarray:
+    """The scalar factors of k rows (k tuples) as columns f[i] of shape (k,
+    1, 1, 1, 1), which a closed form multiplies with its basis arrays and
+    sums in the formula's order: every element sees the one-row arithmetic,
+    so each row equals its one-row stack bit for bit."""
+    return np.array(factors, dtype=complex).T[..., None, None, None, None]
 
 
-def _closed_form(factors: Callable, *formula) -> tuple:
-    """(one-row evaluator, evaluate_rows) of the closed form formula (see
-    _assemble) whose row factors are factors(*row), in the order of the
-    formula's bases.  The evaluator takes the signature of factors and is
-    the one-row case of the rows."""
+def _closed_form(factors: Callable, basis_sum: Callable) -> tuple:
+    """(one-row evaluator, evaluate_rows) of the closed form basis_sum(f),
+    f the _columns of the rows' factors(*row).  The evaluator takes the
+    signature of factors and is the one-row case of the rows."""
     def rows(rs):
-        return _assemble([factors(*r) for r in rs], formula)
+        return basis_sum(_columns([factors(*r) for r in rs]))
 
     @functools.wraps(factors)
     def one(*row):
@@ -198,7 +191,8 @@ def _ell21(rows, p: ThetaParams, t1p: complex) -> np.ndarray:
         factors.append([pref * (t1[3 * i] / pole_guard(t1[3 * i + 1], "ell21", v=v))]
                        + [pref * (tj[j][2 * i] / pole_guard(tj[j][2 * i + 1], "ell21", v=v))
                           for j in (2, 3, 4)])
-    return _assemble(factors, (_ID_ID, "+", _H_H, "+", _SIGMA_SIGMA, "+", _GAMMA_GAMMA))
+    f = _columns(factors)
+    return _ID_ID * f[0] + _H_H * f[1] + _SIGMA_SIGMA * f[2] + _GAMMA_GAMMA * f[3]
 
 
 def elliptic_closed_form(x, y, p: ThetaParams) -> Tensor2:
@@ -219,30 +213,33 @@ def _ell21_classical(ys, p: ThetaParams, at0: dict) -> np.ndarray:
         s = pole_guard(jacobi_quotient("sn", y, at0, at), "ell21_classical", y=y)
         c = jacobi_quotient("cn", y, at0, at)
         factors.append((c / s, 1.0 / s, jacobi_quotient("dn", y, at0, at) / s))
-    return _assemble(factors, (_H_H, "+", _GAMMA_GAMMA, "+", _SIGMA_SIGMA)) * 0.5
+    f = _columns(factors)
+    return (_H_H * f[0] + _GAMMA_GAMMA * f[1] + _SIGMA_SIGMA * f[2]) * 0.5
 
 
 # Each closed form below gives its row's scalar factors, in the order of the
-# bases of the formula _closed_form pairs it with.
+# bases of the basis sum _closed_form pairs it with.
 
 def _trg21(v, y):
     sv, sy, syv = _csin(v), _csin(y), _csin(y + v)
     return syv / (sy * sv), 1.0 / sv, 1.0 / sy, syv
 
 
-def _nodal21_multiplicative(lam, y1, y2):
+def nodal21_multiplicative(lam, y1, y2) -> Tensor2:
     """Rank-2 degree-1 nodal solution before the sqrt-y gauge, lam = lam2/lam1."""
     lam, y1, y2 = complex(lam), complex(y1), complex(y2)
     dy = y2 - y1
     a = (y2 - lam**2 * y1) / (dy * (1 - lam**2))
-    return a, lam / (1 - lam**2), y1 / dy, y2 / dy, (y2 - lam**2 * y1) / lam
+    return Tensor2(2, _DIAG * a + _CROSS * (lam / (1 - lam**2)) + _E21_E12 * (y1 / dy)
+                   + _E12_E21 * (y2 / dy) + _E21_E21 * ((y2 - lam**2 * y1) / lam))
 
 
-def _semistable20_multiplicative(lam, y):
+def semistable20_multiplicative(lam, y) -> Tensor2:
     """Rank-2 degree-0 semistable nodal solution, lam = lam2/lam1, y = y2/y1."""
     lam, y = complex(lam), complex(y)
     a = (y - lam) / ((y - 1) * (1 - lam))
-    return a, lam / (1 - lam) ** 2, lam * (1 + lam) / (1 - lam) ** 3
+    return Tensor2(2, _DIAG_OFF * a + _E12H_HE12 * (lam / (1 - lam) ** 2)
+                   - _E12_E12 * (lam * (1 + lam) / (1 - lam) ** 3))
 
 
 def _cherednik(y):
@@ -278,12 +275,6 @@ def _rat21_degenerate(v, y):
 def _trg20(v, y):
     sv, sy = _csin(v), _csin(y)
     return _csin(y + v) / (2 * sy * sv), 1 / (2 * sv**2), _ccos(v) / sv**3
-
-
-nodal21_multiplicative = _closed_form(
-    _nodal21_multiplicative, _DIAG, "+", _CROSS, "+", _E21_E12, "+", _E12_E21, "+", _E21_E21)[0]
-semistable20_multiplicative = _closed_form(
-    _semistable20_multiplicative, _DIAG_OFF, "+", _E12H_HE12, "-", _E12_E12)[0]
 
 
 # --- gauge used to bring Stolin's solution to difference form ---------------
@@ -350,20 +341,21 @@ NAMES = (
 # no tau, with each entry's pole locus
 _FIXED = {
     "trg21": ("vdiff_ydiff", _closed_form(                # v, y = 0 mod pi
-        _trg21, _DIAG, "+", _CROSS, "+", _OFF, "+", _E21_E21)),
+        _trg21, lambda f: _DIAG * f[0] + _CROSS * f[1] + _OFF * f[2] + _E21_E21 * f[3])),
     "cherednik": ("cl_ydiff", _closed_form(               # y = 0 mod pi
-        _cherednik, _H_H, "+", _OFF, "+", _E21_E21)),
+        _cherednik, lambda f: _H_H * f[0] + _OFF * f[1] + _E21_E21 * f[2])),
     "rat21": ("vdiff_y12", _closed_form(                  # v = 0, y1 = y2
-        _rat21, _ID_ID, "+", _DIAG_OFF, "+", _E21_H, "+", _H_E21, "-", _E21_E21)),
+        _rat21, lambda f: (_ID_ID * f[0] + _DIAG_OFF * f[1] + _E21_H * f[2]
+                           + _H_E21 * f[3] - _E21_E21 * f[4]))),
     "stolin": ("cl_y12", _closed_form(                    # y1 = y2
-        _stolin, _CASIMIR, "+", _H_E21, "-", _E21_H)),
+        _stolin, lambda f: _CASIMIR * f[0] + _H_E21 * f[1] - _E21_H * f[2])),
     "stolin_difference_s": ("cl_ydiff", _closed_form(     # y = 0
-        _stolin_difference, _CASIMIR, "+", _E21H_HE21, "-", _E21_E21)),
-    "yang": ("cl_ydiff", _closed_form(_yang, _CASIMIR)),  # y = 0
+        _stolin_difference, lambda f: _CASIMIR * f[0] + _E21H_HE21 * f[1] - _E21_E21 * f[2])),
+    "yang": ("cl_ydiff", _closed_form(_yang, lambda f: _CASIMIR * f[0])),  # y = 0
     "rat21_degenerate": ("vdiff_ydiff", _closed_form(     # v = 0, y = 0
-        _rat21_degenerate, _ID_ID, "+", _DIAG_OFF)),
+        _rat21_degenerate, lambda f: _ID_ID * f[0] + _DIAG_OFF * f[1])),
     "trg20_semistable": ("vdiff_ydiff", _closed_form(     # v, y = 0 mod pi; order 3 in v
-        _trg20, _DIAG_OFF, "+", _E12H_HE12, "-", _E12_E12)),
+        _trg20, lambda f: _DIAG_OFF * f[0] + _E12H_HE12 * f[1] - _E12_E12 * f[2])),
 }
 
 

@@ -501,8 +501,9 @@ def apply_gauge(sol: RSolution, phi) -> RSolution:
 # --- engine outputs as solutions --------------------------------------------
 
 # engine -> the rank up to which its solution evaluates parameter rows as one
-# stack (its evaluate_rows): one SVD, QR and solve call for all of them,
-# where a one-row call is mostly fixed overhead.  A sampled check hands it
+# stack (its evaluate_rows; the rank-2 semistable engine always stacks): one
+# SVD, QR and solve call for all of them, where a one-row call is mostly
+# fixed overhead.  A sampled check hands it
 # the rows of every draw it draws ahead, rejected draws' later rows
 # included.  Above the cutoff evaluate_rows is None and the rows are one-row
 # calls, evaluated lazily: there 42-57% of the draws are rejected by
@@ -515,7 +516,7 @@ def apply_gauge(sol: RSolution, phi) -> RSolution:
 # 482/441/453 to 490/469/492 and op_ms.tail from 6.7-7.2 to 7.1-7.5 ms,
 # while 8 for both engines gave 373-418 ops/s and an 8.8-10.1 ms tail: the
 # cuspidal stack's wasted rows of rejected draws outweigh its gain.
-_STACK_MAX_N = {"nodal": 8, "cuspidal": 5, "nodal-semistable": 5}
+_STACK_MAX_N = {"nodal": 8, "cuspidal": 5}
 
 
 def engine_solution(kind: str, n: int = 2, d: int = 1,
@@ -547,4 +548,4 @@ def engine_solution(kind: str, n: int = 2, d: int = 1,
         raise ValueError(f"unknown engine kind {kind!r}")
     return RSolution(f"engine-{curve}({n},{d})", "v12_y12", n, ev,
                      params={"kind": kind, "n": n, "d": d},
-                     evaluate_rows=stacked if n <= _STACK_MAX_N.get(curve, 0) else None)
+                     evaluate_rows=stacked if n <= _STACK_MAX_N.get(curve, n) else None)

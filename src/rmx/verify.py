@@ -51,9 +51,13 @@ class PoleSampleError(RuntimeError):
     """Sampling repeatedly hit (near-)poles of the solution."""
 
 
-# Tries a check draws from its generator at a time (_tries): about the tries
-# of a 20-sample check; a try's radii and angles are drawn from the ring's
-# (low, high) bounds
+# Tries a check draws from its generator at a time (_tries).  Counted on 4
+# catalog-verify and 2 engine-aybe perfbench passes at seed 1: a 20-sample
+# catalog check takes 20-22 tries in the median and at most 36, so one
+# refill serves nearly every check; an engine check of 1-4 samples takes
+# 2-10 and over-draws, but a refill costs about 20 us fixed and 1 us a try
+# (k = 4 and 6), little beside its 1-7 ms op.  A try's radii and angles are
+# drawn from the ring's (low, high) bounds
 TRIES_AHEAD = 32
 _RING_LOW, _RING_HIGH = np.array([[0.25], [0.0]]), np.array([[1.1], [2 * np.pi]])
 

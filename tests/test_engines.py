@@ -560,7 +560,7 @@ def test_evaluate_rows_is_set_for_the_glued_engines_only():
     for kind in ("nodal", "cusp", "nodal-semistable"):
         assert engine_solution(kind).evaluate_rows is not None
     # the nodal orbit blocks stack further than the cuspidal system
-    assert rmatrix._STACK_MAX_N == {"nodal": 8, "cuspidal": 5, "nodal-semistable": 5}
+    assert rmatrix._STACK_MAX_N == {"nodal": 8, "cuspidal": 5}
     for kind, curve in (("nodal", "nodal"), ("cusp", "cuspidal"), ("cuspidal", "cuspidal")):
         cutoff = rmatrix._STACK_MAX_N[curve]
         assert engine_solution(kind, cutoff, 1).evaluate_rows is not None
