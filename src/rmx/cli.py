@@ -8,7 +8,8 @@ on error; main alone maps the error class to a code and an `error:` line:
 
     rmatrix.DegenerateSystemError (degenerate system)            -> 3
     ValueError (UsageError too), rmatrix.EngineError,
-    verify.PoleSampleError, thetafn.PoleError (usage error)      -> 2
+    verify.PoleSampleError, thetafn.PoleError,
+    OverflowError (usage error)                                  -> 2
 
 argparse exits 2 on a malformed option; any other exception propagates.
 """
@@ -71,23 +72,27 @@ _TENSOR_DATA = '\n  "tensor": {\n    "data": '
 _PAIR_SEP = "\n      ],\n      [\n        "
 _NUM_SEP = ",\n        "
 # Up to this many numbers float.__repr__ writes the data text faster than
-# floattext: its array path costs about 150 us + 0.19 us a number, the
-# per-number join 0.6-0.9 us a number (nodal and cuspidal tensors of ranks
-# 2-5, thread time), so they break even at 200-330 numbers.
+# floattext: its array path costs about 150 us + 0.2 us a number outside
+# the pairs of zeros, the per-number join 0.75 us a number on the cuspidal
+# tensors and 0.2 us on the nodal ones, whose pairs are 56-87% zeros (ranks
+# 2-5, thread time, tests/time_emit.py), so they break even at about 280
+# numbers (cuspidal) and 900 (nodal); ranks 2-3 have 32 and 162 numbers,
+# rank 5 1250.
 _REPR_MAX = 300
 
 
-def _data_text(t: Tensor) -> str:
+def _data_text(t: Tensor) -> list:
     """json.dumps of t.to_json_dict()["data"] at nesting depth 2 of an
-    indent=2 dump: float.__repr__ is the encoder's float format, which
-    floattext writes past _REPR_MAX numbers."""
+    indent=2 dump, as a list of strings whose join it is: float.__repr__ is
+    the encoder's float format, which floattext writes past _REPR_MAX
+    numbers."""
     flat = t.kron().ravel().view(np.float64)  # re, im, re, im, ...
     head, tail = "[\n      [\n        ", "\n      ]\n    ]"
     if len(flat) > _REPR_MAX and sys.byteorder == "little":
         from . import floattext  # here: other commands skip its tables at start-up
-        return floattext.join_reprs(flat, _NUM_SEP, _PAIR_SEP, head, tail)
+        return [head, *floattext.repr_parts(flat, _NUM_SEP, _PAIR_SEP), tail]
     it = iter(map(float.__repr__, flat.tolist()))
-    return head + _PAIR_SEP.join(map(_NUM_SEP.join, zip(it, it))) + tail
+    return [head, _PAIR_SEP.join(map(_NUM_SEP.join, zip(it, it))), tail]
 
 
 def _emit(payload, args):
@@ -101,7 +106,7 @@ def _emit(payload, args):
         head = {"data": None, "layout": LAYOUT, "n": t.n}
         text = json.dumps({**payload, "tensor": head}, sort_keys=True, indent=2)
         at = text.index(_TENSOR_DATA) + len(_TENSOR_DATA)
-        text = text[:at] + _data_text(t) + text[at + len("null"):] + "\n"
+        text = "".join([text[:at], *_data_text(t), text[at + len("null"):], "\n"])
     else:
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if getattr(args, "output", None):
@@ -381,16 +386,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one rmx command and return its exit code, the one owner of the
     module docstring's table: DegenerateSystemError exits 3; ValueError,
-    EngineError, PoleSampleError and PoleError exit 2; each writes one line
-    `error: {e}`, a PoleError `error: evaluation hit a pole ({e})`.  numpy's
-    division and overflow warnings are off: inf and nan show only as values."""
+    EngineError, PoleSampleError, PoleError and OverflowError exit 2; each
+    writes one line `error: {e}`, a PoleError `error: evaluation hit a pole
+    ({e})` and an OverflowError (Python arithmetic on a huge parameter)
+    `error: parameters too large: {e}`.  numpy's division and overflow
+    warnings are off: inf and nan show only as values."""
     args = build_parser().parse_args(argv)
     try:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             return args.func(args)
     except (ValueError, rmatrix.EngineError, verify.PoleSampleError,
-            thetafn.PoleError) as e:
-        msg = f"evaluation hit a pole ({e})" if isinstance(e, thetafn.PoleError) else e
+            thetafn.PoleError, OverflowError) as e:
+        msg = (f"evaluation hit a pole ({e})" if isinstance(e, thetafn.PoleError)
+               else f"parameters too large: {e}" if isinstance(e, OverflowError) else e)
         print(f"error: {msg}", file=sys.stderr)
         return 3 if isinstance(e, rmatrix.DegenerateSystemError) else 2
 

@@ -3,7 +3,7 @@
 """float.__repr__ of many doubles at once, as one text.
 
 float.__repr__ writes the shortest digits that read back as the double, of
-those the nearest to it (Steele and White 1990).  join_reprs finds them with
+those the nearest to it (Steele and White 1990).  repr_parts finds them with
 array arithmetic, as Ryu (Adams 2018) does with integers: D = |x| 10^(16 -
 e10) in [1e16, 1e17) is Dekker's exact product of |x| with a table's 10^k =
 hi + lo, known to about 3e-14; the digits are those of the multiple of the
@@ -49,7 +49,8 @@ def _shortest(a: np.ndarray):
     trailing zeros, with a ~ 0.DIGITS 10^dp; ok is False where the
     arithmetic does not settle them."""
     e10 = np.floor(np.log10(a))
-    hi, lo, hi1, hi2 = (row.take((16 - _K0 - e10).astype(np.intp)) for row in _P10)
+    k = (16 - _K0 - e10).astype(np.intp)
+    hi, lo, hi1, hi2 = (row.take(k) for row in _P10)
     c = a * 134217729.0
     a1 = c - (c - a)
     a2 = a - a1
@@ -105,19 +106,21 @@ def _mask_table() -> np.ndarray:
 _ROW = np.frombuffer(b"".join(b"-0.000" + b"0." * 17 + b"e+-000" + bytes([s, 0])
                               for s in (1, 2)), np.uint8).reshape(2, 48)
 _MASK = _mask_table()
+_SIZE = np.count_nonzero(_MASK.view(np.uint8)[:, :46], axis=1)  # text length by key
 _DP = np.arange(-300, 300)  # _FORM[dp + 300] is 34 times dp's form
 _FORM = 34 * np.where((_DP > -4) & (_DP <= 16), _DP + 3, 20 + (_DP <= 0) + 2 * (abs(_DP - 1) >= 100))
 _PAIRS = np.array([48 + i // 10 | (48 + i % 10) << 8 for i in range(100)], np.uint16)
 
 
-def _fill_rows(x: np.ndarray, rows: np.ndarray):
+def _fill_rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Fill rows, shape (len(x), 48), with the _ROW rows of the numbers of x
-    (an even count), each masked to its number's float.__repr__ text."""
+    (an even count), each masked to its number's float.__repr__ text, and
+    return the lengths of those texts."""
     a = np.abs(x)
-    i = np.flatnonzero((a >= 1e-250) & (a < 1e250))  # the table's range, no zeros
-    h, r, dp, ok = _shortest(a[i])
+    fast = (a >= 1e-250) & (a < 1e250)  # the table's range, no zeros
+    h, r, dp, ok = _shortest(np.where(fast, a, 1.0))
     u = np.floor(h / 1e7)
-    w = np.empty((len(i), 2), np.uint64)  # digits 1-8 and 9-16, one per byte
+    w = np.empty((len(x), 2), np.uint64)  # digits 1-8 and 9-16, one per byte
     w[:, 0] = u
     w[:, 1] = (h - 1e7 * u) * 10 + np.floor(r / 10)
     q = w // 10000
@@ -125,43 +128,76 @@ def _fill_rows(x: np.ndarray, rows: np.ndarray):
     q = (w * 10486 >> 20) & 0x7F0000007F  # // 100 in each 32-bit lane
     w = q | (w - 100 * q) << 16
     q = (w * 103 >> 10) & 0xF000F000F000F  # // 10 in each 16-bit lane
-    w = q | (w - 10 * q) << 8 | 0x3030303030303030
+    w = q | (w - 10 * q) << 8
+    # the last nonzero digit of 1-16 is the highest nonzero byte of the
+    # 128-bit w[:, 1] w[:, 0]: as a double, rounded, it keeps that byte's
+    # exponent, as the byte is below 16
+    e = np.frexp(w[:, 1] * 2.0**64 + w[:, 0])[1]
     last = r - 10 * np.floor(r / 10)
-    nd = np.where(last > 0, 17, 16 - np.argmax(w.view(np.uint8)[:, ::-1] > 48, axis=1))
+    nd = np.where(last > 0, 17, (e + 7) >> 3)
     X = np.abs(dp - 1)
     Xh = np.floor(X / 100)
-    sub = _ROW.take(i & 1, axis=0)
-    sub.view(np.uint16)[:, 3:19] = w.view(np.uint8) | np.uint16(0x2E00)
-    sub[:, 38] = 48 + last
-    sub[:, 43] = 48 + Xh
-    sub.view(np.uint16)[:, 22] = _PAIRS[(X - 100 * Xh).astype(np.intp)]
     rows.reshape(-1, 2, 48)[...] = _ROW
-    rows[i] = sub
-    key = 816 + np.signbit(x)  # a zero's
-    key[i] += _FORM.take((dp + 300).astype(np.intp)) + 2 * nd - 818
+    np.bitwise_or(w.view(np.uint8), 48, out=rows[:, 6:38:2])
+    rows[:, 38] = 48 + last
+    rows[:, 43] = 48 + Xh
+    rows.view(np.uint16)[:, 22] = _PAIRS[(X - 100 * Xh).astype(np.intp)]
+    sign = np.signbit(x)
+    key = np.where(fast, _FORM.take((dp + 300).astype(np.intp)) + 2 * nd - 2 + sign, 816 + sign)
     words = rows.view(np.uint64)
     words &= _MASK.take(key, axis=0)
-    other = a != 0
-    other[i[ok]] = False
-    for j in np.flatnonzero(other).tolist():
-        rows[j, :46] = np.frombuffer(repr(float(x[j])).encode().ljust(46, b"\0"), np.uint8)
+    size = _SIZE.take(key)
+    for j in np.flatnonzero((a != 0) & ~(fast & ok)).tolist():
+        text = repr(float(x[j]))
+        rows[j, :46] = np.frombuffer(text.encode().ljust(46, b"\0"), np.uint8)
+        size[j] = len(text)
+    return size
 
 
-def join_reprs(x: np.ndarray, sep0: str, sep1: str, head: str, tail: str) -> str:
-    """head, then float.__repr__ of each number of x (float64, an even count
-    above 0), followed by sep0 at an even index and by sep1 at an odd one,
-    but the last by tail.  No argument may hold the characters 1 and 2."""
-    parts, buf = [head.encode()], bytearray(48 * min(len(x), _BLOCK))
-    for s in range(0, len(x), _BLOCK):
-        block = x[s:s + _BLOCK]
-        if len(buf) > 48 * len(block):  # the last block, if shorter
-            buf = bytearray(48 * len(block))
-        _fill_rows(block, np.frombuffer(buf, np.uint8).reshape(-1, 48))
-        parts.append(buf.translate(None, b"\0"))
-    parts[-1] = parts[-1][:-1]  # the last number's separator mark
-    parts.append(tail.encode())
-    text = b"".join(parts)
-    del parts, buf  # no more than two copies of the text at a time
-    text = text.replace(b"\1", sep0.encode())
-    text = text.replace(b"\2", sep1.encode())
-    return text.decode()
+def _text(block: np.ndarray, sep0: str, sep1: str) -> tuple:
+    """The text of the numbers of block (an even count, at most _BLOCK),
+    each followed by sep0 at an even index and by sep1 at an odd one, and
+    the offset in it after each pair."""
+    buf = bytearray(48 * len(block))
+    size = _fill_rows(block, np.frombuffer(buf, np.uint8).reshape(-1, 48))
+    text = buf.translate(None, b"\0").replace(b"\1", sep0.encode()).replace(b"\2", sep1.encode())
+    return text.decode(), np.cumsum(size[0::2] + size[1::2] + len(sep0) + len(sep1))
+
+
+def repr_parts(x: np.ndarray, sep0: str, sep1: str) -> list:
+    """float.__repr__ of each number of x (float64, an even count above 0),
+    followed by sep0 at an even index and by sep1 at an odd one, but the
+    last by nothing: that text as a list of strings, whose join it is.
+
+    A pair of two +0.0s (bit pattern 0) has the constant text zero below,
+    and a run of k of them is zero * k.  The other pairs go through _text,
+    packed, a block at a time, and their runs are cut from each block's
+    text at the offsets that its numbers' text lengths give.  No separator
+    may hold the characters 1 and 2."""
+    zero = "0.0" + sep0 + "0.0" + sep1
+    bits = x.view(np.uint64).reshape(-1, 2)
+    is_zero = (bits[:, 0] | bits[:, 1]) == 0
+    y = x.view(np.complex128)[~is_zero].view(np.float64)  # the other pairs
+    # pieces: the runs of zero pairs and of other pairs, the latter also cut
+    # where a block begins
+    per = _BLOCK // 2
+    cut = is_zero[1:] != is_zero[:-1]  # after pair i
+    if len(y) > _BLOCK:
+        cut[np.flatnonzero(~is_zero)[per::per] - 1] = True
+    begin = np.concatenate([[0], np.flatnonzero(cut) + 1])
+    count = np.diff(begin, append=len(is_zero))
+    piece_is_zero = is_zero[begin]
+    last = np.cumsum(count[~piece_is_zero])  # other pairs up to a piece's end
+    cuts = []
+    for s in range(0, len(y) // 2, per):
+        text, end = _text(y[2 * s:2 * s + _BLOCK], sep0, sep1)
+        ends = last[np.searchsorted(last, s, "right"):np.searchsorted(last, s + per, "right")]
+        at = [0, *end[ends - s - 1].tolist()]
+        if s + per >= len(y) // 2 and not piece_is_zero[-1]:
+            at[-1] -= len(sep1)  # the last number's separator
+        cuts += [text[i:j] for i, j in zip(at, at[1:])]
+    cuts = iter(cuts)
+    parts = [zero * k if z else next(cuts) for k, z in zip(count.tolist(), piece_is_zero.tolist())]
+    if piece_is_zero[-1]:
+        parts[-1:] = [zero * (int(count[-1]) - 1), zero[:-len(sep1)]]
+    return parts

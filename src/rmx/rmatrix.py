@@ -179,6 +179,11 @@ def _hom_space_glued(deg: np.ndarray, m_src: np.ndarray, m_dst: np.ndarray,
     # equation at entry p gives; a degree-0 entry has none, so there the
     # equation constrains X
     if cuspidal:
+        # with Z + lam1, Z + lam2 - y1 this is Z (x) 1 - 1 (x) Z^T + c on the
+        # degree-0 rows, c = lam2 - y1 - lam1; it has full row rank n1 n2 at
+        # every c (smallest singular value >= 1.03 for n <= 12, pinned by
+        # test_cuspidal_gluing_constraint_has_full_row_rank), so _nullspace
+        # refuses only nodal and semistable rows
         eye = np.eye(n)[None]
         partner = vec_map(m_dst, eye) - vec_map(eye, m_src)
         constraint = partner[:, glued]

@@ -24,6 +24,7 @@ at the argument u = pi*theta_3(0)^2 * z.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from math import ceil, log, pi, sqrt
 
@@ -120,8 +121,10 @@ class PoleError(ZeroDivisionError):
 
 def pole_guard(den: complex, name: str, **at) -> complex:
     """den, the denominator of `name` at the point `at`, unless it is a
-    numerical zero: that is a pole of `name`, raised as PoleError."""
-    if abs(den) < _POLE_EPS:
+    numerical zero: that is a pole of `name`, raised as PoleError.  A den
+    with a NaN or infinite part passes: abs of it may raise OverflowError
+    from a stale C errno (a theta series' exp that overflowed)."""
+    if cmath.isfinite(den) and abs(den) < _POLE_EPS:
         where = ", ".join(f"{k}={v}" for k, v in at.items())
         raise PoleError(f"{name} pole at {where}")
     return den

@@ -423,9 +423,9 @@ def test_eval_csv_values_equal_json_data(capsys):
 # --- floattext: float.__repr__ of many doubles at once --------------------------
 
 def array_reprs(x) -> list:
-    """floattext.join_reprs's texts of the numbers of x, one per number."""
+    """floattext.repr_parts's texts of the numbers of x, one per number."""
     x = np.asarray(x, dtype=np.float64)
-    text = floattext.join_reprs(np.concatenate([x, [0.0] * (len(x) % 2)]), ",", ";", "", "")
+    text = "".join(floattext.repr_parts(np.concatenate([x, [0.0] * (len(x) % 2)]), ",", ";"))
     return text.replace(";", ",").split(",")[:len(x)]
 
 
@@ -504,6 +504,50 @@ def test_floattext_decides_engine_tensors(monkeypatch, engine, n, d):
     calls = repr_calls(monkeypatch)
     assert_reprs(x)
     assert len(calls) <= 0.01 * len(x)
+
+
+def _zero_runs(pairs: np.ndarray) -> None:
+    """Zero runs about the block boundaries of a 10^4-pair tensor: one over
+    pair 4096 (number 8192), and one that starts where floattext's second
+    block of other pairs would begin."""
+    pairs[4090:4100] = 0
+    other = np.flatnonzero(pairs)
+    assert len(other) > floattext._BLOCK // 2
+    pairs[other[floattext._BLOCK // 2]:][:9] = 0
+
+
+@pytest.mark.parametrize("n,edit", [
+    pytest.param(10, _zero_runs, id="runs-across-blocks"),
+    pytest.param(10, lambda p: p.__setitem__(slice(0, 7), 0), id="leading-run"),
+    pytest.param(10, lambda p: p.__setitem__(slice(-5, None), 0), id="run-to-the-last-pair"),
+    pytest.param(10, lambda p: p.__setitem__(slice(None), 0), id="all-zero"),
+    pytest.param(5, lambda p: p.__setitem__(slice(None), 0), id="all-zero-one-block"),
+    pytest.param(5, lambda p: p.__setitem__(slice(-1, None), 0), id="last-pair-zero"),
+    pytest.param(10, lambda p: p.__setitem__(slice(1, None, 3), [complex(-0.0, 0.0),
+                                                               complex(0.0, -0.0),
+                                                               complex(-0.0, -0.0)] * 1111),
+                 id="negative-zeros"),
+    pytest.param(5, lambda p: p.__setitem__(slice(None, None, 2), p[::2].real), id="zero-imag"),
+    pytest.param(5, lambda p: p.__setitem__(slice(None, None, 2), 1j * p[::2].imag + 0.0),
+                 id="zero-real"),
+])
+def test_eval_writer_zero_runs_are_json_dumps(capsys, n, edit):
+    rng = np.random.default_rng(26)
+    pairs = (rng.normal(size=(n**4, 2)) * 10.0 ** rng.uniform(-8, 4, (n**4, 2))).view(complex)[:, 0]
+    pairs[rng.random(n**4) < 0.5] = 0  # runs of every length
+    edit(pairs)
+    t = Tensor2.from_kron(pairs.reshape(n * n, n * n), n)
+    assert (t.kron().ravel().view(np.uint64) == pairs.view(np.uint64)).all()
+    cli._emit({"solution": "x", "tensor": t}, None)
+    want = json.dumps({"solution": "x", "tensor": t.to_json_dict()}, sort_keys=True, indent=2)
+    assert_same_text(capsys.readouterr().out, want + "\n")
+
+
+def test_floattext_zero_pairs_are_cut_by_offsets():
+    # parts are whole runs of zero pairs and of other pairs, never a scan's pieces
+    x = np.array([0.0, 0.0, 0.0, 0.0, 1.5, -0.0, 0.0, 0.0, 2.0, 3.0])
+    parts = floattext.repr_parts(x, ",", ";")
+    assert parts == ["0.0,0.0;" * 2, "1.5,-0.0;", "0.0,0.0;", "2.0,3.0"]
 
 
 @pytest.mark.parametrize("curve,rank", [("nodal", "2"), ("cuspidal", "3")])
@@ -703,6 +747,17 @@ _NODAL = "--rank 2 --deg 1 --v1 {} --v2 {} --y1 {} --y2 {}"
                  "error: nodal parameters must be nonzero", id="eval-zero-nodal"),
     pytest.param("eval --solution nope --y 1", 2, "error: unknown solution name 'nope'",
                  id="eval-unknown-solution"),
+    # Python's complex power overflows: a usage error, not a crash
+    pytest.param("eval --solution=stolin_difference_s --y=1e300", 2,
+                 "error: parameters too large: complex exponentiation",
+                 id="eval-closed-form-overflow"),
+    # theta's exp overflows to a NaN denominator, which pole_guard lets pass
+    # to the finiteness check (abs of it could raise from a stale errno)
+    pytest.param("eval --solution=ell21 --v=0.3 --y=0,400", 2,
+                 "error: evaluation hit a pole (non-finite tensor)", id="eval-ell21-theta-overflow"),
+    pytest.param("eval --solution=ell21_classical --y=0,900", 2,
+                 "error: evaluation hit a pole (non-finite tensor)",
+                 id="eval-ell21-classical-theta-overflow"),
     pytest.param("eval --rank 2", 2, "error: need --solution NAME", id="eval-no-solution"),
     pytest.param("verify --identity aybe --curve nodal --rank 4 --deg 2 --samples 2", 2,
                  "error: (n, d) = (4, 2) must be coprime", id="verify-not-coprime"),

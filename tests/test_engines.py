@@ -358,6 +358,30 @@ def _engine_at_spread(kind, n, d, spread):
     return (engine_nodal if kind == "nodal" else engine_cusp)(n, d, *_spread_args(kind, spread))
 
 
+@pytest.mark.parametrize("n,d", [(n, d) for n in range(2, 9) for d in range(1, n)
+                                 if gcd(n, d) == 1])
+def test_cuspidal_gluing_constraint_has_full_row_rank(n, d):
+    # the cuspidal constraint is (Z (x) 1 - 1 (x) Z^T + c) on the degree-0
+    # rows, c = lam2 - y1 - lam1: its n1 n2 rows are independent at every c,
+    # with a smallest singular value above 1 (1.03 at n = 12, d = 1), so
+    # _nullspace's nullity refusal never fires on a cuspidal row
+    n1, n2 = n - d, d
+    deg = rmatrix._entry_degrees(n1, n2)
+    glued = deg.ravel() == 0
+    assert np.count_nonzero(glued) == n1 * n2
+    rng = np.random.default_rng(n * 10 + d)
+    c = np.concatenate([[0], np.linspace(-10, 10, 100),
+                        10 * (rng.normal(size=100) + 1j * rng.normal(size=100))])
+    z, eye = bundles.canonical_cusp_matrix(n1, n2, 0.0), np.eye(n)
+    constraint = np.kron(z, eye)[None] - np.kron(eye, z.T) + c[:, None, None] * np.eye(n * n)
+    s = np.linalg.svd(constraint[:, glued], compute_uv=False)
+    assert s[:, -1].min() > 1.0
+    # the engines' own assembly refuses no row and finds all n^2 dimensions
+    basis = rmatrix._hom_space_glued(deg, z + 0 * c[:, None, None], z + c[:, None, None],
+                                     True)
+    assert basis.shape[:2] == (len(c), n * n)
+
+
 def test_hom_space_cond_and_refusals_match_per_slot_reference(monkeypatch):
     calls = []
     real = rmatrix._hom_space_glued

@@ -7,12 +7,18 @@
     python tests/time_emit.py --stress 10000000 # floattext against float.__repr__
 
 For the nodal and cuspidal engines at ranks 2, 3, 5, 8 and 12 (degrees as
-in perfbench's engine-eval) it times `cli._data_text` on the engine's
-tensor at one point against the per-number `float.__repr__` join it
-replaces (equal text, checked once).  Each round runs every (tensor,
-writer) once, after an untimed call of both, the writers in turn first, so
-a slow stretch of a shared host or a cold cache hits both alike.  A figure
-is the median over `--repeats` rounds of the call's thread CPU time.
+in perfbench's engine-eval) it times the data text of `cli._data_text`,
+joined, on the engine's tensor at one point against the per-number
+`float.__repr__` join it replaces (equal text, checked once), and
+`cli._emit` of a payload holding the tensor, stdout discarded.  Where
+floattext writes the text it also reports the phases: the kernel
+(`floattext._text` on each block of the pairs that are not two +0.0s),
+the zero-run splice (the rest of `floattext.repr_parts`: the runs, their
+offsets and cuts) and the final join (`_emit` less `_data_text`: the
+payload's json.dumps and the one "".join).  Each round runs every (tensor,
+timer) once, after an untimed call of each, the timers in turn first, so a
+slow stretch of a shared host or a cold cache hits all alike.  A figure is
+the median over `--repeats` rounds of the call's thread CPU time.
 
 Before that it runs one rank-12 `rmx eval` in each of `--fresh` new
 interpreters, stdout to /dev/null, and reports the median of their
@@ -20,7 +26,7 @@ interpreters, stdout to /dev/null, and reports the median of their
 peak RSS into the child's.  Run it in two checkouts to compare them: the rmx
 it times is the one under src/ next to this file.
 
-`--stress N` instead checks floattext.join_reprs against float.__repr__ on N
+`--stress N` instead checks floattext.repr_parts against float.__repr__ on N
 seeded numbers (see _stress_chunk).  It reports how many texts differ and how
 many numbers the array path left to float.__repr__, and exits 1 if any
 differ.  It is not a pytest module.
@@ -29,6 +35,7 @@ differ.  It is not a pytest module.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
@@ -42,7 +49,7 @@ import numpy as np
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
-from rmx import cli, rmatrix  # noqa: E402
+from rmx import cli, floattext, rmatrix  # noqa: E402
 
 ENGINES = {"nodal": rmatrix.engine_nodal, "cuspidal": rmatrix.engine_cusp}
 RANKS = {2: 1, 3: 1, 5: 2, 8: 3, 12: 5}
@@ -70,27 +77,70 @@ def _time(f, t) -> float:
     return time.thread_time() - t0
 
 
+class _Discard:
+    def write(self, text):
+        pass
+
+
+def emit(t) -> None:
+    with contextlib.redirect_stdout(_Discard()):
+        cli._emit({"solution": "time_emit", "tensor": t}, None)
+
+
+def packed(t) -> np.ndarray:
+    """The numbers of t's pairs that are not two +0.0s, as repr_parts packs them."""
+    x = t.kron().ravel()
+    bits = x.view(np.uint64).reshape(-1, 2)
+    return x[(bits[:, 0] | bits[:, 1]) != 0].view(np.float64)
+
+
+def kernel(y) -> None:
+    """floattext._text on each block of the packed numbers y, as
+    floattext.repr_parts calls it."""
+    for s in range(0, len(y), floattext._BLOCK):
+        floattext._text(y[s:s + floattext._BLOCK], cli._NUM_SEP, cli._PAIR_SEP)
+
+
+def parts(t) -> None:
+    floattext.repr_parts(t.kron().ravel().view(np.float64), cli._NUM_SEP, cli._PAIR_SEP)
+
+
+TIMERS = {"writer": lambda t: "".join(cli._data_text(t)), "repr_join": repr_join,
+          "data_text": cli._data_text, "emit": emit, "parts": parts}
+
+
 def measure(repeats: int) -> list:
     tensors = {(curve, n): ENGINES[curve](n, d, *POINT)
                for curve in ENGINES for n, d in RANKS.items()}
-    writers = {"writer": cli._data_text, "repr_join": repr_join}
+    timers = {case: dict(TIMERS) for case in tensors}
+    for case, t in tensors.items():
+        if 2 * t.n**4 > cli._REPR_MAX:  # floattext's phases
+            timers[case]["kernel"] = lambda t, y=packed(t): kernel(y)
+        else:
+            del timers[case]["parts"]
     for t in tensors.values():  # warm-up, and the two texts are equal
-        if cli._data_text(t) != repr_join(t):
+        if TIMERS["writer"](t) != repr_join(t):
             raise SystemExit(f"texts differ at rank {t.n}")
-    times = {(case, w): [] for case in tensors for w in writers}
+    times = {(case, w): [] for case in tensors for w in timers[case]}
     for k in range(repeats):
         for case, t in tensors.items():
-            order = sorted(writers.items(), reverse=k % 2 == 1)
+            order = sorted(timers[case].items(), reverse=k % 2 == 1)
             for w, f in order:  # untimed: caches warm for this tensor
                 f(t)
             for w, f in order:
                 times[case, w].append(_time(f, t))
     results = []
     for (curve, n), t in tensors.items():
-        ms = {w: round(1e3 * statistics.median(times[(curve, n), w]), 4) for w in writers}
-        results.append({"curve": curve, "rank": n, "numbers": 2 * n**4, **{
-            f"{w}_ms": v for w, v in ms.items()},
-            "speedup": round(ms["repr_join"] / ms["writer"], 3)})
+        ms = {w: round(1e3 * statistics.median(times[(curve, n), w]), 4)
+              for w in timers[curve, n]}
+        phases = {}
+        if "kernel" in ms:
+            phases = {"kernel_ms": ms["kernel"], "splice_ms": round(ms["parts"] - ms["kernel"], 4)}
+        phases["final_join_ms"] = round(ms["emit"] - ms["data_text"], 4)
+        results.append({"curve": curve, "rank": n, "numbers": 2 * n**4,
+                        "writer_ms": ms["writer"], "repr_join_ms": ms["repr_join"],
+                        "emit_ms": ms["emit"], **phases,
+                        "speedup": round(ms["repr_join"] / ms["writer"], 3)})
     return results
 
 
@@ -125,7 +175,7 @@ def _stress_chunk(rng, m: int) -> np.ndarray:
 
 
 def stress(count: int, seed: int = 0) -> dict:
-    """floattext.join_reprs against float.__repr__ on count numbers from
+    """floattext.repr_parts against float.__repr__ on count numbers from
     _stress_chunk, a million at a time."""
     from rmx import floattext
     rng, calls = np.random.default_rng(seed), []
@@ -134,7 +184,7 @@ def stress(count: int, seed: int = 0) -> dict:
     try:
         while checked < count:
             x = _stress_chunk(rng, min(10**6, count - checked))
-            got = floattext.join_reprs(x, ",", ";", "", "").replace(";", ",").split(",")
+            got = "".join(floattext.repr_parts(x, ",", ";")).replace(";", ",").split(",")
             differ += sum(g != w for g, w in zip(got, map(repr, x.tolist())))
             checked += len(x)
     finally:
@@ -158,11 +208,13 @@ def main(argv=None) -> int:
         return 1 if result["texts_differ"] else 0
     rss = fresh_maxrss_kb(args.fresh) if args.fresh else None
     results = measure(args.repeats)
-    print(f"{'curve':9s} {'rank':>4s} {'numbers':>8s} {'writer ms':>10s} "
-          f"{'repr ms':>9s} {'speed-up':>8s}")
+    print(f"{'curve':9s} {'rank':>4s} {'numbers':>8s} {'writer ms':>10s} {'repr ms':>9s} "
+          f"{'speed-up':>8s} {'emit ms':>8s} {'kernel':>7s} {'splice':>7s} {'join':>7s}")
     for r in results:
+        phases = " ".join(f"{r[k]:7.3f}" if k in r else f"{'-':>7s}"
+                          for k in ("kernel_ms", "splice_ms", "final_join_ms"))
         print(f"{r['curve']:9s} {r['rank']:4d} {r['numbers']:8d} {r['writer_ms']:10.3f} "
-              f"{r['repr_join_ms']:9.3f} {r['speedup']:8.2f}")
+              f"{r['repr_join_ms']:9.3f} {r['speedup']:8.2f} {r['emit_ms']:8.3f} {phases}")
     if rss is not None:
         print(f"fresh rank-12 eval ru_maxrss: {rss / 1024:.2f} MB "
               f"(median of {args.fresh} interpreters)")
