@@ -1,6 +1,6 @@
 # src/rmx/floattext.py
 
-"""float.__repr__ of many doubles at once, as one text.
+"""float.__repr__ of many doubles at once, as the parts of one text.
 
 float.__repr__ writes the shortest digits that read back as the double, of
 those the nearest to it (Steele and White 1990).  repr_parts finds them with
@@ -13,7 +13,8 @@ _TOL of an interval edge or of a tie, with |x| outside [1e-250, 1e250) and
 not 0, or not finite gets float.__repr__'s own text, so every text is
 float.__repr__'s.  The texts are subsequences of rows of bytes (_ROW): a
 mask keyed by the layout turns the other bytes into NUL, which
-bytearray.translate drops.  The byte tricks need a little-endian host.
+bytearray.translate drops; the mask's key also gives the text's length.
+The byte tricks need a little-endian host.
 """
 
 from __future__ import annotations
