@@ -71,26 +71,31 @@ def _seed(args) -> int:
 _TENSOR_DATA = '\n  "tensor": {\n    "data": '
 _PAIR_SEP = "\n      ],\n      [\n        "
 _NUM_SEP = ",\n        "
-# Up to this many numbers float.__repr__ writes the data text faster than
-# floattext: its array path costs about 150 us + 0.2 us a number outside
-# the pairs of zeros, the per-number join 0.75 us a number on the cuspidal
-# tensors and 0.2 us on the nodal ones, whose pairs are 56-87% zeros (ranks
-# 2-5, thread time, tests/time_emit.py), so they break even at about 280
-# numbers (cuspidal) and 900 (nodal); ranks 2-3 have 32 and 162 numbers,
-# rank 5 1250.
-_REPR_MAX = 300
+# Up to this many numbers float.__repr__, one by one, writes them faster
+# than floattext's array path: the whole data text up to _REPR_MAX numbers,
+# and past that, in floattext.repr_parts, the numbers outside the pairs of
+# +0.0s.  Measured on the nodal and cuspidal tensors of ranks 3-5 at
+# tests/time_emit.py's point (thread time): one by one costs 0.55-0.6 us a
+# number of a whole cuspidal tensor and 0.8 us a number outside the zero
+# pairs, the array path about 150 us + 0.15 us a number, so they break even
+# at 300-400 numbers of a whole tensor and about 190 outside the zero
+# pairs.  Ranks 2-4 have 32, 162 and 512 numbers; at rank 5 (1250) the
+# nodal tensor has 172 outside its zero pairs (157 us one by one against
+# 191 us), the cuspidal one 962, and ranks 8-12 542 and more.
+_REPR_MAX = 200
 
 
 def _data_text(t: Tensor) -> list:
     """json.dumps of t.to_json_dict()["data"] at nesting depth 2 of an
     indent=2 dump, as a list of strings whose join it is: float.__repr__ is
     the encoder's float format, which floattext writes past _REPR_MAX
-    numbers."""
+    numbers (by float.__repr__ again if no more than _REPR_MAX of them lie
+    outside the pairs of zeros)."""
     flat = t.kron().ravel().view(np.float64)  # re, im, re, im, ...
     head, tail = "[\n      [\n        ", "\n      ]\n    ]"
     if len(flat) > _REPR_MAX and sys.byteorder == "little":
         from . import floattext  # here: other commands skip its tables at start-up
-        return [head, *floattext.repr_parts(flat, _NUM_SEP, _PAIR_SEP), tail]
+        return [head, *floattext.repr_parts(flat, _NUM_SEP, _PAIR_SEP, _REPR_MAX), tail]
     it = iter(map(float.__repr__, flat.tolist()))
     return [head, _PAIR_SEP.join(map(_NUM_SEP.join, zip(it, it))), tail]
 

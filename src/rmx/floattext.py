@@ -103,18 +103,24 @@ def _mask_table() -> np.ndarray:
 
 # a row: sign, "0.000", the 17 digits each followed by ".", "e+-" and three
 # exponent digits, then the byte 1 after an even index's number, 2 after an
-# odd one's, and NUL
+# odd one's, and NUL.  _fill_rows writes columns 40-47 again from _TAIL;
+# two rows at once fill a block in 27 us, one row's 40 columns in 44.
 _ROW = np.frombuffer(b"".join(b"-0.000" + b"0." * 17 + b"e+-000" + bytes([s, 0])
                               for s in (1, 2)), np.uint8).reshape(2, 48)
 _MASK = _mask_table()
 _SIZE = np.count_nonzero(_MASK.view(np.uint8)[:, :46], axis=1)  # text length by key
-_DP = np.arange(-300, 300)  # _FORM[dp + 300] is 34 times dp's form
-_FORM = 34 * np.where((_DP > -4) & (_DP <= 16), _DP + 3, 20 + (_DP <= 0) + 2 * (abs(_DP - 1) >= 100))
-_PAIRS = np.array([48 + i // 10 | (48 + i % 10) << 8 for i in range(100)], np.uint16)
+_DP = np.arange(-300, 301)  # by dp + 300; dp = 300 stands for a number left out
+# 34 times dp's form, and the words of columns 40-47 ("e+-", |dp - 1| in
+# three digits, the separator mark, NUL) by 2 (dp + 300) + index parity
+_FORM = 34 * np.where(_DP == 300, 24, np.where((_DP > -4) & (_DP <= 16), _DP + 3,
+                                               20 + (_DP <= 0) + 2 * (abs(_DP - 1) >= 100)))
+_TAIL = np.frombuffer(b"".join(b"e+-%03d" % abs(dp - 1) + bytes([s, 0])
+                               for dp in _DP.tolist() for s in (1, 2)), np.uint64)
+_PARITY = np.arange(_BLOCK) & 1
 
 
 def _fill_rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Fill rows, shape (len(x), 48), with the _ROW rows of the numbers of x
+    """Fill rows, shape (len(x), 48), with the rows (_ROW, digits, _TAIL) of x
     (an even count), each masked to its number's float.__repr__ text, and
     return the lengths of those texts."""
     a = np.abs(x)
@@ -130,22 +136,18 @@ def _fill_rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
     w = q | (w - 100 * q) << 16
     q = (w * 103 >> 10) & 0xF000F000F000F  # // 10 in each 16-bit lane
     w = q | (w - 10 * q) << 8
-    # the last nonzero digit of 1-16 is the highest nonzero byte of the
-    # 128-bit w[:, 1] w[:, 0]: as a double, rounded, it keeps that byte's
-    # exponent, as the byte is below 16
-    e = np.frexp(w[:, 1] * 2.0**64 + w[:, 0])[1]
-    last = r - 10 * np.floor(r / 10)
-    nd = np.where(last > 0, 17, (e + 7) >> 3)
-    X = np.abs(dp - 1)
-    Xh = np.floor(X / 100)
+    last = r - 10 * np.floor(r / 10)  # digit 17
+    # the digits as bytes 0-16 of one number: its highest nonzero byte, digit
+    # nd, is below 16, so the sum as a double keeps that byte's exponent
+    wi = w.view(np.int64)
+    nd = np.frexp(last * 2.0**128 + wi[:, 1] * 2.0**64 + wi[:, 0])[1] + 7 >> 3
     rows.reshape(-1, 2, 48)[...] = _ROW
     np.bitwise_or(w.view(np.uint8), 48, out=rows[:, 6:38:2])
     rows[:, 38] = 48 + last
-    rows[:, 43] = 48 + Xh
-    rows.view(np.uint16)[:, 22] = _PAIRS[(X - 100 * Xh).astype(np.intp)]
-    sign = np.signbit(x)
-    key = np.where(fast, _FORM.take((dp + 300).astype(np.intp)) + 2 * nd - 2 + sign, 816 + sign)
+    dpi = np.where(fast, dp, 300).astype(np.intp) + 300
     words = rows.view(np.uint64)
+    words[:, 5] = _TAIL.take(2 * dpi + _PARITY[:len(x)])
+    key = _FORM.take(dpi) + 2 * nd - 2 + np.signbit(x)
     words &= _MASK.take(key, axis=0)
     size = _SIZE.take(key)
     for j in np.flatnonzero((a != 0) & ~(fast & ok)).tolist():
@@ -158,21 +160,30 @@ def _fill_rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def _text(block: np.ndarray, sep0: str, sep1: str) -> tuple:
     """The text of the numbers of block (an even count, at most _BLOCK),
     each followed by sep0 at an even index and by sep1 at an odd one, and
-    the offset in it after each pair."""
-    buf = bytearray(48 * len(block))
-    size = _fill_rows(block, np.frombuffer(buf, np.uint8).reshape(-1, 48))
-    text = buf.translate(None, b"\0").replace(b"\1", sep0.encode()).replace(b"\2", sep1.encode())
-    return text.decode(), np.cumsum(size[0::2] + size[1::2] + len(sep0) + len(sep1))
+    the lengths of their texts."""
+    rows = np.empty((len(block), 48), np.uint8)
+    size = _fill_rows(block, rows)
+    text = rows.tobytes().translate(None, b"\0")  # 0.3 ms a block, bytearray's 0.5
+    return text.replace(b"\1", sep0.encode()).replace(b"\2", sep1.encode()).decode("ascii"), size
 
 
-def repr_parts(x: np.ndarray, sep0: str, sep1: str) -> list:
+def _repr_text(block: np.ndarray, sep0: str, sep1: str) -> tuple:
+    """_text by float.__repr__, number by number."""
+    texts = list(map(float.__repr__, block.tolist()))
+    it = iter(texts)
+    return (sep1.join(map(sep0.join, zip(it, it))) + sep1,
+            np.fromiter(map(len, texts), np.intp, len(texts)))
+
+
+def repr_parts(x: np.ndarray, sep0: str, sep1: str, repr_max: int) -> list:
     """float.__repr__ of each number of x (float64, an even count above 0),
     followed by sep0 at an even index and by sep1 at an odd one, but the
     last by nothing: that text as a list of strings, whose join it is.
 
     A pair of two +0.0s (bit pattern 0) has the constant text zero below,
     and a run of k of them is zero * k.  The other pairs go through _text,
-    packed, a block at a time, and their runs are cut from each block's
+    packed, a block at a time, or through _repr_text if there are no more
+    than repr_max numbers in them; their runs are cut from each block's
     text at the offsets that its numbers' text lengths give.  No separator
     may hold the characters 1 and 2."""
     zero = "0.0" + sep0 + "0.0" + sep1
@@ -182,16 +193,18 @@ def repr_parts(x: np.ndarray, sep0: str, sep1: str) -> list:
     # pieces: the runs of zero pairs and of other pairs, the latter also cut
     # where a block begins
     per = _BLOCK // 2
-    cut = is_zero[1:] != is_zero[:-1]  # after pair i
+    cut = np.concatenate([[True], is_zero[1:] != is_zero[:-1], [True]])  # before pair i
     if len(y) > _BLOCK:
-        cut[np.flatnonzero(~is_zero)[per::per] - 1] = True
-    begin = np.concatenate([[0], np.flatnonzero(cut) + 1])
-    count = np.diff(begin, append=len(is_zero))
-    piece_is_zero = is_zero[begin]
+        cut[np.flatnonzero(~is_zero)[per::per]] = True
+    edges = np.flatnonzero(cut)
+    count = np.diff(edges)
+    piece_is_zero = is_zero[edges[:-1]]
     last = np.cumsum(count[~piece_is_zero])  # other pairs up to a piece's end
+    write = _repr_text if len(y) <= repr_max else _text
     cuts = []
     for s in range(0, len(y) // 2, per):
-        text, end = _text(y[2 * s:2 * s + _BLOCK], sep0, sep1)
+        text, size = write(y[2 * s:2 * s + _BLOCK], sep0, sep1)
+        end = np.cumsum(size[0::2] + size[1::2] + (len(sep0) + len(sep1)))
         ends = last[np.searchsorted(last, s, "right"):np.searchsorted(last, s + per, "right")]
         at = [0, *end[ends - s - 1].tolist()]
         if s + per >= len(y) // 2 and not piece_is_zero[-1]:

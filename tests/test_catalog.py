@@ -104,6 +104,15 @@ def test_ell21_classical_coefficients():
     assert (got - want).norm() < 1e-13
 
 
+@pytest.mark.parametrize("name,args", [("ell21_classical", (900j,)), ("ell21", (0.3, 400j))])
+def test_ell21_theta_overflow_gives_a_non_finite_tensor(name, args):
+    # theta's exp overflows to NaN denominators; abs of one raised
+    # OverflowError from the stale errno before pole_guard tested finiteness
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        t = catalog.get(name).evaluator(*args)
+    assert not np.isfinite(t.coeffs).all()
+
+
 def test_classical_partners():
     assert catalog.classical_of("trg21").name == "cherednik"
     assert catalog.classical_of("rat21").name == "stolin"

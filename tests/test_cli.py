@@ -423,9 +423,10 @@ def test_eval_csv_values_equal_json_data(capsys):
 # --- floattext: float.__repr__ of many doubles at once --------------------------
 
 def array_reprs(x) -> list:
-    """floattext.repr_parts's texts of the numbers of x, one per number."""
+    """floattext.repr_parts's texts of the numbers of x by its array path,
+    one per number."""
     x = np.asarray(x, dtype=np.float64)
-    text = "".join(floattext.repr_parts(np.concatenate([x, [0.0] * (len(x) % 2)]), ",", ";"))
+    text = "".join(floattext.repr_parts(np.concatenate([x, [0.0] * (len(x) % 2)]), ",", ";", 0))
     return text.replace(";", ",").split(",")[:len(x)]
 
 
@@ -543,11 +544,51 @@ def test_eval_writer_zero_runs_are_json_dumps(capsys, n, edit):
     assert_same_text(capsys.readouterr().out, want + "\n")
 
 
-def test_floattext_zero_pairs_are_cut_by_offsets():
-    # parts are whole runs of zero pairs and of other pairs, never a scan's pieces
+@pytest.mark.parametrize("repr_max", [0, 10])
+def test_floattext_zero_pairs_are_cut_by_offsets(repr_max):
+    # parts are whole runs of zero pairs and of other pairs, never a scan's
+    # pieces, whether the array path or float.__repr__ writes the others
     x = np.array([0.0, 0.0, 0.0, 0.0, 1.5, -0.0, 0.0, 0.0, 2.0, 3.0])
-    parts = floattext.repr_parts(x, ",", ";")
+    parts = floattext.repr_parts(x, ",", ";", repr_max)
     assert parts == ["0.0,0.0;" * 2, "1.5,-0.0;", "0.0,0.0;", "2.0,3.0"]
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda p: None, id="sparse"),
+    pytest.param(lambda p: p.__setitem__(slice(0, 9), [0] * 8 + [1.5]), id="leading-run"),
+    pytest.param(lambda p: p.__setitem__(slice(-9, None), [2.5] + [0] * 8), id="run-to-the-last-pair"),
+    pytest.param(lambda p: p.__setitem__(slice(-1, None), 3.0), id="last-pair-other"),
+    pytest.param(lambda p: p.__setitem__(slice(None), 0), id="all-zero"),
+    pytest.param(lambda p: p.__setitem__(slice(3, 40, 4), [complex(-0.0, 0.0), complex(0.0, -0.0),
+                                                            complex(np.inf, 0.0), 1e-300j,
+                                                            complex(np.nan, 1e300)] * 2),
+                 id="signed-zeros-and-left-to-repr"),
+])
+def test_floattext_repr_path_gives_the_array_paths_parts(edit):
+    # up to repr_max numbers outside the zero pairs float.__repr__ writes
+    # them one by one (rmx eval's nodal rank-5 tensors): the same parts
+    rng = np.random.default_rng(261)
+    pairs = rng.normal(size=(625, 2)).view(complex)[:, 0] * 10.0 ** rng.uniform(-8, 4, 625)
+    pairs[rng.random(625) < 0.9] = 0
+    edit(pairs)
+    x = pairs.view(np.float64)
+    want = floattext.repr_parts(x, cli._NUM_SEP, cli._PAIR_SEP, 0)
+    assert np.count_nonzero(pairs) <= 150
+    assert floattext.repr_parts(x, cli._NUM_SEP, cli._PAIR_SEP, 300) == want
+    it = iter(map(float.__repr__, x.tolist()))
+    assert "".join(want) == cli._PAIR_SEP.join(map(cli._NUM_SEP.join, zip(it, it)))
+
+
+@pytest.mark.parametrize("engine,path", [(rmatrix.engine_nodal, "_repr_text"),
+                                         (rmatrix.engine_cusp, "_text")])
+def test_eval_writer_takes_float_repr_up_to_repr_max_numbers(capsys, monkeypatch, engine, path):
+    # rank 5: 1250 numbers, past cli._REPR_MAX; of them the nodal tensor has
+    # 172 outside its zero pairs, the cuspidal one 962
+    t = engine(5, 2, 1 + 0.2j, 1.6 - 0.1j, 0.3, 0.8 + 0.1j)
+    monkeypatch.setattr(floattext, {"_repr_text": "_text", "_text": "_repr_text"}[path], None)
+    cli._emit({"solution": "x", "tensor": t}, None)
+    want = json.dumps({"solution": "x", "tensor": t.to_json_dict()}, sort_keys=True, indent=2)
+    assert_same_text(capsys.readouterr().out, want + "\n")
 
 
 @pytest.mark.parametrize("curve,rank", [("nodal", "2"), ("cuspidal", "3")])

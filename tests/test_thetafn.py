@@ -160,6 +160,15 @@ def test_pole_raises():
         sn(p.tau / 2, p)
 
 
+@pytest.mark.parametrize("den", [complex("nan+1j"), complex("1+nanj"), complex("inf-infj"),
+                                 complex("nan+infj")])
+def test_pole_guard_passes_non_finite_denominators(den):
+    # abs of a complex with a NaN part may raise OverflowError from a stale
+    # C errno, so pole_guard tests finiteness first (see test_catalog's
+    # theta-overflow test for the path where that happened)
+    assert repr(thetafn.pole_guard(den, "f", z=0)) == repr(den)
+
+
 # --- Watson / Landen ---------------------------------------------------------
 
 def test_watson_suite_random_points(params):

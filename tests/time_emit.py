@@ -12,13 +12,14 @@ joined, on the engine's tensor at one point against the per-number
 `float.__repr__` join it replaces (equal text, checked once), and
 `cli._emit` of a payload holding the tensor, stdout discarded.  Where
 floattext writes the text it also reports the phases: the kernel
-(`floattext._text` on each block of the pairs that are not two +0.0s),
-the zero-run splice (the rest of `floattext.repr_parts`: the runs, their
-offsets and cuts) and the final join (`_emit` less `_data_text`: the
-payload's json.dumps and the one "".join).  Each round runs every (tensor,
-timer) once, after an untimed call of each, the timers in turn first, so a
-slow stretch of a shared host or a cold cache hits all alike.  A figure is
-the median over `--repeats` rounds of the call's thread CPU time.
+(`floattext._text`, or `_repr_text` up to `cli._REPR_MAX` numbers, on each
+block of the pairs that are not two +0.0s), the zero-run splice (the rest
+of `floattext.repr_parts`: the runs, their offsets and cuts) and the final
+join (`_emit` less `_data_text`: the payload's json.dumps and the one
+"".join).  Each round runs every (tensor, timer) once, after an untimed
+call of each, the timers in turn first, so a slow stretch of a shared host
+or a cold cache hits all alike.  A figure is the median over `--repeats`
+rounds of the call's thread CPU time.
 
 Before that it runs one rank-12 `rmx eval` in each of `--fresh` new
 interpreters, stdout to /dev/null, and reports the median of their
@@ -95,14 +96,16 @@ def packed(t) -> np.ndarray:
 
 
 def kernel(y) -> None:
-    """floattext._text on each block of the packed numbers y, as
-    floattext.repr_parts calls it."""
+    """floattext's text of each block of the packed numbers y, as
+    floattext.repr_parts writes it."""
+    write = floattext._repr_text if len(y) <= cli._REPR_MAX else floattext._text
     for s in range(0, len(y), floattext._BLOCK):
-        floattext._text(y[s:s + floattext._BLOCK], cli._NUM_SEP, cli._PAIR_SEP)
+        write(y[s:s + floattext._BLOCK], cli._NUM_SEP, cli._PAIR_SEP)
 
 
 def parts(t) -> None:
-    floattext.repr_parts(t.kron().ravel().view(np.float64), cli._NUM_SEP, cli._PAIR_SEP)
+    floattext.repr_parts(t.kron().ravel().view(np.float64), cli._NUM_SEP, cli._PAIR_SEP,
+                         cli._REPR_MAX)
 
 
 TIMERS = {"writer": lambda t: "".join(cli._data_text(t)), "repr_join": repr_join,
@@ -177,14 +180,13 @@ def _stress_chunk(rng, m: int) -> np.ndarray:
 def stress(count: int, seed: int = 0) -> dict:
     """floattext.repr_parts against float.__repr__ on count numbers from
     _stress_chunk, a million at a time."""
-    from rmx import floattext
     rng, calls = np.random.default_rng(seed), []
     floattext.repr = lambda v: calls.append(v) or repr(v)  # counts the fallback
     checked = differ = 0
     try:
         while checked < count:
             x = _stress_chunk(rng, min(10**6, count - checked))
-            got = "".join(floattext.repr_parts(x, ",", ";")).replace(";", ",").split(",")
+            got = "".join(floattext.repr_parts(x, ",", ";", 0)).replace(";", ",").split(",")
             differ += sum(g != w for g, w in zip(got, map(repr, x.tolist())))
             checked += len(x)
     finally:
