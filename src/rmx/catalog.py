@@ -21,7 +21,7 @@ construction engines.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -322,11 +322,16 @@ def apply_sl2_automorphism(mat3: np.ndarray, t: Tensor2, leg: int) -> Tensor2:
 
 DEFAULT_TAU = 1.1j
 
+# associative solution -> (classical partner, scale(tau) with pr(x)pr r_0 =
+# scale * partner, r_0 the order-0 coefficient in v; None: 1).  ell21_classical
+# lacks the argument scale pi theta_3(0)^2 (its Casimir residue is its
+# inverse); the 1/2 is ell21's own res_v = (1/4) 1(x)1.
 _CLASSICAL_PARTNER = {
-    "ell21": "ell21_classical",
-    "trg21": "cherednik",
-    "rat21": "stolin",
-    "rat21_degenerate": "yang",
+    "ell21": ("ell21_classical",
+              lambda tau: np.pi * theta_j(3, 0.0, ThetaParams(tau)) ** 2 / 2),
+    "trg21": ("cherednik", None),
+    "rat21": ("stolin", None),
+    "rat21_degenerate": ("yang", None),
 }
 
 # (trg, rat) of the one recorded degeneration (1/t) trg(y/t) -> rat(y)
@@ -381,15 +386,19 @@ def get(name: str, tau: complex = DEFAULT_TAU) -> RSolution:
 
 
 def classical_of(name: str, tau: complex = DEFAULT_TAU) -> RSolution:
-    """The classical (pr(x)pr, v->0) partner of a named associative solution."""
+    """The classical (pr(x)pr, v->0) partner of a named associative solution,
+    scaled to equal its limit (_CLASSICAL_PARTNER); it keeps the partner's
+    name."""
     if name == "trg20_semistable":
         raise ValueError("trg20_semistable has no classical limit "
                          "(higher-order pole in v)")
     try:
-        partner = _CLASSICAL_PARTNER[name]
+        partner, scale = _CLASSICAL_PARTNER[name]
     except KeyError:
         raise ValueError(f"no classical partner recorded for {name!r}") from None
-    return get(partner, tau=tau)
+    sol, s = get(partner, tau=tau), scale and scale(tau)
+    return sol if s is None else replace(sol, evaluator=lambda *a: s * sol.evaluator(*a),
+                                         evaluate_rows=lambda rs: s * sol.evaluate_rows(rs))
 
 
 def degeneration_of(name: str) -> tuple:

@@ -168,6 +168,12 @@ def _solution_from_args(args) -> catalog.RSolution:
     raise UsageError("need --solution NAME, --curve KIND, or --g2/--g3")
 
 
+def _require_finite(values, what: str):
+    """A non-finite value to print (a pole hit, or over/underflow) is a PoleError."""
+    if not np.all(np.isfinite(values)):
+        raise thetafn.PoleError(f"non-finite {what}")
+
+
 def cmd_eval(args) -> int:
     sol = _solution_from_args(args)
     names = catalog.ARITY_PARAMS[sol.arity]
@@ -179,8 +185,7 @@ def cmd_eval(args) -> int:
         t = sol.evaluator(*[complex(p) for p in params])
     except ZeroDivisionError as e:  # a closed form divided by zero at its pole
         raise thetafn.PoleError(*e.args) from e
-    if not np.all(np.isfinite(t.coeffs)):
-        raise thetafn.PoleError("non-finite tensor")
+    _require_finite(t.coeffs, "tensor")
     if args.out == "csv":
         k = t.kron()
         side, flat = len(k), k.ravel()
@@ -267,6 +272,7 @@ def cmd_canon(args) -> int:
         t = bundles.canonical_cusp(args.n1, args.n2, lam)
         mat = t.mEps
     det, endo = bundles.det_triple(t), bundles.endo_dimension(t)
+    _require_finite(det, "det_coordinate")  # np.linalg.det at a subnormal lam
     payload = {
         "type": args.type,
         "n1": args.n1,
@@ -302,20 +308,21 @@ def cmd_sweep(args) -> int:
         named = any(a is not None for a in (args.solution, args.curve, args.g2, args.g3))
         trg, rat = catalog.degeneration_of(
             _solution_from_args(args).name if named else "cherednik")
-        lines = ["t,max_error"]
-        for t in grid:
-            lines.append(f"{t!r},{verify.degeneration_error(trg, rat, t)!r}")
+        errs = [verify.degeneration_error(trg, rat, t) for t in grid]
+        _require_finite(errs, "max_error")
+        lines = ["t,max_error", *(f"{t!r},{e!r}" for t, e in zip(grid, errs))]
         _emit("\n".join(lines) + "\n", args)
         return 0
     # limit: argparse's choices admit no other kind
     sol = _solution_from_args(args)
     grid = _parse_grid(args.grid, [1e-1, 1e-2, 1e-3, 1e-4])
-    r3 = catalog.as_three_param(sol)
-    lines = ["v,pr_norm,delta_to_next"]
-    vals = [project_sl(r3(v, 0.15, 0.85)) for v in grid]
-    for i, v in enumerate(grid):
-        delta = repr((vals[i] - vals[i + 1]).norm()) if i + 1 < len(grid) else ""
-        lines.append(f"{v!r},{vals[i].norm()!r},{delta}")
+    _, rows = catalog.view(sol, catalog.as_three_param)
+    vals = [project_sl(Tensor(sol.n, c)) for c in rows([(v, 0.15, 0.85) for v in grid])]
+    norms = [t.norm() for t in vals]
+    deltas = [(a - b).norm() for a, b in zip(vals, vals[1:])]
+    _require_finite(norms + deltas, "pr_norm or delta_to_next")
+    lines = ["v,pr_norm,delta_to_next", *(f"{v!r},{x!r},{d}" for v, x, d in
+                                          zip(grid, norms, [*map(repr, deltas), ""]))]
     _emit("\n".join(lines) + "\n", args)
     return 0
 

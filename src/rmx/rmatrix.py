@@ -534,6 +534,8 @@ def engine_solution(kind: str, n: int = 2, d: int = 1,
     cuspidal curve, dz on the torus (theta-normalized).  The glued engines
     evaluate parameter rows together up to their rank in _STACK_MAX_N
     (evaluate_rows)."""
+    if kind in ("nodal", "cusp", "cuspidal"):
+        _require_coprime(n, d)  # here too: a check sizes its blocks by n before any call
     if kind == "elliptic":
         if (n, d) != (2, 1):
             raise EngineError("elliptic engine implemented for (n, d) = (2, 1)")

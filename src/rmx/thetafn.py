@@ -1,7 +1,7 @@
 # src/rmx/thetafn.py
 
-"""Jacobi theta functions with characteristics and the derived elliptic
-functions sn, cn, dn.
+"""Jacobi theta functions with characteristics and the quotients of them that
+are the elliptic functions sn, cn, dn (jacobi_quotient).
 
 Conventions:
     theta[a,b](z|tau) = sum_n exp(pi*i*(n+a)^2*tau + 2*pi*i*(n+a)*(z+b))
@@ -139,21 +139,3 @@ def jacobi_quotient(name: str, z: complex, at0: dict, atz: dict) -> complex:
     theta_k(z) = atz[k]; a numerically zero denominator is its pole."""
     j0, j, k0 = _QUOTIENTS[name]
     return at0[j0] * atz[j] / pole_guard(at0[k0] * atz[4], name, z=z)
-
-
-def _jacobi(name: str, z: complex, p: ThetaParams) -> complex:
-    j0, j, k0 = _QUOTIENTS[name]
-    return jacobi_quotient(name, z, {k: theta_j(k, 0, p) for k in (k0, j0)},
-                           {k: theta_j(k, z, p) for k in (4, j)})
-
-
-def sn(z: complex, p: ThetaParams) -> complex:
-    return _jacobi("sn", z, p)
-
-
-def cn(z: complex, p: ThetaParams) -> complex:
-    return _jacobi("cn", z, p)
-
-
-def dn(z: complex, p: ThetaParams) -> complex:
-    return _jacobi("dn", z, p)

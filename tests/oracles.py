@@ -18,7 +18,8 @@ from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
 from rmx import tensorcore
-from rmx.thetafn import PI_I, ThetaParams, theta1_prime_at_0, theta_j
+from rmx.thetafn import (PI_I, _QUOTIENTS, ThetaParams, jacobi_quotient, theta1_prime_at_0,
+                         theta_j)
 
 
 def wp_lattice(zs, tau, cutoff=40):
@@ -156,6 +157,26 @@ def theta4_cosine_series(z, tau, nterms=60):
     return 1.0 + 2.0 * sum((-1) ** n * q ** (n * n)
                            * np.cos(2 * np.pi * n * complex(z))
                            for n in range(1, nterms))
+
+
+def _jacobi(name: str, z: complex, p: ThetaParams) -> complex:
+    """The Jacobi function name (sn, cn or dn) at one z, each theta value on
+    its own; the catalog takes them from one theta call for many points."""
+    j0, j, k0 = _QUOTIENTS[name]
+    return jacobi_quotient(name, z, {k: theta_j(k, 0, p) for k in (k0, j0)},
+                           {k: theta_j(k, z, p) for k in (4, j)})
+
+
+def sn(z: complex, p: ThetaParams) -> complex:
+    return _jacobi("sn", z, p)
+
+
+def cn(z: complex, p: ThetaParams) -> complex:
+    return _jacobi("cn", z, p)
+
+
+def dn(z: complex, p: ThetaParams) -> complex:
+    return _jacobi("dn", z, p)
 
 
 def theta_mpmath(j, z, tau, deriv=0, dps=30):

@@ -14,10 +14,10 @@ from rmx import bundles, catalog, rmatrix, verify
 from rmx.catalog import (apply_sl2_automorphism, elliptic_closed_form,
                          nodal21_multiplicative, stolin_gauge)
 from rmx.tensorcore import ID2, Tensor2
-from rmx.thetafn import ThetaParams, cn, dn, sn
+from rmx.thetafn import ThetaParams
 
 import oracles
-from oracles import (SHIFT_TABLE, arg_scale, shift_residual,
+from oracles import (SHIFT_TABLE, arg_scale, cn, dn, shift_residual, sn,
                      theta_product_identity_residual, watson_suite)
 
 

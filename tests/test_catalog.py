@@ -93,7 +93,7 @@ def test_ell21_normalization_against_construction_form():
 
 
 def test_ell21_classical_coefficients():
-    from rmx.thetafn import sn, cn, dn
+    from oracles import sn, cn, dn
     from rmx.tensorcore import SIGMA, GAMMA
     p = ThetaParams(1.1j)
     y = 0.41 + 0.05j

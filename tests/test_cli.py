@@ -828,6 +828,20 @@ _NODAL = "--rank 2 --deg 1 --v1 {} --v2 {} --y1 {} --y2 {}"
     pytest.param("sweep --kind limit --curve nodal", 2,
                  "error: solution 'engine-nodal(2,1)' has arity 'v12_y12'",
                  id="sweep-limit-arity"),
+    # a sweep prints no inf or NaN: rat21's v^3 term overflows, 1/t at a
+    # subnormal t is inf
+    pytest.param("sweep --kind limit --solution rat21 --grid 1e300", 2,
+                 "error: evaluation hit a pole (non-finite pr_norm or delta_to_next)",
+                 id="sweep-limit-overflow"),
+    pytest.param("sweep --kind degeneration --grid 5e-324", 2,
+                 "error: evaluation hit a pole (non-finite max_error)",
+                 id="sweep-degeneration-overflow"),
+    pytest.param("canon --type nodal --n1 1 --n2 1 --lambda 5e-324,5e-324", 2,
+                 "error: evaluation hit a pole (non-finite det_coordinate)",
+                 id="canon-subnormal-lambda"),
+    # a sampled check sizes its blocks of draws by n before it evaluates
+    pytest.param("verify --curve cuspidal --rank 0 --deg 0 --identity dual --samples 2", 2,
+                 "error: (n, d) = (0, 0) must be coprime", id="verify-rank-0"),
 ])
 def test_exit_code_contract(capsys, argv, code, err):
     got = main(argv.split())

@@ -7,13 +7,11 @@ import numpy as np
 import pytest
 
 from rmx import thetafn
-from rmx.thetafn import (
-    ThetaParams, cn, dn, sn, theta1_prime_at_0, theta_char, theta_j,
-)
+from rmx.thetafn import ThetaParams, theta1_prime_at_0, theta_char, theta_j
 
 import oracles
 from oracles import (
-    SHIFT_TABLE, arg_scale, shift_residual, theta_product_identity_residual,
+    SHIFT_TABLE, arg_scale, cn, dn, shift_residual, sn, theta_product_identity_residual,
     watson_suite,
 )
 

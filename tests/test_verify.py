@@ -146,9 +146,39 @@ def test_classical_limit_divergence_for_semistable():
                                       [(0.0, 0.45)])
 
 
+# rmx verify --identity limit's grid, as (y1, y2) pairs from y_base = 0.15
+LIMIT_PAIRS = [(0.15, 0.15 + 0.3 + 0.1 * k) for k in range(10)]
+
+
+@pytest.mark.parametrize("order,extra,diverges", [
+    (-2, Tensor2.simple(H, H), True), (-1, Tensor2.simple(H, H), True),
+    (-2, Tensor2.simple(ID2, ID2), False)])
+def test_divergence_needs_a_pole_of_the_projected_limit(order, extra, diverges):
+    # negative control: rat21 plus c v^order times an sl2 (x) sl2 tensor has a
+    # projected coefficient of that order of norm |c| at every grid point, so
+    # no classical limit; c v^order times 1 (x) 1 projects away
+    base = catalog.get("rat21")
+    sol = RSolution("rat21+c/v^k", "vdiff_y12", 2,
+                    lambda v, y1, y2: base.evaluator(v, y1, y2) + (1e-3 * v**order) * extra)
+    for pair in LIMIT_PAIRS:
+        if diverges:
+            with pytest.raises(verify.DivergenceError, match=f"order {order} "):
+                verify.classical_limit_values(sol, [pair])
+        else:
+            verify.classical_limit_values(sol, [pair])
+
+
+@pytest.mark.parametrize("name", ["ell21", "trg21", "rat21", "rat21_degenerate"])
+def test_partnered_solutions_do_not_diverge(name):
+    # y = 1 (the last but two pair) is ell21's lattice pole
+    pairs = [p for p in LIMIT_PAIRS if abs(p[1] - 1.15) > 1e-9]
+    assert len(verify.classical_limit_values(catalog.get(name), pairs)) == len(pairs)
+
+
 def test_classical_limit_is_gauge_invariant():
     # the exp(c v y)-gauged solution has the same classical limit: the
-    # prefactor exp(c v (y2 - y1)) -> 1 as v -> 0
+    # prefactor exp(c v (y2 - y1)) -> 1 as v -> 0; measured 4.7e-16, on
+    # limits of norm 1.1 to 3.3
     c = 0.4 - 0.15j
     base = catalog.get("rat21")
     gauged = RSolution(
@@ -157,18 +187,31 @@ def test_classical_limit_is_gauge_invariant():
     grid = [0.3, 0.6, 0.9]
     a = verify.classical_limit_values(base, [(0.1, 0.1 + y) for y in grid])
     b = verify.classical_limit_values(gauged, [(0.1, 0.1 + y) for y in grid])
-    assert max((x - y).norm() for x, y in zip(a, b)) < 1e-7
+    assert max((x - y).norm() for x, y in zip(a, b)) < 1e-15
 
 
 @pytest.mark.parametrize("y", [0.2, 0.45 + 0.3j, 0.7, 1.05, 0.3 - 0.2j])
 def test_ell21_limit_is_a_multiple_of_ell21_classical(y):
-    # why `rmx verify --identity limit --solution ell21` fails off the lattice
-    # pole y = 1 too: the extrapolated limit is (pi theta_3(0)^2 / 2) times
-    # ell21_classical, measured to 1.1e-7 (still above the check's tol 1e-7)
+    # the partner table scales ell21_classical by pi theta_3(0)^2 / 2, and
+    # ell21's limit equals the scaled partner to rounding (measured at most
+    # 1.8e-15, at y = 1.05 near the lattice pole)
+    ref = catalog.classical_of("ell21")
     scale = np.pi * theta_j(3, 0.0, ThetaParams(catalog.DEFAULT_TAU)) ** 2 / 2
-    got, = verify.classical_limit_values(catalog.get("ell21"), [(0.15, 0.15 + y)])
     want = scale * catalog.get("ell21_classical").evaluator(y)
-    assert (got - want).norm() <= 1e-6 * want.norm()
+    assert ref.name == "ell21_classical"
+    assert (ref.evaluator(y) - want).norm() <= 1e-15 * want.norm()
+    got, = verify.classical_limit_values(catalog.get("ell21"), [(0.15, 0.15 + y)])
+    assert (got - want).norm() <= 1e-13
+
+
+def test_ell21_limit_off_the_lattice_pole():
+    # rmx verify --identity limit --solution ell21 fails only at its grid's
+    # lattice pole y = 1 (test_cli.py): elsewhere the residual is at most
+    # 9.0e-16 (measured)
+    grid = [0.3 + 0.1 * k for k in range(10) if k != 7]
+    rep = verify.classical_limit(catalog.get("ell21"), catalog.classical_of("ell21"), grid,
+                                 y_base=0.15)
+    assert rep.samples == 9 and rep.max_residual <= 1e-13
 
 
 # --- Laurent / residue extraction ----------------------------------------------
@@ -905,7 +948,7 @@ def test_circle_payloads_agree_on_both_paths(monkeypatch):
     for a, b in zip(verify.classical_limit_values(ell, pairs),
                     verify.classical_limit_values(_lazy(ell), pairs)):
         assert np.array_equal(a.coeffs, b.coeffs)
-    # the 64 circle points are one call, 4 theta_j calls, on the rows path
+    # the CIRCLE_POINTS circle points are one call, 4 theta_j calls, on the rows path
     thetas.clear()
     verify.casimir_residue(cl)
     assert len(thetas) == 4
