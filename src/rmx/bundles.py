@@ -120,29 +120,40 @@ def canonical_nodal(n1: int, n2: int, lam: complex) -> NodalTriple:
     return NodalTriple(n1, n2, m, np.eye(n1 + n2, dtype=complex))
 
 
-def canonical_cusp_matrix(n1: int, n2: int, lam: complex) -> np.ndarray:
-    """Canonical mEps of the cuspidal M_{n1,n2}(lam), built from
-    [[lam,1],[x,0]] by reversing the reduction steps.  tr = lam; the current
-    lower-left n2 x n1 block is the masked one (stored as zeros)."""
-    _require_coprime(n1, n2)
-    m = np.array([[lam, 1], [0, 0]], dtype=complex)
+def cusp_pattern(n1: int, n2: int) -> tuple:
+    """The construction of canonical_cusp_matrix as index lists: the rows
+    and columns of its ones, the index of its one diagonal entry (lam), and
+    the grading w of its ones: Z[i, j] != 0 => w(j) = w(i) + 1, so
+    diag(t^w) Z diag(t^-w) = Z / t, with w(0) = 0.  Each step inserts one
+    identity block, which raises w by one, and leaves the other entries where
+    they were (m1 + m2, m2) or moves them down the diagonal by m1 (m1,
+    m1 + m2)."""
+    rows, cols, at, w = [0], [1], 0, [0, 1]
     m1, m2 = 1, 1
     for (t1, t2) in _reduction_chain(n1, n2):
-        x = m[:m1, :m1]
-        y = m[:m1, m1:]
-        w = m[m1:, m1:]
-        new = np.zeros((t1 + t2, t1 + t2), dtype=complex)
-        if t1 == m1 + m2:      # (m1, m2) -> (m1 + m2, m2)
-            new[:m1, :m1] = x
-            new[:m1, m1:m1 + m2] = y
-            new[m1:m1 + m2, m1:m1 + m2] = w
-            new[m1:m1 + m2, m1 + m2:] = np.eye(m2)
-        else:                  # (m1, m2) -> (m1, m1 + m2)
-            new[:m1, m1:2 * m1] = np.eye(m1)
-            new[m1:2 * m1, m1:2 * m1] = x
-            new[m1:2 * m1, 2 * m1:] = y
-            new[2 * m1:, 2 * m1:] = w
-        m, m1, m2 = new, t1, t2
+        if t1 == m1 + m2:      # (m1, m2) -> (m1 + m2, m2): I at [m1:m1 + m2, m1 + m2:]
+            rows += range(m1, m1 + m2)
+            cols += range(m1 + m2, t1 + t2)
+            w += [v + 1 for v in w[m1:]]
+        else:                  # (m1, m2) -> (m1, m1 + m2): I at [:m1, m1:2 m1]
+            rows = [*range(m1), *(r + m1 for r in rows)]
+            cols = [*range(m1, 2 * m1), *(c + m1 for c in cols)]
+            at += m1
+            w = [v - 1 for v in w[:m1]] + w
+        m1, m2 = t1, t2
+    return rows, cols, at, [v - w[0] for v in w]
+
+
+def canonical_cusp_matrix(n1: int, n2: int, lam: complex) -> np.ndarray:
+    """Canonical mEps of the cuspidal M_{n1,n2}(lam), built from
+    [[lam,1],[x,0]] by reversing the reduction steps (cusp_pattern).
+    tr = lam; the current lower-left n2 x n1 block is the masked one (stored
+    as zeros)."""
+    _require_coprime(n1, n2)
+    rows, cols, at, _ = cusp_pattern(n1, n2)
+    m = np.zeros((n1 + n2, n1 + n2), dtype=complex)
+    m[rows, cols] = 1
+    m[at, at] = lam
     return m
 
 

@@ -38,10 +38,30 @@ def _definitions(tree: ast.Module):
                         yield n.id, node
 
 
-def _referenced(node: ast.AST) -> set:
+# src names its functions by string in two lookup tables only: getattr's
+# name argument, and the values of cli._SAMPLED_CHECKS (handed to getattr)
+LOOKUP_TABLES = {"_SAMPLED_CHECKS"}
+
+
+def _looked_up(node: ast.AST) -> list:
+    """The string constants of node that src uses as names: getattr's second
+    argument and the values of a dict assigned to a LOOKUP_TABLES name."""
+    out = []
+    for n in ast.walk(node):
+        if (isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                and n.func.id == "getattr" and len(n.args) >= 2):
+            out.append(n.args[1])
+        elif (isinstance(n, ast.Assign) and isinstance(n.value, ast.Dict)
+              and any(isinstance(t, ast.Name) and t.id in LOOKUP_TABLES for t in n.targets)):
+            out += n.value.values
+    return out
+
+
+def _referenced(node: ast.AST, strings: bool) -> set:
     """Identifiers node refers to: names, attributes, imported names, and
-    strings that spell an identifier (the CLI and perfbench look functions
-    up by name)."""
+    strings that spell an identifier: every such string if strings
+    (perfbench looks functions up by name), else only the strings of src's
+    lookup tables (_looked_up)."""
     out = set()
     for n in ast.walk(node):
         if isinstance(n, ast.Name):
@@ -50,34 +70,39 @@ def _referenced(node: ast.AST) -> set:
             out.add(n.attr)
         elif isinstance(n, ast.alias):
             out.add(n.name)
-        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value.isidentifier():
-            out.add(n.value)
+    consts = ast.walk(node) if strings else _looked_up(node)
+    out.update(n.value for n in consts if isinstance(n, ast.Constant)
+               and isinstance(n.value, str) and n.value.isidentifier())
     return out
 
 
-def _unused_names(keep: dict) -> dict:
+def _unused_names(keep: dict, src=None, perfbench=None) -> dict:
     """name -> "module:line" of every src definition that no used code refers
     to.  perfbench and the non-definition statements of src are used; a
     definition becomes used once a used unit refers to its name or keep
-    lists it, and then its own references count."""
+    lists it, and then its own references count.  src and perfbench are
+    lists of (module name, parsed module), by default those of the repo."""
+    if src is None:
+        src = [(path.stem, ast.parse(path.read_text())) for path in SRC]
+    if perfbench is None:
+        perfbench = [(path.stem, ast.parse(path.read_text())) for path in PERFBENCH]
     refs = set()
     pending = {}
-    for path in PERFBENCH:
-        refs |= _referenced(ast.parse(path.read_text()))
-    for path in SRC:
-        tree = ast.parse(path.read_text())
+    for _, tree in perfbench:
+        refs |= _referenced(tree, strings=True)
+    for stem, tree in src:
         defined = {id(node) for _, node in _definitions(tree)}
         for node in tree.body:
             if id(node) not in defined:
-                refs |= _referenced(node)
+                refs |= _referenced(node, strings=False)
         for name, node in _definitions(tree):
             if not (name.startswith("__") and name.endswith("__")):
-                pending[name, path.stem, node.lineno] = node
+                pending[name, stem, node.lineno] = node
     changed = True
     while changed:
         changed = False
         for key in [k for k in pending if k[0] in refs or k[0] in keep]:
-            refs |= _referenced(pending.pop(key))
+            refs |= _referenced(pending.pop(key), strings=False)
             changed = True
     return {name: f"{module}:{line}" for name, module, line in pending}
 
@@ -92,3 +117,18 @@ def test_every_kept_name_has_no_caller():
     # a kept name that src/ or perfbench/ came to use no longer needs its entry
     unused = _unused_names({})
     assert set(KEEP) <= set(unused), sorted(set(KEEP) - set(unused))
+
+
+def test_a_name_used_only_through_an_unrelated_string_is_reported():
+    # negative control: the string "helper" names no lookup, so helper is
+    # unused; the same string as getattr's name or as a value of a lookup
+    # table makes it used
+    unrelated = ast.parse('def helper():\n    pass\n\n\nLABEL = "helper"\n')
+    assert "helper" in _unused_names({}, src=[("fake", unrelated)], perfbench=[])
+    for lookup in ('getattr(fake, "helper")()',
+                   '_SAMPLED_CHECKS = {"x": "helper"}\ngetattr(fake, _SAMPLED_CHECKS["x"])()'):
+        used = ast.parse('def helper():\n    pass\n\n\n' + lookup + "\n")
+        assert "helper" not in _unused_names({}, src=[("fake", used)], perfbench=[]), lookup
+    # perfbench's strings count as they are: layers.py names functions
+    named = ast.parse('SPANS = [("rmx.fake", None, "helper", "span")]\n')
+    assert "helper" not in _unused_names({}, src=[("fake", unrelated)], perfbench=[("layers", named)])

@@ -478,22 +478,22 @@ def test_reports_are_reproducible():
 
 # max_residual and the first coordinate of argmax_sample for 4 samples.  The
 # engine entries pin rounding noise: that of the engines' Hom-space basis (the
-# elimination basis with its QR-orthonormalised coupled block, for the nodal
-# engine one per orbit block) and that of the BLAS summation order of the
+# elimination basis with its Cholesky-orthonormalised coupled block, for the
+# nodal engine one per orbit block) and that of the BLAS summation order of the
 # shared-leg products (tensorcore._PRODUCT_PLANS).
 # The catalog entries were computed by the per-identity sampling loops that
 # preceded the shared residual driver, the cybe and qybe entries whose digits
 # the leg plans moved (tensorcore.leg_residual_norm, _CHAIN_PLANS) by those
 # plans; qybe runs at v0 = 0.45.
 PINNED_RESIDUALS = {
-    ("nodal", 5, 2, "aybe", 0): (5.695433295429594e-14, -0.6203240672829127 - 0.4914667910877345j),
-    ("nodal", 5, 2, "aybe", 7): (6.393506331881295e-14, -0.5630387996316589 - 0.034680483300054445j),
-    ("nodal", 5, 2, "aybe_dual", 0): (3.753801795448226e-14, -0.16555025306337143 + 0.2754985613524907j),
-    ("nodal", 5, 2, "aybe_dual", 7): (1.214539843072226e-13, -0.28027414690114755 + 0.005506633687292992j),
-    ("cusp", 5, 3, "aybe", 0): (2.101093011592209e-12, -0.3007782369697672 + 0.9314340729630426j),
-    ("cusp", 5, 3, "aybe", 7): (9.27149368333513e-13, -0.33575966484332387 - 0.3240641037140451j),
-    ("cusp", 5, 3, "aybe_dual", 0): (1.7525045398791312e-12, -0.5499549551722069 - 0.3702236915925935j),
-    ("cusp", 5, 3, "aybe_dual", 7): (9.213112036753971e-14, -0.33575966484332387 - 0.3240641037140451j),
+    ("nodal", 5, 2, "aybe", 0): (6.355287432313019e-14, -0.6203240672829127 - 0.4914667910877345j),
+    ("nodal", 5, 2, "aybe", 7): (8.264504967895174e-14, -0.5630387996316589 - 0.034680483300054445j),
+    ("nodal", 5, 2, "aybe_dual", 0): (2.194088346924805e-14, -0.16555025306337143 + 0.2754985613524907j),
+    ("nodal", 5, 2, "aybe_dual", 7): (5.0242958677880804e-14, -0.28027414690114755 + 0.005506633687292992j),
+    ("cusp", 5, 3, "aybe", 0): (3.593639692827968e-12, -0.3007782369697672 + 0.9314340729630426j),
+    ("cusp", 5, 3, "aybe", 7): (6.574824364852881e-13, -0.33575966484332387 - 0.3240641037140451j),
+    ("cusp", 5, 3, "aybe_dual", 0): (1.2415603384955995e-12, -0.3007782369697672 + 0.9314340729630426j),
+    ("cusp", 5, 3, "aybe_dual", 7): (9.325450455155737e-14, -0.33575966484332387 - 0.3240641037140451j),
     ("ell21", "unitarity", 0): (2.3364326363345895e-14, -0.3046081537309824 - 0.710536736320037j),
     ("ell21", "unitarity", 7): (1.637720085286689e-14, -0.2422208503205726 + 0.7428374117793712j),
     ("trg21", "unitarity", 0): (0.0, 0.30639733867339203 - 0.7297000932207376j),

@@ -16,11 +16,17 @@ degree) it times, on six parameter rows the engine accepts:
 - the six rows as one stack (`rmatrix._nodal_rows` / `_cusp_rows`), k = 6,
   against six one-row calls;
 - the stages of the pipeline at k = 1 and k = 6: Hom-space assembly
-  (`_hom_space_glued` without its SVD and QR), the nullspace SVD
-  (`_nullspace`), the QR and the residue solve (`_compose_ev_res`).  The
-  nodal engine runs each stage on its n orbit blocks of n entries (one
-  stack of k x n blocks: SVDs of n x n, QRs of 3n x n, solves of n x n);
-  the cuspidal one on the whole n^2 x n^2 system.
+  (`_hom_space_glued` without its SVD and Cholesky stage), the nullspace
+  SVD (`_nullspace`), the Cholesky stage (`_orthonormal_rows`: Gram matrix,
+  Cholesky factor, triangular inverse and product), the evaluation of the
+  basis at y1 and y2 (`_at_affine`), the residue solve (`_compose_ev_res`)
+  and within it the inverse (its `np.linalg.inv`: of the reduced block
+  `A` from `rmatrix._REDUCED_MIN_ENTRIES` entries on, of the whole residue
+  matrix below; the stage is called reduced_solve).  The nodal engine
+  runs each stage on its n orbit blocks of n entries (one stack of k x n
+  blocks: SVDs of n x n, Cholesky factors of n x n, solves of n x n); the
+  cuspidal one on the whole system, whose reduced solve from rank 7 on
+  leaves out the n1 n2 free directions (n^2 - n1 n2 square).
 
 The calls are interleaved and each figure is the median wall time of
 `--repeats` rounds (a sixth of them, at least 5, at n = 12), so a slow
@@ -57,7 +63,8 @@ from rmx import rmatrix, verify  # noqa: E402
 
 DEGREES = {"nodal": {2: 1, 3: 1, 4: 1, 5: 2, 6: 1, 7: 3, 8: 3, 12: 5},
            "cusp": {2: 1, 3: 2, 4: 3, 5: 3, 6: 5, 7: 4, 8: 5, 12: 5}}
-STAGES = ("hom_assembly", "nullspace_svd", "qr", "res_solve")
+STAGES = ("hom_assembly", "nullspace_svd", "cholesky", "evaluation", "res_solve",
+          "reduced_solve")
 CHECKS = (("nodal", "dual"), ("cusp", "aybe"))   # 50 samples at CHECK_RANK
 CHECK_RANK = 5
 CHECK_REPEATS = 5
@@ -93,17 +100,25 @@ class _StageClock:
     """Adds the time spent in each pipeline stage while installed."""
 
     def __init__(self):
-        self.spent = dict.fromkeys(("hom", "nullspace_svd", "qr", "res_solve"), 0.0)
+        self.spent = dict.fromkeys(("hom", "nullspace_svd", "cholesky", "evaluation",
+                                    "res_solve", "reduced_solve"), 0.0)
         self._saved = []
+        self._solving = False  # inside _compose_ev_res
 
-    def _timed(self, owner, name, stage):
+    def _timed(self, owner, name, stage, solving=False):
+        """Time owner.name into stage; with solving, only the calls made
+        inside _compose_ev_res."""
         fn = getattr(owner, name)
 
         def timed(*args, **kwargs):
+            if solving and not self._solving:
+                return fn(*args, **kwargs)
             t0 = time.perf_counter()
+            self._solving |= stage == "res_solve"
             try:
                 return fn(*args, **kwargs)
             finally:
+                self._solving &= stage != "res_solve"
                 self.spent[stage] += time.perf_counter() - t0
         self._saved.append((owner, name, fn))
         setattr(owner, name, timed)
@@ -111,8 +126,10 @@ class _StageClock:
     def __enter__(self):
         self._timed(rmatrix, "_hom_space_glued", "hom")
         self._timed(rmatrix, "_nullspace", "nullspace_svd")
-        self._timed(np.linalg, "qr", "qr")
+        self._timed(rmatrix, "_orthonormal_rows", "cholesky")
+        self._timed(rmatrix, "_at_affine", "evaluation")
         self._timed(rmatrix, "_compose_ev_res", "res_solve")
+        self._timed(np.linalg, "inv", "reduced_solve", solving=True)
         return self
 
     def __exit__(self, *exc):
@@ -121,8 +138,8 @@ class _StageClock:
 
     def stages(self) -> dict:
         s = self.spent
-        return {"hom_assembly": s["hom"] - s["nullspace_svd"] - s["qr"],
-                "nullspace_svd": s["nullspace_svd"], "qr": s["qr"], "res_solve": s["res_solve"]}
+        return {"hom_assembly": s["hom"] - s["nullspace_svd"] - s["cholesky"],
+                **{k: s[k] for k in STAGES[1:]}}
 
 
 def _stage_times(stacked, rows) -> dict:
