@@ -85,33 +85,37 @@ def _reduction_chain(n1: int, n2: int) -> list:
     return chain[::-1]
 
 
+def nodal_pattern(n1: int, n2: int) -> list:
+    """The construction of canonical_nodal_matrix as an index list: the
+    column pi(i) of the one nonzero of each row i, built from pi = [1, 0]
+    ([[0, 1], [lam, 0]]) by the two block-insertion rules.  Step (m1, m2) ->
+    (m1 + m2, m2) inserts the identity at rows m1..m1 + m2 - 1, columns
+    m1 + m2 on, and moves the later rows down by m2; step (m1, m2) ->
+    (m1, m1 + m2) inserts it at the first m1 rows, columns m1 on, moves
+    every old row down by m1 and its columns from m1 on right by m1.  The
+    last row stays last."""
+    pi, m1, m2 = [1, 0], 1, 1
+    for (t1, t2) in _reduction_chain(n1, n2):
+        if t1 == m1 + m2:
+            pi = pi[:m1] + list(range(t1, t1 + t2)) + pi[m1:]
+        else:
+            pi = list(range(m1, 2 * m1)) + [c if c < m1 else c + m1 for c in pi]
+        m1, m2 = t1, t2
+    return pi
+
+
 def canonical_nodal_matrix(n1: int, n2: int, lam: complex) -> np.ndarray:
     """Canonical m(0) of the simple bundle class M_{n1,n2}(lam): built from
-    [[0,1],[lam,0]] by the two recursive block-insertion rules.  The result
-    has exactly one nonzero entry per row and column; the single lam sits in
-    the last row."""
+    [[0,1],[lam,0]] by the two recursive block-insertion rules
+    (nodal_pattern).  The result has exactly one nonzero entry per row and
+    column; the single lam sits in the last row."""
     _require_coprime(n1, n2)
     if lam == 0:
         raise ValueError("lam must be nonzero")
-    m = np.array([[0, 1], [lam, 0]], dtype=complex)
-    m1, m2 = 1, 1
-    for (t1, t2) in _reduction_chain(n1, n2):
-        x = m[:m1, :m1]
-        y = m[:m1, m1:]
-        z = m[m1:, :m1]
-        w = m[m1:, m1:]
-        new = np.zeros((t1 + t2, t1 + t2), dtype=complex)
-        if t1 == m1 + m2:      # (m1, m2) -> (m1 + m2, m2)
-            new[:m1, :m1] = x
-            new[:m1, m1:m1 + m2] = y
-            new[m1:m1 + m2, m1 + m2:] = np.eye(m2)
-            new[m1 + m2:, :m1] = z
-            new[m1 + m2:, m1:m1 + m2] = w
-        else:                  # (m1, m2) -> (m1, m1 + m2)
-            new[:m1, m1:2 * m1] = np.eye(m1)
-            new[m1:, :m1] = np.vstack([x, z])
-            new[m1:, 2 * m1:] = np.vstack([y, w])
-        m, m1, m2 = new, t1, t2
+    pi = nodal_pattern(n1, n2)
+    m = np.zeros((n1 + n2, n1 + n2), dtype=complex)
+    m[range(n1 + n2), pi] = 1
+    m[-1, pi[-1]] = lam
     return m
 
 

@@ -27,6 +27,13 @@ with (pi i, pi j): the nodal engine solves n orbit blocks of n entries each
 differ from those of the whole n^2 x n^2 system at rounding level.  The
 cuspidal gluing pattern is graded (_negative_weight): the outputs of
 negative weight are 0, and the engine writes them as exact zeros.
+
+What depends on the curve and (n, d) alone (the entry degrees, the nodal
+orbits and their selectors, the cusp pattern, the coefficient slots, the
+residue layout and the negative-weight mask) is one _GluedPlan, built once
+per engine solution (engine_solution) and applied to each of its parameter
+rows, one-row and stacked alike.  A plan lives in its solution; no module
+cache shares one.
 """
 
 from __future__ import annotations
@@ -110,11 +117,11 @@ def _nullspace(a: np.ndarray, rank) -> np.ndarray:
     return vh.conj()
 
 
-def _hom_space_glued(deg: np.ndarray, m_src: np.ndarray, m_dst: np.ndarray,
-                     cuspidal: bool, orbits: np.ndarray = None) -> np.ndarray:
+def _hom_space_glued(plan: "_GluedPlan", m_src: np.ndarray, m_dst: np.ndarray) -> np.ndarray:
     """Basis (k, dim, n, n, max_deg+1) of the Hom space of matrices of
     homogeneous polynomials cut out by the gluing constraint, one per row of
-    the stacks m_src, m_dst of shape (k, n, n).
+    the stacks m_src, m_dst of shape (k, n, n); plan (_GluedPlan) holds what
+    does not depend on the row.
 
     Nodal: F(0) m_src = m_dst F(inf) with F(0)/F(inf) the (z1 - z0)-
     normalized evaluations.  Cuspidal: F1 + F0 m_src = m_dst F0 over
@@ -137,27 +144,19 @@ def _hom_space_glued(deg: np.ndarray, m_src: np.ndarray, m_dst: np.ndarray,
     it the basis is orthonormal.  A dimension other than n^2 marks an
     exceptional locus.
 
-    orbits (_nodal_orbits) splits a nodal constraint with monomial gluing
-    matrices into blocks: the basis is then (k, n, n, n, 3), the n basis
-    elements of each orbit, its free directions included, with their
-    entries in orbit order (see there).
+    A nodal plan splits the constraint into its orbit blocks
+    (_nodal_orbits), m_src and m_dst being multiples of one permutation
+    matrix: the basis is then (k, n, n, n, 3), the n basis elements of each
+    orbit, its free directions included, with their entries in orbit order
+    (see there).
     """
-    n = deg.shape[0]
-    flat = deg.ravel()
-    if orbits is not None:
-        # m_src, m_dst are multiples of one permutation matrix P, with
+    k, n, p = len(m_src), plan.n, plan
+    if p.orbits is not None:
         # P[i, pi(i)] = 1, so at (i, j) the partner m_dst X m_src^{-1} is
         # mu X[pi i, pi j]: the next entry of the orbit
-        k, pi0 = len(m_src), orbits[0, 1] % n
-        mu = (m_dst[:, 0, pi0] / m_src[:, 0, pi0])[:, None, None]
-        d = flat[orbits]
-        glued = d == 0
-        nglued = glued.sum(axis=1)  # also the number of degree-2 entries
-        after = np.arange(1, n + 1)
-        nxt = after % n
-        eye = np.eye(n)
+        mu = (m_dst[:, 0, p.pi0] / m_src[:, 0, p.pi0])[:, None, None]
         # the glued rows X_t - mu X_{t+1}, padded with zero rows to n per orbit
-        constraint = glued[:, :, None] * (eye - mu[..., None] * eye[nxt])
+        constraint = p.glued * (p.eye - mu[..., None] * p.eye_next)
         # basis candidates, over the slots (X, partner, free direction) of
         # the orbit's entries: its nullspace rows with their partners
         # s mu X_{t+1}, and in place of its first nglued (range) rows the unit
@@ -165,18 +164,15 @@ def _hom_space_glued(deg: np.ndarray, m_src: np.ndarray, m_dst: np.ndarray,
         # _orthonormal_rows returns them unchanged
         cand = np.empty((k, n, n, 3 * n), dtype=complex)
         x = cand[..., :n]
-        np.multiply(_nullspace(constraint, nglued), after[:, None] > nglued[:, None, None], out=x)
-        np.multiply(x[..., nxt], (mu * np.array([0.0, -1.0, 1.0])[d])[:, :, None],
-                    out=cand[..., n:2 * n])
-        two = d == 2
-        cand[..., 2 * n:] = two[:, None] & (two.cumsum(axis=1)[:, None] == after[:, None])
+        np.multiply(_nullspace(constraint, p.nglued), p.nullspace_rows, out=x)
+        np.multiply(x[..., p.nxt], (mu * p.sign)[:, :, None], out=cand[..., n:2 * n])
+        cand[..., 2 * n:] = p.free_units
         q = _orthonormal_rows(cand, cand[..., n:2 * n]).reshape(k, n, n, 3, n)
         # coefficients: X at c = deg, the partner at c = 0, the free direction at c = 1
-        basis = q[..., 0, :, None] * np.eye(3)[d][:, None]
+        basis = q[..., 0, :, None] * p.top_units
         basis[..., 0] += q[..., 1, :]
         basis[..., 1] += q[..., 2, :]
         return basis
-    glued, lower, free = flat == 0, flat >= 1, flat == 2
 
     def vec_map(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Matrices of X -> a X b on row-major vec(X), np.kron(a, b.T), per
@@ -184,36 +180,29 @@ def _hom_space_glued(deg: np.ndarray, m_src: np.ndarray, m_dst: np.ndarray,
         return (a[:, :, None, :, None] * b.transpose(0, 2, 1)[:, None, :, None, :]
                 ).reshape(-1, n * n, n * n)
 
-    # row p of partner maps vec(X) to the partner coefficient that the
-    # equation at entry p gives; a degree-0 entry has none, so there the
+    # row q of partner maps vec(X) to the partner coefficient that the
+    # equation at entry q gives; a degree-0 entry has none, so there the
     # equation constrains X
-    if cuspidal:
+    if p.cuspidal:
         # with Z + lam1, Z + lam2 - y1 this is Z (x) 1 - 1 (x) Z^T + c on the
         # degree-0 rows, c = lam2 - y1 - lam1; it has full row rank n1 n2 at
         # every c (smallest singular value >= 1.03 for n <= 12, pinned by
         # test_cuspidal_gluing_constraint_has_full_row_rank), so _nullspace
         # refuses only nodal and semistable rows
-        eye = np.eye(n)[None]
+        eye = p.eye[None]
         partner = vec_map(m_dst, eye) - vec_map(eye, m_src)
-        constraint = partner[:, glued]
+        constraint = partner[:, p.glued]
     else:
-        partner = (-1.0) ** flat[:, None] * vec_map(m_dst, np.linalg.inv(m_src))
-        constraint = np.eye(n * n)[glued] - partner[:, glued]
-    rank = np.count_nonzero(glued)
-    ns = _nullspace(constraint[:, None], [rank])[:, 0, rank:]
-    k, coupled = ns.shape[:2]
-    dim = n * n
-    m = ns @ partner[:, lower].swapaxes(-1, -2)
+        partner = p.sign * vec_map(m_dst, np.linalg.inv(m_src))
+        constraint = p.eye_glued - partner[:, p.glued]
+    ns = _nullspace(constraint[:, None], [p.rank])[:, 0, p.rank:]
+    m = ns @ partner[:, p.lower].swapaxes(-1, -2)
     q = _orthonormal_rows(np.concatenate([ns, m], axis=-1), m)
-    # scatter into the coefficient slots, flattened (entry, c) -> entry*kmax + c;
-    # the largest degree sits at the lower-left corner
-    kmax = int(deg[-1, 0]) + 1
-    top = np.arange(0, n * n * kmax, kmax) + flat   # the slot of each X[i, j]
-    partner_slot = top[lower] - 1 if cuspidal else (top - flat)[lower]
-    basis = np.zeros((k, dim, n * n * kmax), dtype=complex)
-    basis[:, :coupled, np.concatenate([top, partner_slot])] = q
-    basis[:, coupled + np.arange(dim - coupled), top[free] - (2 if cuspidal else 1)] = 1.0
-    return basis.reshape(k, dim, n, n, kmax)
+    # scatter into the coefficient slots, flattened (entry, c) -> entry*kmax + c
+    basis = np.zeros((k, n * n, n * n * p.kmax), dtype=complex)
+    basis[:, :p.coupled, p.slots] = q
+    basis[:, p.free_units[0], p.free_units[1]] = 1.0
+    return basis.reshape(k, n * n, n, n, p.kmax)
 
 
 def _orthonormal_rows(w: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -251,20 +240,45 @@ def _frobenius_sq(a: np.ndarray) -> np.ndarray:
     return (flat @ flat.swapaxes(-1, -2))[:, 0, 0]
 
 
+class _ResidueLayout:
+    """How _compose_ev_res reads a residue system of (n, n) matrices.
+
+    blocks, an (nb, m) array of flat entries i n + j, or None for one block
+    of every entry, row-major; free, a pair of slices (rows, columns) of the
+    (n, n) entries (one block only) whose f unit free directions are left
+    out of the basis, or None.  Held: nb, m, f; for blocks the flat position
+    of each block entry [b, p, q] in the (n^2, n^2) action (scatter); for
+    free the mask of the other entries (kept) and the positions of the free
+    directions' units in R (free_units: rows, then columns after the other
+    basis elements)."""
+
+    def __init__(self, n: int, blocks: np.ndarray = None, free: tuple = None):
+        self.n, self.blocks, self.free = n, blocks, free
+        self.nb, self.m = (1, n * n) if blocks is None else blocks.shape
+        if blocks is not None:
+            self.scatter = (n * n * blocks[:, :, None] + blocks[:, None, :]).ravel()
+        self.f = 0
+        if free is not None:
+            kept = np.ones((n, n), dtype=bool)
+            kept[free] = False
+            self.kept = kept.ravel()
+            self.f = n * n - np.count_nonzero(kept)
+            self.free_units = (np.flatnonzero(~self.kept), n * n - self.f + np.arange(self.f))
+
+
 def _compose_ev_res(res_vals: np.ndarray, ev_vals: np.ndarray,
-                    blocks: np.ndarray = None, free: tuple = None,
-                    free_ev: np.ndarray = None) -> np.ndarray:
+                    layout: _ResidueLayout = None, free_ev: np.ndarray = None) -> np.ndarray:
     """The (k, n, n, n, n) coefficient stack of ev o res^{-1}, one tensor per
     stack row, from per-basis
-    residue/evaluation matrices of shape (k, dim, n, n).  With blocks, an
-    (nb, m) array of flat entries i n + j, the shape is (k, nb, m, m): block
-    b holds m basis elements and their values at the entries blocks[b],
-    every other value being 0, so R, the matrix of res, is block diagonal
-    and ev o res^{-1} is solved block by block and is exactly 0 off them.
+    residue/evaluation matrices of shape (k, dim, n, n).  With the blocks of
+    layout (_ResidueLayout; default one block of every entry) the shape is
+    (k, nb, m, m): block b holds m basis elements and their values at the
+    entries blocks[b], every other value being 0, so R, the matrix of res,
+    is block diagonal and ev o res^{-1} is solved block by block and is
+    exactly 0 off them.
 
-    free, a pair of slices (rows, columns) of the (n, n) entries (one block
-    only), leaves the unit free directions at those f entries out of the
-    basis: each has residue e_p at its entry p and value free_ev e_p
+    With free entries the unit free directions at those f entries are not
+    in the basis: each has residue e_p at its entry p and value free_ev e_p
     (free_ev of shape (k,)), and res_vals, ev_vals hold the other n^2 - f
     elements.  With the free entries last R = [[A, 0], [B, I]], so only A
     is inverted: R^{-1} = [[A^{-1}, 0], [-B A^{-1}, I]], and ev o res^{-1}
@@ -283,19 +297,15 @@ def _compose_ev_res(res_vals: np.ndarray, ev_vals: np.ndarray,
     inverse raise for the whole stack, which is then refused with the cond
     of its first row."""
     k = len(res_vals)
-    if blocks is None:  # one block: every entry, row-major
-        blocks = np.arange(res_vals[0, 0].size)[None]
-    (nb, m), n = blocks.shape, isqrt(blocks.size)
-    c = res_vals[0].size // (nb * m)  # basis elements per block
-    f = m - c
+    if layout is None:
+        layout = _ResidueLayout(isqrt(res_vals[0, 0].size))
+    nb, m, n, f = layout.nb, layout.m, layout.n, layout.f
+    c = m - f  # basis elements per block
     if f:
         # the transposed system R^T Y = E^T, Y[ab, kl] the image of e_ab at
         # e_kl: R^T = [[A^T, B^T], [0, I]] over (the basis, the free
         # directions) x (the other entries, the free ones)
-        kept = np.ones((n, n), dtype=bool)
-        kept[free] = False
-        kept = kept.ravel()
-        at_free = (slice(None), slice(None)) + free
+        at_free = (slice(None), slice(None)) + layout.free
         r_t = res_vals.reshape(k, c, m)
         b_t = res_vals.reshape(k, c, n, n)[at_free].reshape(k, c, f)
     else:
@@ -305,7 +315,7 @@ def _compose_ev_res(res_vals: np.ndarray, ev_vals: np.ndarray,
         if f:
             inv = np.empty((k, c, m), dtype=complex)  # A^{-T} and A^{-T} B^T
             sol = inv[..., :c]
-            sol[...] = np.linalg.inv(r_t[..., kept])
+            sol[...] = np.linalg.inv(r_t[..., layout.kept])
             np.matmul(sol, b_t, out=inv[..., c:])
         else:
             inv = sol = np.linalg.inv(r_mat)
@@ -316,7 +326,7 @@ def _compose_ev_res(res_vals: np.ndarray, ev_vals: np.ndarray,
         if f:  # R with the free directions as its last columns
             r_full = np.zeros((np.count_nonzero(~proven), 1, m, m), dtype=complex)
             r_full[:, 0, :, :c] = r_t[~proven].swapaxes(-1, -2)
-            r_full[:, 0, ~kept, c + np.arange(f)] = 1.0
+            r_full[:, 0, layout.free_units[0], layout.free_units[1]] = 1.0
         else:
             r_full = r_mat[~proven]
         sv = np.linalg.svd(r_full, compute_uv=False)
@@ -335,16 +345,16 @@ def _compose_ev_res(res_vals: np.ndarray, ev_vals: np.ndarray,
         act_free = act.reshape(k, c, n, n)[at_free]
         act_free -= free_ev[:, None, None, None] * inv[..., c:].reshape(act_free.shape)
         action = np.zeros((k, m, m), dtype=complex)  # [s, ab, kl]
-        action[:, kept] = act
+        action[:, layout.kept] = act
         # Y at the free entries: free_ev e_ab, on the diagonal
-        action.reshape(k, -1)[:, ::m + 1].reshape(k, n, n)[(slice(None),) + free] = \
+        action.reshape(k, -1)[:, ::m + 1].reshape(k, n, n)[(slice(None),) + layout.free] = \
             free_ev[:, None, None]
         action = action.reshape(k, n, n, n, n)
     else:
         lin = ev_vals.reshape(k, nb, m, m).swapaxes(-1, -2) @ sol  # entries to entries, per block
         if nb > 1:
             full = np.zeros((k, n**4), dtype=complex)
-            full[:, (n * n * blocks[:, :, None] + blocks[:, None, :]).ravel()] = lin.reshape(k, -1)
+            full[:, layout.scatter] = lin.reshape(k, -1)
             lin = full
         action = lin.reshape(k, n * n, n * n).swapaxes(-1, -2).reshape(k, n, n, n, n)
     # action[s, a, b, k, l]: the image of e_{ab} at e_{kl}
@@ -361,152 +371,47 @@ def _compose_ev_res(res_vals: np.ndarray, ev_vals: np.ndarray,
 _REDUCED_MIN_ENTRIES = 49
 
 
-def _glued_engine(deg: np.ndarray, m_src: np.ndarray, m_dst: np.ndarray,
-                  cuspidal: bool, y1: np.ndarray, y2: np.ndarray,
-                  orbits: np.ndarray = None) -> np.ndarray:
+def _glued_engine(plan: "_GluedPlan", m_src: np.ndarray, m_dst: np.ndarray,
+                  y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
     """ev o res^{-1} on the glued Hom space of each stack row, a coefficient
     stack (_compose_ev_res): the residue at
     y1 is taken against dz on the cuspidal curve and dz/z on the nodal one,
     the evaluation at y2 against 1/(y2 - y1); y1 and y2 have shape (k,).
-    orbits (_nodal_orbits) solves a nodal constraint orbit by orbit.  From
-    _REDUCED_MIN_ENTRIES entries on, the cuspidal free directions, the last
-    n1 n2 elements of the basis, are left to _compose_ev_res: each is the
-    unit at slot c = 0, so its residue is 1 and its value 1 / (y2 - y1)."""
+    A nodal plan solves orbit by orbit.  Where the plan's residue layout has
+    free entries (cuspidal, from _REDUCED_MIN_ENTRIES entries on), the
+    cuspidal free directions, the last n1 n2 elements of the basis, are left
+    to _compose_ev_res: each is the unit at slot c = 0, so its residue is 1
+    and its value 1 / (y2 - y1)."""
     gap = y2 - y1
-    basis = _hom_space_glued(deg, m_src, m_dst, cuspidal, orbits)
-    free = free_ev = None
-    if cuspidal and deg.size >= _REDUCED_MIN_ENTRIES:
-        n1 = int(np.argmax(deg[:, 0]))  # the degree-2 entries are deg[n1:, :n1]
-        free = (slice(n1, None), slice(None, n1))
+    basis = _hom_space_glued(plan, m_src, m_dst)
+    free_ev = None
+    if plan.layout.f:
         free_ev = 1.0 / gap
-        basis = basis[:, :deg.size - n1 * (len(deg) - n1)]  # without the free directions
+        basis = basis[:, :plan.layout.m - plan.layout.f]  # without the free directions
     # the basis is dropped once evaluated and its values are divided in place,
     # so no more than _compose_ev_res's inputs stays alive while it runs
     res_vals, ev_vals = _at_affine(basis, (y1, y2))
     del basis
-    if not cuspidal:
+    if not plan.cuspidal:
         res_vals /= y1[:, None, None, None]
     ev_vals /= gap[:, None, None, None]
-    return _compose_ev_res(res_vals, ev_vals, orbits, free, free_ev)
+    return _compose_ev_res(res_vals, ev_vals, plan.layout, free_ev)
 
 
-def _nodal_orbits(m: np.ndarray) -> np.ndarray:
-    """Orbits of the nodal gluing constraint for a monomial gluing matrix m
-    (one nonzero per row and column, m[i, pi(i)]), an n-cycle pi as for
-    coprime (n, d): entry (u, t) is the flat index of (pi^t(0), pi^(t+u)(0)).
+def _nodal_orbits(pi: list) -> np.ndarray:
+    """Orbits of the nodal gluing constraint for a monomial gluing matrix
+    whose nonzero in row i sits at column pi[i] (bundles.nodal_pattern), an
+    n-cycle pi as for coprime (n, d): entry (u, t) is the flat index of
+    (pi^t(0), pi^(t+u)(0)).
 
     With m_src, m_dst of that pattern the equation at (i, j) reads X at
     (pi i, pi j) only (_hom_space_glued), so the n orbits of n entries each
     are independent: Pi, res and ev are block diagonal over them."""
-    n = len(m)
-    pi = np.argmax(m != 0, axis=1).tolist()
+    n = len(pi)
     c = [0]
     for _ in range(n - 1):
         c.append(pi[c[-1]])
     return np.array([[n * c[t] + c[(t + u) % n] for t in range(n)] for u in range(n)])
-
-
-def _require_coprime(n: int, d: int):
-    if gcd(n, d) != 1 or not (0 < d < n):
-        raise EngineError(f"(n, d) = ({n}, {d}) must be coprime with 0 < d < n")
-
-
-def _require_finite_det(n: int, *scales):
-    """Each glued engine's gluing matrix is s (permutation) or s (1 + nilpotent)
-    for a scalar s of its parameter row, so its determinant is +-s^n.  Where
-    that overflows the residue system has no digit left (its cond reads
-    inf): an EngineError, not a degenerate system."""
-    try:
-        for s in scales:
-            abs(s) ** n  # a float power raises OverflowError
-    except OverflowError:
-        raise EngineError(f"parameters too large: a gluing matrix's determinant "
-                          f"(power {n}) overflows") from None
-
-
-def _nodal_rows(n: int, d: int, rows) -> np.ndarray:
-    """The coefficient stack of engine_nodal at the parameter rows
-    (lam1, lam2, y1, y2) of rows."""
-    _require_coprime(n, d)
-    for lam1, lam2, y1, y2 in rows:
-        if lam1 == 0 or lam2 == 0 or y1 == 0 or y2 == 0:
-            raise EngineError("nodal parameters must be nonzero")
-        if y1 == y2 or lam1 == lam2:
-            raise EngineError("coincident spectral points")
-        _require_finite_det(n, lam1, complex(y1) * complex(lam2))
-    lam1, lam2, y1, y2 = np.array(rows, dtype=complex).T
-    n1, n2 = n - d, d
-    m_src = bundles.jacobian_nodal_matrices(n1, n2, lam1)
-    m_dst = y1[:, None, None] * bundles.jacobian_nodal_matrices(n1, n2, lam2)
-    return _glued_engine(_entry_degrees(n1, n2), m_src, m_dst, False, y1, y2,
-                         _nodal_orbits(m_src[0]))
-
-
-def engine_nodal(n: int, d: int, lam1: complex, lam2: complex,
-                 y1: complex, y2: complex) -> Tensor2:
-    """Geometric r-matrix of the family of stable bundles of rank n, degree d
-    (0 < d < n coprime) on the nodal cubic, at moduli points lam1, lam2 in C*
-    and curve points y1 != y2 in C*.
-
-    Depends on lam2/lam1 only; the gluing data is the Jacobian-compatible
-    family with every nonzero canonical entry equal to lam.
-    """
-    return Tensor2(n, _nodal_rows(n, d, [(lam1, lam2, y1, y2)])[0])
-
-
-_J2 = bundles.atiyah_nodal(2).m0  # J_2(1), gluing matrix of the Atiyah bundle
-
-
-def _semistable_rows(rows) -> np.ndarray:
-    """The coefficient stack of engine_semistable_nodal_20 at the parameter
-    rows of rows."""
-    for lam1, lam2, y1, y2 in rows:
-        if lam1 == 0 or lam2 == 0 or y1 == 0 or y2 == 0:
-            raise EngineError("nodal parameters must be nonzero")
-        if y1 == y2:
-            raise EngineError("coincident curve points")
-        if lam1 == lam2:
-            raise EngineError("residue system degenerate at lam1 = lam2")
-        _require_finite_det(2, lam1, complex(y1) * complex(lam2))
-    lam1, _, y1, y2 = np.array(rows, dtype=complex).T
-    # y1 lam2 as a product of Python complex numbers: numpy's vector product
-    # may round differently
-    y1_lam2 = np.array([complex(row[2]) * complex(row[1]) for row in rows])
-    m_src = lam1[:, None, None] * _J2
-    m_dst = y1_lam2[:, None, None] * _J2
-    return _glued_engine(_entry_degrees(2, 0), m_src, m_dst, False, y1, y2)
-
-
-def engine_semistable_nodal_20(lam1: complex, lam2: complex,
-                               y1: complex, y2: complex) -> Tensor2:
-    """r-matrix of the rank-2 degree-0 semistable family m(0) = lam J_2(1)
-    on the nodal cubic; all polynomial blocks have degree one.  Pole of
-    order three in the moduli direction at lam1 = lam2."""
-    return Tensor2(2, _semistable_rows([(lam1, lam2, y1, y2)])[0])
-
-
-def _cusp_rows(n: int, d: int, rows) -> np.ndarray:
-    """The coefficient stack of engine_cusp at the parameter rows
-    (lam1, lam2, y1, y2) of rows."""
-    _require_coprime(n, d)
-    for lam1, lam2, y1, y2 in rows:
-        if y1 == y2:
-            raise EngineError("coincident curve points")
-        if lam1 == lam2:
-            raise EngineError("coincident moduli points")
-        _require_finite_det(n, lam1, complex(lam2) - complex(y1))
-    lam1, lam2, y1, y2 = np.array(rows, dtype=complex).T
-    n1, n2 = n - d, d
-    # the canonical matrix at lam = 0 is Z (bundles.canonical_cusp_matrix)
-    rows_z, cols_z, _, w = bundles.cusp_pattern(n1, n2)
-    z_pat = np.zeros((n, n), dtype=complex)
-    z_pat[rows_z, cols_z] = 1
-    eye = np.eye(n, dtype=complex)
-    m_src = z_pat + lam1[:, None, None] * eye
-    m_dst = z_pat + (lam2 - y1)[:, None, None] * eye
-    coeffs = _glued_engine(_entry_degrees(n1, n2), m_src, m_dst, True, y1, y2)
-    np.copyto(coeffs, 0.0, where=_negative_weight(w))
-    return coeffs
 
 
 def _negative_weight(w: list) -> np.ndarray:
@@ -528,16 +433,189 @@ def _negative_weight(w: list) -> np.ndarray:
     return d[:, :, None, None] < -d
 
 
+class _GluedPlan:
+    """Everything of a glued engine that depends on its curve and (n, d)
+    only, not on the parameter rows: built once per engine solution
+    (engine_solution) and applied to each of its rows, one-row and stacked
+    alike; an engine called on its own builds one per call.
+
+    curve is "nodal" or "cuspidal" ((n, d) coprime with 0 < d < n, an
+    EngineError otherwise) or "nodal-semistable" ((n, d) = (2, 0)).  Held:
+    n, n1 = n - d, n2 = d, cuspidal, the entry degrees deg
+    (_entry_degrees), the residue layout of _compose_ev_res (layout), and
+    the selectors of one of _hom_space_glued's two paths:
+
+    - nodal, by orbit blocks: orbits (_nodal_orbits), pi0 = pi(0), and per
+      orbit entry t of orbit u, from its degree: glued (degree 0), nglued
+      per orbit, the rows of I at t and t + 1 (eye, eye_next, nxt), the
+      nullspace rows kept (nullspace_rows), the partner's sign (0, -1, +1
+      at degree 0, 1, 2), the unit free directions (free_units) and the
+      unit of each X's slot c = deg (top_units);
+    - whole system: the masks of the degree-0 entries (glued, whose
+      equations constrain X) and of the others (lower), rank = n1 n2,
+      coupled = n^2 - rank, kmax, the coefficient slots of X and its
+      partners (slots) and of the free directions' units (free_units);
+      cuspidal: the cusp pattern Z and I (z, eye); semistable: the sign
+      (-1)^deg and the rows of I at the degree-0 entries (eye_glued).
+
+    A cuspidal plan also holds the negative-weight mask (_negative_weight)."""
+
+    def __init__(self, curve: str, n: int, d: int):
+        if curve != "nodal-semistable" and (gcd(n, d) != 1 or not 0 < d < n):
+            raise EngineError(f"(n, d) = ({n}, {d}) must be coprime with 0 < d < n")
+        n1, n2 = n - d, d
+        self.n, self.n1, self.n2 = n, n1, n2
+        self.cuspidal = curve == "cuspidal"
+        self.deg = _entry_degrees(n1, n2)
+        flat = self.deg.ravel()
+        self.orbits, free = None, None
+        if curve == "nodal":
+            pi = bundles.nodal_pattern(n1, n2)
+            self.pi0, self.orbits = pi[0], _nodal_orbits(pi)
+            degree = flat[self.orbits]
+            glued, two = degree == 0, degree == 2
+            self.nglued = glued.sum(axis=1)  # also the number of degree-2 entries
+            self.glued = glued[:, :, None]
+            after = np.arange(1, n + 1)
+            self.nxt = after % n
+            self.eye = np.eye(n)
+            self.eye_next = self.eye[self.nxt]
+            self.nullspace_rows = after[:, None] > self.nglued[:, None, None]
+            self.sign = np.array([0.0, -1.0, 1.0])[degree]
+            self.free_units = two[:, None] & (two.cumsum(axis=1)[:, None] == after[:, None])
+            self.top_units = np.eye(3)[degree][:, None]
+        else:
+            self.glued, self.lower, free_at = flat == 0, flat >= 1, flat == 2
+            self.rank = np.count_nonzero(self.glued)
+            self.coupled = n * n - self.rank
+            self.kmax = int(self.deg[-1, 0]) + 1  # the largest degree sits at the lower-left corner
+            top = np.arange(0, n * n * self.kmax, self.kmax) + flat   # the slot of each X[i, j]
+            partner_slot = top[self.lower] - 1 if self.cuspidal else (top - flat)[self.lower]
+            self.slots = np.concatenate([top, partner_slot])
+            self.free_units = (self.coupled + np.arange(n * n - self.coupled),
+                               top[free_at] - (2 if self.cuspidal else 1))
+            if self.cuspidal:
+                # the canonical matrix at lam = 0 is Z (bundles.canonical_cusp_matrix)
+                rows_z, cols_z, _, w = bundles.cusp_pattern(n1, n2)
+                self.z = np.zeros((n, n), dtype=complex)
+                self.z[rows_z, cols_z] = 1
+                self.eye = np.eye(n, dtype=complex)
+                self.negative = _negative_weight(w)
+                if n * n >= _REDUCED_MIN_ENTRIES:
+                    free = (slice(n1, None), slice(None, n1))  # the degree-2 entries
+            else:
+                self.sign = (-1.0) ** flat[:, None]
+                self.eye_glued = np.eye(n * n)[self.glued]
+        self.layout = _ResidueLayout(n, self.orbits, free)
+
+
+def _require_finite_det(n: int, *scales):
+    """Each glued engine's gluing matrix is s (permutation) or s (1 + nilpotent)
+    for a scalar s of its parameter row, so its determinant is +-s^n.  Where
+    that overflows the residue system has no digit left (its cond reads
+    inf): an EngineError, not a degenerate system."""
+    try:
+        for s in scales:
+            abs(s) ** n  # a float power raises OverflowError
+    except OverflowError:
+        raise EngineError(f"parameters too large: a gluing matrix's determinant "
+                          f"(power {n}) overflows") from None
+
+
+def _nodal_rows(plan: _GluedPlan, rows) -> np.ndarray:
+    """The coefficient stack of engine_nodal at the parameter rows
+    (lam1, lam2, y1, y2) of rows, by the nodal plan."""
+    for lam1, lam2, y1, y2 in rows:
+        if lam1 == 0 or lam2 == 0 or y1 == 0 or y2 == 0:
+            raise EngineError("nodal parameters must be nonzero")
+        if y1 == y2 or lam1 == lam2:
+            raise EngineError("coincident spectral points")
+        _require_finite_det(plan.n, lam1, complex(y1) * complex(lam2))
+    lam1, lam2, y1, y2 = np.array(rows, dtype=complex).T
+    m_src = bundles.jacobian_nodal_matrices(plan.n1, plan.n2, lam1)
+    m_dst = y1[:, None, None] * bundles.jacobian_nodal_matrices(plan.n1, plan.n2, lam2)
+    return _glued_engine(plan, m_src, m_dst, y1, y2)
+
+
+def engine_nodal(n: int, d: int, lam1: complex, lam2: complex,
+                 y1: complex, y2: complex, plan: _GluedPlan = None) -> Tensor2:
+    """Geometric r-matrix of the family of stable bundles of rank n, degree d
+    (0 < d < n coprime) on the nodal cubic, at moduli points lam1, lam2 in C*
+    and curve points y1 != y2 in C*; plan, the nodal _GluedPlan of (n, d),
+    is built when not given.
+
+    Depends on lam2/lam1 only; the gluing data is the Jacobian-compatible
+    family with every nonzero canonical entry equal to lam.
+    """
+    if plan is None:
+        plan = _GluedPlan("nodal", n, d)
+    return Tensor2(n, _nodal_rows(plan, [(lam1, lam2, y1, y2)])[0])
+
+
+_J2 = bundles.atiyah_nodal(2).m0  # J_2(1), gluing matrix of the Atiyah bundle
+
+
+def _semistable_rows(plan: _GluedPlan, rows) -> np.ndarray:
+    """The coefficient stack of engine_semistable_nodal_20 at the parameter
+    rows of rows, by the semistable plan."""
+    for lam1, lam2, y1, y2 in rows:
+        if lam1 == 0 or lam2 == 0 or y1 == 0 or y2 == 0:
+            raise EngineError("nodal parameters must be nonzero")
+        if y1 == y2:
+            raise EngineError("coincident curve points")
+        if lam1 == lam2:
+            raise EngineError("residue system degenerate at lam1 = lam2")
+        _require_finite_det(2, lam1, complex(y1) * complex(lam2))
+    lam1, _, y1, y2 = np.array(rows, dtype=complex).T
+    # y1 lam2 as a product of Python complex numbers: numpy's vector product
+    # may round differently
+    y1_lam2 = np.array([complex(row[2]) * complex(row[1]) for row in rows])
+    m_src = lam1[:, None, None] * _J2
+    m_dst = y1_lam2[:, None, None] * _J2
+    return _glued_engine(plan, m_src, m_dst, y1, y2)
+
+
+def engine_semistable_nodal_20(lam1: complex, lam2: complex, y1: complex, y2: complex,
+                               plan: _GluedPlan = None) -> Tensor2:
+    """r-matrix of the rank-2 degree-0 semistable family m(0) = lam J_2(1)
+    on the nodal cubic; all polynomial blocks have degree one.  Pole of
+    order three in the moduli direction at lam1 = lam2.  plan, the
+    semistable _GluedPlan, is built when not given."""
+    if plan is None:
+        plan = _GluedPlan("nodal-semistable", 2, 0)
+    return Tensor2(2, _semistable_rows(plan, [(lam1, lam2, y1, y2)])[0])
+
+
+def _cusp_rows(plan: _GluedPlan, rows) -> np.ndarray:
+    """The coefficient stack of engine_cusp at the parameter rows
+    (lam1, lam2, y1, y2) of rows, by the cuspidal plan."""
+    for lam1, lam2, y1, y2 in rows:
+        if y1 == y2:
+            raise EngineError("coincident curve points")
+        if lam1 == lam2:
+            raise EngineError("coincident moduli points")
+        _require_finite_det(plan.n, lam1, complex(lam2) - complex(y1))
+    lam1, lam2, y1, y2 = np.array(rows, dtype=complex).T
+    m_src = plan.z + lam1[:, None, None] * plan.eye
+    m_dst = plan.z + (lam2 - y1)[:, None, None] * plan.eye
+    coeffs = _glued_engine(plan, m_src, m_dst, y1, y2)
+    np.copyto(coeffs, 0.0, where=plan.negative)
+    return coeffs
+
+
 def engine_cusp(n: int, d: int, lam1: complex, lam2: complex,
-                y1: complex, y2: complex) -> Tensor2:
+                y1: complex, y2: complex, plan: _GluedPlan = None) -> Tensor2:
     """Geometric r-matrix of the family of stable bundles of rank n, degree d
     on the cuspidal cubic; moduli points lam1, lam2 in C, curve points
-    y1 != y2 in C.  Depends on lam2 - lam1 only.
+    y1 != y2 in C; plan, the cuspidal _GluedPlan of (n, d), is built when
+    not given.  Depends on lam2 - lam1 only.
 
     The gluing family is 1 + eps(lam I + Z) with Z the off-diagonal canonical
     pattern; twisting by O(y1) shifts the target matrix by -y1.
     """
-    return Tensor2(n, _cusp_rows(n, d, [(lam1, lam2, y1, y2)])[0])
+    if plan is None:
+        plan = _GluedPlan("cuspidal", n, d)
+    return Tensor2(n, _cusp_rows(plan, [(lam1, lam2, y1, y2)])[0])
 
 
 # --- elliptic engine ---------------------------------------------------------
@@ -665,23 +743,24 @@ def engine_solution(kind: str, n: int = 2, d: int = 1,
     cuspidal curve, dz on the torus (theta-normalized).  The glued engines
     evaluate parameter rows together up to their rank in _STACK_MAX_N
     (evaluate_rows)."""
-    if kind in ("nodal", "cusp", "cuspidal"):
-        _require_coprime(n, d)  # here too: a check sizes its blocks by n before any call
     if kind == "elliptic":
         if (n, d) != (2, 1):
             raise EngineError("elliptic engine implemented for (n, d) = (2, 1)")
         ev = lambda v1, v2, y1, y2: engine_elliptic_21(tau, v1, v2, y1, y2)
         stacked, curve = None, "elliptic"
     elif kind == "nodal":
-        ev = lambda v1, v2, y1, y2: engine_nodal(n, d, v1, v2, y1, y2)
-        stacked, curve = (lambda rows: _nodal_rows(n, d, rows)), "nodal"
+        plan = _GluedPlan("nodal", n, d)
+        ev = lambda v1, v2, y1, y2: engine_nodal(n, d, v1, v2, y1, y2, plan)
+        stacked, curve = (lambda rows: _nodal_rows(plan, rows)), "nodal"
     elif kind in ("cusp", "cuspidal"):
-        ev = lambda v1, v2, y1, y2: engine_cusp(n, d, v1, v2, y1, y2)
-        stacked, curve = (lambda rows: _cusp_rows(n, d, rows)), "cuspidal"
+        plan = _GluedPlan("cuspidal", n, d)
+        ev = lambda v1, v2, y1, y2: engine_cusp(n, d, v1, v2, y1, y2, plan)
+        stacked, curve = (lambda rows: _cusp_rows(plan, rows)), "cuspidal"
     elif kind == "nodal-semistable":
         n, d = 2, 0
-        ev = lambda v1, v2, y1, y2: engine_semistable_nodal_20(v1, v2, y1, y2)
-        stacked, curve = _semistable_rows, "nodal-semistable"
+        plan = _GluedPlan(kind, n, d)
+        ev = lambda v1, v2, y1, y2: engine_semistable_nodal_20(v1, v2, y1, y2, plan)
+        stacked, curve = (lambda rows: _semistable_rows(plan, rows)), kind
     else:
         raise ValueError(f"unknown engine kind {kind!r}")
     return RSolution(f"engine-{curve}({n},{d})", "v12_y12", n, ev,

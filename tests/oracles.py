@@ -17,7 +17,7 @@ import numpy as np
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
-from rmx import tensorcore
+from rmx import bundles, tensorcore
 from rmx.thetafn import (PI_I, _QUOTIENTS, ThetaParams, jacobi_quotient, theta1_prime_at_0,
                          theta_j)
 
@@ -329,6 +329,29 @@ def theta_term_scale(j, z, tau, deriv=0, nterms=60):
     n = np.arange(-nterms, nterms + 1) + a
     mods = np.exp(-np.pi * n * n * complex(tau).imag - 2 * np.pi * n * complex(z).imag)
     return float(np.sum(mods * np.abs(2 * np.pi * n) ** deriv))
+
+
+def canonical_nodal_matrix_blocks(n1: int, n2: int, lam: complex) -> np.ndarray:
+    """bundles.canonical_nodal_matrix by its recursive block insertions on
+    whole matrices, as it was built before bundles.nodal_pattern: the
+    reference that the index-list construction must match bit for bit."""
+    m = np.array([[0, 1], [lam, 0]], dtype=complex)
+    m1, m2 = 1, 1
+    for (t1, t2) in bundles._reduction_chain(n1, n2):
+        x, y, z, w = m[:m1, :m1], m[:m1, m1:], m[m1:, :m1], m[m1:, m1:]
+        new = np.zeros((t1 + t2, t1 + t2), dtype=complex)
+        if t1 == m1 + m2:      # (m1, m2) -> (m1 + m2, m2)
+            new[:m1, :m1] = x
+            new[:m1, m1:m1 + m2] = y
+            new[m1:m1 + m2, m1 + m2:] = np.eye(m2)
+            new[m1 + m2:, :m1] = z
+            new[m1 + m2:, m1:m1 + m2] = w
+        else:                  # (m1, m2) -> (m1, m1 + m2)
+            new[:m1, m1:2 * m1] = np.eye(m1)
+            new[m1:, :m1] = np.vstack([x, z])
+            new[m1:, 2 * m1:] = np.vstack([y, w])
+        m, m1, m2 = new, t1, t2
+    return m
 
 
 def hom_space_basis_per_slot(deg, m_src, m_dst, cuspidal):

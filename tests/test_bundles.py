@@ -53,6 +53,24 @@ def test_canonical_nodal_permutation_structure(n1, n2):
     assert m[-1][m[-1] != 0][0] == lam  # the lam entry is in the last row
 
 
+def test_canonical_nodal_matrix_is_its_block_construction_bit_for_bit():
+    # canonical_nodal_matrix is built from nodal_pattern's index list; the
+    # recursive block insertions on whole matrices (oracles) give the same
+    # bits at every coprime (n1, n2) up to n = 24, for lam real, complex,
+    # huge, tiny and NaN, and nodal_pattern is a permutation with lam's entry
+    # in the last row
+    import oracles
+    for n in range(2, 25):
+        for n2 in (n2 for n2 in range(1, n) if gcd(n - n2, n2) == 1):
+            n1 = n - n2
+            pi = bundles.nodal_pattern(n1, n2)
+            assert sorted(pi) == list(range(n))
+            for lam in (2.0, 0.7 - 0.3j, 1e300, 1e-320, float("nan")):
+                m = canonical_nodal_matrix(n1, n2, lam)
+                assert m.tobytes() == oracles.canonical_nodal_matrix_blocks(n1, n2, lam).tobytes()
+                assert (m[range(n), pi] != 0).all()
+
+
 @pytest.mark.parametrize("n1,n2", COPRIME_PAIRS)
 def test_det_is_plus_minus_lambda(n1, n2):
     lam = 1.3 + 0.4j

@@ -260,6 +260,7 @@ def test_engine_holomorphy_second_order_fd():
 # --- Hom-space assembly and exact oracle ------------------------------------------
 
 COPRIME_UP_TO_9 = [(n, d) for n in range(2, 10) for d in range(1, n) if gcd(n, d) == 1]
+COPRIME_UP_TO_12 = [(n, d) for n in range(2, 13) for d in range(1, n) if gcd(n, d) == 1]
 
 
 def _gluing_residual(deg, m_src, m_dst, cuspidal, c):
@@ -281,9 +282,10 @@ def test_hom_space_matches_per_slot_reference(monkeypatch):
     calls = []
     real = rmatrix._hom_space_glued
 
-    def spy(deg, m_src, m_dst, cuspidal, orbits):
-        basis = real(deg, m_src, m_dst, cuspidal, orbits)
-        calls.append((deg, m_src, m_dst, cuspidal, _dense_basis(basis[0], orbits)[None]))
+    def spy(plan, m_src, m_dst):
+        basis = real(plan, m_src, m_dst)
+        calls.append((plan.deg, m_src, m_dst, plan.cuspidal,
+                      _dense_basis(basis[0], plan.orbits)[None]))
         return basis
 
     monkeypatch.setattr(rmatrix, "_hom_space_glued", spy)
@@ -366,8 +368,8 @@ def test_cuspidal_gluing_constraint_has_full_row_rank(n, d):
     # with a smallest singular value above 1 (1.03 at n = 12, d = 1), so
     # _nullspace's nullity refusal never fires on a cuspidal row
     n1, n2 = n - d, d
-    deg = rmatrix._entry_degrees(n1, n2)
-    glued = deg.ravel() == 0
+    plan = rmatrix._GluedPlan("cuspidal", n, d)
+    glued = plan.deg.ravel() == 0
     assert np.count_nonzero(glued) == n1 * n2
     rng = np.random.default_rng(n * 10 + d)
     c = np.concatenate([[0], np.linspace(-10, 10, 100),
@@ -377,8 +379,7 @@ def test_cuspidal_gluing_constraint_has_full_row_rank(n, d):
     s = np.linalg.svd(constraint[:, glued], compute_uv=False)
     assert s[:, -1].min() > 1.0
     # the engines' own assembly refuses no row and finds all n^2 dimensions
-    basis = rmatrix._hom_space_glued(deg, z + 0 * c[:, None, None], z + c[:, None, None],
-                                     True)
+    basis = rmatrix._hom_space_glued(plan, z + 0 * c[:, None, None], z + c[:, None, None])
     assert basis.shape[:2] == (len(c), n * n)
 
 
@@ -396,10 +397,11 @@ def test_hom_space_cond_and_refusals_match_per_slot_reference(monkeypatch):
             refused.append(False)
         except DegenerateSystemError:
             refused.append(True)
-        deg, (m_src,), (m_dst,), cuspidal, orbits = args = calls[0]  # a one-row stack
-        got = _residue_cond(_dense_basis(real(*args)[0], orbits), cuspidal, y1)
-        want = _residue_cond(oracles.hom_space_basis_per_slot(deg, m_src, m_dst, cuspidal),
-                             cuspidal, y1)
+        plan, (m_src,), (m_dst,) = args = calls[0]  # a one-row stack
+        got = _residue_cond(_dense_basis(real(*args)[0], plan.orbits), plan.cuspidal, y1)
+        want = _residue_cond(oracles.hom_space_basis_per_slot(plan.deg, m_src, m_dst,
+                                                               plan.cuspidal),
+                             plan.cuspidal, y1)
         assert abs(got - want) <= 1e-8 * want, (kind, n, d, spread, got, want)
         assert refused[-1] == (want > rmatrix.COND_CAP), (kind, n, d, spread, want)
     assert len(refused) >= 10 and any(refused) and not all(refused)
@@ -438,8 +440,8 @@ def test_cond_cap_decision_matches_svd_cond_at_spread_points(monkeypatch):
     seen = []
     real = rmatrix._compose_ev_res
     monkeypatch.setattr(rmatrix, "_compose_ev_res",
-                        lambda res, ev, blocks=None, free=None, free_ev=None:
-                        seen.append((res, blocks, free)) or real(res, ev, blocks, free, free_ev))
+                        lambda res, ev, layout=None, free_ev=None:
+                        seen.append((res, layout.blocks, layout.free)) or real(res, ev, layout, free_ev))
     skipped = fallback_accepted = refused = 0
     for kind, n, d, spread in _spread_points(monkeypatch):
         seen.clear()
@@ -486,15 +488,16 @@ def test_singular_reduced_residue_system_is_refused_with_its_cond():
     # inverse raise; the refusal's cond is that of R with the free column
     res = np.array([[[0, 1], [0, 0]], [[0, 1], [0, 0]], np.diag([0.0, 1.0])], dtype=complex)
     free = (slice(1, None), slice(None, 1))
+    layout = rmatrix._ResidueLayout(2, free=free)
     r_mat = np.zeros((4, 4), dtype=complex)
     r_mat[:, :3] = res.reshape(3, 4).T
     r_mat[2, 3] = 1.0
     with pytest.raises(DegenerateSystemError) as exc:
-        rmatrix._compose_ev_res(res[None], res[None], None, free, np.ones(1))
+        rmatrix._compose_ev_res(res[None], res[None], layout, np.ones(1))
     assert exc.value.cond == np.linalg.cond(r_mat)
     # a regular A passes: the units e_00, e_01, e_11 with the free e_10
     res[0] = np.diag([1.0, 0.0])
-    rmatrix._compose_ev_res(res[None], res[None], None, free, np.ones(1))
+    rmatrix._compose_ev_res(res[None], res[None], layout, np.ones(1))
 
 
 # --- stacked rows ------------------------------------------------------------------
@@ -508,11 +511,16 @@ STACK_ENGINES = [("nodal", n, d) for n, d in ((2, 1), (3, 1), (3, 2), (4, 1), (4
 
 
 def _one_row_and_stacked(kind, n, d):
+    """(one-row engine call, stacked call): the one-row call builds its own
+    plan, the stacked one uses a plan built once here."""
     if kind == "nodal":
-        return (lambda *a: engine_nodal(n, d, *a)), (lambda rows: rmatrix._nodal_rows(n, d, rows))
+        plan = rmatrix._GluedPlan("nodal", n, d)
+        return (lambda *a: engine_nodal(n, d, *a)), (lambda rows: rmatrix._nodal_rows(plan, rows))
     if kind == "cusp":
-        return (lambda *a: engine_cusp(n, d, *a)), (lambda rows: rmatrix._cusp_rows(n, d, rows))
-    return engine_semistable_nodal_20, rmatrix._semistable_rows
+        plan = rmatrix._GluedPlan("cuspidal", n, d)
+        return (lambda *a: engine_cusp(n, d, *a)), (lambda rows: rmatrix._cusp_rows(plan, rows))
+    plan = rmatrix._GluedPlan("nodal-semistable", 2, 0)
+    return engine_semistable_nodal_20, (lambda rows: rmatrix._semistable_rows(plan, rows))
 
 
 def _accepted_rows(kind, n, d, monkeypatch):
@@ -578,11 +586,12 @@ def test_stacked_rows_equal_one_row_calls(kind, n, d, monkeypatch):
 
 def test_a_stack_with_one_refused_row_is_refused():
     rows = [(0.7, 1.3, 0.5, 1.1), (1.0, -1.0 - 1e-9, 0.5, 1.2), (0.6, 1.2, 0.5, 0.9)]
+    plan = rmatrix._GluedPlan("nodal", 2, 1)
     with pytest.raises(DegenerateSystemError):
-        rmatrix._nodal_rows(2, 1, rows)
+        rmatrix._nodal_rows(plan, rows)
     with pytest.raises(DegenerateSystemError):
-        rmatrix._nodal_rows(2, 1, rows[1:2])
-    rmatrix._nodal_rows(2, 1, rows[::2])   # the other rows are accepted
+        rmatrix._nodal_rows(plan, rows[1:2])
+    rmatrix._nodal_rows(plan, rows[::2])   # the other rows are accepted
 
 
 @pytest.mark.parametrize("n", [rmatrix._STACK_MAX_N["cuspidal"],
@@ -611,6 +620,89 @@ def test_evaluate_rows_is_set_for_the_glued_engines_only():
         cutoff = rmatrix._STACK_MAX_N[curve]
         assert engine_solution(kind, cutoff, 1).evaluate_rows is not None
         assert engine_solution(kind, cutoff + 1, 1).evaluate_rows is None
+
+
+# --- one plan per engine solution ---------------------------------------------------
+
+def _count_plans(monkeypatch):
+    """The _GluedPlan objects built from now on, and the plan of every
+    _hom_space_glued call."""
+    built, used = [], []
+
+    class CountedPlan(rmatrix._GluedPlan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    real = rmatrix._hom_space_glued
+    monkeypatch.setattr(rmatrix, "_GluedPlan", CountedPlan)
+    monkeypatch.setattr(rmatrix, "_hom_space_glued",
+                        lambda plan, *a: used.append(plan) or real(plan, *a))
+    return built, used
+
+
+@pytest.mark.parametrize("kind,n,d", [("nodal", 3, 1), ("nodal", 9, 2), ("cusp", 4, 3),
+                                      ("cusp", 7, 2), ("nodal-semistable", 2, 0)])
+def test_one_plan_serves_every_call_of_an_engine_solution(kind, n, d, monkeypatch):
+    # stacked (below the cutoff) and one-row calls alike, and a sampled check
+    built, used = _count_plans(monkeypatch)
+    sol = engine_solution(kind, n, d)
+    assert len(built) == 1
+    rows = [tuple(ring_points(np.random.default_rng(40 + k), 4)) for k in range(3)]
+    sol.evaluator(*rows[0])
+    if sol.evaluate_rows is not None:
+        sol.evaluate_rows(rows)
+    verify.aybe(sol, samples=2, seed=3)
+    assert len(built) == 1 and len(used) >= 3
+    assert all(plan is built[0] for plan in used)
+
+
+def test_two_engine_solutions_build_two_plans(monkeypatch):
+    # a plan lives in its solution: no cache shares one between solutions
+    built, used = _count_plans(monkeypatch)
+    first, second = engine_solution("cusp", 5, 2), engine_solution("cusp", 5, 2)
+    assert len(built) == 2 and built[0] is not built[1]
+    row = (0.7 + 0.2j, 1.3 - 0.4j, 0.5 + 0.1j, 1.1)
+    first.evaluator(*row)
+    second.evaluator(*row)
+    assert used == built
+    # an engine called on its own builds one per call
+    engine_cusp(5, 2, *row)
+    assert len(built) == 3 and used[-1] is built[-1]
+
+
+def _bits_or_refusal(call, *args):
+    try:
+        return np.asarray(call(*args)).tobytes()
+    except EngineError as e:
+        return repr(e)
+
+
+@pytest.mark.parametrize("kind,n,d", [(kind, n, d) for kind in ("nodal", "cusp")
+                                      for n, d in COPRIME_UP_TO_12] + [("nodal-semistable", 2, 0)])
+def test_a_plan_gives_the_bits_of_a_fresh_call_on_rows_of_unrelated_draws(kind, n, d):
+    # the solution's plan, built once, against a one-row call that builds its
+    # own: rows of two unrelated generators, one-row and (below the cutoff)
+    # stacked, refusals included
+    sol = engine_solution(kind, n, d)
+    fresh = {"nodal": lambda *row: engine_nodal(n, d, *row).coeffs,
+             "cusp": lambda *row: engine_cusp(n, d, *row).coeffs,
+             "nodal-semistable": lambda *row: engine_semistable_nodal_20(*row).coeffs}[kind]
+    rows = []
+    for seed in (7 * n + d, 1000 + n):
+        rng = np.random.default_rng(seed)
+        for _ in range(2):
+            # lam2 / lam1 = exp(w / 2), |w| <= 1.3: a spread the rank-12 engines accept
+            v1, y1, y2, w = ring_points(rng, 4)
+            rows.append((v1, v1 * np.exp(w / 2), y1, y2))
+    rows.append(rows[0][:2] + (rows[0][2], rows[0][2]))  # refused: y1 = y2
+    want = [_bits_or_refusal(fresh, *row) for row in rows]
+    assert [_bits_or_refusal(lambda *r: sol.evaluator(*r).coeffs, *row) for row in rows] == want
+    accepted = [row for row, w in zip(rows, want) if isinstance(w, bytes)]
+    assert len(accepted) >= 2 and "coincident" in want[-1]
+    if sol.evaluate_rows is not None:
+        stack = sol.evaluate_rows(accepted)
+        assert [t.tobytes() for t in stack] == [w for w in want if isinstance(w, bytes)]
 
 
 EXACT_POINTS = {
@@ -671,7 +763,6 @@ def test_nodal_coefficients_off_the_orbit_blocks_are_exactly_zero(n):
         assert np.count_nonzero(coeffs[_same_orbit(n, d)]) >= n * n, (n, d)
 
 
-COPRIME_UP_TO_12 = [(n, d) for n in range(2, 13) for d in range(1, n) if gcd(n, d) == 1]
 
 
 def _cusp_weight(n, d):

@@ -642,7 +642,7 @@ def _row_counts(monkeypatch, engine="_nodal_rows"):
     one-row alike."""
     counts, real = [], getattr(rmatrix, engine)
     monkeypatch.setattr(rmatrix, engine,
-                        lambda n, d, rows: counts.append(len(rows)) or real(n, d, rows))
+                        lambda plan, rows: counts.append(len(rows)) or real(plan, rows))
     return counts
 
 

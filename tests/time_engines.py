@@ -7,12 +7,14 @@ of two sampled checks.
     python tests/time_engines.py --json FILE     # the same numbers as JSON
     python tests/time_engines.py --check nodal dual   # one check's cost as JSON
     python tests/time_engines.py --check nodal aybe --rank 8
+    python tests/time_engines.py --against OTHER_CHECKOUT [--json FILE]
 
 For the nodal and cuspidal engines at n = 2..8 (the degrees of perfbench's
 engine-aybe workload, (2, 1) at n = 2) and at n = 12 (engine-eval's rank-12
 degree) it times, on six parameter rows the engine accepts:
 
-- one one-row call (`engine_nodal` / `engine_cusp`), k = 1;
+- one one-row call (`engine_nodal` / `engine_cusp`) on a plan built once
+  (`rmatrix._GluedPlan`, as an engine solution holds it), k = 1;
 - the six rows as one stack (`rmatrix._nodal_rows` / `_cusp_rows`), k = 6,
   against six one-row calls;
 - the stages of the pipeline at k = 1 and k = 6: Hom-space assembly
@@ -41,12 +43,26 @@ process runs its check CHECK_REPEATS times and gives the thread time of the
 first run, the median thread time of the later ones (the first also pays the
 process's one-time costs) and the process's peak RSS (`ru_maxrss`) after
 them.  `--rank N` runs the `--check` at rank N
-instead, with the degree in DEGREES.  It is not a pytest module.
+instead, with the degree in DEGREES.
+
+`--against DIR` compares this checkout with another one in one process:
+it imports DIR/src/rmx under the package name `rmx_against` next to this
+checkout's rmx and, through each side's `engine_solution` (as a sampled
+check calls it), times one one-row call and six rows (as one stack where
+the solution has `evaluate_rows`, else six one-row calls) for every engine
+and rank of DEGREES, alternating the sides and which one goes first in each
+round.  Each figure is the median thread time of `--repeats` rounds, and
+`faster_share` the share of rounds in which this checkout's call took less
+time; `same_bits` says whether both sides gave the same bytes.  One process
+sees one host state, so differences of about 1% resolve, where separate
+processes spread by up to 2x on a shared host.  It is not a pytest module.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
+import importlib.util
 import json
 import platform
 import resource
@@ -153,12 +169,13 @@ def measure(kind: str, n: int, repeats: int) -> dict:
     rows = _rows(kind, n, d)
     engine = rmatrix.engine_nodal if kind == "nodal" else rmatrix.engine_cusp
     stacked = (rmatrix._nodal_rows if kind == "nodal" else rmatrix._cusp_rows)
-    stack = lambda rs: stacked(n, d, rs)  # noqa: E731
+    plan = rmatrix._GluedPlan("nodal" if kind == "nodal" else "cuspidal", n, d)
+    stack = lambda rs: stacked(plan, rs)  # noqa: E731
     one, six_calls, six_stacked = [], [], []
     stages = {1: {s: [] for s in STAGES}, 6: {s: [] for s in STAGES}}
     for _ in range(repeats):
-        one.append(_elapsed(lambda: engine(n, d, *rows[0])))
-        six_calls.append(_elapsed(lambda: [engine(n, d, *row) for row in rows]))
+        one.append(_elapsed(lambda: engine(n, d, *rows[0], plan)))
+        six_calls.append(_elapsed(lambda: [engine(n, d, *row, plan) for row in rows]))
         six_stacked.append(_elapsed(lambda: stack(rows)))
         for k in (1, 6):
             for stage, t in _stage_times(stack, rows[:k]).items():
@@ -189,6 +206,57 @@ def check_cost(kind: str, identity: str, n: int = CHECK_RANK) -> dict:
             "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
 
 
+def _load_against(root: Path):
+    """The rmatrix module of the rmx under root/src, imported as the package
+    rmx_against: its modules import each other relatively, so none of them
+    is this checkout's."""
+    spec = importlib.util.spec_from_file_location(
+        "rmx_against", root / "src" / "rmx" / "__init__.py",
+        submodule_search_locations=[str(root / "src" / "rmx")])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules["rmx_against"] = package
+    spec.loader.exec_module(package)
+    return importlib.import_module("rmx_against.rmatrix")
+
+
+def _thread_ms(fn) -> float:
+    t0 = time.thread_time()
+    fn()
+    return 1e3 * (time.thread_time() - t0)
+
+
+def against(root: Path, repeats: int) -> list:
+    """Per engine, rank and case (one row, six rows), the median thread
+    time of this checkout's call and of root's, interleaved (see the module
+    docstring)."""
+    other = _load_against(root)
+    results = []
+    for kind in ("nodal", "cusp"):
+        for n, d in DEGREES[kind].items():
+            rows = _rows(kind, n, d)
+            sols = [m.engine_solution(kind, n, d) for m in (rmatrix, other)]
+            cases = {"k1": [lambda sol=sol: sol.evaluator(*rows[0]).coeffs for sol in sols]}
+            cases["k6"] = [(lambda sol=sol: sol.evaluate_rows(rows)) if sol.evaluate_rows
+                           else (lambda sol=sol: np.array([sol.evaluator(*r).coeffs for r in rows]))
+                           for sol in sols]
+            rounds = max(5, repeats // 6) if n > 8 else repeats
+            for case, (this, that) in cases.items():
+                same = this().tobytes() == that().tobytes()
+                times = ([], [])
+                for r in range(rounds):
+                    for side in ((0, 1) if r % 2 else (1, 0)):
+                        times[side].append(_thread_ms((this, that)[side]))
+                ms = [statistics.median(t) for t in times]
+                results.append({"kind": kind, "n": n, "d": d, "case": case,
+                                "this_ms": round(ms[0], 4), "against_ms": round(ms[1], 4),
+                                "ratio": round(ms[0] / ms[1], 3),
+                                "faster_share": round(sum(a < b for a, b in zip(*times)) / rounds, 2),
+                                "same_bits": same, "rounds": rounds})
+                print(f"{kind:6s} {n:2d} {d:2d} {case:3s} {ms[0]:9.4f} {ms[1]:9.4f} "
+                      f"{ms[0] / ms[1]:6.3f} {results[-1]['faster_share']:6.2f} {same}", flush=True)
+    return results
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=60)
@@ -197,7 +265,21 @@ def main(argv=None) -> int:
                     help="run one CHECKS entry and print its cost as JSON")
     ap.add_argument("--rank", type=int, default=CHECK_RANK,
                     help="the rank of the --check (one of DEGREES)")
+    ap.add_argument("--against", metavar="DIR", type=Path,
+                    help="compare with the checkout at DIR in this process")
     args = ap.parse_args(argv)
+    env = {"python": platform.python_version(), "numpy": np.__version__,
+           "machine": platform.machine(), "repeats": args.repeats,
+           "stack_max_n": rmatrix._STACK_MAX_N}
+    if args.against:
+        print(f"{'engine':6s} {'n':>2s} {'d':>2s} {'k':3s} {'this ms':>9s} {'that ms':>9s} "
+              f"{'ratio':>6s} {'faster':>6s} same bits")
+        results = against(args.against, args.repeats)
+        if args.json:
+            Path(args.json).write_text(json.dumps(
+                {"env": {**env, "against": str(args.against)}, "interleaved": results},
+                indent=1) + "\n")
+        return 0
     if args.check:
         print(json.dumps(check_cost(*args.check, args.rank)))
         return 0
@@ -224,9 +306,6 @@ def main(argv=None) -> int:
             print(f"{kind:6s} {n:2d} {r['d']:2d} {r['k1_ms']:8.3f} {r['six_calls_ms']:8.3f} "
                   f"{r['stack6_ms']:8.3f} {r['speedup_stack6']:6.2f}  {st}", flush=True)
     if args.json:
-        env = {"python": platform.python_version(), "numpy": np.__version__,
-               "machine": platform.machine(), "repeats": args.repeats,
-               "stack_max_n": rmatrix._STACK_MAX_N}
         Path(args.json).write_text(json.dumps({"env": env, "results": results,
                                                "checks": checks}, indent=1) + "\n")
     return 0
