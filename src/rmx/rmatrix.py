@@ -189,8 +189,7 @@ def _hom_space_glued(plan: "_GluedPlan", m_src: np.ndarray, m_dst: np.ndarray) -
         # every c (smallest singular value >= 1.03 for n <= 12, pinned by
         # test_cuspidal_gluing_constraint_has_full_row_rank), so _nullspace
         # refuses only nodal and semistable rows
-        eye = p.eye[None]
-        partner = vec_map(m_dst, eye) - vec_map(eye, m_src)
+        partner = vec_map(m_dst, p.vec_eye) - vec_map(p.vec_eye, m_src)
         constraint = partner[:, p.glued]
     else:
         partner = p.sign * vec_map(m_dst, np.linalg.inv(m_src))
@@ -455,7 +454,8 @@ class _GluedPlan:
       equations constrain X) and of the others (lower), rank = n1 n2,
       coupled = n^2 - rank, kmax, the coefficient slots of X and its
       partners (slots) and of the free directions' units (free_units);
-      cuspidal: the cusp pattern Z and I (z, eye); semistable: the sign
+      cuspidal: the cusp pattern Z and I (z, eye; vec_eye, a real one-matrix
+      stack, for the partner map); semistable: the sign
       (-1)^deg and the rows of I at the degree-0 entries (eye_glued).
 
     A cuspidal plan also holds the negative-weight mask (_negative_weight)."""
@@ -500,6 +500,7 @@ class _GluedPlan:
                 self.z = np.zeros((n, n), dtype=complex)
                 self.z[rows_z, cols_z] = 1
                 self.eye = np.eye(n, dtype=complex)
+                self.vec_eye = np.eye(n)[None]  # real: vec_map's products are cheaper
                 self.negative = _negative_weight(w)
                 if n * n >= _REDUCED_MIN_ENTRIES:
                     free = (slice(n1, None), slice(None, n1))  # the degree-2 entries

@@ -51,11 +51,15 @@ checkout's rmx and, through each side's `engine_solution` (as a sampled
 check calls it), times one one-row call and six rows (as one stack where
 the solution has `evaluate_rows`, else six one-row calls) for every engine
 and rank of DEGREES, alternating the sides and which one goes first in each
-round.  Each figure is the median thread time of `--repeats` rounds, and
+round; then, the same way, the checks of AGAINST_CHECKS (AGAINST_SAMPLES
+samples, seed 0, `--repeats` / 3 rounds).  Each figure is the median
+thread time of `--repeats` rounds (a sixth of them at n = 12), and
 `faster_share` the share of rounds in which this checkout's call took less
-time; `same_bits` says whether both sides gave the same bytes.  One process
-sees one host state, so differences of about 1% resolve, where separate
-processes spread by up to 2x on a shared host.  It is not a pytest module.
+time; `same_bits` says whether both sides gave the same bytes (a check: the
+same max_residual).  One process sees one host state, so differences of
+about 1% resolve, where separate processes spread by up to 2x on a shared
+host.  BLAS runs on one thread unless OPENBLAS_NUM_THREADS says otherwise.
+It is not a pytest module.
 """
 
 from __future__ import annotations
@@ -64,6 +68,7 @@ import argparse
 import importlib
 import importlib.util
 import json
+import os
 import platform
 import resource
 import statistics
@@ -72,7 +77,8 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy loads
+import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from rmx import rmatrix, verify  # noqa: E402
@@ -84,6 +90,10 @@ STAGES = ("hom_assembly", "nullspace_svd", "cholesky", "evaluation", "res_solve"
 CHECKS = (("nodal", "dual"), ("cusp", "aybe"))   # 50 samples at CHECK_RANK
 CHECK_RANK = 5
 CHECK_REPEATS = 5
+# (engine, identity, rank) of the checks --against times, AGAINST_SAMPLES samples each
+AGAINST_CHECKS = (("nodal", "dual", 3), ("nodal", "dual", 8), ("cusp", "aybe", 5),
+                  ("cusp", "dual", 5))
+AGAINST_SAMPLES = 10
 
 
 def _rows(kind: str, n: int, d: int, k: int = 6) -> list:
@@ -207,16 +217,17 @@ def check_cost(kind: str, identity: str, n: int = CHECK_RANK) -> dict:
 
 
 def _load_against(root: Path):
-    """The rmatrix module of the rmx under root/src, imported as the package
-    rmx_against: its modules import each other relatively, so none of them
-    is this checkout's."""
+    """The rmatrix and verify modules of the rmx under root/src, imported as
+    the package rmx_against: its modules import each other relatively, so
+    none of them is this checkout's."""
     spec = importlib.util.spec_from_file_location(
         "rmx_against", root / "src" / "rmx" / "__init__.py",
         submodule_search_locations=[str(root / "src" / "rmx")])
     package = importlib.util.module_from_spec(spec)
     sys.modules["rmx_against"] = package
     spec.loader.exec_module(package)
-    return importlib.import_module("rmx_against.rmatrix")
+    return (importlib.import_module("rmx_against.rmatrix"),
+            importlib.import_module("rmx_against.verify"))
 
 
 def _thread_ms(fn) -> float:
@@ -225,11 +236,31 @@ def _thread_ms(fn) -> float:
     return 1e3 * (time.thread_time() - t0)
 
 
+def _interleaved(kind: str, n: int, d: int, case: str, this, that, rounds: int) -> dict:
+    """Median thread times of the calls this() and that(), alternated over
+    rounds with the first side switching each round; their outputs' bytes
+    compared once."""
+    same = this() == that()
+    times = ([], [])
+    for r in range(rounds):
+        for side in ((0, 1) if r % 2 else (1, 0)):
+            times[side].append(_thread_ms((this, that)[side]))
+    ms = [statistics.median(t) for t in times]
+    result = {"kind": kind, "n": n, "d": d, "case": case,
+              "this_ms": round(ms[0], 4), "against_ms": round(ms[1], 4),
+              "ratio": round(ms[0] / ms[1], 3),
+              "faster_share": round(sum(a < b for a, b in zip(*times)) / rounds, 2),
+              "same_bits": same, "rounds": rounds}
+    print(f"{kind:6s} {n:2d} {d:2d} {case:10s} {ms[0]:9.4f} {ms[1]:9.4f} "
+          f"{ms[0] / ms[1]:6.3f} {result['faster_share']:6.2f} {same}", flush=True)
+    return result
+
+
 def against(root: Path, repeats: int) -> list:
-    """Per engine, rank and case (one row, six rows), the median thread
-    time of this checkout's call and of root's, interleaved (see the module
-    docstring)."""
-    other = _load_against(root)
+    """Per engine, rank and case (one row, six rows), and for the checks of
+    AGAINST_CHECKS, the median thread time of this checkout's call and of
+    root's, interleaved (see the module docstring)."""
+    other, other_verify = _load_against(root)
     results = []
     for kind in ("nodal", "cusp"):
         for n, d in DEGREES[kind].items():
@@ -241,19 +272,16 @@ def against(root: Path, repeats: int) -> list:
                            for sol in sols]
             rounds = max(5, repeats // 6) if n > 8 else repeats
             for case, (this, that) in cases.items():
-                same = this().tobytes() == that().tobytes()
-                times = ([], [])
-                for r in range(rounds):
-                    for side in ((0, 1) if r % 2 else (1, 0)):
-                        times[side].append(_thread_ms((this, that)[side]))
-                ms = [statistics.median(t) for t in times]
-                results.append({"kind": kind, "n": n, "d": d, "case": case,
-                                "this_ms": round(ms[0], 4), "against_ms": round(ms[1], 4),
-                                "ratio": round(ms[0] / ms[1], 3),
-                                "faster_share": round(sum(a < b for a, b in zip(*times)) / rounds, 2),
-                                "same_bits": same, "rounds": rounds})
-                print(f"{kind:6s} {n:2d} {d:2d} {case:3s} {ms[0]:9.4f} {ms[1]:9.4f} "
-                      f"{ms[0] / ms[1]:6.3f} {results[-1]['faster_share']:6.2f} {same}", flush=True)
+                results.append(_interleaved(kind, n, d, case, lambda f=this: f().tobytes(),
+                                            lambda f=that: f().tobytes(), rounds))
+    for kind, identity, n in AGAINST_CHECKS:
+        d = DEGREES[kind][n]
+        checks = [getattr(v, {"aybe": "aybe", "dual": "aybe_dual"}[identity])
+                  for v in (verify, other_verify)]
+        sols = [m.engine_solution(kind, n, d) for m in (rmatrix, other)]
+        this, that = (lambda c=c, sol=sol: c(sol, samples=AGAINST_SAMPLES).max_residual
+                      for c, sol in zip(checks, sols))
+        results.append(_interleaved(kind, n, d, identity, this, that, max(5, repeats // 3)))
     return results
 
 
@@ -270,9 +298,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     env = {"python": platform.python_version(), "numpy": np.__version__,
            "machine": platform.machine(), "repeats": args.repeats,
-           "stack_max_n": rmatrix._STACK_MAX_N}
+           "blas_threads": os.environ["OPENBLAS_NUM_THREADS"], "stack_max_n": rmatrix._STACK_MAX_N}
     if args.against:
-        print(f"{'engine':6s} {'n':>2s} {'d':>2s} {'k':3s} {'this ms':>9s} {'that ms':>9s} "
+        print(f"{'engine':6s} {'n':>2s} {'d':>2s} {'case':10s} {'this ms':>9s} {'that ms':>9s} "
               f"{'ratio':>6s} {'faster':>6s} same bits")
         results = against(args.against, args.repeats)
         if args.json:
