@@ -166,7 +166,7 @@ def embed_leg(t: Tensor2, legs: int) -> Tensor3:
     return Tensor3.from_kron(embed(t, _legs(legs), 3), t.n)
 
 
-def _product_plan(legs_a: int, legs_b: int) -> tuple:
+def _product_plan(legs_a: int, legs_b: int, one_gemm: bool = False) -> tuple:
     """How the shared-leg product a^{legs_a} b^{legs_b}, that is
     embed_leg(a, legs_a).matmul(embed_leg(b, legs_b)) for two tags sharing
     exactly one leg, runs as one broadcast matmul in O(n^7) per draw.
@@ -177,14 +177,17 @@ def _product_plan(legs_a: int, legs_b: int) -> tuple:
     contraction.  The trailing run of output axes owned by one operand is
     the GEMM's N, the run before it (the other operand's) its M, and every
     earlier axis a batch axis, size 1 in the operand that does not own it.
-    So the product comes out C-contiguous in the abcdef layout.
+    So the product comes out C-contiguous in the abcdef layout.  With
+    one_gemm the operand owning output axis 0 gives M (all its output axes)
+    and the other N, with no batch axis: one GEMM per draw, whose output
+    layout is M then N; the consumer reads it through a transposed view.
 
     Returns the plans of the matmul's left and right factor, each (operand,
     0 for a and 1 for b; permutation of the axes of its coefficient stack,
     the draw axis 0 first; exponents e of its reshape shape n**e after the
     draw axis), the cut factor: 0 or 1 for the factor that owns output
     axis 0, and the output layout, the output axes in the order the matmul
-    writes them (here 0 to 5).  Output axis 0 leads the output's axes, and
+    writes them (0 to 5 without one_gemm).  Output axis 0 leads the output's axes, and
     it is axis 0 of its operand's coeffs (leg 1 is the first leg of a tag),
     so it leads the cut factor's axes after the draw axis too.
     """
@@ -197,17 +200,25 @@ def _product_plan(legs_a: int, legs_b: int) -> tuple:
         for i, k in enumerate(legs):
             for j, out in enumerate((2 * k, 2 * k + 1)):
                 src[op][None if out == inner else out] = 2 * i + j
-    right = int(5 in src[1])  # the operand owning the last output axis gives N
-    n_start = 1 + max(out for out in range(6) if out not in src[right])
-    m_start = 1 + max((out for out in range(n_start) if out in src[right]), default=-1)
-    batch = [[out] for out in range(m_start)]
+    if one_gemm:
+        left = int(0 in src[1])  # the operand owning output axis 0 gives M
+        owned = [[out for out in range(6) if out in src[op]] for op in (left, 1 - left)]
+        operands = ((left, [owned[0], [None]]), (1 - left, [[None], owned[1]]))
+        layout = (*owned[0], *owned[1])
+    else:
+        right = int(5 in src[1])  # the operand owning the last output axis gives N
+        n_start = 1 + max(out for out in range(6) if out not in src[right])
+        m_start = 1 + max((out for out in range(n_start) if out in src[right]), default=-1)
+        batch = [[out] for out in range(m_start)]
+        operands = ((1 - right, batch + [range(m_start, n_start), [None]]),
+                    (right, batch + [[None], range(n_start, 6)]))
+        layout = _ABCDEF
     plans = []
-    for op, groups in ((1 - right, batch + [range(m_start, n_start), [None]]),
-                       (right, batch + [[None], range(n_start, 6)])):
+    for op, groups in operands:
         perm = (0, *(1 + src[op][out] for g in groups for out in g if out in src[op]))
         exps = tuple(sum(out in src[op] for out in g) for g in groups)
         plans.append((op, perm, exps))
-    return (*plans, next(k for k, (op, _, _) in enumerate(plans) if 0 in src[op]), _ABCDEF)
+    return (*plans, next(k for k, (op, _, _) in enumerate(plans) if 0 in src[op]), layout)
 
 
 def _chain_plan(legs: tuple) -> tuple:
@@ -226,9 +237,14 @@ def _chain_plan(legs: tuple) -> tuple:
             (1, (0, 1, 3, 2, 4), (2, 2)), 0, (*free, *inner))
 
 
-# (legs_a, legs_b) -> matmul plan of the shared-leg product, for the six ordered pairs
-_PRODUCT_PLANS = {(p, q): _product_plan(p, q) for p in _LEG_TAGS for q in _LEG_TAGS
-                  if p != q}
+# (legs_a, legs_b) -> matmul plan of the shared-leg product, for the six ordered
+# pairs.  (13, 23) would batch four axes, n^4 GEMMs of n x n, so it runs as
+# one GEMM (n^3 x n) @ (n x n^3) per draw: the AYBE-dual residual took 0.57x
+# the time at n = 2, 0.71x at n = 5 and 0.84x at n = 8 (one BLAS thread,
+# interleaved).  The other pairs as one GEMM: 0.5-0.8x at n = 2, 1.05-1.19x
+# at n = 5 and 8, so they keep their batch axes
+_PRODUCT_PLANS = {(p, q): _product_plan(p, q, one_gemm=(p, q) == (13, 23))
+                  for p in _LEG_TAGS for q in _LEG_TAGS if p != q}
 # leg tag -> plan of a chain's second matmul, a shared-leg product times a
 # tensor on that tag
 _CHAIN_PLANS = {tag: _chain_plan(legs) for tag, legs in _LEG_TAGS.items()}

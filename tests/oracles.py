@@ -107,7 +107,9 @@ def leg_product(a, legs_a: int, b, legs_b: int):
         raise ValueError(f"tensors of different size: n = {a.n} and n = {b.n}")
     n = a.n
     factors = [tensorcore._factor(spec, (a, b)[spec[0]].coeffs[None]) for spec in plan[:2]]
-    return tensorcore.Tensor3(n, np.matmul(*factors).reshape((n,) * 6))
+    out = np.matmul(*factors).reshape((n,) * 6)  # output axes in the plan's layout
+    return tensorcore.Tensor3(n, np.ascontiguousarray(
+        out.transpose([plan[3].index(ax) for ax in range(6)])))
 
 
 def _comm(a, b):
