@@ -240,16 +240,11 @@ def _frobenius_sq(a: np.ndarray) -> np.ndarray:
 
 
 class _ResidueLayout:
-    """How _compose_ev_res reads a residue system of (n, n) matrices.
-
-    blocks, an (nb, m) array of flat entries i n + j, or None for one block
-    of every entry, row-major; free, a pair of slices (rows, columns) of the
-    (n, n) entries (one block only) whose f unit free directions are left
-    out of the basis, or None.  Held: nb, m, f; for blocks the flat position
-    of each block entry [b, p, q] in the (n^2, n^2) action (scatter); for
-    free the mask of the other entries (kept) and the positions of the free
-    directions' units in R (free_units: rows, then columns after the other
-    basis elements)."""
+    """How _compose_ev_res reads a residue system of (n, n) matrices: in
+    blocks, an (nb, m) array of flat entries i n + j (None: one block of
+    every entry, row-major), or with free, a pair of slices (rows,
+    columns) of the (n, n) entries (one block only) whose f unit free
+    directions are left out of the basis (None: no free entry)."""
 
     def __init__(self, n: int, blocks: np.ndarray = None, free: tuple = None):
         self.n, self.blocks, self.free = n, blocks, free
@@ -440,25 +435,10 @@ class _GluedPlan:
 
     curve is "nodal" or "cuspidal" ((n, d) coprime with 0 < d < n, an
     EngineError otherwise) or "nodal-semistable" ((n, d) = (2, 0)).  Held:
-    n, n1 = n - d, n2 = d, cuspidal, the entry degrees deg
-    (_entry_degrees), the residue layout of _compose_ev_res (layout), and
-    the selectors of one of _hom_space_glued's two paths:
-
-    - nodal, by orbit blocks: orbits (_nodal_orbits), pi0 = pi(0), and per
-      orbit entry t of orbit u, from its degree: glued (degree 0), nglued
-      per orbit, the rows of I at t and t + 1 (eye, eye_next, nxt), the
-      nullspace rows kept (nullspace_rows), the partner's sign (0, -1, +1
-      at degree 0, 1, 2), the unit free directions (free_units) and the
-      unit of each X's slot c = deg (top_units);
-    - whole system: the masks of the degree-0 entries (glued, whose
-      equations constrain X) and of the others (lower), rank = n1 n2,
-      coupled = n^2 - rank, kmax, the coefficient slots of X and its
-      partners (slots) and of the free directions' units (free_units);
-      cuspidal: the cusp pattern Z and I (z, eye; vec_eye, a real one-matrix
-      stack, for the partner map); semistable: the sign
-      (-1)^deg and the rows of I at the degree-0 entries (eye_glued).
-
-    A cuspidal plan also holds the negative-weight mask (_negative_weight)."""
+    the entry degrees deg, the residue layout of _compose_ev_res, the
+    selectors of _hom_space_glued's orbit path (nodal, with orbits) or of
+    its whole-system path (the others), and for the cuspidal engine the
+    cusp pattern Z and the negative-weight mask (_negative_weight)."""
 
     def __init__(self, curve: str, n: int, d: int):
         if curve != "nodal-semistable" and (gcd(n, d) != 1 or not 0 < d < n):
@@ -488,7 +468,8 @@ class _GluedPlan:
             self.glued, self.lower, free_at = flat == 0, flat >= 1, flat == 2
             self.rank = np.count_nonzero(self.glued)
             self.coupled = n * n - self.rank
-            self.kmax = int(self.deg[-1, 0]) + 1  # the largest degree sits at the lower-left corner
+            # the largest degree sits at the lower-left corner
+            self.kmax = int(self.deg[-1, 0]) + 1
             top = np.arange(0, n * n * self.kmax, self.kmax) + flat   # the slot of each X[i, j]
             partner_slot = top[self.lower] - 1 if self.cuspidal else (top - flat)[self.lower]
             self.slots = np.concatenate([top, partner_slot])
@@ -548,9 +529,7 @@ def engine_nodal(n: int, d: int, lam1: complex, lam2: complex,
     Depends on lam2/lam1 only; the gluing data is the Jacobian-compatible
     family with every nonzero canonical entry equal to lam.
     """
-    if plan is None:
-        plan = _GluedPlan("nodal", n, d)
-    return Tensor2(n, _nodal_rows(plan, [(lam1, lam2, y1, y2)])[0])
+    return Tensor2(n, _nodal_rows(plan or _GluedPlan("nodal", n, d), [(lam1, lam2, y1, y2)])[0])
 
 
 _J2 = bundles.atiyah_nodal(2).m0  # J_2(1), gluing matrix of the Atiyah bundle
@@ -582,8 +561,7 @@ def engine_semistable_nodal_20(lam1: complex, lam2: complex, y1: complex, y2: co
     on the nodal cubic; all polynomial blocks have degree one.  Pole of
     order three in the moduli direction at lam1 = lam2.  plan, the
     semistable _GluedPlan, is built when not given."""
-    if plan is None:
-        plan = _GluedPlan("nodal-semistable", 2, 0)
+    plan = plan or _GluedPlan("nodal-semistable", 2, 0)
     return Tensor2(2, _semistable_rows(plan, [(lam1, lam2, y1, y2)])[0])
 
 
@@ -614,9 +592,7 @@ def engine_cusp(n: int, d: int, lam1: complex, lam2: complex,
     The gluing family is 1 + eps(lam I + Z) with Z the off-diagonal canonical
     pattern; twisting by O(y1) shifts the target matrix by -y1.
     """
-    if plan is None:
-        plan = _GluedPlan("cuspidal", n, d)
-    return Tensor2(n, _cusp_rows(plan, [(lam1, lam2, y1, y2)])[0])
+    return Tensor2(n, _cusp_rows(plan or _GluedPlan("cuspidal", n, d), [(lam1, lam2, y1, y2)])[0])
 
 
 # --- elliptic engine ---------------------------------------------------------

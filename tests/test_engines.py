@@ -441,7 +441,8 @@ def test_cond_cap_decision_matches_svd_cond_at_spread_points(monkeypatch):
     real = rmatrix._compose_ev_res
     monkeypatch.setattr(rmatrix, "_compose_ev_res",
                         lambda res, ev, layout=None, free_ev=None:
-                        seen.append((res, layout.blocks, layout.free)) or real(res, ev, layout, free_ev))
+                        seen.append((res, layout.blocks, layout.free))
+                        or real(res, ev, layout, free_ev))
     skipped = fallback_accepted = refused = 0
     for kind, n, d, spread in _spread_points(monkeypatch):
         seen.clear()

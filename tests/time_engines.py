@@ -267,9 +267,10 @@ def against(root: Path, repeats: int) -> list:
             rows = _rows(kind, n, d)
             sols = [m.engine_solution(kind, n, d) for m in (rmatrix, other)]
             cases = {"k1": [lambda sol=sol: sol.evaluator(*rows[0]).coeffs for sol in sols]}
-            cases["k6"] = [(lambda sol=sol: sol.evaluate_rows(rows)) if sol.evaluate_rows
-                           else (lambda sol=sol: np.array([sol.evaluator(*r).coeffs for r in rows]))
-                           for sol in sols]
+            cases["k6"] = [
+                (lambda sol=sol: sol.evaluate_rows(rows)) if sol.evaluate_rows
+                else (lambda sol=sol: np.array([sol.evaluator(*r).coeffs for r in rows]))
+                for sol in sols]
             rounds = max(5, repeats // 6) if n > 8 else repeats
             for case, (this, that) in cases.items():
                 results.append(_interleaved(kind, n, d, case, lambda f=this: f().tobytes(),
