@@ -335,8 +335,8 @@ def theta_term_scale(j, z, tau, deriv=0, nterms=60):
 
 def canonical_nodal_matrix_blocks(n1: int, n2: int, lam: complex) -> np.ndarray:
     """bundles.canonical_nodal_matrix by its recursive block insertions on
-    whole matrices, as it was built before bundles.nodal_pattern: the
-    reference that the index-list construction must match bit for bit."""
+    whole matrices: the reference that the index-list construction
+    (bundles.nodal_pattern) must match bit for bit."""
     m = np.array([[0, 1], [lam, 0]], dtype=complex)
     m1, m2 = 1, 1
     for (t1, t2) in bundles._reduction_chain(n1, n2):
