@@ -13,27 +13,36 @@ and convert the resulting linear map to a tensor via the trace pairing
 
 For the singular curves Pi is a space of matrices of homogeneous polynomials
 in (z0, z1) and the compatibility constraint is an exact linear system on
-the coefficients.  It is solved by elimination: each equation at an entry of
-degree >= 1 gives one coefficient from the top coefficients, the n1 n2
-equations at the degree-0 entries go through an SVD, and a Cholesky factor
-of the Gram matrix makes the basis orthonormal.  The n1 n2 free directions
-are units with unit residues, so a large cuspidal system solves only the
-rest of its residue matrix.  For the elliptic curve Pi is spanned by four explicit
-theta-type matrices.
+the coefficients.  The nodal and semistable engines solve it by
+elimination: each equation at an entry of degree >= 1 gives one
+coefficient from the top coefficients, the n1 n2 equations at the degree-0
+entries go through an SVD, and a Cholesky factor of the Gram matrix makes
+the basis orthonormal; ev o res^{-1} is then solved on that basis.  For the
+elliptic curve Pi is spanned by four explicit theta-type matrices.
 
 The nodal gluing is monomial, so its constraint couples entry (i, j) only
 with (pi i, pi j): the nodal engine solves n orbit blocks of n entries each
 (_nodal_orbits), and its outputs are exactly 0 off those blocks.  Its digits
-differ from those of the whole n^2 x n^2 system at rounding level.  The
-cuspidal gluing pattern is graded (_negative_weight): the outputs of
-negative weight are 0, and the engine writes them as exact zeros.
+differ from those of the whole n^2 x n^2 system at rounding level.
+
+The cuspidal engine needs no basis: the gluing equations and the residue
+conditions together are one square system in the top coefficients, graded
+by the weights of the cusp pattern (_negative_weight), so that its solution
+at any spectral parameters is that of one solve at lam2 - lam1 = 1, scaled
+entrywise by powers of lam2 - lam1 (_cusp_solve).  The plan holds that
+solve, exact in floats.  A bound on cond_2 of the residue matrix on an
+orthonormal basis, from the solution itself, accepts a row for the cond
+cap; the other rows take that basis and the singular values of the matrix
+(_cusp_cond), one at a time, so that every refusal and its cond stay those
+of the basis path.  The outputs of negative weight are 0, and the engine
+writes them as exact zeros.
 
 What depends on the curve and (n, d) alone (the entry degrees, the nodal
-orbits and their selectors, the cusp pattern, the coefficient slots, the
-residue layout and the negative-weight mask) is one _GluedPlan, built once
-per engine solution (engine_solution) and applied to each of its parameter
-rows, one-row and stacked alike.  A plan lives in its solution; no module
-cache shares one.
+orbits and their selectors, the cusp pattern and the cuspidal system's
+solve, the coefficient slots, the residue layout and the negative-weight
+mask) is one _GluedPlan, built once per engine solution (engine_solution)
+and applied to each of its parameter rows, one-row and stacked alike.  A
+plan lives in its solution; no module cache shares one.
 """
 
 from __future__ import annotations
@@ -69,13 +78,9 @@ class DegenerateSystemError(EngineError):
 # stacked LAPACK call runs the same routine on each matrix, so every row is bit
 # for bit the result of a one-row stack.
 
-def _at_affine(basis: np.ndarray, ys) -> np.ndarray:
-    """Evaluate every Hom-space basis element of stack row s at
-    (z0, z1) = (1, y[s]) for each y in ys, arrays of shape (k,): shape
-    (len(ys), k, dim, n, n).  basis[s, b, i, j, c] is the coefficient c_c of
-    entry (i, j) of element b, q = sum_c c_c z0^(d-c) z1^c (for an orbit
-    basis, of entry j of element i of orbit b)."""
-    kmax = basis.shape[-1]
+def _powers(ys, kmax: int) -> np.ndarray:
+    """y^c for c < kmax of each y of each array of ys, arrays of shape (k,):
+    shape (len(ys), k, kmax); an EngineError where one of them overflows."""
     try:
         # complex ** int raises where a float power is inf, and gives nan
         # where a product of infs is inf - inf
@@ -85,6 +90,17 @@ def _at_affine(basis: np.ndarray, ys) -> np.ndarray:
     except OverflowError as e:
         raise EngineError(f"spectral parameter too large: its powers up to "
                           f"{kmax - 1} overflow") from e
+    return powers.reshape(len(ys), -1, kmax)
+
+
+def _at_affine(basis: np.ndarray, ys) -> np.ndarray:
+    """Evaluate every Hom-space basis element of stack row s at
+    (z0, z1) = (1, y[s]) for each y in ys, arrays of shape (k,): shape
+    (len(ys), k, dim, n, n).  basis[s, b, i, j, c] is the coefficient c_c of
+    entry (i, j) of element b, q = sum_c c_c z0^(d-c) z1^c (for an orbit
+    basis, of entry j of element i of orbit b)."""
+    kmax = basis.shape[-1]
+    powers = _powers(ys, kmax)
     # (t, s, 1, c) @ (s, c, b i j): one product per stack row, contiguous
     flat = basis.reshape(len(basis), -1, kmax).swapaxes(-1, -2)
     return np.matmul(powers.reshape(len(ys), -1, 1, kmax), flat).reshape(
@@ -220,7 +236,9 @@ def _inv_lower(low: np.ndarray) -> np.ndarray:
     above size 24: [[A, 0], [C, D]]^{-1} = [[A^-1, 0], [-D^-1 C A^-1, D^-1]]
     costs a third of the flops of np.linalg.inv's LU.  One BLAS thread,
     min of 15 repeats: 31 x 31 (cuspidal rank 6) 38 us against 70 us, 109 x
-    109 (the cuspidal (12, 5) block) 0.34 ms against 0.89 ms."""
+    109 (the cuspidal (12, 5) block) 0.34 ms against 0.89 ms.  Above size 24
+    only the cuspidal refusal path (_cusp_cond) comes here; its cond stays
+    that of this basis."""
     size = low.shape[-1]
     if size <= 24:
         return np.linalg.inv(low)
@@ -242,26 +260,33 @@ def _frobenius_sq(a: np.ndarray) -> np.ndarray:
 class _ResidueLayout:
     """How _compose_ev_res reads a residue system of (n, n) matrices: in
     blocks, an (nb, m) array of flat entries i n + j (None: one block of
-    every entry, row-major), or with free, a pair of slices (rows,
-    columns) of the (n, n) entries (one block only) whose f unit free
-    directions are left out of the basis (None: no free entry)."""
+    every entry, row-major)."""
 
-    def __init__(self, n: int, blocks: np.ndarray = None, free: tuple = None):
-        self.n, self.blocks, self.free = n, blocks, free
+    def __init__(self, n: int, blocks: np.ndarray = None):
+        self.n, self.blocks = n, blocks
         self.nb, self.m = (1, n * n) if blocks is None else blocks.shape
         if blocks is not None:
             self.scatter = (n * n * blocks[:, :, None] + blocks[:, None, :]).ravel()
-        self.f = 0
-        if free is not None:
-            kept = np.ones((n, n), dtype=bool)
-            kept[free] = False
-            self.kept = kept.ravel()
-            self.f = n * n - np.count_nonzero(kept)
-            self.free_units = (np.flatnonzero(~self.kept), n * n - self.f + np.arange(self.f))
+
+
+def _cond(r: np.ndarray) -> np.ndarray:
+    """cond_2 of each matrix of the stack r (k, blocks, m, m), its blocks
+    taken together as one block diagonal matrix (as np.linalg.cond does on one
+    block): inf where it is not finite, as for R = 0."""
+    sv = np.linalg.svd(r, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = sv[..., 0].max(axis=-1) / sv[..., -1].min(axis=-1)
+    cond[np.isnan(cond)] = np.inf
+    return cond
+
+
+def _refusal(cond: float) -> DegenerateSystemError:
+    return DegenerateSystemError(f"residue system condition number {cond:.3g} exceeds cap "
+                                 f"{COND_CAP:.3g}", cond=cond)
 
 
 def _compose_ev_res(res_vals: np.ndarray, ev_vals: np.ndarray,
-                    layout: _ResidueLayout = None, free_ev: np.ndarray = None) -> np.ndarray:
+                    layout: _ResidueLayout = None) -> np.ndarray:
     """The (k, n, n, n, n) coefficient stack of ev o res^{-1}, one tensor per
     stack row, from per-basis
     residue/evaluation matrices of shape (k, dim, n, n).  With the blocks of
@@ -271,125 +296,56 @@ def _compose_ev_res(res_vals: np.ndarray, ev_vals: np.ndarray,
     is block diagonal and ev o res^{-1} is solved block by block and is
     exactly 0 off them.
 
-    With free entries the unit free directions at those f entries are not
-    in the basis: each has residue e_p at its entry p and value free_ev e_p
-    (free_ev of shape (k,)), and res_vals, ev_vals hold the other n^2 - f
-    elements.  With the free entries last R = [[A, 0], [B, I]], so only A
-    is inverted: R^{-1} = [[A^{-1}, 0], [-B A^{-1}, I]], and ev o res^{-1}
-    is (E - free_ev B) A^{-1} at the other entries and free_ev at each free
-    one.
-
     A residue matrix R is refused (DegenerateSystemError with its cond) when
     cond_2(R) = |R|_2 |R^{-1}|_2 exceeds COND_CAP or is not finite, and a
     stack is refused with its first such row.  R^{-1} is computed anyway, and
     |R|_F |R^{-1}|_F >= cond_2(R), so that product at most COND_CAP / 2 (the
-    2 is margin for rounding) accepts R without an SVD; with free entries
-    |R|_F^2 = |A|^2 + |B|^2 + f and |R^{-1}|_F^2 = |A^{-1}|^2 + |B A^{-1}|^2
-    + f.  The singular values of R, assembled with the free directions as
-    its last columns, decide the other rows, those of all blocks of a row
-    together, as np.linalg.cond does on one block; a singular A makes the
-    inverse raise for the whole stack, which is then refused with the cond
-    of its first row."""
+    2 is margin for rounding) accepts R without an SVD.  The singular values
+    of R (_cond) decide the other rows, those of all blocks of a row
+    together; a singular R makes the inverse raise for the whole stack,
+    which is then refused with the cond of its first row."""
     k = len(res_vals)
     if layout is None:
         layout = _ResidueLayout(isqrt(res_vals[0, 0].size))
-    nb, m, n, f = layout.nb, layout.m, layout.n, layout.f
-    c = m - f  # basis elements per block
-    if f:
-        # the transposed system R^T Y = E^T, Y[ab, kl] the image of e_ab at
-        # e_kl: R^T = [[A^T, B^T], [0, I]] over (the basis, the free
-        # directions) x (the other entries, the free ones)
-        at_free = (slice(None), slice(None)) + layout.free
-        r_t = res_vals.reshape(k, c, m)
-        b_t = res_vals.reshape(k, c, n, n)[at_free].reshape(k, c, f)
-    else:
-        r_mat = res_vals.reshape(k, nb, m, m).swapaxes(-1, -2)  # coeff vector -> entries
+    nb, m, n = layout.nb, layout.m, layout.n
+    r_mat = res_vals.reshape(k, nb, m, m).swapaxes(-1, -2)  # coeff vector -> entries
     # action on the standard basis e_{ab}: solve res(F) = e_{ab}, apply ev
     try:
-        if f:
-            inv = np.empty((k, c, m), dtype=complex)  # A^{-T} and A^{-T} B^T
-            sol = inv[..., :c]
-            sol[...] = np.linalg.inv(r_t[..., layout.kept])
-            np.matmul(sol, b_t, out=inv[..., c:])
-        else:
-            inv = sol = np.linalg.inv(r_mat)
-        proven = (_frobenius_sq(res_vals) + f) * (_frobenius_sq(inv) + f) <= (COND_CAP / 2) ** 2
+        sol = np.linalg.inv(r_mat)
+        proven = _frobenius_sq(res_vals) * _frobenius_sq(sol) <= (COND_CAP / 2) ** 2
     except np.linalg.LinAlgError:
         sol, proven = None, np.zeros(k, dtype=bool)
     if not all(proven):
-        if f:  # R with the free directions as its last columns
-            r_full = np.zeros((np.count_nonzero(~proven), 1, m, m), dtype=complex)
-            r_full[:, 0, :, :c] = r_t[~proven].swapaxes(-1, -2)
-            r_full[:, 0, layout.free_units[0], layout.free_units[1]] = 1.0
-        else:
-            r_full = r_mat[~proven]
-        sv = np.linalg.svd(r_full, compute_uv=False)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cond = sv[..., 0].max(axis=-1) / sv[..., -1].min(axis=-1)
-        cond[np.isnan(cond)] = np.inf  # R = 0, as np.linalg.cond has it
+        cond = _cond(r_mat[~proven])
         refused = (sol is None) | ~np.isfinite(cond) | (cond > COND_CAP)
         if refused.any():
-            cond = cond[refused.argmax()]
-            raise DegenerateSystemError(
-                f"residue system condition number {cond:.3g} exceeds cap "
-                f"{COND_CAP:.3g}", cond=cond)
-    if f:
-        # Y at the other entries ab: A^{-T} (E^T - free_ev B^T at the free kl)
-        act = sol @ ev_vals.reshape(k, c, m)
-        act_free = act.reshape(k, c, n, n)[at_free]
-        act_free -= free_ev[:, None, None, None] * inv[..., c:].reshape(act_free.shape)
-        action = np.zeros((k, m, m), dtype=complex)  # [s, ab, kl]
-        action[:, layout.kept] = act
-        # Y at the free entries: free_ev e_ab, on the diagonal
-        action.reshape(k, -1)[:, ::m + 1].reshape(k, n, n)[(slice(None),) + layout.free] = \
-            free_ev[:, None, None]
-        action = action.reshape(k, n, n, n, n)
-    else:
-        lin = ev_vals.reshape(k, nb, m, m).swapaxes(-1, -2) @ sol  # entries to entries, per block
-        if nb > 1:
-            full = np.zeros((k, n**4), dtype=complex)
-            full[:, layout.scatter] = lin.reshape(k, -1)
-            lin = full
-        action = lin.reshape(k, n * n, n * n).swapaxes(-1, -2).reshape(k, n, n, n, n)
+            raise _refusal(cond[refused.argmax()])
+    lin = ev_vals.reshape(k, nb, m, m).swapaxes(-1, -2) @ sol  # entries to entries, per block
+    if nb > 1:
+        full = np.zeros((k, n**4), dtype=complex)
+        full[:, layout.scatter] = lin.reshape(k, -1)
+        lin = full
+    action = lin.reshape(k, n * n, n * n).swapaxes(-1, -2).reshape(k, n, n, n, n)
     # action[s, a, b, k, l]: the image of e_{ab} at e_{kl}
     # trace pairing: e_{ab} -> alpha e_{kl} is alpha e_{ba} (x) e_{kl}
     return action.transpose(0, 2, 1, 3, 4)
 
 
-# the fewest entries n^2 of a cuspidal engine whose residue solve leaves the
-# free directions out: below it the reduced solve's extra numpy calls cost
-# more than its smaller inverse saves.  Whole against reduced, in one
-# process, interleaved (median us): one-row calls (5, 3) 290 / 316, (6, 5)
-# 525 / 560, (7, 4) 962 / 946, (8, 5) 1197 / 1138; six-row stacks (6, 5)
-# 2056 / 2082, (7, 4) 4147 / 3867, (8, 5) 7190 / 6670
-_REDUCED_MIN_ENTRIES = 49
-
-
 def _glued_engine(plan: "_GluedPlan", m_src: np.ndarray, m_dst: np.ndarray,
                   y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
-    """ev o res^{-1} on the glued Hom space of each stack row, a coefficient
-    stack (_compose_ev_res): the residue at
-    y1 is taken against dz on the cuspidal curve and dz/z on the nodal one,
-    the evaluation at y2 against 1/(y2 - y1); y1 and y2 have shape (k,).
-    A nodal plan solves orbit by orbit.  Where the plan's residue layout has
-    free entries (cuspidal, from _REDUCED_MIN_ENTRIES entries on), the
-    cuspidal free directions, the last n1 n2 elements of the basis, are left
-    to _compose_ev_res: each is the unit at slot c = 0, so its residue is 1
-    and its value 1 / (y2 - y1)."""
-    gap = y2 - y1
+    """ev o res^{-1} on the glued Hom space of each stack row of a nodal or
+    semistable plan, a coefficient stack (_compose_ev_res): the residue at
+    y1 is taken against dz/z, the evaluation at y2 against 1/(y2 - y1); y1
+    and y2 have shape (k,).  A nodal plan solves orbit by orbit.  (The
+    cuspidal engine solves its residue conditions directly: _cusp_solve.)"""
     basis = _hom_space_glued(plan, m_src, m_dst)
-    free_ev = None
-    if plan.layout.f:
-        free_ev = 1.0 / gap
-        basis = basis[:, :plan.layout.m - plan.layout.f]  # without the free directions
     # the basis is dropped once evaluated and its values are divided in place,
     # so no more than _compose_ev_res's inputs stays alive while it runs
     res_vals, ev_vals = _at_affine(basis, (y1, y2))
     del basis
-    if not plan.cuspidal:
-        res_vals /= y1[:, None, None, None]
-    ev_vals /= gap[:, None, None, None]
-    return _compose_ev_res(res_vals, ev_vals, plan.layout, free_ev)
+    res_vals /= y1[:, None, None, None]
+    ev_vals /= (y2 - y1)[:, None, None, None]
+    return _compose_ev_res(res_vals, ev_vals, plan.layout)
 
 
 def _nodal_orbits(pi: list) -> np.ndarray:
@@ -438,7 +394,8 @@ class _GluedPlan:
     the entry degrees deg, the residue layout of _compose_ev_res, the
     selectors of _hom_space_glued's orbit path (nodal, with orbits) or of
     its whole-system path (the others), and for the cuspidal engine the
-    cusp pattern Z and the negative-weight mask (_negative_weight)."""
+    cusp pattern Z, the constant parts of _cusp_solve's system and the
+    negative-weight mask (_negative_weight)."""
 
     def __init__(self, curve: str, n: int, d: int):
         if curve != "nodal-semistable" and (gcd(n, d) != 1 or not 0 < d < n):
@@ -448,7 +405,7 @@ class _GluedPlan:
         self.cuspidal = curve == "cuspidal"
         self.deg = _entry_degrees(n1, n2)
         flat = self.deg.ravel()
-        self.orbits, free = None, None
+        self.orbits = None
         if curve == "nodal":
             pi = bundles.nodal_pattern(n1, n2)
             self.pi0, self.orbits = pi[0], _nodal_orbits(pi)
@@ -476,19 +433,71 @@ class _GluedPlan:
             self.free_units = (self.coupled + np.arange(n * n - self.coupled),
                                top[free_at] - (2 if self.cuspidal else 1))
             if self.cuspidal:
-                # the canonical matrix at lam = 0 is Z (bundles.canonical_cusp_matrix)
-                rows_z, cols_z, _, w = bundles.cusp_pattern(n1, n2)
-                self.z = np.zeros((n, n), dtype=complex)
-                self.z[rows_z, cols_z] = 1
-                self.eye = np.eye(n, dtype=complex)
-                self.vec_eye = np.eye(n)[None]  # real: vec_map's products are cheaper
-                self.negative = _negative_weight(w)
-                if n * n >= _REDUCED_MIN_ENTRIES:
-                    free = (slice(n1, None), slice(None, n1))  # the degree-2 entries
+                self._cusp_system_parts(n, flat)
             else:
                 self.sign = (-1.0) ** flat[:, None]
                 self.eye_glued = np.eye(n * n)[self.glued]
-        self.layout = _ResidueLayout(n, self.orbits, free)
+        self.layout = _ResidueLayout(n, self.orbits)
+
+    def _cusp_system_parts(self, n: int, flat: np.ndarray):
+        """The cuspidal plan's Z and the constants of _cusp_solve, all read
+        off bundles.cusp_pattern's index lists.  The entries are ordered by
+        degree: G (degree 0), D1, D2; A = D1 + D2 has a = n^2 - n1 n2
+        entries, and so have the targets T = G + D1."""
+        rows_z, cols_z, _, w = bundles.cusp_pattern(self.n1, self.n2)
+        # the canonical matrix at lam = 0 is Z (bundles.canonical_cusp_matrix)
+        self.z = np.zeros((n, n), dtype=complex)
+        self.z[rows_z, cols_z] = 1
+        self.eye = np.eye(n, dtype=complex)
+        self.vec_eye = np.eye(n)[None]  # real: vec_map's products are cheaper
+        g, d1 = self.rank, self.coupled - self.rank
+        self.a = a = n * n - g
+        order = np.argsort(flat, kind="stable")
+        at = np.empty(n * n, dtype=int)
+        at[order] = np.arange(n * n)  # the place of each entry in that order
+        # P0 = Z (x) 1 - 1 (x) Z^T on vec(X) in that order: Z X - X Z at
+        # (r, j) reads X[c, j], and at (i, c) reads -X[i, r], for each one
+        # Z[r, c] of Z; the two never share a place (Z has a zero diagonal)
+        r, c, j = np.array(rows_z)[:, None], np.array(cols_z)[:, None], np.arange(n)
+        p0 = np.zeros((n * n, n * n))
+        p0[at[r * n + j], at[c * n + j]] = 1
+        p0[at[j * n + c], at[j * n + r]] = -1
+        # K(1): the gluing rows (G) and residue rows (D1) over X at A, v = 1
+        k1 = p0[:a, g:].copy()
+        k1[g + np.arange(d1), np.arange(d1)] = 1.0
+        # its right-hand sides: the v part of the targets G (-P0, and -c = y1 - v
+        # on the diagonal), the units of the targets D1, the y1 part of G
+        rhs = np.zeros((a, a + g))
+        rhs[:, :g] = -p0[:a, :g]
+        rhs[np.arange(g), np.arange(g)] = -1.0
+        rhs[g + np.arange(d1), g + np.arange(d1)] = 1.0
+        rhs[np.arange(g), a + np.arange(g)] = 1.0
+        # det K(1) = +-n (measured for every coprime (n, d) with n <= 20), so
+        # n m has integer entries: rounded, they are exact where the solve
+        # misses them by less than 0.05 (at most 0.010 for n <= 16; from
+        # (17, 1) on it misses some by up to 0.5, and m stays as solved)
+        sol = n * np.linalg.solve(k1, rhs)
+        exact = np.rint(sol)
+        if np.abs(sol - exact).max() < 0.05:
+            sol = exact
+        sol /= n
+        self.m_v, self.m_0, self.m_y = sol[:, :g], sol[:, g:a], sol[:, a:]
+        q = p0[a:, g:] @ sol  # P0 at the rows D2
+        self.q_v, self.q_0, self.q_y = q[:, :g], q[:, g:a], q[:, a:]
+        # the weights om(i, j) = w(i) - w(j) of X at A (less one) and of the targets
+        om = (np.array(w)[:, None] - w).ravel()[order]
+        self.om_x, self.om_t = om[g:] - 1, -om[:a]
+        self.d1_units = np.arange(d1) * (a + 1) + g  # e of target q at entry q, in D1
+        # coefficient [b, a', k, l] = lin[entry (k, l), target (a', b)], lin
+        # read from _cusp_solve's values: X + e / (y2 - y1) at A x T, then
+        # 1 / (y2 - y1) on the rest of the diagonal and 0; the coefficients of
+        # negative weight are that 0
+        lin = np.full((n * n, n * n), a * a + 1)
+        lin.ravel()[::n * n + 1] = a * a
+        lin[g:, :a] = np.arange(a * a).reshape(a, a)
+        place = at.reshape(n, n)
+        self.out = lin[place[None, None], place.T[:, :, None, None]]
+        self.out[_negative_weight(w)] = a * a + 1
 
 
 def _require_finite_det(n: int, *scales):
@@ -565,9 +574,110 @@ def engine_semistable_nodal_20(lam1: complex, lam2: complex, y1: complex, y2: co
     return Tensor2(2, _semistable_rows(plan, [(lam1, lam2, y1, y2)])[0])
 
 
+def _cusp_gluing(plan: _GluedPlan, lam1: np.ndarray, lam2: np.ndarray, y1: np.ndarray):
+    """The gluing matrices (m_src, m_dst) = (Z + lam1, Z + lam2 - y1) of
+    _hom_space_glued at cuspidal rows, arrays of shape (k,)."""
+    return (plan.z + lam1[:, None, None] * plan.eye,
+            plan.z + (lam2 - y1)[:, None, None] * plan.eye)
+
+
+def _cusp_bound(plan: _GluedPlan, x: np.ndarray, q: np.ndarray, v: np.ndarray,
+                y1: np.ndarray) -> np.ndarray:
+    """|res|_2 |R^{-1}|_F per row, an upper bound of cond_2(R) for R the
+    residue matrix on an orthonormal basis of the Hom space in the
+    coefficient inner product (_cusp_cond's R), from _cusp_solve's X at A
+    and its product q = P0 X at D2.  Each entry's residue reads only its own
+    coefficients, so |res|_2^2 = 1 + |y1|^2 + |y1|^4.  |R^{-1}|_F^2 sums,
+    over the targets e, the squared coefficient norm of res^{-1}(e): X, the
+    partners P X at the entries of degree >= 1 (e - y1 X at D1, q + c X at
+    D2, c = v - y1) and the lowest coefficients f = -y1 (q + v X) at D2,
+    each target in G adding its unit X there and each target in D2 its unit
+    f (n1 n2 each)."""
+    g, d1 = plan.rank, plan.a - plan.rank
+    x_d2, y1sq = x[:, d1:], np.abs(y1) ** 2
+    v, y1 = v[:, None, None], y1[:, None, None]
+    partner_d1 = -y1 * x[:, :d1]
+    partner_d1.reshape(len(x), -1)[:, plan.d1_units] += 1.0
+    inv_sq = (_frobenius_sq(x) + _frobenius_sq(partner_d1) + _frobenius_sq(q + (v - y1) * x_d2)
+              + y1sq * _frobenius_sq(q + v * x_d2) + 2 * g)
+    return np.sqrt((1 + y1sq + y1sq ** 2) * inv_sq)
+
+
+def _cusp_solve(plan: _GluedPlan, lam1: np.ndarray, lam2: np.ndarray, y1: np.ndarray,
+                y2: np.ndarray):
+    """(coefficient stack of ev o res^{-1}, _cusp_bound) of the cuspidal
+    rows, arrays of shape (k,), without a basis of the Hom space.
+
+    F in the Hom space is fixed by its top coefficients X (_hom_space_glued):
+    at an entry of degree deg >= 1, F(y) = X y^deg + (P X) y^(deg - 1), plus
+    a free coefficient f at the degree-2 entries (D2), where P X = Z X - X Z
+    + c X, c = lam2 - y1 - lam1, is the partner map (P0 = Z (x) 1 - 1 (x) Z^T
+    plus c on its diagonal).  res F = F(y1) = e reads X = e at the degree-0
+    entries (G), v X + P0 X = e at D1 (v = y1 + c = lam2 - lam1), and fixes
+    f at D2.  With the gluing equations P X = 0 at G that is the square
+    system K(v) X_A = B(v, y1) in X at A, one column per target in T (a
+    target in D2 gives X = 0 and f = e).
+
+    The system is graded: P0 reads an entry of weight om(i, j) = w(i) - w(j)
+    (w the grading of Z) one above its own, so diag(v^-om) K(v) diag(v^om) =
+    v K(1) over (rows, columns), and
+
+        X_A[p, t] = v^(om(p) - om(t) - 1) (v m_v + y1 m_y + m_0)[p, t],
+
+    where m_v, m_y (targets in G) and m_0 (targets in D1) solve K(1) m = B's
+    parts: the plan's one solve, exact in floats up to n = 16 (_GluedPlan).
+    So each row is elementwise, and no row can make a solve singular.
+
+    ev F = F(y2) / (y2 - y1) is then e / (y2 - y1) plus, at D1, X and, at
+    D2, X (y1 + y2) + P X = P0 X + (v + y2) X, where P0 X at D2 (q) is graded
+    in the same way (the plan's q_v, q_0, q_y)."""
+    k, g, a = len(y1), plan.rank, plan.a
+    d1 = a - g
+    v, gap = lam2 - lam1, y2 - y1
+    # X at A x T, then 1 / (y2 - y1) and 0: the values the coefficients read
+    values = np.empty((k, a * a + 2), dtype=complex)
+    values[:, -2], values[:, -1] = 1.0 / gap, 0.0
+    x = values[:, :-2].reshape(k, a, a)
+    # a row near the exceptional locus may overflow here: its bound is then
+    # not finite, and _cusp_rows decides it by its cond
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        cols = v[:, None] ** plan.om_t                 # v^-om(t)
+        rows = v[:, None] ** plan.om_x                 # v^(om(p) - 1)
+        vs, ys = v[:, None, None], y1[:, None, None]
+        x[:, :, :g] = vs * plan.m_v + ys * plan.m_y
+        x[:, :, g:] = plan.m_0
+        x *= rows[:, :, None] * cols[:, None, :]
+        q = np.empty((k, g, a), dtype=complex)
+        q[:, :, :g] = vs * plan.q_v + ys * plan.q_y
+        q[:, :, g:] = plan.q_0
+        q *= (vs * rows[:, d1:, None]) * cols[:, None, :]
+        bound = _cusp_bound(plan, x, q, v, y1)
+        # ev: e / (y2 - y1) plus X at D1 and q + (v + y2) X at D2
+        values[:, plan.d1_units] += values[:, -2:-1]
+        x[:, d1:] *= vs + y2[:, None, None]
+        x[:, d1:] += q
+    return values[:, plan.out], bound
+
+
+def _cusp_cond(plan: _GluedPlan, lam1: np.ndarray, lam2: np.ndarray, y1: np.ndarray) -> float:
+    """cond_2 of the residue matrix R of one cuspidal row (arrays of shape
+    (1,)) on the orthonormal basis of its Hom space (_hom_space_glued),
+    evaluated at y1 (_at_affine) and its singular values taken (_cond)."""
+    basis = _hom_space_glued(plan, *_cusp_gluing(plan, lam1, lam2, y1))
+    ((res,),) = _at_affine(basis, (y1,))
+    return _cond(res.reshape(1, 1, len(res), -1).swapaxes(-1, -2))[0]
+
+
 def _cusp_rows(plan: _GluedPlan, rows) -> np.ndarray:
     """The coefficient stack of engine_cusp at the parameter rows
-    (lam1, lam2, y1, y2) of rows, by the cuspidal plan."""
+    (lam1, lam2, y1, y2) of rows, by the cuspidal plan: _cusp_solve's
+    outputs.  A row is refused (DegenerateSystemError) when cond_2(R)
+    (_cusp_cond) exceeds COND_CAP or is not finite, and a stack with its
+    first refused row.  _cusp_bound at most COND_CAP / 2 (the 2 is margin
+    for rounding) accepts a row without R; the other rows, those over the
+    bound or with a bound that is not finite, take R one at a time, so that
+    a refusal and its cond are those of the residue system on the
+    orthonormal basis."""
     for lam1, lam2, y1, y2 in rows:
         if y1 == y2:
             raise EngineError("coincident curve points")
@@ -575,10 +685,13 @@ def _cusp_rows(plan: _GluedPlan, rows) -> np.ndarray:
             raise EngineError("coincident moduli points")
         _require_finite_det(plan.n, lam1, complex(lam2) - complex(y1))
     lam1, lam2, y1, y2 = np.array(rows, dtype=complex).T
-    m_src = plan.z + lam1[:, None, None] * plan.eye
-    m_dst = plan.z + (lam2 - y1)[:, None, None] * plan.eye
-    coeffs = _glued_engine(plan, m_src, m_dst, y1, y2)
-    np.copyto(coeffs, 0.0, where=plan.negative)
+    _powers((y1, y2), plan.kmax)  # the Hom space's entries at y1 and y2
+    coeffs, bound = _cusp_solve(plan, lam1, lam2, y1, y2)
+    for s in np.flatnonzero(~(bound <= COND_CAP / 2)):
+        at = slice(s, s + 1)
+        cond = _cusp_cond(plan, lam1[at], lam2[at], y1[at])
+        if not cond <= COND_CAP:
+            raise _refusal(cond)
     return coeffs
 
 
@@ -693,21 +806,22 @@ def apply_gauge(sol: RSolution, phi) -> RSolution:
 
 # engine -> the rank up to which its solution evaluates parameter rows as one
 # stack (its evaluate_rows; the rank-2 semistable engine always stacks): one
-# SVD, Cholesky and solve call for all of them, where a one-row call is mostly
-# fixed overhead.  A sampled check hands it
-# the rows of every draw it draws ahead, rejected draws' later rows
-# included.  Above the cutoff evaluate_rows is None and the rows are one-row
-# calls, evaluated lazily: there 42-57% of the draws are rejected by
-# NORM_CAP, most at their first term, and the lazy path never evaluates the
-# later ones.  Six stacked rows against six one-row calls
-# (tests/time_engines.py): cuspidal 3.7x at n = 3, 2.2x at n = 5, 1.8x at
-# n = 6 and even at n = 8; the nodal orbit blocks 3.1x at n = 6 and 2.4x at
-# n = 8.  On engine-aybe (ranks 3-8; 3 rounds of 10 s perfbench runs, seeds
+# numpy call per stage for all of them, where a one-row call is mostly fixed
+# overhead.  A sampled check hands it the rows of every draw it draws ahead,
+# rejected draws' later rows included.  Above the cutoff evaluate_rows is
+# None and the rows are one-row calls, evaluated lazily: there 42-57% of the
+# draws are rejected by NORM_CAP, most at their first term, and the lazy
+# path never evaluates the later ones.  The nodal orbit blocks stack 3.1x
+# ahead of six one-row calls at n = 6 and 2.4x at n = 8 (tests/time_engines.py);
+# on engine-aybe (ranks 3-8; 3 rounds of 10 s perfbench runs, seeds
 # 2601-2603) a nodal cutoff of 8 in place of 5 took ops_per_s from
-# 482/441/453 to 490/469/492 and op_ms.tail from 6.7-7.2 to 7.1-7.5 ms,
-# while 8 for both engines gave 373-418 ops/s and an 8.8-10.1 ms tail: the
-# cuspidal stack's wasted rows of rejected draws outweigh its gain.
-_STACK_MAX_N = {"nodal": 8, "cuspidal": 5}
+# 482/441/453 to 490/469/492.  The cuspidal graded evaluation is elementwise,
+# so its rows are cheap either way; on engine-aybe (10 s runs, alternating
+# pairs, seeds 3001-3012) a cuspidal cutoff of 6 in place of 5 won 6 of 6
+# pairs (median 781 against 766 ops/s), while 7 won 1 of 3 and 8 lost 3 of 3
+# (745 against 776): above rank 6 the wasted rows of rejected draws outweigh
+# what a stack saves.
+_STACK_MAX_N = {"nodal": 8, "cuspidal": 6}
 
 
 def engine_solution(kind: str, n: int = 2, d: int = 1,

@@ -1,5 +1,6 @@
 # tests/test_engines.py
 
+import functools
 import hashlib
 from fractions import Fraction as F
 from math import gcd, isqrt
@@ -291,7 +292,9 @@ def test_hom_space_matches_per_slot_reference(monkeypatch):
     monkeypatch.setattr(rmatrix, "_hom_space_glued", spy)
     for n, d in COPRIME_UP_TO_9:
         engine_nodal(n, d, 0.7 + 0.2j, 1.3 - 0.4j, 0.5 + 0.1j, 1.1)
-        engine_cusp(n, d, 0.1 + 0.2j, 0.9 - 0.3j, 0.3, -0.6 + 0.1j)
+        # the cuspidal engine builds its basis only where the cond cap needs
+        # R (_cusp_cond)
+        rmatrix._cusp_cond(rmatrix._GluedPlan("cuspidal", n, d), *_one_row(0.1 + 0.2j, 0.9 - 0.3j, 0.3))
     engine_semistable_nodal_20(0.7 + 0.2j, 1.3 - 0.4j, 0.5 + 0.1j, 1.1)
     assert len(calls) == 2 * len(COPRIME_UP_TO_9) + 1
     for deg, (m_src,), (m_dst,), cuspidal, (basis,) in calls:  # one-row stacks
@@ -305,6 +308,11 @@ def test_hom_space_matches_per_slot_reference(monkeypatch):
         assert np.max(np.abs(flat.conj() @ flat.T - np.eye(n * n))) < 1e-13
         for c in basis:
             assert _gluing_residual(deg, m_src, m_dst, cuspidal, c) < 1e-12
+
+
+def _one_row(*row):
+    """A one-row stack of each parameter: arrays of shape (1,)."""
+    return [np.array([z], dtype=complex) for z in row]
 
 
 def _dense_basis(basis, orbits):
@@ -397,6 +405,10 @@ def test_hom_space_cond_and_refusals_match_per_slot_reference(monkeypatch):
             refused.append(False)
         except DegenerateSystemError:
             refused.append(True)
+        if kind == "cusp":  # R's basis, as _cusp_cond builds it
+            calls.clear()
+            rmatrix._cusp_cond(rmatrix._GluedPlan("cuspidal", n, d),
+                               *_one_row(*_spread_args(kind, spread)[:3]))
         plan, (m_src,), (m_dst,) = args = calls[0]  # a one-row stack
         got = _residue_cond(_dense_basis(real(*args)[0], plan.orbits), plan.cuspidal, y1)
         want = _residue_cond(oracles.hom_space_basis_per_slot(plan.deg, m_src, m_dst,
@@ -407,18 +419,12 @@ def test_hom_space_cond_and_refusals_match_per_slot_reference(monkeypatch):
     assert len(refused) >= 10 and any(refused) and not all(refused)
 
 
-def _residue_matrix(res, blocks, free):
+def _residue_matrix(res, blocks):
     """The matrix of res (entries x basis) of one stack row from what
-    _compose_ev_res receives: with free (slices of the entry grid), the unit free directions
-    (residue e_p at each) are its last columns; with blocks (the nodal
-    orbits) the block diagonal matrix with columns (block, basis element)."""
+    _compose_ev_res receives: with blocks (the nodal orbits) the block
+    diagonal matrix with columns (block, basis element)."""
     if blocks is None:
-        r_mat = np.zeros((res[0].size, res[0].size), dtype=complex)
-        r_mat[:, :len(res)] = res.reshape(len(res), -1).T
-        n = isqrt(res[0].size)
-        at = np.arange(n * n).reshape(n, n)[free].ravel()  # the free entries
-        r_mat[at, len(res) + np.arange(len(at))] = 1.0
-        return r_mat
+        return res.reshape(len(res), -1).T
     nb, m = blocks.shape
     r_mat = np.zeros((nb * m, nb * m), dtype=complex)
     r_mat[blocks[:, :, None], np.arange(nb * m).reshape(nb, 1, m)] = res.swapaxes(-1, -2)
@@ -434,15 +440,15 @@ BLOCK_COND_RTOL = 10 * np.finfo(float).eps
 
 
 def test_cond_cap_decision_matches_svd_cond_at_spread_points(monkeypatch):
-    # the engine accepts without an SVD when |R|_F |R^-1|_F <= COND_CAP / 2;
-    # every refusal and its cond must still be np.linalg.cond's: bit for bit
-    # on one block, and within BLOCK_COND_RTOL * cond on the nodal orbit blocks
+    # a nodal engine accepts without an SVD when |R|_F |R^-1|_F <= COND_CAP / 2,
+    # the cuspidal one when _cusp_bound is; every refusal and its cond must
+    # still be np.linalg.cond's: bit for bit on one block, and within
+    # BLOCK_COND_RTOL * cond on the nodal orbit blocks
     seen = []
     real = rmatrix._compose_ev_res
     monkeypatch.setattr(rmatrix, "_compose_ev_res",
-                        lambda res, ev, layout=None, free_ev=None:
-                        seen.append((res, layout.blocks, layout.free))
-                        or real(res, ev, layout, free_ev))
+                        lambda res, ev, layout=None:
+                        seen.append((res, layout.blocks)) or real(res, ev, layout))
     skipped = fallback_accepted = refused = 0
     for kind, n, d, spread in _spread_points(monkeypatch):
         seen.clear()
@@ -451,12 +457,19 @@ def test_cond_cap_decision_matches_svd_cond_at_spread_points(monkeypatch):
             got = None
         except DegenerateSystemError as exc:
             got = exc.cond
-        ((res,), blocks, free), = seen  # a one-row stack
-        assert (blocks is None) == (kind != "nodal") == (free is not None)
-        r_mat = _residue_matrix(res, blocks, free)
+        if kind == "nodal":
+            ((res,), blocks), = seen  # a one-row stack
+            assert blocks is not None
+            r_mat = _residue_matrix(res, blocks)
+            bound = np.linalg.norm(r_mat) * np.linalg.norm(
+                np.linalg.solve(r_mat, np.eye(len(r_mat), dtype=complex)))
+        else:
+            assert not seen
+            plan, row = rmatrix._GluedPlan("cuspidal", n, d), _one_row(*_spread_args(kind, spread))
+            basis = rmatrix._hom_space_glued(plan, *rmatrix._cusp_gluing(plan, *row[:3]))
+            blocks, r_mat = None, _residue_matrix(rmatrix._at_affine(basis, row[2:3])[0, 0], None)
+            bound = rmatrix._cusp_solve(plan, *row)[1][0]
         cond = np.linalg.cond(r_mat)
-        bound = np.linalg.norm(r_mat) * np.linalg.norm(
-            np.linalg.solve(r_mat, np.eye(len(r_mat), dtype=complex)))
         assert bound >= cond, (kind, n, d, spread)
         if cond > rmatrix.COND_CAP:
             if blocks is None:
@@ -484,21 +497,135 @@ def test_singular_residue_system_is_refused_with_its_cond():
     assert exc.value.cond == np.linalg.cond(r_mat)
 
 
-def test_singular_reduced_residue_system_is_refused_with_its_cond():
-    # with the free entry (1, 0) left out, a singular A makes the reduced
-    # inverse raise; the refusal's cond is that of R with the free column
-    res = np.array([[[0, 1], [0, 0]], [[0, 1], [0, 0]], np.diag([0.0, 1.0])], dtype=complex)
-    free = (slice(1, None), slice(None, 1))
-    layout = rmatrix._ResidueLayout(2, free=free)
-    r_mat = np.zeros((4, 4), dtype=complex)
-    r_mat[:, :3] = res.reshape(3, 4).T
-    r_mat[2, 3] = 1.0
+# --- the cuspidal engine's bound and its fallback -------------------------------------
+
+def _cusp_residue_conds(plan, rows):
+    """np.linalg.cond of the residue matrix R of each row (lam1, lam2, y1,
+    y2) of rows on the orthonormal basis of its Hom space (_hom_space_glued):
+    the R of the cuspidal engine's cond cap."""
+    lam1, lam2, y1, _ = np.array(rows, dtype=complex).T
+    basis = rmatrix._hom_space_glued(plan, *rmatrix._cusp_gluing(plan, lam1, lam2, y1))
+    (res,) = rmatrix._at_affine(basis, [y1])
+    return np.linalg.cond(res.reshape(len(rows), plan.n ** 2, -1).swapaxes(-1, -2))
+
+
+def _probe_rows(monkeypatch, seeds=(1, 2, 3)):
+    """(n, d, row) of the cuspidal ops of the benchmark's defect probe."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from workloads import defect_probe
+    return [(op["n"], op["d"], tuple(complex(*z) for z in op["point"]))
+            for seed in seeds for op in defect_probe("engine-eval", seed)
+            if op["curve"] == "cuspidal"]
+
+
+# bound / cond over the rows of the test below: measured 1.0015 to 3.21
+CUSP_BOUND_OVER_COND = (1.0, 4.0)
+
+
+def test_cusp_bound_is_never_below_cond(monkeypatch):
+    # |res|_2 |R^-1|_F from the engine's own solution bounds cond_2(R) from
+    # above, so the cap refuses no row it accepts: 24 random rows of every
+    # coprime (n, d) with n <= 8, the rank-12 spread points and the probe's
+    points = [(n, d, [tuple(ring_points(np.random.default_rng(50 * n + d + k), 4))
+                      for k in range(24)]) for n, d in COPRIME_UP_TO_9 if n <= 8]
+    points += [(n, d, [_spread_args(kind, spread)])
+               for kind, n, d, spread in _spread_points(monkeypatch) if kind == "cusp"]
+    points += [(n, d, [row]) for n, d, row in _probe_rows(monkeypatch)]
+    ratios = []
+    for n, d, rows in points:
+        plan = rmatrix._GluedPlan("cuspidal", n, d)
+        _, bound = rmatrix._cusp_solve(plan, *np.array(rows, dtype=complex).T)
+        ratios += list(bound / _cusp_residue_conds(plan, rows))
+    lo, hi = CUSP_BOUND_OVER_COND
+    assert len(ratios) == 24 * 21 + 6 + 9
+    assert lo <= min(ratios) and max(ratios) <= hi, (min(ratios), max(ratios))
+
+
+def test_a_row_over_the_bound_within_the_cap_takes_r_and_keeps_its_solve(monkeypatch):
+    # cuspidal (8, 5) at spread 2.5: the bound is over COND_CAP / 2, cond(R)
+    # is under the cap, so _cusp_cond is asked once and the row is accepted
+    # with the values of _cusp_solve; those agree with ev o res^{-1} solved
+    # on the orthonormal basis (_compose_ev_res, the engine's old path) to
+    # within cond * eps = 2e-10 (measured 5.0e-13 relative; the bound is 1e-9)
+    row = _spread_args("cusp", 2.5)
+    plan = rmatrix._GluedPlan("cuspidal", 8, 5)
+    want, (bound,) = rmatrix._cusp_solve(plan, *_one_row(*row))
+    (cond,) = _cusp_residue_conds(plan, [row])
+    assert bound > rmatrix.COND_CAP / 2 and cond <= rmatrix.COND_CAP
+    asked = []
+    real = rmatrix._cusp_cond
+    monkeypatch.setattr(rmatrix, "_cusp_cond", lambda *a: asked.append(a) or real(*a))
+    got = engine_cusp(8, 5, *row).coeffs
+    assert len(asked) == 1 and np.array_equal(got, want[0])
+    lam1, lam2, y1, y2 = _one_row(*row)
+    basis = rmatrix._hom_space_glued(plan, *rmatrix._cusp_gluing(plan, lam1, lam2, y1))
+    res, ev = rmatrix._at_affine(basis, (y1, y2))
+    direct = rmatrix._compose_ev_res(res, ev / (y2 - y1)[:, None, None, None])[0]
+    assert np.abs(got - direct).max() <= 1e-9 * np.abs(direct).max()
+
+
+# np.linalg.cond of R at refused cuspidal rows, recorded with the engine
+# that inverted R on every row (before its residue conditions were solved
+# directly; numpy 2.4.6, x86-64): the refusal path must keep them bit for bit
+REFUSED_CUSP_CONDS = {
+    ("spread", 8, 5, 3.0): 3802262.037591966,
+    ("spread", 12, 5, 1.7): 3474758.3032594463,
+    ("spread", 12, 7, 2.0): 14693383.206819275,
+    ("spread", 6, 1, 4.0): 18215534.10014905,
+    ("spread", 7, 2, 4.0): 11704492.439244015,
+    ("probe", 12, 5, 0): 5980358.474781686,
+    ("probe", 12, 5, 1): 3107526.9242547723,
+    ("probe", 12, 5, 2): 11007965.72563993,
+    ("tiny", 3, 2, 5e-324): 7345585778479359.0,
+    ("tiny", 5, 3, 1e-200): 4.038911006639405e+16,
+}
+
+
+def _refused_row(key, monkeypatch):
+    kind, n, d, at = key
+    if kind == "spread":
+        return _spread_args("cusp", at)
+    if kind == "probe":
+        return _probe_rows(monkeypatch, seeds=(1,))[at][2]
+    return (0.0, at, 0.3, 0.9)   # lam2 - lam1 next to 0: no digit left
+
+
+@pytest.mark.parametrize("key", sorted(REFUSED_CUSP_CONDS))
+def test_refused_cuspidal_rows_keep_their_cond_and_message(key, monkeypatch):
+    _, n, d, _ = key
+    row, cond = _refused_row(key, monkeypatch), REFUSED_CUSP_CONDS[key]
     with pytest.raises(DegenerateSystemError) as exc:
-        rmatrix._compose_ev_res(res[None], res[None], layout, np.ones(1))
-    assert exc.value.cond == np.linalg.cond(r_mat)
-    # a regular A passes: the units e_00, e_01, e_11 with the free e_10
-    res[0] = np.diag([1.0, 0.0])
-    rmatrix._compose_ev_res(res[None], res[None], layout, np.ones(1))
+        engine_cusp(n, d, *row)
+    assert exc.value.cond == cond
+    assert str(exc.value) == f"residue system condition number {cond:.3g} exceeds cap 1e+06"
+    # in a stack, between accepted rows, it refuses the stack with its own cond
+    plan = rmatrix._GluedPlan("cuspidal", n, d)
+    ok = (1 + 0.2j, 1.5 - 0.1j, 0.6 * np.exp(2.1j), 0.9 * np.exp(-0.4j))
+    rmatrix._cusp_rows(plan, [ok, ok])
+    with pytest.raises(DegenerateSystemError) as exc:
+        rmatrix._cusp_rows(plan, [ok, row, _spread_args("cusp", 9.0), ok])
+    assert exc.value.cond == cond
+
+
+@pytest.mark.parametrize("n,d", COPRIME_UP_TO_12)
+def test_cusp_plan_constants_are_exact(n, d):
+    # det K(1) = +-n, so n m is an integer matrix: the plan's rounded solve m
+    # satisfies K(1) (n m) = n B exactly, with K(1) and B built here from the
+    # Kronecker form of P0 = Z (x) 1 - 1 (x) Z^T, entries ordered by degree
+    plan = rmatrix._GluedPlan("cuspidal", n, d)
+    g, a = plan.rank, plan.a
+    z, eye = bundles.canonical_cusp_matrix(n - d, d, 0.0).real, np.eye(n)
+    order = np.argsort(plan.deg.ravel(), kind="stable")
+    p0 = (np.kron(z, eye) - np.kron(eye, z.T))[np.ix_(order, order)]
+    k1 = p0[:a, g:] + np.eye(a, n * n - g, -g)       # v = 1 on the diagonal at D1
+    rhs = np.zeros((a, a + g))
+    rhs[:, :g] = -p0[:a, :g] - np.eye(a, g)          # targets G: -P0 - c, v part
+    rhs[g:, g:a] = np.eye(a - g)                      # targets D1
+    rhs[:g, a:] = np.eye(g)                           # targets G: the y1 part of -c
+    m = np.concatenate([plan.m_v, plan.m_0, plan.m_y], axis=1)
+    whole = np.rint(n * m)
+    assert np.array_equal(m, whole / n) and np.abs(whole).max() < 2 ** 40
+    assert np.array_equal(k1 @ whole, n * rhs)
 
 
 # --- stacked rows ------------------------------------------------------------------
@@ -552,7 +679,8 @@ def _accepted_rows(kind, n, d, monkeypatch):
 
     fallback = []
     if kind != "nodal-semistable":
-        fallback = [row for row in (_spread_args(kind, s) for s in (2.0, 2.5, 4.0, 5.0, 6.0, 7.5, 9.0))
+        fallback = [row for row in (_spread_args(kind, s)
+                                    for s in (2.0, 2.5, 2.7, 4.0, 5.0, 6.0, 7.5, 9.0))
                     if accepted(row)][:2]
     rng = np.random.default_rng(100 * n + d)
     rows = []
@@ -599,9 +727,9 @@ def test_a_stack_with_one_refused_row_is_refused():
                                rmatrix._STACK_MAX_N["cuspidal"] + 1])
 def test_evaluate_rows_stacks_up_to_the_cutoff(n, monkeypatch):
     calls = []
-    real = rmatrix._hom_space_glued
-    monkeypatch.setattr(rmatrix, "_hom_space_glued",
-                        lambda *a: calls.append(len(a[1])) or real(*a))
+    real = rmatrix._cusp_rows
+    monkeypatch.setattr(rmatrix, "_cusp_rows",
+                        lambda plan, rows: calls.append(len(rows)) or real(plan, rows))
     rows = [tuple(ring_points(np.random.default_rng(n + k), 4)) for k in range(6)]
     _, evaluate = catalog.view(engine_solution("cusp", n, 1), catalog.as_four_param)
     got = evaluate(rows)
@@ -616,7 +744,7 @@ def test_evaluate_rows_is_set_for_the_glued_engines_only():
     for kind in ("nodal", "cusp", "nodal-semistable"):
         assert engine_solution(kind).evaluate_rows is not None
     # the nodal orbit blocks stack further than the cuspidal system
-    assert rmatrix._STACK_MAX_N == {"nodal": 8, "cuspidal": 5}
+    assert rmatrix._STACK_MAX_N == {"nodal": 8, "cuspidal": 6}
     for kind, curve in (("nodal", "nodal"), ("cusp", "cuspidal"), ("cuspidal", "cuspidal")):
         cutoff = rmatrix._STACK_MAX_N[curve]
         assert engine_solution(kind, cutoff, 1).evaluate_rows is not None
@@ -627,7 +755,7 @@ def test_evaluate_rows_is_set_for_the_glued_engines_only():
 
 def _count_plans(monkeypatch):
     """The _GluedPlan objects built from now on, and the plan of every
-    _hom_space_glued call."""
+    call of an engine's rows (_nodal_rows, _cusp_rows, _semistable_rows)."""
     built, used = [], []
 
     class CountedPlan(rmatrix._GluedPlan):
@@ -635,10 +763,11 @@ def _count_plans(monkeypatch):
             super().__init__(*args)
             built.append(self)
 
-    real = rmatrix._hom_space_glued
     monkeypatch.setattr(rmatrix, "_GluedPlan", CountedPlan)
-    monkeypatch.setattr(rmatrix, "_hom_space_glued",
-                        lambda plan, *a: used.append(plan) or real(plan, *a))
+    for name in ("_nodal_rows", "_cusp_rows", "_semistable_rows"):
+        real = getattr(rmatrix, name)
+        monkeypatch.setattr(rmatrix, name,
+                            lambda plan, rows, real=real: used.append(plan) or real(plan, rows))
     return built, used
 
 
@@ -799,10 +928,36 @@ def test_cusp_pattern_is_homogeneous_of_degree_one(n, d):
     assert np.array_equal(rmatrix._negative_weight(w), _negative_weight(n, d))
 
 
-# measured before the zeros are written: at most 6.6e-15 of the largest
-# coefficient at 957 random ring points over every coprime (n, d) up to
-# n = 12, 3.8e-16 at the row below; the bound is 1e-13
+# measured before the zeros are written, on the Hom-space basis: at most
+# 6.6e-15 of the largest coefficient at 957 random ring points over every
+# coprime (n, d) up to n = 12, 3.8e-16 at the row below; the bound is 1e-13.
+# The graded evaluation (rmatrix._cusp_solve) gives them as exact zeros
+# already, its constants being exact
 NEGATIVE_WEIGHT_RTOL = 1e-13
+
+
+@pytest.mark.parametrize("n,d", COPRIME_UP_TO_12)
+def test_cuspidal_coefficients_of_negative_weight_vanish_identically(n, d, monkeypatch):
+    # each coefficient of _cusp_solve is a power of v = lam2 - lam1 times a
+    # combination of v, y1, y2 with constant weights from the plan, and those
+    # are exact (test_cusp_plan_constants_are_exact): where they are all 0,
+    # the coefficient is 0 at every parameter.  Every coefficient of negative
+    # weight reads such a place, before the zero mask is applied
+    with monkeypatch.context() as m:
+        m.setattr(rmatrix, "_negative_weight", lambda w: np.zeros((n,) * 4, bool))
+        raw = rmatrix._GluedPlan("cuspidal", n, d)
+    g, a = raw.rank, raw.a
+    slots = raw.out[_negative_weight(n, d)]
+    p, t = np.divmod(slots[slots < a * a], a)   # the others read 0 or the diagonal's 1 / (y2 - y1)
+    assert not (slots == a * a).any()
+    # the weights over (entries at A, targets): v and y1 at the targets in G, 1 at D1
+    x = np.concatenate([np.abs(raw.m_v) + np.abs(raw.m_y), np.abs(raw.m_0)], axis=1)
+    q = np.concatenate([np.abs(raw.q_v) + np.abs(raw.q_y), np.abs(raw.q_0)], axis=1)
+    assert not x[p, t].any()
+    at_d2 = p >= a - g   # these also read P0 X there
+    assert not q[p[at_d2] - (a - g), t[at_d2]].any()
+    # not vacuous: from n = 4 on, at least n^2 of them read solved values
+    assert len(p) >= n * n or n < 4
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -828,15 +983,40 @@ def test_cuspidal_coefficients_of_negative_weight_are_exact_zeros(n, monkeypatch
         assert np.abs(raw[neg]).max() <= NEGATIVE_WEIGHT_RTOL * np.abs(raw).max(), (n, d)
 
 
+@functools.lru_cache(maxsize=None)
+def _exact_cusp(n, d, point):
+    """oracles.exact_engine_coeffs of the cuspidal engine at
+    EXACT_POINTS["cusp"][point] (0.3 s at n = 7), computed once per session."""
+    pattern = bundles.canonical_cusp_matrix(n - d, d, 0.0).real.astype(int)
+    np.fill_diagonal(pattern, 0)
+    return oracles.exact_engine_coeffs("cusp", n, d, pattern, *EXACT_POINTS["cusp"][point])
+
+
+COPRIME_UP_TO_7 = [nd for nd in COPRIME_UP_TO_12 if nd[0] <= 7]
+
+
 def test_cuspidal_negative_weight_is_0_in_the_exact_oracle():
     # every coprime (n, d) up to n = 7 at a rational point: 2 s in all
-    for n, d in (nd for nd in COPRIME_UP_TO_12 if nd[0] <= 7):
-        pattern = bundles.canonical_cusp_matrix(n - d, d, 0.0).real.astype(int)
-        np.fill_diagonal(pattern, 0)
-        want, dim = oracles.exact_engine_coeffs("cusp", n, d, pattern, *EXACT_POINTS["cusp"][0])
+    for n, d in COPRIME_UP_TO_7:
+        want, dim = _exact_cusp(n, d, 0)
         neg = _negative_weight(n, d)
         assert dim == n * n and not want[neg].any(), (n, d)
         assert np.count_nonzero(want[~neg]) >= n * n, (n, d)
+
+
+# the graded evaluation's constants are exact (test_cusp_plan_constants_are_exact):
+# measured at most 3.4e-16 of the largest coefficient over both points and
+# every (n, d) below (the basis path measured up to 6.9e-14); the bound is 50x
+CUSP_EXACT_RTOL = 50 * 3.4e-16
+
+
+@pytest.mark.parametrize("n,d", COPRIME_UP_TO_7)
+def test_cusp_engine_matches_exact_rational_oracle_at_every_degree(n, d):
+    for point, args in enumerate(EXACT_POINTS["cusp"]):
+        want, dim = _exact_cusp(n, d, point)
+        assert dim == n * n
+        got = engine_cusp(n, d, *map(float, args)).coeffs
+        assert np.max(np.abs(got - want)) <= CUSP_EXACT_RTOL * np.max(np.abs(want)), (n, d, point)
 
 
 @pytest.mark.parametrize("kind,n,d", [
@@ -844,9 +1024,11 @@ def test_cuspidal_negative_weight_is_0_in_the_exact_oracle():
     ("cusp", 2, 1), ("cusp", 3, 2), ("cusp", 5, 3),
 ])
 def test_engine_matches_exact_rational_oracle(kind, n, d):
-    # worst measured relative error over these points is 2.0e-15 (cuspidal
-    # (5,3)); the nodal (5,2) spread point has residue cond 1.3e4 and still
-    # agrees to 3e-16, so the bound is that worst value times 50
+    # worst measured relative error over these points was 2.0e-15 (cuspidal
+    # (5,3) on the Hom-space basis; 3.2e-16 with the graded evaluation, and
+    # 1.2e-15 is now the worst, nodal (5,2)); the nodal (5,2) spread point has
+    # residue cond 1.3e4 and still agrees to 3e-16, so the bound is 2.0e-15
+    # times 50
     for point in EXACT_POINTS[kind]:
         assert _exact_vs_engine(kind, n, d, point) < 1e-13
 

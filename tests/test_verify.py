@@ -477,9 +477,10 @@ def test_reports_are_reproducible():
 
 
 # max_residual and the first coordinate of argmax_sample for 4 samples.  The
-# engine entries pin rounding noise: that of the engines' Hom-space basis (the
-# elimination basis with its Cholesky-orthonormalised coupled block, for the
-# nodal engine one per orbit block) and that of the BLAS summation order of the
+# engine entries pin rounding noise: that of the nodal engine's Hom-space basis
+# (the elimination basis with its Cholesky-orthonormalised coupled block, one
+# per orbit block), that of the cuspidal engine's graded evaluation
+# (rmatrix._cusp_solve) and that of the BLAS summation order of the
 # shared-leg products (tensorcore._PRODUCT_PLANS).
 # The catalog entries were computed by the per-identity sampling loops that
 # preceded the shared residual driver, the cybe and qybe entries whose digits
@@ -490,10 +491,10 @@ PINNED_RESIDUALS = {
     ("nodal", 5, 2, "aybe", 7): (8.264504967895174e-14, -0.5630387996316589 - 0.034680483300054445j),
     ("nodal", 5, 2, "aybe_dual", 0): (2.194088346924805e-14, -0.16555025306337143 + 0.2754985613524907j),
     ("nodal", 5, 2, "aybe_dual", 7): (5.0242958677880804e-14, -0.28027414690114755 + 0.005506633687292992j),
-    ("cusp", 5, 3, "aybe", 0): (3.593639692827968e-12, -0.3007782369697672 + 0.9314340729630426j),
-    ("cusp", 5, 3, "aybe", 7): (6.574824364852881e-13, -0.33575966484332387 - 0.3240641037140451j),
-    ("cusp", 5, 3, "aybe_dual", 0): (1.2415603384955995e-12, -0.3007782369697672 + 0.9314340729630426j),
-    ("cusp", 5, 3, "aybe_dual", 7): (9.325450455155737e-14, -0.33575966484332387 - 0.3240641037140451j),
+    ("cusp", 5, 3, "aybe", 0): (9.099386826154683e-14, -0.3007782369697672 + 0.9314340729630426j),
+    ("cusp", 5, 3, "aybe", 7): (3.5704330589399866e-14, -0.33575966484332387 - 0.3240641037140451j),
+    ("cusp", 5, 3, "aybe_dual", 0): (7.553172887309252e-14, -0.3007782369697672 + 0.9314340729630426j),
+    ("cusp", 5, 3, "aybe_dual", 7): (2.2275401441590598e-14, -0.33575966484332387 - 0.3240641037140451j),
     ("ell21", "unitarity", 0): (2.3364326363345895e-14, -0.3046081537309824 - 0.710536736320037j),
     ("ell21", "unitarity", 7): (1.637720085286689e-14, -0.2422208503205726 + 0.7428374117793712j),
     ("trg21", "unitarity", 0): (0.0, 0.30639733867339203 - 0.7297000932207376j),
@@ -697,8 +698,9 @@ def test_one_stack_takes_the_drawn_ahead_draws_up_to_the_cutoff(monkeypatch, kin
         if n <= cutoff:
             # the three drawn-ahead draws' 18 rows in one call; at nodal
             # rank 8 one of them is rejected, and its replacement draw's
-            # six rows are one more call
-            assert counts == ([18, 6] if kind == "nodal" else [18])
+            # six rows are one more call; at cuspidal rank 6 three draws
+            # are, one after the other
+            assert counts == ([18, 6] if kind == "nodal" else [18, 6, 6, 6])
             assert verify.aybe(_lazy(sol), samples=3, seed=2) == report
         else:
             assert sol.evaluate_rows is None and set(counts) == {1}

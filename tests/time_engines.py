@@ -17,18 +17,23 @@ degree) it times, on six parameter rows the engine accepts:
   (`rmatrix._GluedPlan`, as an engine solution holds it), k = 1;
 - the six rows as one stack (`rmatrix._nodal_rows` / `_cusp_rows`), k = 6,
   against six one-row calls;
-- the stages of the pipeline at k = 1 and k = 6: Hom-space assembly
-  (`_hom_space_glued` without its SVD and Cholesky stage), the nullspace
-  SVD (`_nullspace`), the Cholesky stage (`_orthonormal_rows`: Gram matrix,
-  Cholesky factor, triangular inverse and product), the evaluation of the
-  basis at y1 and y2 (`_at_affine`), the residue solve (`_compose_ev_res`)
-  and within it the inverse (its `np.linalg.inv`: of the reduced block
-  `A` from `rmatrix._REDUCED_MIN_ENTRIES` entries on, of the whole residue
-  matrix below; the stage is called reduced_solve).  The nodal engine
-  runs each stage on its n orbit blocks of n entries (one stack of k x n
-  blocks: SVDs of n x n, Cholesky factors of n x n, solves of n x n); the
-  cuspidal one on the whole system, whose reduced solve from rank 7 on
-  leaves out the n1 n2 free directions (n^2 - n1 n2 square).
+- the stages of the pipeline at k = 1 and k = 6.  Nodal (NODAL_STAGES):
+  Hom-space assembly (`_hom_space_glued` without its SVD and Cholesky
+  stage), the nullspace SVD (`_nullspace`), the Cholesky stage
+  (`_orthonormal_rows`: Gram matrix, Cholesky factor, triangular inverse
+  and product), the evaluation of the basis at y1 and y2 (`_at_affine`),
+  the residue solve (`_compose_ev_res`) and within it the inverse of the
+  residue blocks (its `np.linalg.inv`), each on the n orbit blocks of n
+  entries.  Cuspidal (CUSP_STAGES): the graded evaluation (`_cusp_solve`
+  without its bound), the bound (`_cusp_bound`) and the exact fallback
+  (`_cusp_cond`, 0 where every row's bound holds);
+- for the cuspidal engine, the plan build (`_GluedPlan`, plan_ms) and
+  within it the system's assembly and its one solve (np.linalg.solve of
+  K(1), plan_solve_ms).
+
+Then, once, the exact fallback at a rank-12 spread point, cuspidal (12, 5)
+at |lam1 - lam2| = FALLBACK_SPREAD, where the cap refuses the row: the
+refused one-row call and `_cusp_cond` alone.
 
 The calls are interleaved and each figure is the median wall time of
 `--repeats` rounds (a sixth of them, at least 5, at n = 12), so a slow
@@ -85,8 +90,10 @@ from rmx import rmatrix, verify  # noqa: E402
 
 DEGREES = {"nodal": {2: 1, 3: 1, 4: 1, 5: 2, 6: 1, 7: 3, 8: 3, 12: 5},
            "cusp": {2: 1, 3: 2, 4: 3, 5: 3, 6: 5, 7: 4, 8: 5, 12: 5}}
-STAGES = ("hom_assembly", "nullspace_svd", "cholesky", "evaluation", "res_solve",
-          "reduced_solve")
+NODAL_STAGES = ("hom_assembly", "nullspace_svd", "cholesky", "evaluation", "res_solve",
+                "inverse")
+CUSP_STAGES = ("evaluation", "bound", "fallback")
+FALLBACK_SPREAD = 1.7  # cuspidal (12, 5): cond 3.5e6, over COND_CAP
 CHECKS = (("nodal", "dual"), ("cusp", "aybe"))   # 50 samples at CHECK_RANK
 CHECK_RANK = 5
 CHECK_REPEATS = 5
@@ -123,11 +130,12 @@ def _elapsed(fn) -> float:
 
 
 class _StageClock:
-    """Adds the time spent in each pipeline stage while installed."""
+    """Adds the time spent in each pipeline stage of the kind's engine while
+    installed."""
 
-    def __init__(self):
-        self.spent = dict.fromkeys(("hom", "nullspace_svd", "cholesky", "evaluation",
-                                    "res_solve", "reduced_solve"), 0.0)
+    def __init__(self, kind: str):
+        self.kind = kind
+        self.spent = {}
         self._saved = []
         self._solving = False  # inside _compose_ev_res
 
@@ -135,6 +143,7 @@ class _StageClock:
         """Time owner.name into stage; with solving, only the calls made
         inside _compose_ev_res."""
         fn = getattr(owner, name)
+        self.spent[stage] = 0.0
 
         def timed(*args, **kwargs):
             if solving and not self._solving:
@@ -150,12 +159,17 @@ class _StageClock:
         setattr(owner, name, timed)
 
     def __enter__(self):
-        self._timed(rmatrix, "_hom_space_glued", "hom")
-        self._timed(rmatrix, "_nullspace", "nullspace_svd")
-        self._timed(rmatrix, "_orthonormal_rows", "cholesky")
-        self._timed(rmatrix, "_at_affine", "evaluation")
-        self._timed(rmatrix, "_compose_ev_res", "res_solve")
-        self._timed(np.linalg, "inv", "reduced_solve", solving=True)
+        if self.kind == "nodal":
+            self._timed(rmatrix, "_hom_space_glued", "hom")
+            self._timed(rmatrix, "_nullspace", "nullspace_svd")
+            self._timed(rmatrix, "_orthonormal_rows", "cholesky")
+            self._timed(rmatrix, "_at_affine", "evaluation")
+            self._timed(rmatrix, "_compose_ev_res", "res_solve")
+            self._timed(np.linalg, "inv", "inverse", solving=True)
+        else:
+            self._timed(rmatrix, "_cusp_solve", "solve")
+            self._timed(rmatrix, "_cusp_bound", "bound")
+            self._timed(rmatrix, "_cusp_cond", "fallback")
         return self
 
     def __exit__(self, *exc):
@@ -164,14 +178,35 @@ class _StageClock:
 
     def stages(self) -> dict:
         s = self.spent
-        return {"hom_assembly": s["hom"] - s["nullspace_svd"] - s["cholesky"],
-                **{k: s[k] for k in STAGES[1:]}}
+        if self.kind == "nodal":
+            return {"hom_assembly": s["hom"] - s["nullspace_svd"] - s["cholesky"],
+                    **{k: s[k] for k in NODAL_STAGES[1:]}}
+        return {"evaluation": s["solve"] - s["bound"], "bound": s["bound"],
+                "fallback": s["fallback"]}
 
 
-def _stage_times(stacked, rows) -> dict:
-    with _StageClock() as clock:
+def _stage_times(kind, stacked, rows) -> dict:
+    with _StageClock(kind) as clock:
         stacked(rows)
     return clock.stages()
+
+
+def _plan_times(d: int, n: int) -> tuple:
+    """(plan build, its np.linalg.solve) of the cuspidal (n, d) plan, in s."""
+    solve, spent = np.linalg.solve, []
+
+    def timed(*args):
+        t0 = time.perf_counter()
+        try:
+            return solve(*args)
+        finally:
+            spent.append(time.perf_counter() - t0)
+    np.linalg.solve = timed
+    try:
+        build = _elapsed(lambda: rmatrix._GluedPlan("cuspidal", n, d))
+    finally:
+        np.linalg.solve = solve
+    return build, sum(spent)
 
 
 def measure(kind: str, n: int, repeats: int) -> dict:
@@ -181,21 +216,51 @@ def measure(kind: str, n: int, repeats: int) -> dict:
     stacked = (rmatrix._nodal_rows if kind == "nodal" else rmatrix._cusp_rows)
     plan = rmatrix._GluedPlan("nodal" if kind == "nodal" else "cuspidal", n, d)
     stack = lambda rs: stacked(plan, rs)  # noqa: E731
-    one, six_calls, six_stacked = [], [], []
-    stages = {1: {s: [] for s in STAGES}, 6: {s: [] for s in STAGES}}
+    names = NODAL_STAGES if kind == "nodal" else CUSP_STAGES
+    one, six_calls, six_stacked, plans = [], [], [], []
+    stages = {1: {s: [] for s in names}, 6: {s: [] for s in names}}
     for _ in range(repeats):
         one.append(_elapsed(lambda: engine(n, d, *rows[0], plan)))
         six_calls.append(_elapsed(lambda: [engine(n, d, *row, plan) for row in rows]))
         six_stacked.append(_elapsed(lambda: stack(rows)))
         for k in (1, 6):
-            for stage, t in _stage_times(stack, rows[:k]).items():
+            for stage, t in _stage_times(kind, stack, rows[:k]).items():
                 stages[k][stage].append(t)
+        if kind == "cusp":
+            plans.append(_plan_times(d, n))
     ms = lambda ts: round(1e3 * statistics.median(ts), 4)  # noqa: E731
-    return {"kind": kind, "n": n, "d": d, "k1_ms": ms(one), "six_calls_ms": ms(six_calls),
-            "stack6_ms": ms(six_stacked),
-            "speedup_stack6": round(statistics.median(six_calls) / statistics.median(six_stacked), 3),
-            "stages_k1_ms": {s: ms(v) for s, v in stages[1].items()},
-            "stages_k6_ms": {s: ms(v) for s, v in stages[6].items()}}
+    result = {"kind": kind, "n": n, "d": d, "k1_ms": ms(one), "six_calls_ms": ms(six_calls),
+              "stack6_ms": ms(six_stacked),
+              "speedup_stack6": round(statistics.median(six_calls) / statistics.median(six_stacked), 3),
+              "stages_k1_ms": {s: ms(v) for s, v in stages[1].items()},
+              "stages_k6_ms": {s: ms(v) for s, v in stages[6].items()}}
+    if plans:
+        result["plan_ms"], result["plan_solve_ms"] = (ms(t) for t in zip(*plans))
+    return result
+
+
+def fallback_cost(repeats: int, n: int = 12, d: int = 5) -> dict:
+    """Median wall time of a cuspidal (n, d) one-row call that the cap
+    refuses (spread FALLBACK_SPREAD) and of its exact fallback, _cusp_cond."""
+    v2 = 1.0 + 0.2j
+    row = (v2 + FALLBACK_SPREAD * np.exp(1.1j), v2, 0.8 - 0.3j, 1.2 + 0.1j)
+    plan = rmatrix._GluedPlan("cuspidal", n, d)
+    args = [np.array([z], dtype=complex) for z in row[:3]]
+    calls, conds = [], []
+
+    def refused():
+        try:
+            rmatrix.engine_cusp(n, d, *row, plan)
+        except rmatrix.DegenerateSystemError as e:
+            return e.cond
+        raise AssertionError(f"cuspidal ({n}, {d}) accepts spread {FALLBACK_SPREAD}")
+    cond = refused()
+    for _ in range(repeats):
+        calls.append(_elapsed(refused))
+        conds.append(_elapsed(lambda: rmatrix._cusp_cond(plan, *args)))
+    ms = lambda ts: round(1e3 * statistics.median(ts), 4)  # noqa: E731
+    return {"n": n, "d": d, "spread": FALLBACK_SPREAD, "cond": cond,
+            "refused_call_ms": ms(calls), "cusp_cond_ms": ms(conds)}
 
 
 def check_cost(kind: str, identity: str, n: int = CHECK_RANK) -> dict:
@@ -326,17 +391,25 @@ def main(argv=None) -> int:
               f"{c['thread_ms']:10.1f} {c['peak_rss_mb']:12.1f}", flush=True)
     results = []
     print(f"\n{'engine':6s} {'n':>2s} {'d':>2s} {'k=1':>8s} {'6 calls':>8s} {'stack 6':>8s} "
-          f"{'ratio':>6s}  stages at k=1 / k=6 (ms): " + ", ".join(STAGES))
+          f"{'ratio':>6s}  stages at k=1 / k=6 (ms): nodal " + ", ".join(NODAL_STAGES)
+          + "; cuspidal " + ", ".join(CUSP_STAGES) + " (plan build, its solve)")
     for kind in ("nodal", "cusp"):
         for n in DEGREES[kind]:
             r = measure(kind, n, max(5, args.repeats // 6) if n > 8 else args.repeats)
             results.append(r)
-            st = "  ".join(f"{r['stages_k1_ms'][s]:.3f}/{r['stages_k6_ms'][s]:.3f}" for s in STAGES)
+            st = "  ".join(f"{r['stages_k1_ms'][s]:.3f}/{r['stages_k6_ms'][s]:.3f}"
+                           for s in r["stages_k1_ms"])
+            if "plan_ms" in r:
+                st += f"  ({r['plan_ms']:.3f}, {r['plan_solve_ms']:.3f})"
             print(f"{kind:6s} {n:2d} {r['d']:2d} {r['k1_ms']:8.3f} {r['six_calls_ms']:8.3f} "
                   f"{r['stack6_ms']:8.3f} {r['speedup_stack6']:6.2f}  {st}", flush=True)
+    fallback = fallback_cost(max(5, args.repeats // 6))
+    print(f"\ncuspidal ({fallback['n']}, {fallback['d']}) at spread {fallback['spread']}: "
+          f"refused with cond {fallback['cond']:.3g} in {fallback['refused_call_ms']:.3f} ms, "
+          f"of which _cusp_cond {fallback['cusp_cond_ms']:.3f} ms")
     if args.json:
-        Path(args.json).write_text(json.dumps({"env": env, "results": results,
-                                               "checks": checks}, indent=1) + "\n")
+        Path(args.json).write_text(json.dumps({"env": env, "results": results, "checks": checks,
+                                               "fallback": fallback}, indent=1) + "\n")
     return 0
 
 
