@@ -272,7 +272,7 @@ class _ResidueLayout:
 def _cond(r: np.ndarray) -> np.ndarray:
     """cond_2 of each matrix of the stack r (k, blocks, m, m), its blocks
     taken together as one block diagonal matrix (as np.linalg.cond does on one
-    block): inf where it is not finite, as for R = 0."""
+    block), inf where it is nan, as np.linalg.cond has it for R = 0."""
     sv = np.linalg.svd(r, compute_uv=False)
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = sv[..., 0].max(axis=-1) / sv[..., -1].min(axis=-1)

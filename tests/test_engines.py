@@ -3,7 +3,7 @@
 import functools
 import hashlib
 from fractions import Fraction as F
-from math import gcd, isqrt
+from math import gcd
 from pathlib import Path
 
 import numpy as np

@@ -42,8 +42,8 @@ calls to one stack of six shows what a stack saves per row.  A sampled check
 stacks more: the rows of every draw it draws ahead (at most 50 draws, six
 rows each), rejected draws' later rows included.  So the script first runs two 50-sample
 rank-5 checks, `dual` on the nodal engine and `aybe` on the cuspidal one
-(CHECK_RANK: the cuspidal cutoff of `rmatrix._STACK_MAX_N`; both stack
-there), each in a process of its own.  The
+(CHECK_RANK: both engines stack there, `rmatrix._STACK_MAX_N`), each in
+a process of its own.  The
 process runs its check CHECK_REPEATS times and gives the thread time of the
 first run, the median thread time of the later ones (the first also pays the
 process's one-time costs) and the process's peak RSS (`ru_maxrss`) after
