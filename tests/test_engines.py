@@ -723,7 +723,8 @@ def test_a_stack_with_one_refused_row_is_refused():
     rmatrix._nodal_rows(plan, rows[::2])   # the other rows are accepted
 
 
-@pytest.mark.parametrize("n", [rmatrix._STACK_MAX_N["cuspidal"],
+@pytest.mark.parametrize("n", [rmatrix._STACK_MAX_N["cuspidal"] - 1,
+                               rmatrix._STACK_MAX_N["cuspidal"],
                                rmatrix._STACK_MAX_N["cuspidal"] + 1])
 def test_evaluate_rows_stacks_up_to_the_cutoff(n, monkeypatch):
     calls = []
@@ -733,7 +734,7 @@ def test_evaluate_rows_stacks_up_to_the_cutoff(n, monkeypatch):
     rows = [tuple(ring_points(np.random.default_rng(n + k), 4)) for k in range(6)]
     _, evaluate = catalog.view(engine_solution("cusp", n, 1), catalog.as_four_param)
     got = evaluate(rows)
-    # one stack up to the cutoff, one call per row above it
+    # one stack below and at the cutoff, one call per row above it
     assert calls == ([6] if n <= rmatrix._STACK_MAX_N["cuspidal"] else [1] * 6)
     assert got.shape == (6, n, n, n, n)
     assert all(np.array_equal(t, engine_cusp(n, 1, *row).coeffs) for t, row in zip(got, rows))
